@@ -15,7 +15,7 @@ import io
 import os
 from dataclasses import dataclass, field
 
-from .core import DEFAULT_K_PREDICTORS, EvalReport, evaluate
+from .core import DEFAULT_K_PREDICTORS, EvalReport, evaluate, score_predictions
 from .cbr import CbrPredictor
 from .data import (
     Dataset,
@@ -222,16 +222,16 @@ def run_bench(cfg: BenchConfig, seed: int) -> BenchResult:
         predictor = predictors[model_id]
         try:
             predictor.fit(train)
-            report = evaluate(
-                predictor,
+            predicted = predictor.predict_many(test)
+            report = score_predictions(
                 test,
-                model_id=model_id,
+                predicted,
+                model_id,
                 k_predictors=cfg.k_predictors,
                 n_override=cfg.n_override,
             )
             predictions[model_id] = [
-                (rec.id, float(rec.cost_le), float(predictor.predict(rec.features)))
-                for rec in test
+                (rec.id, float(rec.cost_le), float(value)) for rec, value in zip(test, predicted)
             ]
             scored.append(
                 LeaderboardRow("", model_id, info.display_name, info.family, report=report)
@@ -381,7 +381,7 @@ def predict_one(
             "per-attribute similarity: "
             + ", ".join(f"{s:.4f}" for s in retrieval.per_attribute)
         )
-    elif isinstance(predictor, (FuzzyPredictor, GeneticFuzzyPredictor)):
+    elif isinstance(predictor, FuzzyPredictor):
         detail = predictor.infer_trace(features)
         if detail.degraded:
             trace.append("DEGRADED: no rule fired; training-mean fallback used")

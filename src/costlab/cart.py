@@ -1,17 +1,24 @@
 """CART regression tree: variance-reduction splits, mean-valued leaves.
 
 The standalone tree model and the base learner for every ensemble family.
-Split gain is SSE(parent) - SSE(left) - SSE(right) over candidate thresholds
-at midpoints between consecutive distinct feature values; ties break toward
-the lowest feature index, then the lowest threshold. SSE terms are computed
-from row masks in fixed row order, so candidates inducing the same partition
+``grow_node`` is the one greedy recursion behind every tree in the package:
+CART, bagging, random forest, extra trees, AdaBoost.R2 and gradient boosting
+grow through ``grow``, and the regularized booster calls it with its own leaf
+weight and split search.
+
+Split gain is SSE(parent) - SSE(left) - SSE(right), scored by one loop over
+(feature, threshold) candidates: ``best_split`` feeds it the midpoints between
+consecutive distinct feature values, extra trees one uniform cut per
+non-constant feature. Ties break toward the first candidate, that is the
+lowest feature index, then the lowest threshold. SSE terms are computed from
+row masks in fixed row order, so candidates inducing the same partition
 produce bit-identical gains.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -69,29 +76,21 @@ def _subset_sse(mask: np.ndarray, y: np.ndarray, count: int) -> float:
     return float(mask @ ((y - mean) ** 2))
 
 
-def best_split(
+def _best_candidate(
     X: np.ndarray,
     y: np.ndarray,
-    features: Sequence[int] | None = None,
-    min_samples_leaf: int = 1,
+    candidates: Iterable[tuple[int, Iterable[float]]],
+    min_samples_leaf: int,
 ) -> tuple[int, float, float] | None:
-    """Highest-gain (feature, threshold, gain), or None when nothing helps."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
+    """Highest-gain (feature, threshold, gain) over lazily drawn (feature, thresholds)."""
     n = y.size
     if n < 2 or np.all(y == y[0]):
-        return None
-    if features is None:
-        features = range(X.shape[1])
-    ones = np.ones(n)
-    sse_parent = _subset_sse(ones, y, n)
+        return None  # before the first candidate, so random cuts draw nothing here
+    sse_parent = _subset_sse(np.ones(n), y, n)
     best: tuple[int, float, float] | None = None
-    for f in features:
+    for f, thresholds in candidates:
         col = X[:, f]
-        distinct = np.unique(col)
-        if distinct.size < 2:
-            continue
-        for threshold in (distinct[:-1] + distinct[1:]) / 2.0:
+        for threshold in thresholds:
             left = (col <= threshold).astype(float)
             n_left = int(left.sum())
             n_right = n - n_left
@@ -103,69 +102,63 @@ def best_split(
     return best
 
 
-def _random_split(
-    X: np.ndarray,
-    y: np.ndarray,
-    features: Sequence[int],
-    min_samples_leaf: int,
-    rng: np.random.Generator,
-) -> tuple[int, float, float] | None:
-    """Extra-trees variant: one uniform threshold per candidate feature."""
-    n = y.size
-    if n < 2 or np.all(y == y[0]):
-        return None
-    ones = np.ones(n)
-    sse_parent = _subset_sse(ones, y, n)
-    best: tuple[int, float, float] | None = None
+def _midpoints(X: np.ndarray, features: Iterable[int]) -> Iterator[tuple[int, np.ndarray]]:
+    """CART candidates: midpoints between consecutive distinct values of each feature."""
     for f in features:
-        col = X[:, f]
-        lo, hi = float(col.min()), float(col.max())
-        if lo == hi:
-            continue
-        threshold = float(rng.uniform(lo, hi))
-        left = (col <= threshold).astype(float)
-        n_left = int(left.sum())
-        n_right = n - n_left
-        if n_left < min_samples_leaf or n_right < min_samples_leaf:
-            continue
-        gain = sse_parent - _subset_sse(left, y, n_left) - _subset_sse(1.0 - left, y, n_right)
-        if gain > 0 and (best is None or gain > best[2]):
-            best = (int(f), threshold, float(gain))
-    return best
+        distinct = np.unique(X[:, f])
+        yield f, (distinct[:-1] + distinct[1:]) / 2.0
 
 
-def _grow_node(
+def _uniform_cuts(
+    X: np.ndarray, features: Iterable[int], rng: np.random.Generator
+) -> Iterator[tuple[int, tuple[float]]]:
+    """Extra-trees candidates: one uniform cut per non-constant feature."""
+    for f in features:
+        lo, hi = float(X[:, f].min()), float(X[:, f].max())
+        if lo != hi:
+            yield f, (float(rng.uniform(lo, hi)),)
+
+
+def best_split(
     X: np.ndarray,
     y: np.ndarray,
+    features: Sequence[int] | None = None,
+    min_samples_leaf: int = 1,
+) -> tuple[int, float, float] | None:
+    """Highest-gain (feature, threshold, gain), or None when nothing helps."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if features is None:
+        features = range(X.shape[1])
+    return _best_candidate(X, y, _midpoints(X, features), min_samples_leaf)
+
+
+# (feature, threshold, default_left or None, left row mask)
+Split = tuple[int, float, bool | None, np.ndarray]
+
+
+def grow_node(
+    X: np.ndarray,
+    t: np.ndarray,
     depth: int,
     params: TreeParams,
-    rng: np.random.Generator | None,
-    n_feature_subset: int | None,
-    random_thresholds: bool,
+    leaf_value: Callable[[np.ndarray], float],
+    find_split: Callable[[np.ndarray, np.ndarray], Split | None],
 ) -> Node:
-    node = Node(value=float(np.mean(y)), n=int(y.size))
-    if depth >= params.max_depth or y.size < params.min_samples_split:
+    """The greedy recursion of every tree learner; ``t`` is targets or gradients.
+
+    ``find_split`` runs only at nodes that pass the depth and size checks, so
+    its random draws follow the order in which the recursion visits nodes.
+    """
+    node = Node(value=leaf_value(t), n=int(t.size))
+    if depth >= params.max_depth or t.size < params.min_samples_split:
         return node
-    if n_feature_subset is not None:
-        features = np.sort(rng.choice(X.shape[1], size=n_feature_subset, replace=False))
-    else:
-        features = np.arange(X.shape[1])
-    if random_thresholds:
-        split = _random_split(X, y, features, params.min_samples_leaf, rng)
-    else:
-        split = best_split(X, y, features, params.min_samples_leaf)
+    split = find_split(X, t)
     if split is None:
         return node
-    feature, threshold, _ = split
-    mask = X[:, feature] <= threshold
-    node.feature = feature
-    node.threshold = threshold
-    node.left = _grow_node(
-        X[mask], y[mask], depth + 1, params, rng, n_feature_subset, random_thresholds
-    )
-    node.right = _grow_node(
-        X[~mask], y[~mask], depth + 1, params, rng, n_feature_subset, random_thresholds
-    )
+    node.feature, node.threshold, node.default_left, mask = split
+    node.left = grow_node(X[mask], t[mask], depth + 1, params, leaf_value, find_split)
+    node.right = grow_node(X[~mask], t[~mask], depth + 1, params, leaf_value, find_split)
     return node
 
 
@@ -182,7 +175,22 @@ def grow(
     y = np.asarray(y, dtype=float)
     if y.size == 0:
         raise EmptyTrainError("cannot grow a tree on an empty training set")
-    root = _grow_node(X, y, 0, params, rng, n_feature_subset, random_thresholds)
+
+    def find_split(X: np.ndarray, y: np.ndarray) -> Split | None:
+        if n_feature_subset is not None:
+            features = np.sort(rng.choice(X.shape[1], size=n_feature_subset, replace=False))
+        else:
+            features = np.arange(X.shape[1])
+        if random_thresholds:
+            split = _best_candidate(X, y, _uniform_cuts(X, features, rng), params.min_samples_leaf)
+        else:
+            split = best_split(X, y, features, params.min_samples_leaf)
+        if split is None:
+            return None
+        feature, threshold, _ = split
+        return feature, threshold, None, X[:, feature] <= threshold
+
+    root = grow_node(X, y, 0, params, lambda t: float(np.mean(t)), find_split)
     return RegressionTree(root=root, params=params, n_train=int(y.size))
 
 

@@ -117,8 +117,15 @@ class CbrPredictor(Predictor):
 
     def __init__(self, k: int = 1, attribute_weights: Sequence[float] = DEFAULT_WEIGHTS):
         super().__init__()
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
         self.k = k
         self.attribute_weights = tuple(float(w) for w in attribute_weights)
+        if len(self.attribute_weights) != N_FEATURES or sum(self.attribute_weights) <= 0:
+            raise ValueError(
+                f"need {N_FEATURES} attribute weights with a positive sum, "
+                f"got {self.attribute_weights}"
+            )
         self.case_base: CaseBase | None = None
 
     def _fit(self, train: Dataset, y: np.ndarray) -> None:

@@ -140,18 +140,30 @@ def evaluate(
     ``n_override`` substitutes the sample count used by the adjusted-R2
     denominator (e.g. full-sample instead of test-sample accounting).
     """
+    predicted = predictor.predict_many(test)
+    model_id = model_id or predictor.model_kind
+    return score_predictions(test, predicted, model_id, k_predictors, n_override)
+
+
+def score_predictions(
+    test: Dataset,
+    predicted: np.ndarray,
+    model_id: str,
+    k_predictors: int = DEFAULT_K_PREDICTORS,
+    n_override: int | None = None,
+) -> EvalReport:
+    """The scoring half of ``evaluate``, for predictions already made on ``test``."""
     if len(test) == 0:
         raise EmptyTestError("empty test set")
     actual = test.targets
     if np.any(actual <= 0):
         raise NonpositiveTargetError("evaluation requires strictly positive targets")
-    predicted = predictor.predict_many(test)
     mape_pct = mape(actual, predicted)
     r2 = r_squared(actual, predicted)
     n = len(test) if n_override is None else int(n_override)
     adj = adjusted_r_squared(r2, k_predictors, n)
     return EvalReport(
-        model_id=model_id or predictor.model_kind,
+        model_id=model_id,
         mape_pct=mape_pct,
         mape_category=categorize(mape_pct),
         r2=r2,

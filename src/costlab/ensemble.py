@@ -5,7 +5,10 @@ boosting (stochastic when subsampled), and a regularized second-order booster
 whose split gain and leaf weights follow the penalized objective
 gain = 0.5 * [G_L^2/(H_L+lambda) + G_R^2/(H_R+lambda) - G^2/(H+lambda)] - gamma,
 w* = -G/(H+lambda), with per-split default directions learned for missing
-feature values (squared loss, so h = 1 per row).
+feature values. The loss is squared, so h = 1 per row and every hessian sum H
+is a row count; no hessian array is kept. All six grow their trees with the
+shared recursion in ``cart``, and one ``EnsemblePredictor`` wraps any of the
+``fit_*`` functions for the zoo.
 """
 
 from __future__ import annotations
@@ -13,11 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .cart import Node, RegressionTree, TreeParams, grow, predict_tree, predict_tree_batch
+from .cart import RegressionTree, TreeParams, grow, grow_node, predict_tree, predict_tree_batch
 from .core import Predictor
 from .data import Dataset, FeatureVector
 from .errors import EmptyTrainError
@@ -68,9 +71,7 @@ class BoostConfig:
 class EnsembleModel:
     members: list[tuple[RegressionTree, float]]
     combine: CombineRule
-    family: str
     base_score: float = 0.0
-    member_indices: tuple[np.ndarray, ...] = ()
 
     def predict(self, x: Sequence[float]) -> float:
         outputs = np.array([predict_tree(tree, x) for tree, _ in self.members])
@@ -114,50 +115,41 @@ def _check_nonempty(y: np.ndarray) -> None:
         raise EmptyTrainError("empty training set")
 
 
-def fit_bagging(X: np.ndarray, y: np.ndarray, cfg: ForestConfig) -> EnsembleModel:
-    """CART members on bootstrap replicas, combined by mean."""
-    X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
-    _check_nonempty(y)
-    rng = np.random.default_rng(cfg.seed)
-    members, drawn = [], []
-    for _ in range(cfg.n_members):
-        idx = bootstrap_indices(y.size, rng)
-        members.append((grow(X[idx], y[idx], cfg.tree), 1.0))
-        drawn.append(idx)
-    return EnsembleModel(members, CombineRule.MEAN, "bagging", member_indices=tuple(drawn))
-
-
-def fit_random_forest(X: np.ndarray, y: np.ndarray, cfg: ForestConfig) -> EnsembleModel:
-    """Bagging plus a random feature subset of size 2 at every split."""
-    X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
-    _check_nonempty(y)
-    rng = np.random.default_rng(cfg.seed)
-    members, drawn = [], []
-    for _ in range(cfg.n_members):
-        idx = bootstrap_indices(y.size, rng)
-        tree = grow(X[idx], y[idx], cfg.tree, rng=rng, n_feature_subset=RF_FEATURE_SUBSET)
-        members.append((tree, 1.0))
-        drawn.append(idx)
-    return EnsembleModel(members, CombineRule.MEAN, "random_forest", member_indices=tuple(drawn))
-
-
-def fit_extra_trees(X: np.ndarray, y: np.ndarray, cfg: ForestConfig) -> EnsembleModel:
-    """Full-sample members with random feature subsets and random cut points."""
+def _fit_forest(
+    X: np.ndarray,
+    y: np.ndarray,
+    cfg: ForestConfig,
+    bootstrap: bool,
+    n_feature_subset: int | None = None,
+    random_thresholds: bool = False,
+) -> EnsembleModel:
+    """Independently grown members combined by mean: the loop of the three forests."""
     X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
     _check_nonempty(y)
     rng = np.random.default_rng(cfg.seed)
     members = []
     for _ in range(cfg.n_members):
-        tree = grow(
-            X,
-            y,
-            cfg.tree,
-            rng=rng,
-            n_feature_subset=RF_FEATURE_SUBSET,
-            random_thresholds=True,
-        )
+        idx = bootstrap_indices(y.size, rng) if bootstrap else slice(None)
+        tree = grow(X[idx], y[idx], cfg.tree, rng, n_feature_subset, random_thresholds)
         members.append((tree, 1.0))
-    return EnsembleModel(members, CombineRule.MEAN, "extra_trees")
+    return EnsembleModel(members, CombineRule.MEAN)
+
+
+def fit_bagging(X: np.ndarray, y: np.ndarray, cfg: ForestConfig) -> EnsembleModel:
+    """CART members on bootstrap replicas, combined by mean."""
+    return _fit_forest(X, y, cfg, bootstrap=True)
+
+
+def fit_random_forest(X: np.ndarray, y: np.ndarray, cfg: ForestConfig) -> EnsembleModel:
+    """Bagging plus a random feature subset of size 2 at every split."""
+    return _fit_forest(X, y, cfg, bootstrap=True, n_feature_subset=RF_FEATURE_SUBSET)
+
+
+def fit_extra_trees(X: np.ndarray, y: np.ndarray, cfg: ForestConfig) -> EnsembleModel:
+    """Full-sample members with random feature subsets and random cut points."""
+    return _fit_forest(
+        X, y, cfg, bootstrap=False, n_feature_subset=RF_FEATURE_SUBSET, random_thresholds=True
+    )
 
 
 def fit_adaboost_r2(X: np.ndarray, y: np.ndarray, cfg: ForestConfig) -> EnsembleModel:
@@ -190,7 +182,7 @@ def fit_adaboost_r2(X: np.ndarray, y: np.ndarray, cfg: ForestConfig) -> Ensemble
         members.append((tree, math.log(1.0 / beta)))
         w = w * beta ** (1.0 - loss)
         w = w / w.sum()
-    return EnsembleModel(members, CombineRule.WEIGHTED_MEDIAN, "adaboost_r2")
+    return EnsembleModel(members, CombineRule.WEIGHTED_MEDIAN)
 
 
 def fit_gradient_boosting(X: np.ndarray, y: np.ndarray, cfg: BoostConfig) -> EnsembleModel:
@@ -216,7 +208,7 @@ def fit_gradient_boosting(X: np.ndarray, y: np.ndarray, cfg: BoostConfig) -> Ens
         tree = grow(X[idx], residual[idx], cfg.tree)
         pred = pred + cfg.learning_rate * predict_tree_batch(tree, X)
         members.append((tree, cfg.learning_rate))
-    return EnsembleModel(members, CombineRule.ADDITIVE, "gradient_boosting", base_score=base)
+    return EnsembleModel(members, CombineRule.ADDITIVE, base_score=base)
 
 
 # -- regularized second-order booster -----------------------------------------
@@ -245,15 +237,13 @@ def leaf_weight(g_sum: float, h_sum: float, lam: float) -> float:
 
 
 def _best_regularized_split(
-    X: np.ndarray,
-    g: np.ndarray,
-    h: np.ndarray,
-    cfg: BoostConfig,
+    X: np.ndarray, g: np.ndarray, cfg: BoostConfig
 ) -> tuple[int, float, bool, np.ndarray, float] | None:
     """Exact greedy search over features, thresholds, and default directions.
 
     Returns (feature, threshold, default_left, left row mask, gain); missing
-    rows are sent down whichever side yields the higher gain.
+    rows are sent down whichever side yields the higher gain. Under squared
+    loss every hessian is 1, so each hessian sum is the side's row count.
     """
     n = g.size
     min_leaf = cfg.tree.min_samples_leaf
@@ -264,7 +254,6 @@ def _best_regularized_split(
         if present.sum() < 2:
             continue
         g_miss = float(g[~present].sum())
-        h_miss = float(h[~present].sum())
         n_miss = int(n - present.sum())
         distinct = np.unique(col[present])
         if distinct.size < 2:
@@ -273,17 +262,13 @@ def _best_regularized_split(
             left_present = present & (col <= threshold)
             right_present = present & (col > threshold)
             gl = float(g[left_present].sum())
-            hl = float(h[left_present].sum())
             gr = float(g[right_present].sum())
-            hr = float(h[right_present].sum())
             nl, nr = int(left_present.sum()), int(right_present.sum())
-            for default_left in (True, False):
-                if default_left:
-                    gain = split_gain(gl + g_miss, hl + h_miss, gr, hr, cfg.lam, cfg.gamma)
-                    n_left, n_right = nl + n_miss, nr
-                else:
-                    gain = split_gain(gl, hl, gr + g_miss, hr + h_miss, cfg.lam, cfg.gamma)
-                    n_left, n_right = nl, nr + n_miss
+            for default_left, g_left, g_right, n_left, n_right in (
+                (True, gl + g_miss, gr, nl + n_miss, nr),
+                (False, gl, gr + g_miss, nl, nr + n_miss),
+            ):
+                gain = split_gain(g_left, n_left, g_right, n_right, cfg.lam, cfg.gamma)
                 if n_left < min_leaf or n_right < min_leaf:
                     continue
                 if gain > 0 and (best is None or gain > best[4]):
@@ -292,118 +277,57 @@ def _best_regularized_split(
     return best
 
 
-def _grow_regularized(
-    X: np.ndarray, g: np.ndarray, h: np.ndarray, depth: int, cfg: BoostConfig
-) -> Node:
-    node = Node(value=leaf_weight(float(g.sum()), float(h.sum()), cfg.lam), n=int(g.size))
-    if depth >= cfg.tree.max_depth or g.size < cfg.tree.min_samples_split:
-        return node
-    split = _best_regularized_split(X, g, h, cfg)
-    if split is None:
-        return node
-    feature, threshold, default_left, mask, _ = split
-    node.feature = feature
-    node.threshold = threshold
-    node.default_left = default_left
-    node.left = _grow_regularized(X[mask], g[mask], h[mask], depth + 1, cfg)
-    node.right = _grow_regularized(X[~mask], g[~mask], h[~mask], depth + 1, cfg)
-    return node
-
-
 def fit_regularized_booster(X: np.ndarray, y: np.ndarray, cfg: BoostConfig) -> EnsembleModel:
-    """Second-order boosting with leaf-weight shrinkage and missing support."""
+    """Second-order boosting with leaf-weight shrinkage and missing support.
+
+    Each round grows a tree on the gradients g = pred - y with the shared CART
+    recursion; leaves hold w* = -G/(n + lambda), n being the leaf's row count.
+    """
     X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
     _check_nonempty(y)
     n = y.size
     base = float(np.mean(y))
     pred = np.full(n, base)
-    h = np.ones(n)
+
+    def leaf(g: np.ndarray) -> float:
+        return leaf_weight(float(g.sum()), float(g.size), cfg.lam)
+
+    def find_split(X: np.ndarray, g: np.ndarray) -> tuple | None:
+        split = _best_regularized_split(X, g, cfg)
+        return None if split is None else split[:4]
+
     members: list[tuple[RegressionTree, float]] = []
     for _ in range(cfg.n_rounds):
         g = pred - y
-        root = _grow_regularized(X, g, h, 0, cfg)
+        root = grow_node(X, g, 0, cfg.tree, leaf, find_split)
         tree = RegressionTree(root=root, params=cfg.tree, n_train=n)
         pred = pred + cfg.learning_rate * predict_tree_batch(tree, X)
         members.append((tree, cfg.learning_rate))
-    return EnsembleModel(members, CombineRule.ADDITIVE, "regularized_booster", base_score=base)
+    return EnsembleModel(members, CombineRule.ADDITIVE, base_score=base)
 
 
-# -- zoo wrappers --------------------------------------------------------------
+# -- zoo wrapper ---------------------------------------------------------------
 
 
-class _EnsemblePredictor(Predictor):
-    def __init__(self):
+class EnsemblePredictor(Predictor):
+    """Zoo wrapper for every ensemble family: a ``fit_*`` function and its config."""
+
+    def __init__(
+        self,
+        model_kind: str,
+        fit: Callable[[np.ndarray, np.ndarray, ForestConfig | BoostConfig], EnsembleModel],
+        config: ForestConfig | BoostConfig,
+        supports_missing: bool = False,
+    ):
         super().__init__()
+        self.model_kind = model_kind
+        self.fit_ensemble = fit
+        self.config = config
+        self.supports_missing = supports_missing
         self.model: EnsembleModel | None = None
+
+    def _fit(self, train: Dataset, y: np.ndarray) -> None:
+        self.model = self.fit_ensemble(train.features_matrix, y, self.config)
 
     def _predict(self, x: FeatureVector) -> float:
         return self.model.predict(x.to_array())
-
-
-class BaggingPredictor(_EnsemblePredictor):
-    model_kind = "bagging"
-
-    def __init__(self, config: ForestConfig = ForestConfig()):
-        super().__init__()
-        self.config = config
-
-    def _fit(self, train: Dataset, y: np.ndarray) -> None:
-        self.model = fit_bagging(train.features_matrix, y, self.config)
-
-
-class RandomForestPredictor(_EnsemblePredictor):
-    model_kind = "random_forest"
-
-    def __init__(self, config: ForestConfig = ForestConfig()):
-        super().__init__()
-        self.config = config
-
-    def _fit(self, train: Dataset, y: np.ndarray) -> None:
-        self.model = fit_random_forest(train.features_matrix, y, self.config)
-
-
-class ExtraTreesPredictor(_EnsemblePredictor):
-    model_kind = "extra_trees"
-
-    def __init__(self, config: ForestConfig = ForestConfig()):
-        super().__init__()
-        self.config = config
-
-    def _fit(self, train: Dataset, y: np.ndarray) -> None:
-        self.model = fit_extra_trees(train.features_matrix, y, self.config)
-
-
-class AdaBoostPredictor(_EnsemblePredictor):
-    model_kind = "adaboost_r2"
-
-    def __init__(self, config: ForestConfig = ForestConfig()):
-        super().__init__()
-        self.config = config
-
-    def _fit(self, train: Dataset, y: np.ndarray) -> None:
-        self.model = fit_adaboost_r2(train.features_matrix, y, self.config)
-
-
-class GradientBoostingPredictor(_EnsemblePredictor):
-    model_kind = "gradient_boosting"
-
-    def __init__(self, config: BoostConfig = BoostConfig()):
-        super().__init__()
-        self.config = config
-        if config.subsample < 1.0:
-            self.model_kind = "stochastic_gradient_boosting"
-
-    def _fit(self, train: Dataset, y: np.ndarray) -> None:
-        self.model = fit_gradient_boosting(train.features_matrix, y, self.config)
-
-
-class RegularizedBoosterPredictor(_EnsemblePredictor):
-    model_kind = "regularized_boosting"
-    supports_missing = True
-
-    def __init__(self, config: BoostConfig = BoostConfig()):
-        super().__init__()
-        self.config = config
-
-    def _fit(self, train: Dataset, y: np.ndarray) -> None:
-        self.model = fit_regularized_booster(train.features_matrix, y, self.config)

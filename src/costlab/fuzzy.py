@@ -178,6 +178,11 @@ class InferenceResult:
     degraded: bool
 
 
+def _check_samples(samples: int) -> None:
+    if samples < 1000:
+        raise ValueError(f"need at least 1000 quadrature samples, got {samples}")
+
+
 class FuzzyEngine:
     """Vectorized inference for a fixed variable set and output grid.
 
@@ -191,8 +196,7 @@ class FuzzyEngine:
         output_var: FuzzyVariable,
         samples: int = DEFAULT_SAMPLES,
     ):
-        if samples < 1000:
-            raise ValueError(f"need at least 1000 quadrature samples, got {samples}")
+        _check_samples(samples)
         self.input_vars = tuple(input_vars)
         self.output_var = output_var
         self.samples = samples
@@ -243,22 +247,6 @@ class FuzzyEngine:
         ok = fired & (area > 0.0)
         values[ok] = moment[ok] / area[ok]
         return values, ok
-
-    def infer_batch(
-        self, X: np.ndarray, rules: Sequence[FuzzyRule], fallback: float | None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Crisp outputs for a feature matrix; returns (values, degraded mask)."""
-        antecedents = np.array([r.antecedent for r in rules], dtype=int)
-        consequents = np.array([r.consequent for r in rules], dtype=int)
-        memberships = self.input_memberships(X)
-        strengths = self.strengths(memberships, antecedents)
-        values, ok = self.centroids(strengths, consequents)
-        degraded = ~ok
-        if degraded.any():
-            if fallback is None:
-                raise NoRuleFiresError("no rule fires for at least one input")
-            values[degraded] = fallback
-        return values, degraded
 
 
 @lru_cache(maxsize=32)
@@ -444,6 +432,7 @@ class FuzzyPredictor(Predictor):
 
     def __init__(self, rule_file: str | None = None, samples: int = DEFAULT_SAMPLES):
         super().__init__()
+        _check_samples(samples)
         self.rule_file = rule_file
         self.samples = samples
         self.rule_base: RuleBase | None = None
@@ -457,9 +446,7 @@ class FuzzyPredictor(Predictor):
         self.fallback = float(np.mean(train.targets))
 
     def _predict(self, x: FeatureVector) -> float:
-        return infer_detail(
-            self.rule_base, x, samples=self.samples, fallback=self.fallback
-        ).value
+        return self.infer_trace(x).value
 
     def infer_trace(self, x: FeatureVector) -> InferenceResult:
         """Inference with fired rules and the degraded flag, for reporting."""

@@ -19,17 +19,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Predictor
-from .data import Dataset, FeatureVector
+from .data import Dataset
 from .errors import EmptyTrainError
 from .fuzzy import (
     DEFAULT_SAMPLES,
     FuzzyEngine,
+    FuzzyPredictor,
     FuzzyRule,
     FuzzyVariable,
-    InferenceResult,
     RuleBase,
-    infer_detail,
     variables_from_dataset,
 )
 from .metrics import mape
@@ -248,28 +246,16 @@ def evolve(
     return best_rule_base, history
 
 
-class GeneticFuzzyPredictor(Predictor):
-    """Zoo wrapper around the evolutionary rule search."""
+class GeneticFuzzyPredictor(FuzzyPredictor):
+    """Zoo wrapper around the evolutionary rule search; inference as in ``fuzzy``."""
 
     model_kind = "genetic_fuzzy"
 
     def __init__(self, config: GAConfig | None = None):
-        super().__init__()
         self.config = config or GAConfig()
-        self.rule_base: RuleBase | None = None
-        self.fallback: float | None = None
+        super().__init__(samples=self.config.samples)
         self.history: list[float] = []
 
     def _fit(self, train: Dataset, y: np.ndarray) -> None:
         self.rule_base, self.history = evolve(self.config, train)
         self.fallback = float(np.mean(train.targets))
-
-    def _predict(self, x: FeatureVector) -> float:
-        return infer_detail(
-            self.rule_base, x, samples=self.config.samples, fallback=self.fallback
-        ).value
-
-    def infer_trace(self, x: FeatureVector) -> InferenceResult:
-        return infer_detail(
-            self.rule_base, x, samples=self.config.samples, fallback=self.fallback
-        )

@@ -112,6 +112,11 @@ def _solve_pair(
     return best_delta
 
 
+def _check_hyperparameters(C: float, epsilon: float) -> None:
+    if C <= 0 or epsilon < 0:
+        raise ValueError(f"need C > 0 and epsilon >= 0, got C={C!r}, epsilon={epsilon!r}")
+
+
 def _dual_objective(beta: np.ndarray, F: np.ndarray, y: np.ndarray, epsilon: float) -> float:
     return float(-0.5 * beta @ F + y @ beta - epsilon * np.sum(np.abs(beta)))
 
@@ -154,8 +159,7 @@ def fit_svr(
     y = np.asarray(y, dtype=float)
     if y.size == 0:
         raise EmptyTrainError("SVR needs a nonempty training set")
-    if C <= 0 or epsilon < 0:
-        raise ValueError("need C > 0 and epsilon >= 0")
+    _check_hyperparameters(C, epsilon)
     n = y.size
     x_mean = X.mean(axis=0)
     x_scale = X.std(axis=0)
@@ -242,6 +246,7 @@ class SvrPredictor(Predictor):
         tol: float = 1e-3,
     ):
         super().__init__()
+        _check_hyperparameters(C, epsilon)
         self.C = C
         self.epsilon = epsilon
         self.gamma_rbf = gamma_rbf

@@ -14,16 +14,8 @@ from typing import Callable, Mapping
 from .cart import CartPredictor, TreeParams
 from .cbr import CbrPredictor
 from .core import Predictor, TargetTransform
-from .ensemble import (
-    AdaBoostPredictor,
-    BaggingPredictor,
-    BoostConfig,
-    ExtraTreesPredictor,
-    ForestConfig,
-    GradientBoostingPredictor,
-    RandomForestPredictor,
-    RegularizedBoosterPredictor,
-)
+from . import ensemble
+from .ensemble import BoostConfig, EnsemblePredictor, ForestConfig
 from .errors import ConfigError
 from .fuzzy import DEFAULT_SAMPLES, FuzzyPredictor
 from .genetic_fuzzy import GAConfig, GeneticFuzzyPredictor
@@ -109,33 +101,46 @@ def _mlp_builder(model_id: str, transform: TargetTransform):
     return build
 
 
-def _forest_builder(model_id: str, cls):
+# The ensemble fit functions are looked up on the module at build time, not
+# bound at import, so a wrapper installed on ``ensemble.fit_*`` is the one used.
+def _forest_builder(model_id: str, fit_name: str):
     def build(raw: Mapping[str, str], seed: int) -> Predictor:
         p = _Params(model_id, raw, ("n_members", *_TREE_KEYS))
         cfg = ForestConfig(
             n_members=p.get_int("n_members", 100), tree=_tree_params(p), seed=seed
         )
-        return cls(cfg)
+        return EnsemblePredictor(model_id, getattr(ensemble, fit_name), cfg)
 
     return build
 
 
-def _boost_builder(model_id: str, cls, default_subsample: float, extra: tuple[str, ...]):
-    def build(raw: Mapping[str, str], seed: int) -> Predictor:
-        keys = ("n_rounds", "learning_rate", "subsample", *extra, *_TREE_KEYS)
-        p = _Params(model_id, raw, keys)
-        cfg = BoostConfig(
-            n_rounds=p.get_int("n_rounds", 100),
-            learning_rate=p.get_float("learning_rate", 0.1),
-            lam=p.get_float("lam", 1.0),
-            gamma=p.get_float("gamma", 0.0),
-            subsample=p.get_float("subsample", default_subsample),
-            tree=_tree_params(p),
-            seed=seed,
-        )
-        return cls(cfg)
+_BOOST_KEYS = ("n_rounds", "learning_rate", "subsample", *_TREE_KEYS)
 
-    return build
+
+def _boost_config(p: _Params, seed: int, default_subsample: float) -> BoostConfig:
+    return BoostConfig(
+        n_rounds=p.get_int("n_rounds", 100),
+        learning_rate=p.get_float("learning_rate", 0.1),
+        lam=p.get_float("lam", 1.0),
+        gamma=p.get_float("gamma", 0.0),
+        subsample=p.get_float("subsample", default_subsample),
+        tree=_tree_params(p),
+        seed=seed,
+    )
+
+
+def _build_sgb(raw: Mapping[str, str], seed: int) -> Predictor:
+    cfg = _boost_config(_Params("sgb", raw, _BOOST_KEYS), seed, 0.8)
+    kind = "stochastic_gradient_boosting" if cfg.subsample < 1.0 else "gradient_boosting"
+    return EnsemblePredictor(kind, ensemble.fit_gradient_boosting, cfg)
+
+
+def _build_regularized_boosting(raw: Mapping[str, str], seed: int) -> Predictor:
+    p = _Params("regularized_boosting", raw, (*_BOOST_KEYS, "lam", "gamma"))
+    cfg = _boost_config(p, seed, 1.0)
+    return EnsemblePredictor(
+        "regularized_boosting", ensemble.fit_regularized_booster, cfg, supports_missing=True
+    )
 
 
 def _build_frozen(raw: Mapping[str, str], seed: int) -> Predictor:
@@ -216,7 +221,7 @@ MODEL_REGISTRY: dict[str, ModelInfo] = {
             "regularized_boosting",
             "Regularized tree boosting (XGBoost-style)",
             "ensemble",
-            _boost_builder("regularized_boosting", RegularizedBoosterPredictor, 1.0, ("lam", "gamma")),
+            _build_regularized_boosting,
         ),
         ModelInfo(
             "sqrt_regression",
@@ -272,31 +277,31 @@ MODEL_REGISTRY: dict[str, ModelInfo] = {
             "bagging",
             "Bagged trees",
             "ensemble",
-            _forest_builder("bagging", BaggingPredictor),
+            _forest_builder("bagging", "fit_bagging"),
         ),
         ModelInfo(
             "random_forest",
             "Random forest",
             "ensemble",
-            _forest_builder("random_forest", RandomForestPredictor),
+            _forest_builder("random_forest", "fit_random_forest"),
         ),
         ModelInfo(
             "extra_trees",
             "Extremely randomized trees",
             "ensemble",
-            _forest_builder("extra_trees", ExtraTreesPredictor),
+            _forest_builder("extra_trees", "fit_extra_trees"),
         ),
         ModelInfo(
             "adaboost_r2",
             "AdaBoost.R2",
             "ensemble",
-            _forest_builder("adaboost_r2", AdaBoostPredictor),
+            _forest_builder("adaboost_r2", "fit_adaboost_r2"),
         ),
         ModelInfo(
             "sgb",
             "Stochastic gradient boosting",
             "ensemble",
-            _boost_builder("sgb", GradientBoostingPredictor, 0.8, ()),
+            _build_sgb,
         ),
         ModelInfo(
             "genetic_fuzzy",
@@ -323,7 +328,11 @@ DEFAULT_MODEL_IDS: tuple[str, ...] = tuple(
 
 
 def build_model(model_id: str, params: Mapping[str, str], seed: int) -> Predictor:
+    """Construct an unfitted model; every bad hyperparameter is a ConfigError here."""
     info = MODEL_REGISTRY.get(model_id)
     if info is None:
         raise ConfigError(f"unknown model id {model_id!r}")
-    return info.build(params, seed)
+    try:
+        return info.build(params, seed)
+    except ValueError as exc:
+        raise ConfigError(f"model {model_id!r}: {exc}") from exc

@@ -16,10 +16,11 @@ from costlab.bench import (
     write_outputs,
 )
 from costlab.cli import main as cli_main
-from costlab.core import EvalReport
+from costlab.core import EvalReport, Predictor
 from costlab.data import FeatureVector
 from costlab.errors import ConfigError
 from costlab.metrics import MapeCategory
+from costlab.zoo import build_model
 
 FAST_MODELS = ("frozen_quadratic", "sqrt_regression", "cart", "cbr")
 
@@ -97,6 +98,60 @@ seed = 99
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("[data]\nn = twelve\n")
+
+
+# One out-of-range value per model family (the regression family takes no
+# hyperparameters, so any key is bad there).
+BAD_HYPERPARAMETERS = [
+    ("plain_regression", {"degree": "2"}),
+    ("plain_mlp", {"epochs": "-1"}),
+    ("dnn", {"learning_rate": "-0.01"}),
+    ("cart", {"max_depth": "-1"}),
+    ("bagging", {"n_members": "0"}),
+    ("random_forest", {"min_samples_leaf": "0"}),
+    ("extra_trees", {"min_samples_split": "1"}),
+    ("adaboost_r2", {"n_members": "-3"}),
+    ("sgb", {"subsample": "1.5"}),
+    ("regularized_boosting", {"lam": "-1"}),
+    ("genetic_fuzzy", {"samples": "10"}),
+    ("cbr", {"k": "0"}),
+    ("cbr", {"weights": "0,0,0,0"}),
+    ("svr", {"c": "0"}),
+    ("fuzzy", {"samples": "10"}),
+]
+
+
+class TestBadHyperparameters:
+    @pytest.mark.parametrize("model_id, params", BAD_HYPERPARAMETERS)
+    def test_build_raises_config_error(self, model_id, params):
+        with pytest.raises(ConfigError, match=model_id):
+            build_model(model_id, params, 0)
+
+    @pytest.mark.parametrize("model_id, params", BAD_HYPERPARAMETERS)
+    def test_run_bench_fails_before_any_fit(self, model_id, params, monkeypatch):
+        fits = []
+        monkeypatch.setattr(Predictor, "fit", lambda self, train: fits.append(self))
+        cfg = BenchConfig(enabled=("cart", model_id), model_params={model_id: params})
+        with pytest.raises(ConfigError):
+            run_bench(cfg, seed=0)
+        assert fits == []
+
+    @pytest.mark.parametrize(
+        "section",
+        [
+            "[models]\nenabled = cart, svr\n\n[model.svr]\nc = 0\n",
+            "[models]\nenabled = cart, fuzzy\n\n[model.fuzzy]\nsamples = 10\n",
+            "[models]\nenabled = bagging\n\n[model.bagging]\nn_members = 0\n",
+        ],
+        ids=["svr_c", "fuzzy_samples", "bagging_n_members"],
+    )
+    def test_cli_reports_config_error(self, section, tmp_path, capsys):
+        config = tmp_path / "bad.ini"
+        config.write_text(section)
+        assert cli_main(["bench", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert "CONFIG_ERROR" in err
+        assert "VALUE_ERROR" not in err
 
 
 class TestDeriveSeed:

@@ -13,12 +13,11 @@ from costlab.svr import (
     rbf_kernel,
 )
 
-cvxopt = pytest.importorskip("cvxopt")
-cvxopt.solvers.options["show_progress"] = False
-
 
 def qp_oracle(X, y, C, epsilon, gamma):
     """Brute-force dual solve in the 2n-variable (alpha, alpha*) form."""
+    cvxopt = pytest.importorskip("cvxopt")
+    cvxopt.solvers.options["show_progress"] = False
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n = len(y)
