@@ -13,6 +13,7 @@ import csv
 import hashlib
 import io
 import os
+import traceback
 from dataclasses import dataclass, field
 
 from .core import DEFAULT_K_PREDICTORS, EvalReport, evaluate, score_predictions
@@ -94,8 +95,12 @@ def parse_config(text: str, base_dir: str = ".") -> BenchConfig:
         kwargs["source"] = source
         if "n" in data:
             kwargs["n"] = _parse_typed("data", "n", data["n"], int)
+            if kwargs["n"] < 1:
+                raise ConfigError(f"[data] n must be >= 1, got {kwargs['n']}")
         if "noise_pct" in data:
             kwargs["noise_pct"] = _parse_typed("data", "noise_pct", data["noise_pct"], float)
+            if not kwargs["noise_pct"] >= 0:  # the negated form also rejects a nan
+                raise ConfigError(f"[data] noise_pct must be >= 0, got {kwargs['noise_pct']}")
         if source == "csv":
             if "path" not in data:
                 raise ConfigError("[data] source = csv requires a path")
@@ -238,11 +243,13 @@ def run_bench(cfg: BenchConfig, seed: int) -> BenchResult:
             )
             if isinstance(predictor, GeneticFuzzyPredictor):
                 ga_histories[model_id] = list(predictor.history)
-        except CostLabError as exc:
+        except Exception as exc:  # any one model's failure becomes its error row
+            code = exc.code if isinstance(exc, CostLabError) else type(exc).__name__
+            if not isinstance(exc, CostLabError):  # unexpected: keep where it was raised
+                warnings.append(f"{model_id} failed unexpectedly:\n{traceback.format_exc()}")
             failed.append(
                 LeaderboardRow(
-                    "", model_id, info.display_name, info.family,
-                    error=f"{exc.code}: {exc}",
+                    "", model_id, info.display_name, info.family, error=f"{code}: {exc}"
                 )
             )
 

@@ -1,10 +1,11 @@
 """CART regression tree: variance-reduction splits, mean-valued leaves.
 
 The standalone tree model and the base learner for every ensemble family.
-``grow_node`` is the one greedy recursion behind every tree in the package:
+``grow_tree`` is the one greedy recursion behind every tree in the package:
 CART, bagging, random forest, extra trees, AdaBoost.R2 and gradient boosting
 grow through ``grow``, and the regularized booster calls it with its own leaf
-weight and split search.
+weight and split search. A tree is stored as flat node arrays, and one
+traversal kernel, ``walk_trees``, predicts for one tree or a whole ensemble.
 
 Split gain is SSE(parent) - SSE(left) - SSE(right), scored by one loop over
 (feature, threshold) candidates: ``best_split`` feeds it the midpoints between
@@ -17,13 +18,13 @@ produce bit-identical gains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .core import Predictor
-from .data import Dataset, FEATURE_NAMES, FeatureVector
+from .data import Dataset, FEATURE_NAMES
 from .errors import EmptyTrainError, UnsupportedMissingError
 
 
@@ -38,36 +39,26 @@ class TreeParams:
             raise ValueError(f"invalid tree parameters: {self}")
 
 
-@dataclass
-class Node:
-    value: float
-    n: int
-    feature: int | None = None
-    threshold: float | None = None
-    left: "Node | None" = None
-    right: "Node | None" = None
-    default_left: bool | None = None  # route for missing values; None = unsupported
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
+LEAF = -1  # ``feature`` of a leaf
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class RegressionTree:
-    root: Node
-    params: TreeParams
-    n_train: int
+    """Flat node arrays in depth-first order from root 0 (or several stacked trees).
 
-    def leaves(self) -> list[Node]:
-        out, stack = [], [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                out.append(node)
-            else:
-                stack.extend((node.right, node.left))
-        return out
+    A leaf has ``feature`` LEAF, ``threshold`` NaN and ``left`` = ``right`` =
+    itself. ``default_left`` routes a missing value: 1 left, 0 right, -1 none.
+    ``depth`` is the node's distance from its root.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    n: np.ndarray
+    default_left: np.ndarray
+    depth: np.ndarray
 
 
 def _subset_sse(mask: np.ndarray, y: np.ndarray, count: int) -> float:
@@ -137,29 +128,39 @@ def best_split(
 Split = tuple[int, float, bool | None, np.ndarray]
 
 
-def grow_node(
+def grow_tree(
     X: np.ndarray,
     t: np.ndarray,
-    depth: int,
     params: TreeParams,
     leaf_value: Callable[[np.ndarray], float],
     find_split: Callable[[np.ndarray, np.ndarray], Split | None],
-) -> Node:
+) -> RegressionTree:
     """The greedy recursion of every tree learner; ``t`` is targets or gradients.
 
     ``find_split`` runs only at nodes that pass the depth and size checks, so
     its random draws follow the order in which the recursion visits nodes.
     """
-    node = Node(value=leaf_value(t), n=int(t.size))
-    if depth >= params.max_depth or t.size < params.min_samples_split:
-        return node
-    split = find_split(X, t)
-    if split is None:
-        return node
-    node.feature, node.threshold, node.default_left, mask = split
-    node.left = grow_node(X[mask], t[mask], depth + 1, params, leaf_value, find_split)
-    node.right = grow_node(X[~mask], t[~mask], depth + 1, params, leaf_value, find_split)
-    return node
+    nodes: list[dict] = []  # the RegressionTree fields of each node, in depth-first order
+
+    def grow_node(X: np.ndarray, t: np.ndarray, depth: int) -> int:
+        i = len(nodes)
+        nodes.append(dict(feature=LEAF, threshold=np.nan, left=i, right=i, value=leaf_value(t),
+                          n=t.size, default_left=-1, depth=depth))
+        if depth >= params.max_depth or t.size < params.min_samples_split:
+            return i
+        split = find_split(X, t)
+        if split is None:
+            return i
+        feature, threshold, default_left, mask = split
+        left = grow_node(X[mask], t[mask], depth + 1)
+        right = grow_node(X[~mask], t[~mask], depth + 1)
+        nodes[i].update(feature=feature, threshold=threshold, left=left, right=right,
+                        default_left=-1 if default_left is None else int(default_left))
+        return i
+
+    grow_node(X, t, 0)
+    return RegressionTree(**{f.name: np.array([node[f.name] for node in nodes])
+                             for f in fields(RegressionTree)})
 
 
 def grow(
@@ -190,47 +191,67 @@ def grow(
         feature, threshold, _ = split
         return feature, threshold, None, X[:, feature] <= threshold
 
-    root = grow_node(X, y, 0, params, lambda t: float(np.mean(t)), find_split)
-    return RegressionTree(root=root, params=params, n_train=int(y.size))
+    return grow_tree(X, y, params, lambda t: float(np.mean(t)), find_split)
 
 
-def predict_tree(tree: RegressionTree, x: Sequence[float]) -> float:
-    """Route one row to its leaf; x <= threshold goes left."""
-    x = np.asarray(x, dtype=float)
-    node = tree.root
-    while not node.is_leaf:
-        value = x[node.feature]
-        if np.isnan(value):
-            if node.default_left is None:
+def stack_trees(trees: Sequence[RegressionTree]) -> RegressionTree:
+    """The node arrays of several trees, concatenated; each keeps its own root."""
+    sizes = [tree.feature.size for tree in trees]
+    names = [f.name for f in fields(RegressionTree)]
+    arrays = {name: np.concatenate([getattr(tree, name) for tree in trees]) for name in names}
+    for child in ("left", "right"):
+        arrays[child] += np.repeat(np.cumsum([0] + sizes[:-1]), sizes)
+    return RegressionTree(**arrays)
+
+
+def walk_trees(nodes: RegressionTree, X: np.ndarray) -> np.ndarray:
+    """(n, number of roots) leaf values reached by every row of X from every root.
+
+    All walks step down one level together, as many times as the deepest
+    node is deep; a leaf steps to itself. x <= threshold goes left, a missing
+    value takes the default direction.
+    """
+    rows = np.arange(X.shape[0])[:, None]
+    at = np.repeat(np.flatnonzero(nodes.depth == 0)[None, :], X.shape[0], axis=0)
+    has_missing = bool(np.isnan(X).any())
+    for _ in range(int(nodes.depth.max())):
+        feature = nodes.feature[at]
+        x = X[rows, feature]
+        go_left = x <= nodes.threshold[at]
+        if has_missing:
+            default = nodes.default_left[at]
+            missing = np.isnan(x) & (feature != LEAF)
+            if (missing & (default < 0)).any():
                 raise UnsupportedMissingError(
                     "tree was grown without missing-value default directions"
                 )
-            node = node.left if node.default_left else node.right
-        else:
-            node = node.left if value <= node.threshold else node.right
-    return node.value
+            go_left = np.where(missing, default == 1, go_left)
+        at = np.where(go_left, nodes.left[at], nodes.right[at])
+    return nodes.value[at]
 
 
-def predict_tree_batch(tree: RegressionTree, X: np.ndarray) -> np.ndarray:
-    return np.array([predict_tree(tree, row) for row in np.asarray(X, dtype=float)])
+def predict_tree(tree: RegressionTree, X: np.ndarray) -> np.ndarray:
+    """Leaf value of every row of X (one row per query)."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    return walk_trees(tree, X)[:, 0]
 
 
 def format_tree(tree: RegressionTree, feature_names: Sequence[str] = FEATURE_NAMES) -> str:
     """Indented if/else rule dump of the fitted tree."""
     lines: list[str] = []
 
-    def walk(node: Node, indent: int):
+    def walk(i: int, indent: int):
         pad = "  " * indent
-        if node.is_leaf:
-            lines.append(f"{pad}predict {node.value!r} (n={node.n})")
+        if tree.feature[i] == LEAF:
+            lines.append(f"{pad}predict {float(tree.value[i])!r} (n={int(tree.n[i])})")
             return
-        name = feature_names[node.feature]
-        lines.append(f"{pad}if {name} <= {node.threshold!r}:")
-        walk(node.left, indent + 1)
+        name = feature_names[tree.feature[i]]
+        lines.append(f"{pad}if {name} <= {float(tree.threshold[i])!r}:")
+        walk(tree.left[i], indent + 1)
         lines.append(f"{pad}else:")
-        walk(node.right, indent + 1)
+        walk(tree.right[i], indent + 1)
 
-    walk(tree.root, 0)
+    walk(0, 0)
     return "\n".join(lines) + "\n"
 
 
@@ -247,8 +268,8 @@ class CartPredictor(Predictor):
     def _fit(self, train: Dataset, y: np.ndarray) -> None:
         self.tree = grow(train.features_matrix, y, self.params)
 
-    def _predict(self, x: FeatureVector) -> float:
-        return predict_tree(self.tree, x.to_array())
+    def _predict_batch(self, X: np.ndarray) -> np.ndarray:
+        return predict_tree(self.tree, X)
 
     def dump(self) -> str:
         return format_tree(self.tree)

@@ -131,9 +131,8 @@ class CbrPredictor(Predictor):
     def _fit(self, train: Dataset, y: np.ndarray) -> None:
         self.case_base = CaseBase(train.records, self.attribute_weights)
 
-    def _predict(self, x: FeatureVector) -> float:
-        cost, _ = retrieve_and_predict(self.case_base, x, self.k)
-        return cost
+    def _predict_batch(self, X: np.ndarray) -> np.ndarray:
+        return np.array([self.retrieve(FeatureVector.from_array(x))[0] for x in X])
 
     def retrieve(self, x: FeatureVector) -> tuple[float, RetrievalResult]:
         """Prediction plus the retrieval trace for reporting."""

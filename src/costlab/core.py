@@ -48,24 +48,30 @@ class TargetTransform(Enum):
             )
         return np.sqrt(y) if self is TargetTransform.SQRT else np.log(y)
 
-    def inverse(self, z: float) -> float:
+    def inverse(self, z: np.ndarray) -> np.ndarray:
+        z = np.asarray(z, dtype=float)
         if self is TargetTransform.NONE:
-            return float(z)
+            return z
         if self is TargetTransform.SQRT:
-            return float(z) * float(z)
-        try:
-            return math.exp(z)
-        except OverflowError:
-            return math.inf
+            return z * z
+        # math.exp per element: np.exp can differ from it in the last bit
+        return np.array([_exp(v) for v in z.ravel()]).reshape(z.shape)
+
+
+def _exp(v: float) -> float:
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
 
 
 class Predictor(ABC):
     """Base fit/predict contract.
 
     Subclasses implement ``_fit`` (receiving the training set plus the
-    transformed target vector) and ``_predict`` (returning a value in the
-    transformed space). Families that can route missing feature values set
-    ``supports_missing``.
+    transformed target vector) and ``_predict_batch`` (returning one value
+    per feature row in the transformed space); ``predict`` is a batch of one.
+    Families that can route missing feature values set ``supports_missing``.
     """
 
     model_kind: str = "predictor"
@@ -94,27 +100,36 @@ class Predictor(ABC):
         return self
 
     def predict(self, x: FeatureVector) -> float:
+        """A batch of one."""
+        return float(self._predict_checked(x.to_array()[None, :])[0])
+
+    def predict_many(self, dataset: Dataset) -> np.ndarray:
+        return self._predict_checked(dataset.features_matrix)
+
+    def _predict_checked(self, X: np.ndarray) -> np.ndarray:
+        """Inverse-transformed predictions; an error is the first failing row's,
+        so rows before the first unsupported missing value are predicted first."""
         if not self._fitted:
             raise UnfittedError(f"{self.model_kind}: predict before fit")
-        if x.has_missing and not self.supports_missing:
+        n_ok = len(X)
+        if not self.supports_missing and np.isnan(X).any():
+            n_ok = int(np.isnan(X).any(axis=1).argmax())
+        out = self.target_transform.inverse(self._predict_batch(X[:n_ok]))
+        if not np.isfinite(out).all():
+            bad = float(out[~np.isfinite(out)][0])
+            raise NonconvergenceError(f"{self.model_kind}: non-finite prediction {bad!r}")
+        if n_ok < len(X):
             raise UnsupportedMissingError(
                 f"{self.model_kind} cannot predict with missing feature values"
             )
-        out = self.target_transform.inverse(self._predict(x))
-        if not math.isfinite(out):
-            raise NonconvergenceError(
-                f"{self.model_kind}: non-finite prediction {out!r}"
-            )
-        return float(out)
-
-    def predict_many(self, dataset: Dataset) -> np.ndarray:
-        return np.array([self.predict(rec.features) for rec in dataset], dtype=float)
+        return out
 
     @abstractmethod
     def _fit(self, train: Dataset, y: np.ndarray) -> None: ...
 
     @abstractmethod
-    def _predict(self, x: FeatureVector) -> float: ...
+    def _predict_batch(self, X: np.ndarray) -> np.ndarray:
+        """(n, 4) features, NaN where missing -> (n,) transformed-space values."""
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cart import RegressionTree, TreeParams, grow, grow_node, predict_tree, predict_tree_batch
+from .cart import RegressionTree, TreeParams, grow, grow_tree, predict_tree, stack_trees, walk_trees
 from .core import Predictor
-from .data import Dataset, FeatureVector
+from .data import Dataset
 from .errors import EmptyTrainError
 
 RF_FEATURE_SUBSET = 2  # ceil(sqrt(4)) of the four drivers
@@ -73,28 +73,31 @@ class EnsembleModel:
     combine: CombineRule
     base_score: float = 0.0
 
-    def predict(self, x: Sequence[float]) -> float:
-        outputs = np.array([predict_tree(tree, x) for tree, _ in self.members])
-        weights = np.array([w for _, w in self.members])
+    def __post_init__(self):
+        self._nodes = stack_trees([tree for tree, _ in self.members])
+        self._weights = np.array([w for _, w in self.members])
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """Combined prediction for every row of X; one walk covers all members."""
+        outputs = walk_trees(self._nodes, X)
         if self.combine is CombineRule.MEAN:
-            return float(outputs.mean())
+            return outputs.mean(axis=1)
         if self.combine is CombineRule.WEIGHTED_MEDIAN:
-            return weighted_median(outputs, weights)
-        return self.base_score + float(np.dot(weights, outputs))
-
-    def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        return np.array([self.predict(row) for row in np.asarray(X, dtype=float)])
+            return weighted_median(outputs, self._weights)
+        # one dot per row: ``outputs @ weights`` can sum in another order
+        return self.base_score + np.array([np.dot(self._weights, row) for row in outputs])
 
 
-def weighted_median(values: Sequence[float], weights: Sequence[float]) -> float:
-    """Smallest value whose cumulative weight reaches half the total."""
+def weighted_median(values: np.ndarray, weights: Sequence[float]) -> np.ndarray:
+    """Smallest value whose cumulative weight reaches half the total, along the last axis."""
     values = np.asarray(values, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    order = np.argsort(values, kind="stable")
-    cum = np.cumsum(weights[order])
-    half = 0.5 * cum[-1]
-    idx = int(np.searchsorted(cum, half))
-    return float(values[order[min(idx, values.size - 1)]])
+    order = np.argsort(values, axis=-1, kind="stable")
+    cum = np.cumsum(weights[order], axis=-1)
+    # the count of sums below half is where searchsorted would insert half
+    idx = np.minimum((cum < 0.5 * cum[..., -1:]).sum(axis=-1), values.shape[-1] - 1)
+    pick = np.take_along_axis(order, idx[..., None], axis=-1)
+    return np.take_along_axis(values, pick, axis=-1)[..., 0]
 
 
 def bootstrap_indices(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -167,7 +170,7 @@ def fit_adaboost_r2(X: np.ndarray, y: np.ndarray, cfg: ForestConfig) -> Ensemble
     for _ in range(cfg.n_members):
         idx = rng.choice(n, size=n, replace=True, p=w)
         tree = grow(X[idx], y[idx], cfg.tree)
-        err = np.abs(predict_tree_batch(tree, X) - y)
+        err = np.abs(predict_tree(tree, X) - y)
         max_err = float(err.max())
         if max_err == 0.0:
             members.append((tree, 1.0))
@@ -206,7 +209,7 @@ def fit_gradient_boosting(X: np.ndarray, y: np.ndarray, cfg: BoostConfig) -> Ens
         else:
             idx = np.arange(n)
         tree = grow(X[idx], residual[idx], cfg.tree)
-        pred = pred + cfg.learning_rate * predict_tree_batch(tree, X)
+        pred = pred + cfg.learning_rate * predict_tree(tree, X)
         members.append((tree, cfg.learning_rate))
     return EnsembleModel(members, CombineRule.ADDITIVE, base_score=base)
 
@@ -299,9 +302,8 @@ def fit_regularized_booster(X: np.ndarray, y: np.ndarray, cfg: BoostConfig) -> E
     members: list[tuple[RegressionTree, float]] = []
     for _ in range(cfg.n_rounds):
         g = pred - y
-        root = grow_node(X, g, 0, cfg.tree, leaf, find_split)
-        tree = RegressionTree(root=root, params=cfg.tree, n_train=n)
-        pred = pred + cfg.learning_rate * predict_tree_batch(tree, X)
+        tree = grow_tree(X, g, cfg.tree, leaf, find_split)
+        pred = pred + cfg.learning_rate * predict_tree(tree, X)
         members.append((tree, cfg.learning_rate))
     return EnsembleModel(members, CombineRule.ADDITIVE, base_score=base)
 
@@ -329,5 +331,5 @@ class EnsemblePredictor(Predictor):
     def _fit(self, train: Dataset, y: np.ndarray) -> None:
         self.model = self.fit_ensemble(train.features_matrix, y, self.config)
 
-    def _predict(self, x: FeatureVector) -> float:
-        return self.model.predict(x.to_array())
+    def _predict_batch(self, X: np.ndarray) -> np.ndarray:
+        return self.model.predict(X)

@@ -445,8 +445,8 @@ class FuzzyPredictor(Predictor):
             self.rule_base = derive_rule_base(train, samples=self.samples)
         self.fallback = float(np.mean(train.targets))
 
-    def _predict(self, x: FeatureVector) -> float:
-        return self.infer_trace(x).value
+    def _predict_batch(self, X: np.ndarray) -> np.ndarray:
+        return np.array([self.infer_trace(FeatureVector.from_array(x)).value for x in X])
 
     def infer_trace(self, x: FeatureVector) -> InferenceResult:
         """Inference with fired rules and the degraded flag, for reporting."""

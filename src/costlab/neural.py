@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Predictor, TargetTransform
-from .data import Dataset, FeatureVector, N_FEATURES
+from .data import Dataset, N_FEATURES
 from .errors import NonconvergenceError
 
 _ACTIVATIONS = ("tanh", "relu", "identity")
@@ -203,7 +203,8 @@ class NeuralPredictor(Predictor):
         t = (y - self._t_mid) / self._t_half
         self.net, self.losses = train_network(self.spec, Xs, t)
 
-    def _predict(self, x: FeatureVector) -> float:
-        xs = (x.to_array() - self._x_mean) / self._x_scale
-        out = forward(self.net, xs[None, :], self.spec.activation)[0]
-        return float(out * self._t_half + self._t_mid)
+    def _predict_batch(self, X: np.ndarray) -> np.ndarray:
+        # one forward pass per row: a batched pass differs in the last bits
+        Xs = (X - self._x_mean) / self._x_scale
+        out = np.array([forward(self.net, xs[None, :], self.spec.activation)[0] for xs in Xs])
+        return out * self._t_half + self._t_mid

@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Predictor
+from .core import Predictor, TargetTransform
 from .data import Dataset, FeatureVector, GENERATOR_COEFFS, GENERATOR_INTERCEPT
 from .errors import (
     NegativeSqrtDomainError,
@@ -61,27 +61,31 @@ class LinearTransform(Enum):
             return 1.0 / y
         return y * y
 
-    def inverse(self, z: float) -> float:
+    def inverse(self, z: np.ndarray) -> np.ndarray:
+        """Cost of every output; a negative root is reported only when every
+        earlier row is finite, as the caller reports the first non-finite row."""
+        z = np.asarray(z, dtype=float)
         if self is LinearTransform.PLAIN:
-            return float(z)
-        if self is LinearTransform.SQRT:
-            if z < 0:
-                raise NegativeSqrtDomainError(
-                    f"sqrt-space output {z!r} is negative; cost undefined"
-                )
-            return float(z) * float(z)
+            return z
         if self is LinearTransform.LOG:
-            return math.exp(z)
+            return TargetTransform.NATURAL_LOG.inverse(z)
         if self is LinearTransform.RECIPROCAL:
-            out = 1.0 / z if z != 0 else math.inf
-            if not math.isfinite(out):
+            with np.errstate(divide="ignore"):
+                out = 1.0 / z
+            if not np.isfinite(out).all():
                 raise NonconvergenceError("reciprocal-space output of 0 has no inverse")
             return out
-        if z < 0:
-            raise NegativeSqrtDomainError(
-                f"squared-space output {z!r} is negative; cost undefined"
-            )
-        return math.sqrt(z)
+        with np.errstate(invalid="ignore"):
+            out = z * z if self is LinearTransform.SQRT else np.sqrt(z)
+        negative = z < 0
+        if negative.any():
+            r = int(negative.argmax())
+            if np.isfinite(out[:r]).all():
+                space = "sqrt-space" if self is LinearTransform.SQRT else "squared-space"
+                raise NegativeSqrtDomainError(
+                    f"{space} output {float(z[r])!r} is negative; cost undefined"
+                )
+        return out
 
 
 @dataclass(frozen=True)
@@ -93,13 +97,12 @@ class LinearModel:
     transform: LinearTransform
     condition_number: float = float("nan")
 
-    def linear_output(self, x: FeatureVector) -> float:
-        if x.has_missing:
-            raise UnsupportedMissingError("linear model cannot handle missing features")
-        total = self.intercept
-        for coef, value in zip(self.coefficients, x.as_tuple()):
-            total += coef * value
-        return total
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """Inverse of intercept + sum of c_j * X[:, j], added in coefficient order."""
+        total = np.full(X.shape[0], self.intercept)
+        for j, coef in enumerate(self.coefficients):
+            total += coef * X[:, j]
+        return self.transform.inverse(total)
 
 
 def fit_ols(train: Dataset, transform: LinearTransform) -> LinearModel:
@@ -131,7 +134,9 @@ def fit_ols(train: Dataset, transform: LinearTransform) -> LinearModel:
 
 def predict_linear(model: LinearModel, x: FeatureVector) -> float:
     """Inverse-transformed model output for one feature vector."""
-    return model.transform.inverse(model.linear_output(x))
+    if x.has_missing:
+        raise UnsupportedMissingError("linear model cannot handle missing features")
+    return float(model.predict(x.to_array()[None, :])[0])
 
 
 def reference_model() -> LinearModel:
@@ -156,21 +161,17 @@ class RegressionPredictor(Predictor):
     def _fit(self, train: Dataset, y: np.ndarray) -> None:
         self.model = fit_ols(train, self.transform)
 
-    def _predict(self, x: FeatureVector) -> float:
-        return predict_linear(self.model, x)
+    def _predict_batch(self, X: np.ndarray) -> np.ndarray:
+        return self.model.predict(X)
 
 
-class FrozenQuadraticPredictor(Predictor):
+class FrozenQuadraticPredictor(RegressionPredictor):
     """Pinned sqrt-space model; fit only checks preconditions."""
 
-    model_kind = "frozen_quadratic"
-
     def __init__(self):
-        super().__init__()
+        super().__init__(LinearTransform.SQRT)
+        self.model_kind = "frozen_quadratic"
         self.model = reference_model()
 
     def _fit(self, train: Dataset, y: np.ndarray) -> None:
         pass
-
-    def _predict(self, x: FeatureVector) -> float:
-        return predict_linear(self.model, x)

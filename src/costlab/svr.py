@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Predictor
-from .data import Dataset, FeatureVector, N_FEATURES
+from .data import Dataset, N_FEATURES
 from .errors import EmptyTrainError
 
 DEFAULT_GAMMA = 1.0 / N_FEATURES
@@ -112,9 +112,12 @@ def _solve_pair(
     return best_delta
 
 
-def _check_hyperparameters(C: float, epsilon: float) -> None:
-    if C <= 0 or epsilon < 0:
-        raise ValueError(f"need C > 0 and epsilon >= 0, got C={C!r}, epsilon={epsilon!r}")
+def _check_hyperparameters(C: float, epsilon: float, gamma_rbf: float) -> None:
+    if C <= 0 or epsilon < 0 or gamma_rbf <= 0:
+        raise ValueError(
+            f"need C > 0, epsilon >= 0 and gamma_rbf > 0, "
+            f"got C={C!r}, epsilon={epsilon!r}, gamma_rbf={gamma_rbf!r}"
+        )
 
 
 def _dual_objective(beta: np.ndarray, F: np.ndarray, y: np.ndarray, epsilon: float) -> float:
@@ -159,7 +162,7 @@ def fit_svr(
     y = np.asarray(y, dtype=float)
     if y.size == 0:
         raise EmptyTrainError("SVR needs a nonempty training set")
-    _check_hyperparameters(C, epsilon)
+    _check_hyperparameters(C, epsilon, gamma_rbf)
     n = y.size
     x_mean = X.mean(axis=0)
     x_scale = X.std(axis=0)
@@ -246,7 +249,7 @@ class SvrPredictor(Predictor):
         tol: float = 1e-3,
     ):
         super().__init__()
-        _check_hyperparameters(C, epsilon)
+        _check_hyperparameters(C, epsilon, gamma_rbf)
         self.C = C
         self.epsilon = epsilon
         self.gamma_rbf = gamma_rbf
@@ -265,5 +268,6 @@ class SvrPredictor(Predictor):
             tol=self.tol,
         )
 
-    def _predict(self, x: FeatureVector) -> float:
-        return predict_svr(self.model, x.to_array())
+    def _predict_batch(self, X: np.ndarray) -> np.ndarray:
+        # one kernel row per query: a batched kernel matrix differs in the last bits
+        return np.array([predict_svr(self.model, x) for x in X])

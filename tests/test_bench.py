@@ -15,6 +15,7 @@ from costlab.bench import (
     run_bench,
     write_outputs,
 )
+from costlab.cbr import CbrPredictor
 from costlab.cli import main as cli_main
 from costlab.core import EvalReport, Predictor
 from costlab.data import FeatureVector
@@ -118,6 +119,7 @@ BAD_HYPERPARAMETERS = [
     ("cbr", {"weights": "0,0,0,0"}),
     ("svr", {"c": "0"}),
     ("fuzzy", {"samples": "10"}),
+    ("svr", {"gamma_rbf": "-5"}),
 ]
 
 
@@ -142,8 +144,10 @@ class TestBadHyperparameters:
             "[models]\nenabled = cart, svr\n\n[model.svr]\nc = 0\n",
             "[models]\nenabled = cart, fuzzy\n\n[model.fuzzy]\nsamples = 10\n",
             "[models]\nenabled = bagging\n\n[model.bagging]\nn_members = 0\n",
+            "[data]\nn = 0\n",
+            "[data]\nnoise_pct = -1\n",
         ],
-        ids=["svr_c", "fuzzy_samples", "bagging_n_members"],
+        ids=["svr_c", "fuzzy_samples", "bagging_n_members", "data_n", "data_noise_pct"],
     )
     def test_cli_reports_config_error(self, section, tmp_path, capsys):
         config = tmp_path / "bad.ini"
@@ -187,6 +191,21 @@ class TestRunBench:
         assert by_id["square_regression"].report is None
         assert "NEGATIVE_SQRT_DOMAIN" in by_id["square_regression"].error
         assert by_id["sqrt_regression"].report is not None
+
+    def test_unexpected_exception_becomes_error_row(self, monkeypatch):
+        def boom(self, X):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(CbrPredictor, "_predict_batch", boom)
+        result = run_bench(BenchConfig(enabled=FAST_MODELS), seed=7)
+        by_id = {r.model_id: r for r in result.rows}
+        assert by_id["cbr"].report is None
+        assert by_id["cbr"].error == "RuntimeError: boom"
+        assert result.rows[-1].model_id == "cbr"
+        for model_id in ("frozen_quadratic", "sqrt_regression", "cart"):
+            assert by_id[model_id].report is not None
+        assert set(result.predictions) == {"frozen_quadratic", "sqrt_regression", "cart"}
+        assert any("Traceback" in w and "RuntimeError: boom" in w for w in result.warnings)
 
     def test_model_isolation(self):
         full = run_bench(BenchConfig(enabled=FAST_MODELS), seed=7)

@@ -3,12 +3,12 @@ import pytest
 
 from conftest import random_dataset
 from costlab.cart import (
+    LEAF,
     CartPredictor,
     TreeParams,
     best_split,
     grow,
     predict_tree,
-    predict_tree_batch,
 )
 from costlab.errors import EmptyTrainError, UnsupportedMissingError
 from costlab.metrics import mape
@@ -92,18 +92,17 @@ class TestGrow:
         X = np.array([[1.0], [2.0], [3.0], [4.0]])
         y = np.array([1.0, 2.0, 3.0, 6.0])
         tree = grow(X, y, TreeParams(max_depth=0, min_samples_leaf=1, min_samples_split=2))
-        assert tree.root.is_leaf
-        assert tree.root.value == pytest.approx(3.0)
+        assert tree.feature.tolist() == [LEAF]
+        assert tree.value[0] == pytest.approx(3.0)
 
     def test_recovers_two_leaf_step_function(self):
         X = np.array([[1.0], [2.0], [3.0], [10.0], [11.0], [12.0]])
         y = np.array([5.0, 5.0, 5.0, 9.0, 9.0, 9.0])
         tree = grow(X, y)
-        root = tree.root
-        assert not root.is_leaf
-        assert root.feature == 0 and root.threshold == 6.5
-        assert root.left.is_leaf and root.left.value == 5.0
-        assert root.right.is_leaf and root.right.value == 9.0
+        assert tree.feature[0] == 0 and tree.threshold[0] == 6.5
+        left, right = tree.left[0], tree.right[0]
+        assert tree.feature[left] == LEAF and tree.value[left] == 5.0
+        assert tree.feature[right] == LEAF and tree.value[right] == 9.0
 
     def test_empty_train_rejected(self):
         with pytest.raises(EmptyTrainError):
@@ -116,11 +115,11 @@ class TestGrow:
         tree = grow(X, y)
         members: dict[int, list[float]] = {}
         for i in range(40):
-            members.setdefault(id(_route(tree, X[i])), []).append(y[i])
+            members.setdefault(_route(tree, X[i]), []).append(y[i])
         for i in range(40):
             leaf = _route(tree, X[i])
-            assert leaf.value == pytest.approx(np.mean(members[id(leaf)]), rel=1e-12)
-            assert leaf.n == len(members[id(leaf)])
+            assert tree.value[leaf] == pytest.approx(np.mean(members[leaf]), rel=1e-12)
+            assert tree.n[leaf] == len(members[leaf])
 
     def test_mass_conservation(self):
         rng = np.random.default_rng(2)
@@ -128,7 +127,8 @@ class TestGrow:
             X = rng.uniform(0, 10, (50, 3))
             y = rng.uniform(0, 100, 50)
             tree = grow(X, y)
-            total = sum(leaf.n * leaf.value for leaf in tree.leaves())
+            leaves = tree.feature == LEAF
+            total = sum(n * v for n, v in zip(tree.n[leaves], tree.value[leaves]))
             assert total == pytest.approx(float(np.sum(y)), rel=1e-9)
 
     def test_deeper_trees_never_increase_training_sse(self):
@@ -138,7 +138,7 @@ class TestGrow:
         previous = None
         for depth in range(7):
             tree = grow(X, y, TreeParams(max_depth=depth, min_samples_leaf=2, min_samples_split=4))
-            sse = float(np.sum((predict_tree_batch(tree, X) - y) ** 2))
+            sse = float(np.sum((predict_tree(tree, X) - y) ** 2))
             if previous is not None:
                 assert sse <= previous + 1e-9
             previous = sse
@@ -149,37 +149,39 @@ class TestGrow:
         previous = None
         for depth in range(7):
             tree = grow(X, y, TreeParams(max_depth=depth, min_samples_leaf=2, min_samples_split=4))
-            err = mape(y, predict_tree_batch(tree, X))
+            err = mape(y, predict_tree(tree, X))
             if previous is not None:
                 assert err <= previous + 1e-9
             previous = err
 
 
 def _route(tree, x):
-    node = tree.root
-    while not node.is_leaf:
-        node = node.left if x[node.feature] <= node.threshold else node.right
-    return node
+    """Index of the leaf that x reaches, by an independent scalar walk."""
+    node = 0
+    while tree.feature[node] != LEAF:
+        go_left = x[tree.feature[node]] <= tree.threshold[node]
+        node = tree.left[node] if go_left else tree.right[node]
+    return int(node)
 
 
 class TestPredictTree:
     def test_single_leaf_constant(self):
         tree = grow(np.array([[1.0], [2.0]]), np.array([4.0, 6.0]), TreeParams(max_depth=0))
         for v in (-100.0, 0.0, 55.0):
-            assert predict_tree(tree, [v]) == 5.0
+            assert predict_tree(tree, [[v]]).tolist() == [5.0]
 
     def test_threshold_boundary_goes_left(self):
         X = np.array([[1.0], [2.0], [3.0], [10.0], [11.0], [12.0]])
         y = np.array([5.0, 5.0, 5.0, 9.0, 9.0, 9.0])
         tree = grow(X, y)
-        assert predict_tree(tree, [tree.root.threshold]) == tree.root.left.value
+        assert predict_tree(tree, [[tree.threshold[0]]]).tolist() == [tree.value[tree.left[0]]]
 
     def test_missing_rejected_without_default_directions(self):
         X = np.array([[1.0], [2.0], [3.0], [10.0], [11.0], [12.0]])
         y = np.array([5.0, 5.0, 5.0, 9.0, 9.0, 9.0])
         tree = grow(X, y)
         with pytest.raises(UnsupportedMissingError):
-            predict_tree(tree, [np.nan])
+            predict_tree(tree, [[np.nan]])
 
 
 class TestCartPredictor:
@@ -194,4 +196,4 @@ class TestCartPredictor:
         p = CartPredictor().fit(train)
         text = p.dump()
         assert "if p" in text and "predict" in text
-        assert text.count("predict") == len(p.tree.leaves())
+        assert text.count("predict") == int(np.sum(p.tree.feature == LEAF))

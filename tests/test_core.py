@@ -28,8 +28,8 @@ class _Stub(Predictor):
     def _fit(self, train, y):
         pass
 
-    def _predict(self, x):
-        return self.internal_output
+    def _predict_batch(self, X):
+        return np.full(len(X), self.internal_output)
 
 
 X_PROBE = FeatureVector(100.0, 1000.0, 10.0, 2013.0)
@@ -129,8 +129,8 @@ class TestEvaluate:
             def _fit(self, train, y):
                 pass
 
-            def _predict(self, x):
-                return self.mapping[x]
+            def _predict_batch(self, X):
+                return np.array([self.mapping[FeatureVector.from_array(x)] for x in X])
 
         mapping = {rec.features: rec.cost_le for rec in test}
         p = Echo(mapping).fit(test)

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from conftest import random_dataset
-from costlab.cart import TreeParams, grow, predict_tree_batch
+from costlab.cart import LEAF, TreeParams, grow, predict_tree
 from costlab.ensemble import (
     BoostConfig,
     CombineRule,
@@ -77,15 +78,15 @@ class TestMeanFamilies:
         model = fit_extra_trees(X, y, ForestConfig(n_members=1, seed=9))
         tree = model.members[0][0]
         for row in X[:5]:
-            assert model.predict(row) == predict_tree_batch(tree, row[None, :])[0]
+            assert model.predict(row[None, :])[0] == predict_tree(tree, row[None, :])[0]
 
     def test_constant_target_everywhere(self):
         X, _ = toy(15, seed=6)
         y = np.full(15, 88.0)
         for fit in (fit_bagging, fit_random_forest, fit_extra_trees):
             model = fit(X, y, ForestConfig(n_members=5, seed=1))
-            assert model.predict(X[0]) == 88.0
-            assert model.predict(np.array([99.0, 99.0, 99.0, 99.0])) == 88.0
+            assert model.predict(X[:1])[0] == 88.0
+            assert model.predict(np.array([[99.0, 99.0, 99.0, 99.0]]))[0] == 88.0
 
     def test_prediction_within_member_range(self):
         X, y = toy(40, seed=7, noise=10.0)
@@ -94,15 +95,15 @@ class TestMeanFamilies:
             model = fit(X, y, ForestConfig(n_members=15, seed=2))
             for _ in range(10):
                 q = rng.uniform(0, 10, 4)
-                outputs = [predict_tree_batch(t, q[None, :])[0] for t, _ in model.members]
-                assert min(outputs) - 1e-9 <= model.predict(q) <= max(outputs) + 1e-9
+                outputs = [predict_tree(t, q[None, :])[0] for t, _ in model.members]
+                assert min(outputs) - 1e-9 <= model.predict(q[None, :])[0] <= max(outputs) + 1e-9
 
     def test_determinism_per_seed(self):
         X, y = toy(30, seed=9, noise=5.0)
         q = np.array([3.0, 4.0, 5.0, 6.0])
         for fit in (fit_bagging, fit_random_forest, fit_extra_trees):
-            a = fit(X, y, ForestConfig(n_members=10, seed=4)).predict(q)
-            b = fit(X, y, ForestConfig(n_members=10, seed=4)).predict(q)
+            a = fit(X, y, ForestConfig(n_members=10, seed=4)).predict(q[None, :])[0]
+            b = fit(X, y, ForestConfig(n_members=10, seed=4)).predict(q[None, :])[0]
             assert a == b
 
     def test_empty_train_rejected(self):
@@ -116,7 +117,7 @@ class TestAdaBoostR2:
         y = np.full(12, 42.0)  # constant target: first tree is exact
         model = fit_adaboost_r2(X, y, ForestConfig(n_members=25, seed=0))
         assert len(model.members) == 1
-        assert model.predict(X[0]) == 42.0
+        assert model.predict(X[:1])[0] == 42.0
 
     def test_initial_weights_uniform(self):
         # reproduce round one externally with explicit 1/n weights
@@ -129,7 +130,7 @@ class TestAdaBoostR2:
         idx = rng.choice(25, size=25, replace=True, p=np.full(25, 1.0 / 25.0))
         tree = grow(X[idx], y[idx], TreeParams())
         assert np.array_equal(
-            predict_tree_batch(model.members[0][0], X), predict_tree_batch(tree, X)
+            predict_tree(model.members[0][0], X), predict_tree(tree, X)
         )
 
     def test_weighted_median_combination(self):
@@ -137,9 +138,9 @@ class TestAdaBoostR2:
         model = fit_adaboost_r2(X, y, ForestConfig(n_members=8, seed=3))
         assert model.combine is CombineRule.WEIGHTED_MEDIAN
         q = X[0]
-        outputs = [predict_tree_batch(t, q[None, :])[0] for t, _ in model.members]
+        outputs = [predict_tree(t, q[None, :])[0] for t, _ in model.members]
         weights = [w for _, w in model.members]
-        assert model.predict(q) == weighted_median(outputs, weights)
+        assert model.predict(q[None, :])[0] == weighted_median(outputs, weights)
 
     def test_member_weights_positive(self):
         X, y = toy(30, seed=13, noise=10.0)
@@ -152,13 +153,13 @@ class TestGradientBoosting:
         X, y = toy(20, seed=14, noise=5.0)
         cfg = BoostConfig(n_rounds=5, learning_rate=0.0, subsample=1.0, seed=0)
         model = fit_gradient_boosting(X, y, cfg)
-        assert model.predict(X[3]) == pytest.approx(float(np.mean(y)), rel=1e-12)
+        assert model.predict(X[3:4])[0] == pytest.approx(float(np.mean(y)), rel=1e-12)
 
     def test_single_deep_round_fits_residuals(self):
         X, y = toy(12, seed=15, noise=3.0)
         cfg = BoostConfig(n_rounds=1, learning_rate=1.0, subsample=1.0, tree=DEEP, seed=0)
         model = fit_gradient_boosting(X, y, cfg)
-        preds = model.predict_batch(X)
+        preds = model.predict(X)
         assert np.allclose(preds, y, rtol=1e-9)
 
     def test_training_sse_non_increasing_recorded_seed(self):
@@ -168,7 +169,7 @@ class TestGradientBoosting:
         pred = np.full(len(y), model.base_score)
         previous = float(np.sum((y - pred) ** 2))
         for tree, weight in model.members:
-            pred = pred + weight * predict_tree_batch(tree, X)
+            pred = pred + weight * predict_tree(tree, X)
             sse = float(np.sum((y - pred) ** 2))
             assert sse <= previous + 1e-9
             previous = sse
@@ -176,8 +177,8 @@ class TestGradientBoosting:
     def test_subsampled_variant_deterministic(self):
         X, y = toy(40, seed=17, noise=10.0)
         cfg = BoostConfig(n_rounds=10, learning_rate=0.1, subsample=0.8, seed=6)
-        a = fit_gradient_boosting(X, y, cfg).predict(X[1])
-        b = fit_gradient_boosting(X, y, cfg).predict(X[1])
+        a = fit_gradient_boosting(X, y, cfg).predict(X[1:2])[0]
+        b = fit_gradient_boosting(X, y, cfg).predict(X[1:2])[0]
         assert a == b
 
     def test_shrinkage_convergence_to_base(self):
@@ -187,9 +188,10 @@ class TestGradientBoosting:
             cfg = BoostConfig(n_rounds=3, learning_rate=eta, subsample=1.0, seed=0)
             model = fit_gradient_boosting(X, y, cfg)
             max_leaf = max(
-                abs(leaf.value) for tree, _ in model.members for leaf in tree.leaves()
+                float(np.max(np.abs(tree.value[tree.feature == LEAF])))
+                for tree, _ in model.members
             )
-            assert abs(model.predict(X[0]) - base) <= eta * 3 * max_leaf + 1e-12
+            assert abs(model.predict(X[:1])[0] - base) <= eta * 3 * max_leaf + 1e-12
 
 
 class TestRegularizedBooster:
@@ -213,7 +215,7 @@ class TestRegularizedBooster:
             BoostConfig(n_rounds=1, learning_rate=1.0, subsample=1.0,
                         tree=tree_params, seed=0),
         )
-        assert np.allclose(boost.predict_batch(X), plain.predict_batch(X), rtol=1e-10)
+        assert np.allclose(boost.predict(X), plain.predict(X), rtol=1e-10)
 
     def test_gain_non_increasing_in_gamma(self):
         rng = np.random.default_rng(20)
@@ -248,8 +250,8 @@ class TestRegularizedBooster:
         cfg = BoostConfig(n_rounds=20, learning_rate=0.1, seed=0)
         model = fit_regularized_booster(X, y, cfg)
         q = np.array([5.0, np.nan, 5.0, 5.0])
-        assert math.isfinite(model.predict(q))
-        assert math.isfinite(model.predict(X[0]))
+        assert math.isfinite(model.predict(q[None, :])[0])
+        assert math.isfinite(model.predict(X[:1])[0])
 
     def test_default_direction_learned_from_data(self):
         # step in P1; missing P1 values occur only on the high side
@@ -268,12 +270,15 @@ class TestRegularizedBooster:
             tree=TreeParams(max_depth=1, min_samples_leaf=1, min_samples_split=2), seed=0,
         )
         model = fit_regularized_booster(X, y, cfg)
-        root = model.members[0][0].root
-        assert root.feature == 0
-        assert root.default_left is False  # missing rows belong with the high step
-        learned_sse = float(np.sum((model.predict_batch(X) - y) ** 2))
-        root.default_left = True  # force the opposite routing
-        forced_sse = float(np.sum((model.predict_batch(X) - y) ** 2))
+        tree, weight = model.members[0]
+        assert tree.feature[0] == 0
+        assert tree.default_left[0] == 0  # missing rows belong with the high step
+        learned_sse = float(np.sum((model.predict(X) - y) ** 2))
+        forced_default = tree.default_left.copy()
+        forced_default[0] = 1  # force the opposite routing
+        forced_tree = dataclasses.replace(tree, default_left=forced_default)
+        forced = dataclasses.replace(model, members=[(forced_tree, weight)])
+        forced_sse = float(np.sum((forced.predict(X) - y) ** 2))
         assert learned_sse < forced_sse
 
     def test_additive_combination_and_determinism(self):
@@ -284,7 +289,7 @@ class TestRegularizedBooster:
         assert a.combine is CombineRule.ADDITIVE
         assert a.base_score == pytest.approx(float(np.mean(y)), rel=1e-12)
         q = np.array([2.0, 3.0, 4.0, 5.0])
-        assert a.predict(q) == b.predict(q)
+        assert a.predict(q[None, :])[0] == b.predict(q[None, :])[0]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
