@@ -30,20 +30,13 @@ from .data import (
 )
 from .errors import ConfigError, CostLabError
 from .fuzzy import FuzzyPredictor, RuleBase, derive_rule_base
-from .genetic_fuzzy import GAConfig, GeneticFuzzyPredictor, evolve
+from .genetic_fuzzy import GeneticFuzzyPredictor
 from .zoo import DEFAULT_MODEL_IDS, MODEL_REGISTRY, build_model
-
-_SECTION_KEYS = {
-    "data": {"source", "n", "noise_pct", "path"},
-    "split": {"train_fraction", "train_count"},
-    "metrics": {"n_override", "k_predictors"},
-    "models": {"enabled"},
-    "run": {"seed"},
-}
-
 
 @dataclass(frozen=True)
 class BenchConfig:
+    """A checked benchmark config: every bad value is a ConfigError on construction."""
+
     source: str = "synthesize"
     csv_path: str | None = None
     n: int = 144
@@ -56,101 +49,97 @@ class BenchConfig:
     model_params: dict = field(default_factory=dict)
     seed: int | None = None
 
+    def __post_init__(self):
+        if self.source not in ("synthesize", "csv"):
+            raise ConfigError(f"[data] source must be 'synthesize' or 'csv', got {self.source!r}")
+        if self.n < 1:
+            raise ConfigError(f"[data] n must be >= 1, got {self.n}")
+        if not self.noise_pct >= 0:  # the negated form also rejects a nan
+            raise ConfigError(f"[data] noise_pct must be >= 0, got {self.noise_pct}")
+        if self.source == "csv":
+            if self.csv_path is None:
+                raise ConfigError("[data] source = csv requires a path")
+            if not os.path.exists(self.csv_path):
+                raise ConfigError(f"[data] path does not exist: {self.csv_path}")
+        if self.train_fraction is not None and self.train_count is not None:
+            raise ConfigError("[split]: give train_fraction or train_count, not both")
+        if self.train_fraction is not None and not 0 < self.train_fraction < 1:
+            raise ConfigError(
+                f"[split] train_fraction must be in (0, 1), got {self.train_fraction}"
+            )
+        if self.train_count is not None and self.train_count < 1:
+            raise ConfigError(f"[split] train_count must be >= 1, got {self.train_count}")
+        if self.k_predictors < 0:
+            raise ConfigError(f"[metrics] k_predictors must be >= 0, got {self.k_predictors}")
+        if self.n_override is not None and self.n_override < self.k_predictors + 2:
+            raise ConfigError(
+                f"[metrics] n_override must be >= k_predictors + 2, got {self.n_override}"
+            )
+        if not self.enabled:
+            raise ConfigError("[models] enabled: at least one model required")
+        for i, model_id in enumerate(self.enabled):
+            if model_id not in MODEL_REGISTRY:
+                raise ConfigError(f"[models] enabled: unknown model id {model_id!r}")
+            if model_id in self.enabled[:i]:
+                raise ConfigError(f"[models] enabled: duplicate model id {model_id!r}")
+        for model_id, params in self.model_params.items():
+            if model_id not in MODEL_REGISTRY:
+                raise ConfigError(f"config section [model.{model_id}]: unknown model id")
+            rule_file = params.get("rule_file")
+            if rule_file is not None and not os.path.exists(rule_file):
+                raise ConfigError(f"[model.{model_id}] rule_file does not exist: {rule_file}")
 
-def _parse_typed(section: str, key: str, raw: str, cast):
-    try:
-        return cast(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: bad value {raw!r}")
+
+def _model_ids(raw: str) -> tuple[str, ...]:
+    if raw == "all":
+        return DEFAULT_MODEL_IDS
+    return tuple(part.strip() for part in raw.split(",") if part.strip())
+
+
+# Every key of the non-model sections: (section, key) -> (BenchConfig field, cast).
+_KEYS = {
+    ("data", "source"): ("source", str),
+    ("data", "n"): ("n", int),
+    ("data", "noise_pct"): ("noise_pct", float),
+    ("data", "path"): ("csv_path", str),
+    ("split", "train_fraction"): ("train_fraction", float),
+    ("split", "train_count"): ("train_count", int),
+    ("metrics", "n_override"): ("n_override", int),
+    ("metrics", "k_predictors"): ("k_predictors", int),
+    ("models", "enabled"): ("enabled", _model_ids),
+    ("run", "seed"): ("seed", int),
+}
 
 
 def parse_config(text: str, base_dir: str = ".") -> BenchConfig:
-    """Parse and validate the INI config; paths resolve against base_dir."""
-    parser = configparser.ConfigParser(interpolation=None)
+    """Parse the INI config into a checked BenchConfig; paths resolve against base_dir."""
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}")
 
-    model_params: dict[str, dict[str, str]] = {}
+    kwargs: dict = {"model_params": {}}
     for section in parser.sections():
         if section.startswith("model."):
-            model_id = section[len("model."):]
-            if model_id not in MODEL_REGISTRY:
-                raise ConfigError(f"config section [{section}]: unknown model id")
-            model_params[model_id] = dict(parser[section])
+            params = dict(parser[section])
+            if "rule_file" in params:
+                params["rule_file"] = os.path.join(base_dir, params["rule_file"])
+            kwargs["model_params"][section[len("model."):]] = params
             continue
-        if section not in _SECTION_KEYS:
+        if section not in {known for known, _ in _KEYS}:
             raise ConfigError(f"unknown config section [{section}]")
-        unknown = set(parser[section]) - _SECTION_KEYS[section]
+        unknown = sorted(key for key in parser[section] if (section, key) not in _KEYS)
         if unknown:
-            raise ConfigError(f"[{section}]: unknown keys {sorted(unknown)}")
-
-    kwargs: dict = {"model_params": model_params}
-    if parser.has_section("data"):
-        data = parser["data"]
-        source = data.get("source", "synthesize").strip()
-        if source not in ("synthesize", "csv"):
-            raise ConfigError(f"[data] source must be 'synthesize' or 'csv', got {source!r}")
-        kwargs["source"] = source
-        if "n" in data:
-            kwargs["n"] = _parse_typed("data", "n", data["n"], int)
-            if kwargs["n"] < 1:
-                raise ConfigError(f"[data] n must be >= 1, got {kwargs['n']}")
-        if "noise_pct" in data:
-            kwargs["noise_pct"] = _parse_typed("data", "noise_pct", data["noise_pct"], float)
-            if not kwargs["noise_pct"] >= 0:  # the negated form also rejects a nan
-                raise ConfigError(f"[data] noise_pct must be >= 0, got {kwargs['noise_pct']}")
-        if source == "csv":
-            if "path" not in data:
-                raise ConfigError("[data] source = csv requires a path")
-            path = data["path"]
-            if not os.path.isabs(path):
-                path = os.path.join(base_dir, path)
-            if not os.path.exists(path):
-                raise ConfigError(f"[data] path does not exist: {path}")
-            kwargs["csv_path"] = path
-    if parser.has_section("split"):
-        sec = parser["split"]
-        if "train_fraction" in sec and "train_count" in sec:
-            raise ConfigError("[split]: give train_fraction or train_count, not both")
-        if "train_fraction" in sec:
-            kwargs["train_fraction"] = _parse_typed(
-                "split", "train_fraction", sec["train_fraction"], float
-            )
-        if "train_count" in sec:
-            kwargs["train_count"] = _parse_typed("split", "train_count", sec["train_count"], int)
-    if parser.has_section("metrics"):
-        sec = parser["metrics"]
-        if "n_override" in sec:
-            kwargs["n_override"] = _parse_typed("metrics", "n_override", sec["n_override"], int)
-        if "k_predictors" in sec:
-            kwargs["k_predictors"] = _parse_typed(
-                "metrics", "k_predictors", sec["k_predictors"], int
-            )
-    if parser.has_section("models"):
-        raw = parser["models"].get("enabled", "all").strip()
-        if raw == "all":
-            enabled = DEFAULT_MODEL_IDS
-        else:
-            enabled = tuple(part.strip() for part in raw.split(",") if part.strip())
-            for model_id in enabled:
-                if model_id not in MODEL_REGISTRY:
-                    raise ConfigError(f"[models] enabled: unknown model id {model_id!r}")
-        if not enabled:
-            raise ConfigError("[models] enabled: at least one model required")
-        kwargs["enabled"] = enabled
-    if parser.has_section("run") and "seed" in parser["run"]:
-        kwargs["seed"] = _parse_typed("run", "seed", parser["run"]["seed"], int)
-
-    for model_id in model_params:
-        rule_file = model_params[model_id].get("rule_file")
-        if rule_file is not None:
-            path = rule_file if os.path.isabs(rule_file) else os.path.join(base_dir, rule_file)
-            if not os.path.exists(path):
-                raise ConfigError(f"[model.{model_id}] rule_file does not exist: {path}")
-            model_params[model_id]["rule_file"] = path
-
+            raise ConfigError(f"[{section}]: unknown keys {unknown}")
+        for key, raw in parser[section].items():
+            name, cast = _KEYS[section, key]
+            try:
+                kwargs[name] = cast(raw)
+            except ValueError:
+                raise ConfigError(f"[{section}] {key}: bad value {raw!r}")
+    if "csv_path" in kwargs:
+        kwargs["csv_path"] = os.path.join(base_dir, kwargs["csv_path"])
     return BenchConfig(**kwargs)
 
 
@@ -185,13 +174,12 @@ class BenchResult:
     test_size: int
 
 
-def _load_dataset(cfg: BenchConfig, seed: int) -> Dataset:
+def _train_test(cfg: BenchConfig, seed: int) -> tuple[Dataset, Dataset]:
+    """The configured dataset, split into its train and test sides."""
     if cfg.source == "csv":
-        return load_csv(cfg.csv_path)
-    return synthesize(cfg.n, seed=derive_seed(seed, "data"), noise_pct=cfg.noise_pct)
-
-
-def _split_dataset(cfg: BenchConfig, dataset: Dataset, seed: int) -> tuple[Dataset, Dataset]:
+        dataset = load_csv(cfg.csv_path)
+    else:
+        dataset = synthesize(cfg.n, seed=derive_seed(seed, "data"), noise_pct=cfg.noise_pct)
     spec = SplitSpec(
         train_fraction=cfg.train_fraction,
         train_count=cfg.train_count,
@@ -202,8 +190,7 @@ def _split_dataset(cfg: BenchConfig, dataset: Dataset, seed: int) -> tuple[Datas
 
 def run_bench(cfg: BenchConfig, seed: int) -> BenchResult:
     """Fit and evaluate every enabled model; one failure never aborts the rest."""
-    dataset = _load_dataset(cfg, seed)
-    train, test = _split_dataset(cfg, dataset, seed)
+    train, test = _train_test(cfg, seed)
     warnings = []
     green = check_green_rule(len(train), N_FEATURES)
     if not green.adequate:
@@ -365,11 +352,8 @@ def predict_one(
     cfg: BenchConfig, seed: int, model_id: str, features: FeatureVector
 ) -> PredictOneResult:
     """Refit one model from the config and predict a single project's cost."""
-    if model_id not in MODEL_REGISTRY:
-        raise ConfigError(f"unknown model id {model_id!r}")
-    dataset = _load_dataset(cfg, seed)
-    train, test = _split_dataset(cfg, dataset, seed)
     predictor = build_model(model_id, cfg.model_params.get(model_id, {}), derive_seed(seed, model_id))
+    train, test = _train_test(cfg, seed)
     predictor.fit(train)
     report = evaluate(
         predictor, test, model_id=model_id,
@@ -400,12 +384,10 @@ def predict_one(
 
 def build_rule_base(cfg: BenchConfig, seed: int, evolved: bool = False) -> RuleBase:
     """Data-derived (or GA-evolved) rule base from the configured training split."""
-    dataset = _load_dataset(cfg, seed)
-    train, _ = _split_dataset(cfg, dataset, seed)
+    train, _ = _train_test(cfg, seed)
     if not evolved:
         return derive_rule_base(train)
     params = cfg.model_params.get("genetic_fuzzy", {})
     predictor = build_model("genetic_fuzzy", params, derive_seed(seed, "genetic_fuzzy"))
-    ga_cfg: GAConfig = predictor.config
-    rule_base, _ = evolve(ga_cfg, train)
-    return rule_base
+    predictor.fit(train)
+    return predictor.rule_base

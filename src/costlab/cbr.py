@@ -121,7 +121,7 @@ class CbrPredictor(Predictor):
             raise ValueError(f"k must be >= 1, got {k}")
         self.k = k
         self.attribute_weights = tuple(float(w) for w in attribute_weights)
-        if len(self.attribute_weights) != N_FEATURES or sum(self.attribute_weights) <= 0:
+        if len(self.attribute_weights) != N_FEATURES or not sum(self.attribute_weights) > 0:
             raise ValueError(
                 f"need {N_FEATURES} attribute weights with a positive sum, "
                 f"got {self.attribute_weights}"

@@ -102,8 +102,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a synthetic project CSV")
-    gen.add_argument("--n", type=int, default=144)
-    gen.add_argument("--noise-pct", type=float, default=5.0)
+    gen.add_argument("--n", type=int, default=BenchConfig.n)
+    gen.add_argument("--noise-pct", type=float, default=BenchConfig.noise_pct)
     gen.add_argument("--seed", type=int, default=None)
     gen.add_argument("--out", required=True, help="output CSV path")
     gen.set_defaults(func=_cmd_generate)

@@ -113,7 +113,7 @@ def _solve_pair(
 
 
 def _check_hyperparameters(C: float, epsilon: float, gamma_rbf: float) -> None:
-    if C <= 0 or epsilon < 0 or gamma_rbf <= 0:
+    if not (C > 0 and epsilon >= 0 and gamma_rbf > 0):  # the negated form also rejects a nan
         raise ValueError(
             f"need C > 0, epsilon >= 0 and gamma_rbf > 0, "
             f"got C={C!r}, epsilon={epsilon!r}, gamma_rbf={gamma_rbf!r}"

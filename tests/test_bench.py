@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,6 +101,37 @@ seed = 99
         with pytest.raises(ConfigError):
             parse_config("[data]\nn = twelve\n")
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"n": 0},
+            {"source": "xlsx"},
+            {"source": "csv"},
+            {"train_fraction": 0.5, "train_count": 10},
+            {"train_fraction": 1.0},
+            {"k_predictors": -3},
+            {"n_override": 5},
+            {"enabled": ()},
+            {"enabled": ("cart", "cart")},
+            {"model_params": {"not_a_model": {}}},
+        ],
+    )
+    def test_config_built_in_code_is_checked(self, kwargs):
+        with pytest.raises(ConfigError):
+            BenchConfig(**kwargs)
+
+    def test_readme_example_config_is_the_defaults(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme[readme.index("## Benchmark config"):]
+        start = section.index("```ini\n") + len("```ini\n")
+        cfg = parse_config(section[start:section.index("```\n", start)])
+        assert len(cfg.model_params) == 9
+        for model_id, params in cfg.model_params.items():
+            assert params, model_id
+            documented = build_model(model_id, params, derive_seed(42, model_id))
+            default = build_model(model_id, {}, derive_seed(42, model_id))
+            assert vars(documented) == vars(default), model_id
+
 
 # One out-of-range value per model family (the regression family takes no
 # hyperparameters, so any key is bad there).
@@ -120,6 +152,8 @@ BAD_HYPERPARAMETERS = [
     ("svr", {"c": "0"}),
     ("fuzzy", {"samples": "10"}),
     ("svr", {"gamma_rbf": "-5"}),
+    ("svr", {"c": "nan"}),
+    ("cbr", {"weights": "nan,1,1,1"}),
 ]
 
 
@@ -133,7 +167,8 @@ class TestBadHyperparameters:
     def test_run_bench_fails_before_any_fit(self, model_id, params, monkeypatch):
         fits = []
         monkeypatch.setattr(Predictor, "fit", lambda self, train: fits.append(self))
-        cfg = BenchConfig(enabled=("cart", model_id), model_params={model_id: params})
+        enabled = tuple(dict.fromkeys(("cart", model_id)))  # a duplicate id is a ConfigError
+        cfg = BenchConfig(enabled=enabled, model_params={model_id: params})
         with pytest.raises(ConfigError):
             run_bench(cfg, seed=0)
         assert fits == []
@@ -146,8 +181,26 @@ class TestBadHyperparameters:
             "[models]\nenabled = bagging\n\n[model.bagging]\nn_members = 0\n",
             "[data]\nn = 0\n",
             "[data]\nnoise_pct = -1\n",
+            "[models]\nenabled = cart, cart\n",
+            "[split]\ntrain_fraction = nan\n",
+            "[split]\ntrain_fraction = 0\n",
+            "[split]\ntrain_count = 0\n",
+            "[metrics]\nk_predictors = -3\n",
+            "[metrics]\nn_override = 0\n",
         ],
-        ids=["svr_c", "fuzzy_samples", "bagging_n_members", "data_n", "data_noise_pct"],
+        ids=[
+            "svr_c",
+            "fuzzy_samples",
+            "bagging_n_members",
+            "data_n",
+            "data_noise_pct",
+            "models_duplicate",
+            "split_train_fraction_nan",
+            "split_train_fraction_zero",
+            "split_train_count",
+            "metrics_k_predictors",
+            "metrics_n_override",
+        ],
     )
     def test_cli_reports_config_error(self, section, tmp_path, capsys):
         config = tmp_path / "bad.ini"
@@ -284,10 +337,9 @@ class TestPredictOne:
     def test_cbr_trace_for_stored_case(self):
         cfg = BenchConfig(enabled=("cbr",), noise_pct=0.0)
         seed = 17
-        from costlab.bench import _load_dataset, _split_dataset
+        from costlab.bench import _train_test
 
-        dataset = _load_dataset(cfg, seed)
-        train, _ = _split_dataset(cfg, dataset, seed)
+        train, _ = _train_test(cfg, seed)
         stored = train[0]
         result = predict_one(cfg, seed, "cbr", stored.features)
         assert result.cost == stored.cost_le
@@ -303,10 +355,9 @@ class TestPredictOne:
 
     def test_fuzzy_fired_rules_listed(self):
         cfg = BenchConfig(enabled=("fuzzy",))
-        from costlab.bench import _load_dataset, _split_dataset
+        from costlab.bench import _train_test
 
-        dataset = _load_dataset(cfg, 21)
-        train, _ = _split_dataset(cfg, dataset, 21)
+        train, _ = _train_test(cfg, 21)
         result = predict_one(cfg, 21, "fuzzy", train[0].features)
         assert any("fired at" in line for line in result.trace)
 
