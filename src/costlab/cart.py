@@ -19,6 +19,7 @@ produce bit-identical gains.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -59,6 +60,15 @@ class RegressionTree:
     n: np.ndarray
     default_left: np.ndarray
     depth: np.ndarray
+
+    @cached_property
+    def roots(self) -> np.ndarray:
+        """Index of every root node, one per stacked tree."""
+        return np.flatnonzero(self.depth == 0)
+
+    @cached_property
+    def max_depth(self) -> int:
+        return int(self.depth.max())
 
 
 def _subset_sse(mask: np.ndarray, y: np.ndarray, count: int) -> float:
@@ -212,9 +222,9 @@ def walk_trees(nodes: RegressionTree, X: np.ndarray) -> np.ndarray:
     value takes the default direction.
     """
     rows = np.arange(X.shape[0])[:, None]
-    at = np.repeat(np.flatnonzero(nodes.depth == 0)[None, :], X.shape[0], axis=0)
+    at = np.repeat(nodes.roots[None, :], X.shape[0], axis=0)
     has_missing = bool(np.isnan(X).any())
-    for _ in range(int(nodes.depth.max())):
+    for _ in range(nodes.max_depth):
         feature = nodes.feature[at]
         x = X[rows, feature]
         go_left = x <= nodes.threshold[at]

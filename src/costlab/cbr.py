@@ -9,6 +9,7 @@ cases; the default k=1 is pure reuse of the best case.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -38,18 +39,33 @@ def attribute_similarity(av_new: float, av_retrieved: float) -> float:
 
 
 def case_similarity(
-    new: FeatureVector, stored: FeatureVector, weights: Sequence[float] = DEFAULT_WEIGHTS
-) -> float:
-    """Weighted average of the four attribute similarities."""
-    if new.has_missing or stored.has_missing:
+    new: FeatureVector,
+    stored: FeatureVector | np.ndarray,
+    weights: Sequence[float] = DEFAULT_WEIGHTS,
+) -> float | np.ndarray:
+    """Weighted average of the four attribute similarities.
+
+    ``stored`` is one case or an (m, 4) matrix of cases; a matrix gives the m
+    similarities, each bit-identical to the one-case form.
+    """
+    one = isinstance(stored, FeatureVector)
+    b = stored.to_array() if one else np.asarray(stored, dtype=float)
+    if new.has_missing or np.isnan(b).any():
         raise UnsupportedMissingError("case similarity requires complete feature vectors")
     total_weight = float(sum(weights))
     if total_weight <= 0:
         raise ZeroWeightSumError("attribute weights must not sum to zero")
+    a = new.to_array()
+    if (a < 0).any() or (b < 0).any():
+        raise NegativeAttributeError("attribute values must be nonnegative")
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    with np.errstate(invalid="ignore"):  # 0/0 where both are zero
+        sims = np.where(hi == 0.0, 1.0, lo / hi)
     score = 0.0
-    for w, a, b in zip(weights, new.as_tuple(), stored.as_tuple()):
-        score += w * attribute_similarity(a, b)
-    return score / total_weight
+    for j, w in enumerate(weights):
+        score = score + w * sims[..., j]
+    score = score / total_weight
+    return float(score) if one else score
 
 
 @dataclass(frozen=True)
@@ -66,6 +82,17 @@ class CaseBase:
             raise ValueError("expected one weight per attribute")
         if sum(self.attribute_weights) <= 0:
             raise ZeroWeightSumError("attribute weights must not sum to zero")
+
+    @cached_property
+    def features(self) -> np.ndarray:
+        """(m, 4) feature matrix of the stored cases, in case order."""
+        return np.array([case.features.to_array() for case in self.cases])
+
+    @cached_property
+    def id_rank(self) -> np.ndarray:
+        """Rank of each case's id in lexical order; equal ids share a rank."""
+        ranks = {case_id: r for r, case_id in enumerate(sorted({c.id for c in self.cases}))}
+        return np.array([ranks[case.id] for case in self.cases])
 
     def retain(self, record: ProjectRecord) -> "CaseBase":
         """New case base with one solved case appended."""
@@ -91,12 +118,9 @@ def retrieve_and_predict(
         raise ValueError(f"k must be >= 1, got {k}")
     if k > len(case_base.cases):
         raise KTooLargeError(f"k={k} exceeds case base size {len(case_base.cases)}")
-    weights = case_base.attribute_weights
-    scored = sorted(
-        ((case_similarity(x, case.features, weights), case) for case in case_base.cases),
-        key=lambda pair: (-pair[0], pair[1].id),
-    )
-    top = scored[:k]
+    sims = case_similarity(x, case_base.features, case_base.attribute_weights)
+    order = np.lexsort((case_base.id_rank, -sims))[:k]
+    top = [(float(sims[i]), case_base.cases[i]) for i in order]
     sim_sum = sum(sim for sim, _ in top)
     if sim_sum > 0:
         cost = sum(sim * case.cost_le for sim, case in top) / sim_sum

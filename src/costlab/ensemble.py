@@ -61,7 +61,7 @@ class BoostConfig:
         # learning_rate 0 is allowed as the degenerate base-score model
         if not (0.0 <= self.learning_rate <= 1.0):
             raise ValueError("learning_rate must be in [0, 1]")
-        if self.lam < 0 or self.gamma < 0:
+        if not (self.lam >= 0 and self.gamma >= 0):
             raise ValueError("lam and gamma must be >= 0")
         if not (0.0 < self.subsample <= 1.0):
             raise ValueError("subsample must be in (0, 1]")

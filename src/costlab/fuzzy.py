@@ -15,7 +15,7 @@ strength).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -103,6 +103,14 @@ class FuzzyVariable:
                     f"and starting {nxt.left}"
                 )
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # engine_for hashes the variables on every inference call
+        return hash((self.name, self.lo, self.hi, self.mfs))
+
 
 def default_variable(name: str, lo: float, hi: float) -> FuzzyVariable:
     """Seven evenly spaced triangles with 50 percent overlap.
@@ -160,6 +168,16 @@ class RuleBase:
                     f"for antecedent {rule.antecedent}"
                 )
 
+    @cached_property
+    def antecedents(self) -> np.ndarray:
+        """(R, 4) antecedent MF indices, one row per rule."""
+        return np.array([r.antecedent for r in self.rules], dtype=int)
+
+    @cached_property
+    def consequents(self) -> np.ndarray:
+        """(R,) consequent MF indices."""
+        return np.array([r.consequent for r in self.rules], dtype=int)
+
 
 def fire_rule(rule_base: RuleBase, rule: FuzzyRule, x: FeatureVector) -> float:
     """min-AND firing strength of one rule at a crisp input."""
@@ -206,24 +224,26 @@ class FuzzyEngine:
         self.consequent_grid = np.stack(
             [membership_grid(mf, self.grid) for mf in output_var.mfs]
         )
+        # (4, 7) left, peak and right breakpoints of every input MF
+        self.left, self.peak, self.right = (
+            np.array([[getattr(mf, name) for mf in var.mfs] for var in self.input_vars])
+            for name in ("left", "peak", "right")
+        )
 
     def input_memberships(self, X: np.ndarray) -> np.ndarray:
-        """(n, 4) inputs -> (n, 4, 7) membership degrees."""
-        X = np.asarray(X, dtype=float)
-        out = np.empty((X.shape[0], N_FEATURES, MF_COUNT), dtype=float)
-        for d, var in enumerate(self.input_vars):
-            for m, mf in enumerate(var.mfs):
-                out[:, d, m] = membership_grid(mf, X[:, d])
-        return out
+        """(n, 4) inputs -> (n, 4, 7) membership degrees, as ``membership_grid`` per MF."""
+        x = np.asarray(X, dtype=float)[:, :, None]
+        left, peak, right = self.left, self.peak, self.right
+        with np.errstate(divide="ignore", invalid="ignore"):  # flat sides are never selected
+            rising = (x - left) / (peak - left)
+            falling = (right - x) / (right - peak)
+        out = np.where((x >= left) & (x < peak), rising, 0.0)
+        out = np.where((x > peak) & (x <= right), falling, out)
+        return np.where(x == peak, 1.0, out)
 
     def strengths(self, memberships: np.ndarray, antecedents: np.ndarray) -> np.ndarray:
         """(n, 4, 7) memberships and (R, 4) antecedents -> (n, R) firing strengths."""
-        n = memberships.shape[0]
-        r = antecedents.shape[0]
-        gathered = np.empty((n, r, N_FEATURES), dtype=float)
-        for d in range(N_FEATURES):
-            gathered[:, :, d] = memberships[:, d, antecedents[:, d] - 1]
-        return gathered.min(axis=2)
+        return memberships[:, np.arange(N_FEATURES), antecedents - 1].min(axis=2)
 
     def _trapezoid(self, values: np.ndarray) -> np.ndarray:
         # uniform-grid trapezoid rule along the last axis
@@ -234,11 +254,14 @@ class FuzzyEngine:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Clip, aggregate, and defuzzify; returns (values, fired mask).
 
+        Rules sharing a consequent are merged before clipping, which is exact:
+        max_r min(s_r, mu_c(r)) = max_c min(max_{r: c(r) = c} s_r, mu_c).
         Rows where no rule fires get NaN and a False mask entry.
         """
-        clipped = np.minimum(
-            strengths[:, :, None], self.consequent_grid[consequents - 1][None, :, :]
-        )
+        used = np.unique(consequents)
+        members = consequents[:, None] == used[None, :]  # (R, C)
+        grouped = np.where(members, strengths[:, :, None], -np.inf).max(axis=1)  # (n, C)
+        clipped = np.minimum(grouped[:, :, None], self.consequent_grid[used - 1][None, :, :])
         aggregated = clipped.max(axis=1)
         area = self._trapezoid(aggregated)
         moment = self._trapezoid(aggregated * self.grid)
@@ -275,17 +298,14 @@ def infer_detail(
     if x.has_missing:
         raise UnsupportedMissingError("fuzzy inference requires complete feature vectors")
     engine = engine_for(rule_base, samples)
-    antecedents = np.array([r.antecedent for r in rule_base.rules], dtype=int)
-    consequents = np.array([r.consequent for r in rule_base.rules], dtype=int)
     memberships = engine.input_memberships(x.to_array()[None, :])
-    strengths = engine.strengths(memberships, antecedents)
-    values, ok = engine.centroids(strengths, consequents)
+    strengths = engine.strengths(memberships, rule_base.antecedents)
+    values, ok = engine.centroids(strengths, rule_base.consequents)
+    row = strengths[0]
     fired = tuple(
-        (rule, float(s))
-        for rule, s in sorted(
-            zip(rule_base.rules, strengths[0]), key=lambda pair: -pair[1]
-        )
-        if s > 0.0
+        (rule_base.rules[r], float(row[r]))
+        # strongest first, ties in rule order; strengths are >= 0, so the fired lead
+        for r in np.argsort(-row, kind="stable")[: np.count_nonzero(row > 0.0)]
     )
     if ok[0]:
         return InferenceResult(float(values[0]), fired, degraded=False)

@@ -154,6 +154,10 @@ BAD_HYPERPARAMETERS = [
     ("svr", {"gamma_rbf": "-5"}),
     ("svr", {"c": "nan"}),
     ("cbr", {"weights": "nan,1,1,1"}),
+    ("regularized_boosting", {"lam": "nan"}),
+    ("regularized_boosting", {"gamma": "nan"}),
+    ("dnn", {"learning_rate": "nan"}),
+    ("plain_mlp", {"learning_rate": "nan"}),
 ]
 
 

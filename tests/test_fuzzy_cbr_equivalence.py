@@ -1,0 +1,289 @@
+"""The array forms of fuzzy inference and CBR retrieval against their scalar oracles.
+
+``FuzzyEngine.centroids`` merges the rules that share a consequent before
+clipping, ``FuzzyEngine.input_memberships`` evaluates every membership
+function in one broadcast, ``case_similarity`` scores a whole case matrix
+and ``retrieve_and_predict`` ranks it with a lexsort. Each must agree with
+the straightforward form, kept here as the oracle, bit for bit.
+"""
+
+import numpy as np
+import pytest
+
+from costlab.cbr import (
+    CaseBase,
+    attribute_similarity,
+    case_similarity,
+    retrieve_and_predict,
+)
+from costlab.data import FeatureVector, ProjectRecord
+from costlab.fuzzy import (
+    MF_COUNT,
+    FuzzyEngine,
+    FuzzyRule,
+    FuzzyVariable,
+    RuleBase,
+    TriangularMF,
+    default_variable,
+    engine_for,
+    infer_detail,
+    membership_grid,
+)
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+# -- fuzzy ----------------------------------------------------------------------
+
+
+def _engine():
+    inputs = tuple(default_variable(f"x{d}", 0.0, 10.0 * (d + 1)) for d in range(4))
+    return FuzzyEngine(inputs, default_variable("cost", 100.0, 900.0))
+
+
+def ungrouped_centroids(engine, strengths, consequents):
+    """One clipped output set per rule: the (n, R, G) form."""
+    clipped = np.minimum(
+        strengths[:, :, None], engine.consequent_grid[consequents - 1][None, :, :]
+    )
+    aggregated = clipped.max(axis=1)
+    area = engine._trapezoid(aggregated)
+    moment = engine._trapezoid(aggregated * engine.grid)
+    ok = (strengths.max(axis=1) > 0.0) & (area > 0.0)
+    values = np.full(strengths.shape[0], np.nan)
+    values[ok] = moment[ok] / area[ok]
+    return values, ok
+
+
+def _random_case(rng):
+    n = int(rng.integers(1, 7))
+    r = 1 if rng.random() < 0.15 else int(rng.integers(2, 16))
+    strengths = rng.random((n, r))
+    if rng.random() < 0.5:  # a coarse grid of levels gives exact ties
+        strengths = np.floor(strengths * 4.0) / 4.0
+    strengths[rng.random(n) < 0.2] = 0.0  # rows where nothing fires
+    # draw consequents from a subset, so some output sets have no rule
+    pool = rng.choice(np.arange(1, MF_COUNT + 1), size=int(rng.integers(1, MF_COUNT + 1)),
+                      replace=False)
+    consequents = rng.choice(pool, size=r)
+    return strengths, consequents
+
+
+def test_grouped_centroids_match_the_per_rule_form_bit_for_bit():
+    engine = _engine()
+    rng = np.random.default_rng(2024)
+    seen = {"tie": 0, "zero_row": 0, "single_rule": 0, "unused_consequent": 0}
+    for _ in range(1500):
+        strengths, consequents = _random_case(rng)
+        values, ok = engine.centroids(strengths, consequents)
+        want_values, want_ok = ungrouped_centroids(engine, strengths, consequents)
+        assert np.array_equal(ok, want_ok)
+        assert np.array_equal(bits(values), bits(want_values))
+        seen["tie"] += any(len(set(row[row > 0])) < np.count_nonzero(row) for row in strengths)
+        seen["zero_row"] += bool((strengths.max(axis=1) == 0.0).any())
+        seen["single_rule"] += strengths.shape[1] == 1
+        seen["unused_consequent"] += len(set(consequents)) < MF_COUNT
+    assert all(count > 50 for count in seen.values()), seen
+
+
+def test_grouped_centroids_of_tied_rules_on_one_consequent():
+    engine = _engine()
+    strengths = np.array([[0.5, 0.5, 0.25, 0.0], [0.0, 0.0, 0.0, 0.0], [1.0, 0.5, 1.0, 0.5]])
+    consequents = np.array([3, 3, 5, 3])
+    values, ok = engine.centroids(strengths, consequents)
+    want_values, want_ok = ungrouped_centroids(engine, strengths, consequents)
+    assert ok.tolist() == want_ok.tolist() == [True, False, True]
+    assert np.array_equal(bits(values), bits(want_values))
+
+
+def _variables():
+    skewed = FuzzyVariable(
+        "skewed",
+        0.0,
+        12.0,
+        (
+            TriangularMF(0.0, 0.0, 1.0),
+            TriangularMF(0.5, 1.0, 3.0),
+            TriangularMF(1.0, 3.0, 3.0),
+            TriangularMF(3.0, 3.0, 7.0),
+            TriangularMF(4.0, 7.0, 7.5),
+            TriangularMF(7.0, 7.5, 12.0),
+            TriangularMF(7.5, 12.0, 12.0),
+        ),
+    )
+    return (
+        default_variable("area", 20.0, 300.0),
+        default_variable("pipe", 213.7, 2987.3),
+        skewed,
+        default_variable("year", 2010.0, 2015.0),
+    )
+
+
+def _probe_points(var, rng):
+    breakpoints = [v for mf in var.mfs for v in (mf.left, mf.peak, mf.right)]
+    span = var.hi - var.lo
+    nearby = [np.nextafter(v, v + 1.0) for v in breakpoints] + [
+        np.nextafter(v, v - 1.0) for v in breakpoints
+    ]
+    outside = [var.lo - 0.1 * span, var.hi + 0.1 * span]
+    inside = list(rng.uniform(var.lo, var.hi, 200))
+    return np.array(breakpoints + nearby + outside + inside)
+
+
+def test_broadcast_memberships_match_membership_grid_per_mf():
+    rng = np.random.default_rng(7)
+    inputs = _variables()
+    engine = FuzzyEngine(inputs, default_variable("cost", 0.0, 1.0))
+    columns = [_probe_points(var, rng) for var in inputs]
+    n = max(len(c) for c in columns)
+    X = np.column_stack([np.resize(c, n) for c in columns])
+    memberships = engine.input_memberships(X)
+    assert memberships.shape == (n, 4, MF_COUNT)
+    for d, var in enumerate(inputs):
+        for m, mf in enumerate(var.mfs):
+            assert np.array_equal(bits(memberships[:, d, m]), bits(membership_grid(mf, X[:, d])))
+    # the shoulders and the skewed variable's flat sides peak at 1
+    assert memberships[:, 2, :].max() == 1.0
+    assert (memberships >= 0.0).all() and (memberships <= 1.0).all()
+
+
+def test_fired_rules_are_sorted_strongest_first_with_ties_in_rule_order():
+    inputs = tuple(default_variable(f"x{d}", 0.0, 6.0) for d in range(4))
+    rules = tuple(
+        FuzzyRule((a1, a2, a3, a4), 1 + (a1 + a2 + a3) % MF_COUNT)
+        for a1 in range(1, 8) for a2 in range(1, 8) for a3 in (3, 4) for a4 in (2, 3)
+    )
+    rule_base = RuleBase(rules, inputs, default_variable("cost", 0.0, 100.0))
+    engine = engine_for(rule_base)
+    rng = np.random.default_rng(5)
+    queries = np.column_stack(
+        [rng.uniform(0, 6, 50), rng.uniform(0, 6, 50), rng.uniform(2, 3, 50), rng.uniform(1, 2, 50)]
+    )
+    ties = 0
+    for query in queries:
+        x = FeatureVector.from_array(query)
+        strengths = engine.strengths(engine.input_memberships(query[None, :]), rule_base.antecedents)
+        want = [
+            (rule, float(s))
+            for rule, s in sorted(zip(rules, strengths[0]), key=lambda pair: -pair[1])
+            if s > 0.0
+        ]
+        fired = infer_detail(rule_base, x).fired
+        assert list(fired) == want
+        ties += len({s for _, s in fired}) < len(fired)
+    assert ties > 10
+
+
+# -- case-based reasoning -------------------------------------------------------
+
+
+def scalar_case_similarity(new, stored, weights):
+    score = 0.0
+    for w, a, b in zip(weights, new.as_tuple(), stored.as_tuple()):
+        score += w * attribute_similarity(a, b)
+    return score / float(sum(weights))
+
+
+def _feature_rows(rng, n):
+    rows = np.column_stack(
+        [
+            rng.uniform(0, 300, n),
+            rng.uniform(0, 3000, n),
+            rng.integers(0, 4, n).astype(float),  # small counts: many exact zeros
+            rng.integers(2010, 2016, n).astype(float),
+        ]
+    )
+    rows[rng.random(n) < 0.2, 0] = 0.0
+    return rows
+
+
+WEIGHTS = [(1.0, 1.0, 1.0, 1.0), (2.0, 1.0, 0.5, 1.0), (1, 0, 1, 0), (0.1, 0.2, 0.3, 0.4)]
+
+
+@pytest.mark.parametrize("weights", WEIGHTS)
+def test_case_similarity_matrix_matches_the_scalar_loop(weights):
+    rng = np.random.default_rng(3)
+    stored = _feature_rows(rng, 300)
+    for query in _feature_rows(rng, 20):
+        x = FeatureVector.from_array(query)
+        sims = case_similarity(x, stored, weights)
+        want = [scalar_case_similarity(x, FeatureVector.from_array(s), weights) for s in stored]
+        assert np.array_equal(bits(sims), bits(want))
+
+
+def test_case_similarity_of_two_vectors_is_a_float():
+    a = FeatureVector(0.0, 10.0, 0.0, 2012.0)
+    b = FeatureVector(0.0, 20.0, 3.0, 2012.0)
+    sim = case_similarity(a, b, (2.0, 1.0, 0.5, 1.0))
+    assert type(sim) is float
+    assert sim == scalar_case_similarity(a, b, (2.0, 1.0, 0.5, 1.0))
+    assert case_similarity(a, a) == 1.0  # zero-zero attributes are identical
+
+
+def brute_force_retrieval(case_base, x, k):
+    """The sorted scan: every case scored alone, ties broken by id."""
+    weights = case_base.attribute_weights
+    scored = sorted(
+        ((scalar_case_similarity(x, case.features, weights), case) for case in case_base.cases),
+        key=lambda pair: (-pair[0], pair[1].id),
+    )
+    top = scored[:k]
+    sim_sum = sum(sim for sim, _ in top)
+    if sim_sum > 0:
+        cost = sum(sim * case.cost_le for sim, case in top) / sim_sum
+    else:
+        cost = sum(case.cost_le for _, case in top) / len(top)
+    return cost, top
+
+
+def _tied_case_base(rng, weights):
+    """Cases whose similarities tie exactly: duplicates, and x*2 against x/2."""
+    base = np.array([[64.0, 1024.0, 4.0, 2012.0], [0.0, 512.0, 0.0, 2014.0]])
+    rows = []
+    for b in base:
+        for scale in (1.0, 2.0, 0.5):
+            scaled = b * scale
+            scaled[3] = b[3]
+            rows += [scaled, scaled]
+    rows = np.vstack([np.array(rows), _feature_rows(rng, 10)])
+    # ids out of lexical order, so "c10" sorts before "c2"
+    ids = [f"c{i}" for i in rng.permutation(len(rows))]
+    cases = tuple(
+        ProjectRecord(case_id, FeatureVector.from_array(row), float(rng.uniform(1e5, 1e6)))
+        for case_id, row in zip(ids, rows)
+    )
+    return CaseBase(cases, weights), base
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+@pytest.mark.parametrize("weights", WEIGHTS)
+def test_retrieval_matches_the_sorted_scan(k, weights):
+    rng = np.random.default_rng(k)
+    case_base, base = _tied_case_base(rng, weights)
+    queries = [*base, *_feature_rows(rng, 10)]
+    for query in queries:
+        x = FeatureVector.from_array(query)
+        cost, result = retrieve_and_predict(case_base, x, k)
+        want_cost, top = brute_force_retrieval(case_base, x, k)
+        assert bits(cost) == bits(want_cost)
+        assert result.best_case is top[0][1]
+        assert bits(result.case_similarity) == bits(top[0][0])
+        assert result.per_attribute == tuple(
+            attribute_similarity(a, b)
+            for a, b in zip(x.as_tuple(), result.best_case.features.as_tuple())
+        )
+
+
+def test_tied_retrieval_breaks_by_id():
+    rng = np.random.default_rng(0)
+    case_base, base = _tied_case_base(rng, (1.0, 1.0, 1.0, 1.0))
+    x = FeatureVector.from_array(base[0])
+    exact = sorted(c.id for c in case_base.cases if c.features == x)
+    assert len(exact) == 2
+    _, result = retrieve_and_predict(case_base, x, 1)
+    assert result.best_case.id == exact[0]
+    # the two x*2 and the two x/2 copies all score (0.5 + 0.5 + 0.5 + 1) / 4
+    sims = case_similarity(x, case_base.features)
+    assert np.count_nonzero(sims == 0.625) == 4
