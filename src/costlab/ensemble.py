@@ -9,6 +9,13 @@ feature values. The loss is squared, so h = 1 per row and every hessian sum H
 is a row count; no hessian array is kept. All six grow their trees with the
 shared recursion in ``cart``, and one ``EnsemblePredictor`` wraps any of the
 ``fit_*`` functions for the zoo.
+
+The regularized split search scores every (feature, threshold) midpoint from
+sorted prefix sums of the gradients, for both missing-value directions, in
+``cart.split_shortlist``; only candidates within 1e-7 * (sum|g|)^2 of the best
+approximate gain, far above the prefix sums' rounding of about
+n * eps * (sum|g|)^2, are scored exactly by the mask loop, in the order of the
+full search, so the same split wins.
 """
 
 from __future__ import annotations
@@ -20,7 +27,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cart import RegressionTree, TreeParams, grow, grow_tree, predict_tree, stack_trees, walk_trees
+from .cart import (
+    RegressionTree,
+    TreeParams,
+    grow,
+    grow_tree,
+    predict_tree,
+    split_shortlist,
+    stack_trees,
+    walk_trees,
+)
 from .core import Predictor
 from .data import Dataset
 from .errors import EmptyTrainError
@@ -247,21 +263,17 @@ def _best_regularized_split(
     Returns (feature, threshold, default_left, left row mask, gain); missing
     rows are sent down whichever side yields the higher gain. Under squared
     loss every hessian is 1, so each hessian sum is the side's row count.
+    Only the (feature, threshold) pairs of ``cart.split_shortlist`` are scored.
     """
     n = g.size
     min_leaf = cfg.tree.min_samples_leaf
     best: tuple[int, float, bool, np.ndarray, float] | None = None
-    for f in range(X.shape[1]):
+    for f, thresholds in split_shortlist(X, g, range(X.shape[1]), min_leaf, cfg.lam):
         col = X[:, f]
         present = ~np.isnan(col)
-        if present.sum() < 2:
-            continue
         g_miss = float(g[~present].sum())
         n_miss = int(n - present.sum())
-        distinct = np.unique(col[present])
-        if distinct.size < 2:
-            continue
-        for threshold in (distinct[:-1] + distinct[1:]) / 2.0:
+        for threshold in thresholds:
             left_present = present & (col <= threshold)
             right_present = present & (col > threshold)
             gl = float(g[left_present].sum())
@@ -271,9 +283,9 @@ def _best_regularized_split(
                 (True, gl + g_miss, gr, nl + n_miss, nr),
                 (False, gl, gr + g_miss, nl, nr + n_miss),
             ):
-                gain = split_gain(g_left, n_left, g_right, n_right, cfg.lam, cfg.gamma)
                 if n_left < min_leaf or n_right < min_leaf:
-                    continue
+                    continue  # before scoring: with lam 0 an empty side would divide by zero
+                gain = split_gain(g_left, n_left, g_right, n_right, cfg.lam, cfg.gamma)
                 if gain > 0 and (best is None or gain > best[4]):
                     mask = left_present | (~present if default_left else np.zeros(n, bool))
                     best = (f, float(threshold), default_left, mask, float(gain))

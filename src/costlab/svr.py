@@ -14,7 +14,7 @@ units.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -112,12 +112,29 @@ def _solve_pair(
     return best_delta
 
 
-def _check_hyperparameters(C: float, epsilon: float, gamma_rbf: float) -> None:
-    if not (C > 0 and epsilon >= 0 and gamma_rbf > 0):  # the negated form also rejects a nan
-        raise ValueError(
-            f"need C > 0, epsilon >= 0 and gamma_rbf > 0, "
-            f"got C={C!r}, epsilon={epsilon!r}, gamma_rbf={gamma_rbf!r}"
-        )
+@dataclass(frozen=True)
+class SvrParams:
+    """The trainer's hyperparameters, checked when built.
+
+    ``max_passes`` 0 is allowed, as the degenerate zero-coefficient model (like
+    0 epochs for the networks).
+    """
+
+    C: float = 1.0
+    epsilon: float = 0.1
+    gamma_rbf: float = DEFAULT_GAMMA
+    max_passes: int = 200
+    tol: float = 1e-3
+
+    def __post_init__(self):
+        C, epsilon, gamma_rbf = self.C, self.epsilon, self.gamma_rbf
+        if not (C > 0 and epsilon >= 0 and gamma_rbf > 0):  # the negated form also rejects a nan
+            raise ValueError(
+                f"need C > 0, epsilon >= 0 and gamma_rbf > 0, "
+                f"got C={C!r}, epsilon={epsilon!r}, gamma_rbf={gamma_rbf!r}"
+            )
+        if self.max_passes < 0:
+            raise ValueError(f"need max_passes >= 0, got {self.max_passes!r}")
 
 
 def _dual_objective(beta: np.ndarray, F: np.ndarray, y: np.ndarray, epsilon: float) -> float:
@@ -144,16 +161,8 @@ def _recover_bias(
     return 0.5 * (low + high)
 
 
-def fit_svr(
-    X: np.ndarray,
-    y: np.ndarray,
-    C: float = 1.0,
-    epsilon: float = 0.1,
-    gamma_rbf: float = DEFAULT_GAMMA,
-    max_passes: int = 200,
-    tol: float = 1e-3,
-) -> SvrModel:
-    """Train by maximal-violating-pair updates.
+def fit_svr(X: np.ndarray, y: np.ndarray, **params: float) -> SvrModel:
+    """Train by maximal-violating-pair updates; ``params`` are ``SvrParams`` fields.
 
     A pass is n pair updates; the model is returned flagged unconverged when
     KKT violations still exceed ``tol`` after ``max_passes`` passes.
@@ -162,7 +171,8 @@ def fit_svr(
     y = np.asarray(y, dtype=float)
     if y.size == 0:
         raise EmptyTrainError("SVR needs a nonempty training set")
-    _check_hyperparameters(C, epsilon, gamma_rbf)
+    p = SvrParams(**params)
+    C, epsilon, gamma_rbf = p.C, p.epsilon, p.gamma_rbf
     n = y.size
     x_mean = X.mean(axis=0)
     x_scale = X.std(axis=0)
@@ -178,7 +188,7 @@ def fit_svr(
     converged = False
     n_updates = 0
     history = [_dual_objective(beta, F, ys, epsilon)]
-    for _ in range(max_passes):
+    for _ in range(p.max_passes):
         stalled = False
         for _ in range(n):
             resid = ys - F
@@ -191,7 +201,7 @@ def fit_svr(
                 break
             i = int(np.where(can_up, g_up, -np.inf).argmax())
             j = int(np.where(can_dn, g_dn, np.inf).argmin())
-            if g_up[i] - g_dn[j] <= tol:
+            if g_up[i] - g_dn[j] <= p.tol:
                 converged = True
                 break
             delta = _solve_pair(
@@ -240,33 +250,13 @@ class SvrPredictor(Predictor):
 
     model_kind = "svr"
 
-    def __init__(
-        self,
-        C: float = 1.0,
-        epsilon: float = 0.1,
-        gamma_rbf: float = DEFAULT_GAMMA,
-        max_passes: int = 200,
-        tol: float = 1e-3,
-    ):
+    def __init__(self, **params: float):
         super().__init__()
-        _check_hyperparameters(C, epsilon, gamma_rbf)
-        self.C = C
-        self.epsilon = epsilon
-        self.gamma_rbf = gamma_rbf
-        self.max_passes = max_passes
-        self.tol = tol
+        self.params = SvrParams(**params)
         self.model: SvrModel | None = None
 
     def _fit(self, train: Dataset, y: np.ndarray) -> None:
-        self.model = fit_svr(
-            train.features_matrix,
-            y,
-            C=self.C,
-            epsilon=self.epsilon,
-            gamma_rbf=self.gamma_rbf,
-            max_passes=self.max_passes,
-            tol=self.tol,
-        )
+        self.model = fit_svr(train.features_matrix, y, **asdict(self.params))
 
     def _predict_batch(self, X: np.ndarray) -> np.ndarray:
         # one kernel row per query: a batched kernel matrix differs in the last bits

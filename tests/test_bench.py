@@ -158,6 +158,7 @@ BAD_HYPERPARAMETERS = [
     ("regularized_boosting", {"gamma": "nan"}),
     ("dnn", {"learning_rate": "nan"}),
     ("plain_mlp", {"learning_rate": "nan"}),
+    ("svr", {"max_passes": "-3"}),
 ]
 
 
