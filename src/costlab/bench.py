@@ -54,8 +54,8 @@ class BenchConfig:
             raise ConfigError(f"[data] source must be 'synthesize' or 'csv', got {self.source!r}")
         if self.n < 1:
             raise ConfigError(f"[data] n must be >= 1, got {self.n}")
-        if not self.noise_pct >= 0:  # the negated form also rejects a nan
-            raise ConfigError(f"[data] noise_pct must be >= 0, got {self.noise_pct}")
+        if not 0 <= self.noise_pct < float("inf"):  # the negated form also rejects a nan
+            raise ConfigError(f"[data] noise_pct must be finite and >= 0, got {self.noise_pct}")
         if self.source == "csv":
             if self.csv_path is None:
                 raise ConfigError("[data] source = csv requires a path")

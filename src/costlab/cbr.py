@@ -8,6 +8,7 @@ cases; the default k=1 is pure reuse of the best case.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -26,30 +27,19 @@ from .errors import (
 DEFAULT_WEIGHTS = (1.0, 1.0, 1.0, 1.0)
 
 
-def attribute_similarity(av_new: float, av_retrieved: float) -> float:
-    """min/max similarity of two nonnegative attribute values."""
-    if av_new < 0 or av_retrieved < 0:
-        raise NegativeAttributeError(
-            f"attribute values must be nonnegative, got ({av_new}, {av_retrieved})"
-        )
-    if av_new == 0.0 and av_retrieved == 0.0:
-        return 1.0
-    lo, hi = min(av_new, av_retrieved), max(av_new, av_retrieved)
-    return lo / hi
+def _attribute_similarities(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise min/max of nonnegative values; 1 where both are zero."""
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    with np.errstate(invalid="ignore"):  # 0/0 where both are zero
+        return np.where(hi == 0.0, 1.0, lo / hi)
 
 
 def case_similarity(
-    new: FeatureVector,
-    stored: FeatureVector | np.ndarray,
-    weights: Sequence[float] = DEFAULT_WEIGHTS,
-) -> float | np.ndarray:
-    """Weighted average of the four attribute similarities.
-
-    ``stored`` is one case or an (m, 4) matrix of cases; a matrix gives the m
-    similarities, each bit-identical to the one-case form.
-    """
-    one = isinstance(stored, FeatureVector)
-    b = stored.to_array() if one else np.asarray(stored, dtype=float)
+    new: FeatureVector, stored: np.ndarray, weights: Sequence[float] = DEFAULT_WEIGHTS
+) -> np.ndarray:
+    """Weighted average of the four attribute similarities to each of the (m, 4)
+    stored cases; bit-identical to the scalar oracle in ``tests/oracles.py``."""
+    b = np.asarray(stored, dtype=float)
     if new.has_missing or np.isnan(b).any():
         raise UnsupportedMissingError("case similarity requires complete feature vectors")
     total_weight = float(sum(weights))
@@ -58,14 +48,11 @@ def case_similarity(
     a = new.to_array()
     if (a < 0).any() or (b < 0).any():
         raise NegativeAttributeError("attribute values must be nonnegative")
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    with np.errstate(invalid="ignore"):  # 0/0 where both are zero
-        sims = np.where(hi == 0.0, 1.0, lo / hi)
+    sims = _attribute_similarities(a, b)
     score = 0.0
     for j, w in enumerate(weights):
-        score = score + w * sims[..., j]
-    score = score / total_weight
-    return float(score) if one else score
+        score = score + w * sims[:, j]
+    return score / total_weight
 
 
 @dataclass(frozen=True)
@@ -94,16 +81,18 @@ class CaseBase:
         ranks = {case_id: r for r, case_id in enumerate(sorted({c.id for c in self.cases}))}
         return np.array([ranks[case.id] for case in self.cases])
 
-    def retain(self, record: ProjectRecord) -> "CaseBase":
-        """New case base with one solved case appended."""
-        return CaseBase(self.cases + (record,), self.attribute_weights)
-
 
 @dataclass(frozen=True)
 class RetrievalResult:
     best_case: ProjectRecord
     case_similarity: float
-    per_attribute: tuple[float, float, float, float]
+    query: FeatureVector
+
+    @cached_property
+    def per_attribute(self) -> tuple[float, float, float, float]:
+        """Attribute similarities of the query to the best case, computed when read."""
+        sims = _attribute_similarities(self.query.to_array(), self.best_case.features.to_array())
+        return tuple(float(s) for s in sims)
 
 
 def retrieve_and_predict(
@@ -127,11 +116,7 @@ def retrieve_and_predict(
     else:
         cost = sum(case.cost_le for _, case in top) / len(top)
     best_sim, best_case = top[0]
-    per_attr = tuple(
-        attribute_similarity(a, b)
-        for a, b in zip(x.as_tuple(), best_case.features.as_tuple())
-    )
-    return cost, RetrievalResult(best_case, best_sim, per_attr)
+    return cost, RetrievalResult(best_case, best_sim, x)
 
 
 class CbrPredictor(Predictor):
@@ -144,12 +129,15 @@ class CbrPredictor(Predictor):
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         self.k = k
-        self.attribute_weights = tuple(float(w) for w in attribute_weights)
-        if len(self.attribute_weights) != N_FEATURES or not sum(self.attribute_weights) > 0:
+        weights = tuple(float(w) for w in attribute_weights)
+        if len(weights) != N_FEATURES or not (
+            all(0.0 <= w < math.inf for w in weights) and sum(weights) > 0
+        ):  # the comparisons also reject a nan
             raise ValueError(
-                f"need {N_FEATURES} attribute weights with a positive sum, "
-                f"got {self.attribute_weights}"
+                f"need {N_FEATURES} finite, nonnegative attribute weights with a positive sum, "
+                f"got {weights}"
             )
+        self.attribute_weights = weights
         self.case_base: CaseBase | None = None
 
     def _fit(self, train: Dataset, y: np.ndarray) -> None:

@@ -121,14 +121,6 @@ def bootstrap_indices(n: int, rng: np.random.Generator) -> np.ndarray:
     return rng.integers(0, n, size=n)
 
 
-def bootstrap_sample(train: Dataset, rng: np.random.Generator) -> tuple[Dataset, np.ndarray]:
-    """Bootstrap replica of the training set plus the drawn indices."""
-    if len(train) == 0:
-        raise EmptyTrainError("cannot bootstrap an empty dataset")
-    indices = bootstrap_indices(len(train), rng)
-    return train.subset(indices), indices
-
-
 def _check_nonempty(y: np.ndarray) -> None:
     if y.size == 0:
         raise EmptyTrainError("empty training set")

@@ -49,19 +49,9 @@ class TriangularMF:
             )
 
 
-def membership(mf: TriangularMF, x: float) -> float:
-    """Piecewise-linear membership degree in [0, 1]."""
-    if x < mf.left or x > mf.right:
-        return 0.0
-    if x == mf.peak:
-        return 1.0
-    if x < mf.peak:
-        return (x - mf.left) / (mf.peak - mf.left)
-    return (mf.right - x) / (mf.right - mf.peak)
-
-
 def membership_grid(mf: TriangularMF, xs: np.ndarray) -> np.ndarray:
-    """Vectorized membership; bit-identical to the scalar form per point."""
+    """Membership degree in [0, 1] per point, bit-identical to the scalar oracle
+    ``membership`` in ``tests/oracles.py``."""
     xs = np.asarray(xs, dtype=float)
     out = np.zeros(xs.shape, dtype=float)
     if mf.peak > mf.left:
@@ -179,16 +169,6 @@ class RuleBase:
         return np.array([r.consequent for r in self.rules], dtype=int)
 
 
-def fire_rule(rule_base: RuleBase, rule: FuzzyRule, x: FeatureVector) -> float:
-    """min-AND firing strength of one rule at a crisp input."""
-    if x.has_missing:
-        raise UnsupportedMissingError("fuzzy inference requires complete feature vectors")
-    strength = 1.0
-    for var, mf_index, value in zip(rule_base.input_vars, rule.antecedent, x.as_tuple()):
-        strength = min(strength, membership(var.mfs[mf_index - 1], value))
-    return strength
-
-
 @dataclass(frozen=True)
 class InferenceResult:
     value: float
@@ -205,7 +185,8 @@ class FuzzyEngine:
     """Vectorized inference for a fixed variable set and output grid.
 
     All inference in the package routes through this class so that scalar
-    calls and batched calls produce identical floating-point results.
+    calls and batched calls produce identical floating-point results; the
+    scalar ``membership`` and ``fire_rule`` are oracles in ``tests/oracles.py``.
     """
 
     def __init__(
@@ -283,18 +264,14 @@ def engine_for(rule_base: RuleBase, samples: int = DEFAULT_SAMPLES) -> FuzzyEngi
     return _engine_for(rule_base.input_vars, rule_base.output_var, samples)
 
 
-def infer(rule_base: RuleBase, x: FeatureVector, samples: int = DEFAULT_SAMPLES) -> float:
-    """Crisp cost for one input; raises NO_RULE_FIRES when nothing fires."""
-    return infer_detail(rule_base, x, samples=samples).value
-
-
 def infer_detail(
     rule_base: RuleBase,
     x: FeatureVector,
     samples: int = DEFAULT_SAMPLES,
     fallback: float | None = None,
 ) -> InferenceResult:
-    """Inference with the fired-rule trace and the degraded-fallback flag."""
+    """Crisp cost with the fired-rule trace and the degraded-fallback flag;
+    without a fallback, raises NO_RULE_FIRES when nothing fires."""
     if x.has_missing:
         raise UnsupportedMissingError("fuzzy inference requires complete feature vectors")
     engine = engine_for(rule_base, samples)

@@ -176,28 +176,6 @@ class _PopulationEvaluator:
         return rule_base, fitness_pct
 
 
-def decode_population(
-    population: Sequence[Chromosome],
-    train: Dataset,
-    variables: tuple[tuple[FuzzyVariable, ...], FuzzyVariable] | None = None,
-    samples: int = DEFAULT_SAMPLES,
-) -> RuleBase:
-    """Prune duplicates, resolve conflicts, and return the decoded rule base."""
-    rule_base, _ = _PopulationEvaluator(train, variables, samples).decode_and_fitness(population)
-    return rule_base
-
-
-def fitness(
-    population: Sequence[Chromosome],
-    train: Dataset,
-    variables: tuple[tuple[FuzzyVariable, ...], FuzzyVariable] | None = None,
-    samples: int = DEFAULT_SAMPLES,
-) -> float:
-    """Training MAPE of the decoded rule base (fallback cases included)."""
-    _, fit = _PopulationEvaluator(train, variables, samples).decode_and_fitness(population)
-    return fit
-
-
 def _tournament(
     population: Sequence[Chromosome], rng: np.random.Generator
 ) -> Chromosome:

@@ -22,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .core import Predictor, TargetTransform
-from .data import Dataset, FeatureVector, GENERATOR_COEFFS, GENERATOR_INTERCEPT
+from .data import Dataset, GENERATOR_COEFFS, GENERATOR_INTERCEPT
 from .errors import (
     NegativeSqrtDomainError,
     NonconvergenceError,
@@ -108,14 +108,19 @@ class LinearModel:
 def fit_ols(train: Dataset, transform: LinearTransform) -> LinearModel:
     """Least-squares fit in the transformed target space.
 
-    Solved via SVD (rank-revealing); a condition number above 1e10 on the
-    design matrix is rejected as rank deficient.
+    Solved via SVD (rank-revealing); fewer rows than the design's columns, or
+    a condition number above 1e10, is rejected as rank deficient.
     """
     if train.has_missing_features:
         raise UnsupportedMissingError("OLS cannot train on missing feature values")
     z = transform.forward(train.targets)
     X = train.features_matrix
     design = np.hstack([np.ones((len(train), 1)), X])
+    if design.shape[0] < design.shape[1]:
+        # the SVD then returns only n singular values, hiding the zero ones
+        raise RankDeficientError(
+            f"{design.shape[0]} training rows cannot fit {design.shape[1]} parameters"
+        )
     singular = np.linalg.svd(design, compute_uv=False)
     smallest = singular[-1]
     cond = math.inf if smallest == 0 else float(singular[0] / smallest)
@@ -130,13 +135,6 @@ def fit_ols(train: Dataset, transform: LinearTransform) -> LinearModel:
         transform=transform,
         condition_number=cond,
     )
-
-
-def predict_linear(model: LinearModel, x: FeatureVector) -> float:
-    """Inverse-transformed model output for one feature vector."""
-    if x.has_missing:
-        raise UnsupportedMissingError("linear model cannot handle missing features")
-    return float(model.predict(x.to_array()[None, :])[0])
 
 
 def reference_model() -> LinearModel:

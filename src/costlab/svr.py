@@ -26,12 +26,6 @@ DEFAULT_GAMMA = 1.0 / N_FEATURES
 _FREE_TOL = 1e-8
 
 
-def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma_rbf: float) -> float:
-    """exp(-gamma * squared distance); 1 at zero distance."""
-    diff = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-    return math.exp(-gamma_rbf * float(diff @ diff))
-
-
 def kernel_matrix(A: np.ndarray, B: np.ndarray, gamma_rbf: float) -> np.ndarray:
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -58,10 +52,6 @@ class SvrModel:
     converged: bool
     n_updates: int
     objective_history: list[float]
-
-    @property
-    def support_mask(self) -> np.ndarray:
-        return np.abs(self.beta) > _FREE_TOL
 
 
 def _pair_objective_delta(
@@ -117,7 +107,7 @@ class SvrParams:
     """The trainer's hyperparameters, checked when built.
 
     ``max_passes`` 0 is allowed, as the degenerate zero-coefficient model (like
-    0 epochs for the networks).
+    0 epochs for the networks), and so is ``C = inf``, the hard-margin bound.
     """
 
     C: float = 1.0
@@ -128,9 +118,10 @@ class SvrParams:
 
     def __post_init__(self):
         C, epsilon, gamma_rbf = self.C, self.epsilon, self.gamma_rbf
-        if not (C > 0 and epsilon >= 0 and gamma_rbf > 0):  # the negated form also rejects a nan
+        # the negated form also rejects a nan
+        if not (C > 0 and 0 <= epsilon < math.inf and 0 < gamma_rbf < math.inf):
             raise ValueError(
-                f"need C > 0, epsilon >= 0 and gamma_rbf > 0, "
+                f"need C > 0, finite epsilon >= 0 and finite gamma_rbf > 0, "
                 f"got C={C!r}, epsilon={epsilon!r}, gamma_rbf={gamma_rbf!r}"
             )
         if self.max_passes < 0:

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 from conftest import random_dataset
+from oracles import fire_rule, membership, scalar_case_similarity
 from costlab.bench import BenchConfig, run_bench, write_outputs
 from costlab.cart import best_split
-from costlab.cbr import CaseBase, case_similarity, retrieve_and_predict
+from costlab.cbr import CaseBase, retrieve_and_predict
 from costlab.core import evaluate
 from costlab.data import (
     Dataset,
@@ -29,9 +30,7 @@ from costlab.fuzzy import (
     FuzzyRule,
     RuleBase,
     default_variable,
-    fire_rule,
-    infer,
-    membership,
+    infer_detail,
     membership_grid,
 )
 from costlab.genetic_fuzzy import Chromosome, GAConfig, crossover, evolve, mutate
@@ -231,7 +230,7 @@ def test_criterion_07_fuzzy_centroid_oracle():
             seen.add(ant)
             rules.append(FuzzyRule(ant, int(rng.integers(1, 8))))
         rb = RuleBase(tuple(rules), in_vars, out_var)
-        got = infer(rb, x)
+        got = infer_detail(rb, x).value
         grid = np.linspace(lo, hi, 100001)
         agg = np.zeros_like(grid)
         for rule in rules:
@@ -249,7 +248,9 @@ def test_criterion_07_fuzzy_centroid_oracle():
     for consequent in (2, 3, 4, 5, 6):  # interior, symmetric MFs
         rb = RuleBase((FuzzyRule((2, 2, 2, 2), consequent),), in_vars, out_var)
         x = FeatureVector(*[10.0 / 6.0] * 4)
-        assert infer(rb, x) == pytest.approx(out_var.mfs[consequent - 1].peak, abs=step)
+        assert infer_detail(rb, x).value == pytest.approx(
+            out_var.mfs[consequent - 1].peak, abs=step
+        )
     elapsed = time.time() - started
     assert elapsed < 10.0
     _report(7, f"centroids within 0.1% of the 100k-sample oracle ({elapsed:.1f}s)")
@@ -309,7 +310,7 @@ def test_criterion_09_cbr_exactness():
             float(rng.uniform(2010, 2015)),
         )
         _, result = retrieve_and_predict(base, query, k=1)
-        scan_best = max(case_similarity(query, c.features) for c in base.cases)
+        scan_best = max(scalar_case_similarity(query, c.features) for c in base.cases)
         assert result.case_similarity == pytest.approx(scan_best, rel=1e-12)
     elapsed = time.time() - started
     assert elapsed < 1.0

@@ -159,6 +159,10 @@ BAD_HYPERPARAMETERS = [
     ("dnn", {"learning_rate": "nan"}),
     ("plain_mlp", {"learning_rate": "nan"}),
     ("svr", {"max_passes": "-3"}),
+    ("cbr", {"weights": "inf,1,1,1"}),
+    ("cbr", {"weights": "-1,1,1,1"}),
+    ("svr", {"gamma_rbf": "inf"}),
+    ("svr", {"epsilon": "inf"}),
 ]
 
 
@@ -186,6 +190,7 @@ class TestBadHyperparameters:
             "[models]\nenabled = bagging\n\n[model.bagging]\nn_members = 0\n",
             "[data]\nn = 0\n",
             "[data]\nnoise_pct = -1\n",
+            "[data]\nnoise_pct = inf\n",
             "[models]\nenabled = cart, cart\n",
             "[split]\ntrain_fraction = nan\n",
             "[split]\ntrain_fraction = 0\n",
@@ -199,6 +204,7 @@ class TestBadHyperparameters:
             "bagging_n_members",
             "data_n",
             "data_noise_pct",
+            "data_noise_pct_inf",
             "models_duplicate",
             "split_train_fraction_nan",
             "split_train_fraction_zero",

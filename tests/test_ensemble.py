@@ -4,14 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_dataset
 from costlab.cart import LEAF, TreeParams, grow, predict_tree
 from costlab.ensemble import (
     BoostConfig,
     CombineRule,
     ForestConfig,
     bootstrap_indices,
-    bootstrap_sample,
     fit_adaboost_r2,
     fit_bagging,
     fit_extra_trees,
@@ -53,12 +51,6 @@ class TestBootstrap:
             len(np.unique(bootstrap_indices(1000, rng))) / 1000.0 for _ in range(200)
         ]
         assert float(np.mean(fractions)) == pytest.approx(0.632, abs=0.03)
-
-    def test_dataset_wrapper_records_indices(self):
-        train = random_dataset(12, seed=2)
-        sample, indices = bootstrap_sample(train, np.random.default_rng(4))
-        assert len(sample) == 12
-        assert sample.ids == tuple(train.ids[i] for i in indices)
 
 
 class TestWeightedMedian:

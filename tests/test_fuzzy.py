@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset, random_dataset
+from oracles import fire_rule, membership
 from costlab.data import FeatureVector
 from costlab.errors import NoRuleFiresError, ParseError, RuleConflictError, UnsupportedMissingError
 from costlab.fuzzy import (
@@ -12,10 +13,7 @@ from costlab.fuzzy import (
     TriangularMF,
     default_variable,
     derive_rule_base,
-    fire_rule,
-    infer,
     infer_detail,
-    membership,
     membership_grid,
     rules_from_text,
     rules_to_text,
@@ -144,7 +142,7 @@ class TestInfer:
         x = FeatureVector(*[10.0 / 6.0] * 4)
         peak = rb.output_var.mfs[3].peak
         step = (rb.output_var.hi - rb.output_var.lo) / 1000
-        assert infer(rb, x) == pytest.approx(peak, abs=step)
+        assert infer_detail(rb, x).value == pytest.approx(peak, abs=step)
 
     def test_symmetric_half_strength_returns_peak(self):
         # fire the rule at 0.5: clipped symmetric trapezoid keeps its center
@@ -154,7 +152,7 @@ class TestInfer:
         assert strength == pytest.approx(0.5, abs=1e-9)
         peak = rb.output_var.mfs[3].peak
         step = (rb.output_var.hi - rb.output_var.lo) / 1000
-        assert infer(rb, x) == pytest.approx(peak, abs=2 * step)
+        assert infer_detail(rb, x).value == pytest.approx(peak, abs=2 * step)
 
     def test_two_rule_case_matches_fine_grid_oracle(self):
         rng = np.random.default_rng(1)
@@ -177,7 +175,7 @@ class TestInfer:
                 seen.add(ant)
                 rules.append(FuzzyRule(ant, int(rng.integers(1, 8))))
             rb = RuleBase(tuple(rules), in_vars, out_var)
-            got = infer(rb, x)
+            got = infer_detail(rb, x).value
             grid = np.linspace(lo, hi, 100001)
             agg = np.zeros_like(grid)
             for r in rules:
@@ -195,7 +193,7 @@ class TestInfer:
         for _ in range(50):
             x = FeatureVector(*rng.uniform(0, 10, 4).tolist())
             try:
-                value = infer(rb, x)
+                value = infer_detail(rb, x).value
             except NoRuleFiresError:
                 continue
             assert 100.0 <= value <= 900.0
@@ -211,17 +209,18 @@ class TestInfer:
         x2 = 10.0 / 6.0
         for p1 in np.linspace(0.3, x2, 8):
             # moving p1 toward MF2's peak strengthens the second rule
-            value = infer(rb, FeatureVector(float(p1), 0.0, 0.0, 0.0001))
+            value = infer_detail(rb, FeatureVector(float(p1), 0.0, 0.0, 0.0001)).value
             if previous is not None:
                 assert value >= previous - 1e-9
             previous = value
-        assert abs(previous - peak_high) < abs(infer(rb, FeatureVector(0.3, 0.0, 0.0, 0.0001)) - peak_high)
+        start = infer_detail(rb, FeatureVector(0.3, 0.0, 0.0, 0.0001)).value
+        assert abs(previous - peak_high) < abs(start - peak_high)
 
     def test_no_rule_fires_raises_without_fallback(self):
         rb = simple_rule_base([FuzzyRule((7, 7, 7, 7), 4)])
         x = FeatureVector(0.0, 0.0, 0.0, 0.0001)
         with pytest.raises(NoRuleFiresError):
-            infer(rb, x)
+            infer_detail(rb, x).value
 
     def test_fallback_flags_degraded(self):
         rb = simple_rule_base([FuzzyRule((7, 7, 7, 7), 4)])

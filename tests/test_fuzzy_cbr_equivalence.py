@@ -4,15 +4,16 @@
 clipping, ``FuzzyEngine.input_memberships`` evaluates every membership
 function in one broadcast, ``case_similarity`` scores a whole case matrix
 and ``retrieve_and_predict`` ranks it with a lexsort. Each must agree with
-the straightforward form, kept here as the oracle, bit for bit.
+the straightforward form, kept here or in ``oracles.py`` as the oracle, bit
+for bit.
 """
 
 import numpy as np
 import pytest
 
+from oracles import attribute_similarity, scalar_case_similarity
 from costlab.cbr import (
     CaseBase,
-    attribute_similarity,
     case_similarity,
     retrieve_and_predict,
 )
@@ -179,13 +180,6 @@ def test_fired_rules_are_sorted_strongest_first_with_ties_in_rule_order():
 # -- case-based reasoning -------------------------------------------------------
 
 
-def scalar_case_similarity(new, stored, weights):
-    score = 0.0
-    for w, a, b in zip(weights, new.as_tuple(), stored.as_tuple()):
-        score += w * attribute_similarity(a, b)
-    return score / float(sum(weights))
-
-
 def _feature_rows(rng, n):
     rows = np.column_stack(
         [
@@ -216,10 +210,10 @@ def test_case_similarity_matrix_matches_the_scalar_loop(weights):
 def test_case_similarity_of_two_vectors_is_a_float():
     a = FeatureVector(0.0, 10.0, 0.0, 2012.0)
     b = FeatureVector(0.0, 20.0, 3.0, 2012.0)
-    sim = case_similarity(a, b, (2.0, 1.0, 0.5, 1.0))
+    sim = float(case_similarity(a, [b.to_array()], (2.0, 1.0, 0.5, 1.0))[0])
     assert type(sim) is float
     assert sim == scalar_case_similarity(a, b, (2.0, 1.0, 0.5, 1.0))
-    assert case_similarity(a, a) == 1.0  # zero-zero attributes are identical
+    assert case_similarity(a, [a.to_array()])[0] == 1.0  # zero-zero attributes are identical
 
 
 def brute_force_retrieval(case_base, x, k):

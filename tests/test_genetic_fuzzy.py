@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset, random_dataset
+from oracles import decode_and_fitness
 from costlab.data import synthesize
 from costlab.errors import EmptyTrainError
 from costlab.fuzzy import infer_detail
@@ -9,9 +10,7 @@ from costlab.genetic_fuzzy import (
     Chromosome,
     GAConfig,
     crossover,
-    decode_population,
     evolve,
-    fitness,
     mutate,
     random_chromosome,
 )
@@ -105,7 +104,7 @@ class TestFitness:
         # the clipped centroid lands on the target; verify consistency instead
         train = random_dataset(5, seed=0, noise=0.3)
         population = [Chromosome((1, 1, 1, 1, 1)), Chromosome((4, 4, 4, 4, 4))]
-        value = fitness(population, train)
+        _, value = decode_and_fitness(population, train)
         assert value >= 0.0
 
     def test_matches_independent_reimplementation(self):
@@ -115,8 +114,7 @@ class TestFitness:
             Chromosome((4, 4, 4, 4, 5)),
             Chromosome((7, 6, 7, 6, 1)),
         ]
-        got = fitness(population, train)
-        rule_base = decode_population(population, train)
+        rule_base, got = decode_and_fitness(population, train)
         fallback = float(np.mean(train.targets))
         predictions = [
             infer_detail(rule_base, rec.features, fallback=fallback).value for rec in train
@@ -128,13 +126,13 @@ class TestFitness:
         train = random_dataset(6, seed=3, noise=0.2)
         pop_a = [Chromosome((1, 2, 3, 4, 5)), Chromosome((1, 2, 3, 4, 5))]
         pop_b = [Chromosome((1, 2, 3, 4, 5))]
-        assert fitness(pop_a, train) == fitness(pop_b, train)
+        assert decode_and_fitness(pop_a, train)[1] == decode_and_fitness(pop_b, train)[1]
 
     def test_empty_train_rejected(self):
         from costlab.data import Dataset
 
         with pytest.raises(EmptyTrainError):
-            fitness([Chromosome((1, 2, 3, 4, 5))], Dataset([]))
+            decode_and_fitness([Chromosome((1, 2, 3, 4, 5))], Dataset([]))
 
 
 class TestDecode:
@@ -142,7 +140,7 @@ class TestDecode:
         train = random_dataset(8, seed=4, noise=0.2)
         rng = np.random.default_rng(5)
         population = [random_chromosome(rng) for _ in range(63)]
-        rule_base = decode_population(population, train)
+        rule_base, _ = decode_and_fitness(population, train)
         pairs = [(r.antecedent, r.consequent) for r in rule_base.rules]
         assert len(pairs) == len(set(pairs))
         antecedents = [r.antecedent for r in rule_base.rules]
@@ -152,7 +150,7 @@ class TestDecode:
         train = random_dataset(8, seed=6, noise=0.2)
         rng = np.random.default_rng(7)
         population = [random_chromosome(rng) for _ in range(200)]
-        rule_base = decode_population(population, train)
+        rule_base, _ = decode_and_fitness(population, train)
         assert len({r.antecedent for r in rule_base.rules}) <= min(200, 7**4)
 
     def test_conflict_resolved_by_solo_error(self):
@@ -171,7 +169,7 @@ class TestDecode:
         y = np.array([1000.0, 1010.0, 1005.0, 1002.0, 1008.0, 9000.0])
         train = make_dataset(X, y)
         population = [Chromosome((1, 1, 1, 1, 7)), Chromosome((1, 1, 1, 1, 1))]
-        rule_base = decode_population(population, train)
+        rule_base, _ = decode_and_fitness(population, train)
         winners = {r.antecedent: r.consequent for r in rule_base.rules}
         assert winners[(1, 1, 1, 1)] == 1
 

@@ -10,14 +10,14 @@ from costlab.errors import (
     TransformDomainError,
 )
 from costlab.regression import (
+    FrozenQuadraticPredictor,
     LinearModel,
     LinearTransform,
     fit_ols,
-    predict_linear,
     reference_model,
 )
 
-X_PROBE = FeatureVector(100.0, 1000.0, 10.0, 2013.0)
+X_PROBE = np.array([[100.0, 1000.0, 10.0, 2013.0]])
 
 
 class TestReferenceModel:
@@ -28,11 +28,11 @@ class TestReferenceModel:
         assert m.transform is LinearTransform.SQRT
 
     def test_documented_prediction(self):
-        assert predict_linear(reference_model(), X_PROBE) == pytest.approx(655552.554, abs=0.5)
+        assert reference_model().predict(X_PROBE)[0] == pytest.approx(655552.554, abs=0.5)
 
     def test_all_zero_input_hits_negative_sqrt_domain(self):
         with pytest.raises(NegativeSqrtDomainError):
-            predict_linear(reference_model(), FeatureVector(0.0, 0.0, 0.0, 0.001))
+            reference_model().predict(np.array([[0.0, 0.0, 0.0, 0.001]]))
 
 
 def _generated(transform, coeffs, intercept, n=80, seed=0):
@@ -87,6 +87,13 @@ class TestFitOls:
         with pytest.raises(RankDeficientError):
             fit_ols(train, LinearTransform.PLAIN)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_fewer_rows_than_parameters_is_rank_deficient(self, n):
+        # the SVD of an (n, 5) design has only n singular values, all nonzero here
+        train = random_dataset(n, seed=n)
+        with pytest.raises(RankDeficientError):
+            fit_ols(train, LinearTransform.PLAIN)
+
     def test_positivity_transforms_reject_nonpositive_targets(self):
         # bypass record validation by checking the transform directly
         for t in (LinearTransform.SQRT, LinearTransform.LOG, LinearTransform.RECIPROCAL):
@@ -120,32 +127,34 @@ class TestFitOls:
         for k, orig_idx in enumerate(perm):
             assert mp.coefficients[k] == pytest.approx(m.coefficients[orig_idx], rel=1e-9)
         probe = np.array([2000.0, 1990.0, 2010.0, 2020.0])
-        direct = predict_linear(m, FeatureVector(*probe))
-        permuted = predict_linear(mp, FeatureVector(*probe[perm]))
+        direct = m.predict(probe[None, :])[0]
+        permuted = mp.predict(probe[None, perm])[0]
         assert permuted == pytest.approx(direct, rel=1e-9)
 
 
 class TestPredictLinear:
     def test_semilog_zero_model_predicts_one(self):
         m = LinearModel(0.0, (0.0, 0.0, 0.0, 0.0), LinearTransform.LOG)
-        assert predict_linear(m, X_PROBE) == 1.0
+        assert m.predict(X_PROBE)[0] == 1.0
 
     def test_square_transform_negative_output_rejected(self):
         m = LinearModel(-10.0, (0.0, 0.0, 0.0, 0.0), LinearTransform.SQUARE)
         with pytest.raises(NegativeSqrtDomainError):
-            predict_linear(m, X_PROBE)
+            m.predict(X_PROBE)[0]
 
     def test_square_transform_inverts_by_root(self):
         m = LinearModel(655552.554244, (0.0, 0.0, 0.0, 0.0), LinearTransform.SQUARE)
-        assert predict_linear(m, X_PROBE) == pytest.approx(809.662, abs=1e-6)
+        assert m.predict(X_PROBE)[0] == pytest.approx(809.662, abs=1e-6)
 
     def test_reciprocal_zero_output_rejected(self):
         m = LinearModel(0.0, (0.0, 0.0, 0.0, 0.0), LinearTransform.RECIPROCAL)
         with pytest.raises(NonconvergenceError):
-            predict_linear(m, X_PROBE)
+            m.predict(X_PROBE)[0]
 
     def test_missing_slot_rejected(self):
         from costlab.errors import UnsupportedMissingError
 
         with pytest.raises(UnsupportedMissingError):
-            predict_linear(reference_model(), FeatureVector(1.0, None, 3.0, 2013.0))
+            FrozenQuadraticPredictor().fit(random_dataset(4, seed=0)).predict(
+                FeatureVector(1.0, None, 3.0, 2013.0)
+            )

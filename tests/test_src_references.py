@@ -1,0 +1,59 @@
+"""Every module-level function in the package has a caller in the package.
+
+A function that only tests call is a second implementation or a dead helper;
+a scalar reference the tests compare against belongs in ``tests/oracles.py``.
+A reference is a name, an attribute, an import alias or a string constant
+that is an identifier (``zoo`` looks up ``ensemble.fit_*`` by name).
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "costlab"
+
+
+def _referenced_names(node: ast.AST) -> set[str]:
+    names: set[str] = set()
+    for current in ast.walk(node):
+        if isinstance(current, ast.Name):
+            names.add(current.id)
+        elif isinstance(current, ast.Attribute):
+            names.add(current.attr)
+        elif isinstance(current, ast.alias):
+            names.update(filter(None, (current.name, current.asname)))
+        elif isinstance(current, ast.Constant) and isinstance(current.value, str):
+            if current.value.isidentifier():
+                names.add(current.value)
+    return names
+
+
+def unreferenced_functions(src: Path = SRC) -> list[str]:
+    """``module.function`` for each module-level function no other code names."""
+    modules = {
+        path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(src.glob("*.py"))
+    }
+    # the names each top-level statement refers to; a function's own body does not count
+    references = [
+        (stmt, _referenced_names(stmt)) for tree in modules.values() for stmt in tree.body
+    ]
+    return [
+        f"{module}.{fn.name}"
+        for module, tree in modules.items()
+        for fn in tree.body
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not any(fn.name in names for stmt, names in references if stmt is not fn)
+    ]
+
+
+def test_every_module_level_function_has_a_caller_in_src():
+    assert unreferenced_functions() == []
+
+
+def test_the_check_sees_an_uncalled_function(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import b\n\ndef used():\n    return b.helper()\n\n"
+        "def recursive(n):\n    return recursive(n - 1) if n else 0\n\n"
+        "def looked_up():\n    pass\n\nNAME = 'looked_up'\n"
+    )
+    (tmp_path / "b.py").write_text("from a import used as alias\n\ndef helper():\n    return 1\n")
+    assert unreferenced_functions(tmp_path) == ["a.recursive"]

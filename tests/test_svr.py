@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import random_dataset
+from oracles import rbf_kernel
 from costlab.errors import EmptyTrainError
 from costlab.svr import (
     SvrPredictor,
     fit_svr,
     kernel_matrix,
     predict_svr,
-    rbf_kernel,
 )
 
 
@@ -190,6 +190,12 @@ class TestSvrPredictor:
         train = random_dataset(30, seed=30, noise=0.05)
         p = SvrPredictor(max_passes=500).fit(train)
         assert math.isfinite(p.predict(train[0].features))
+
+    def test_unbounded_c_is_allowed(self):
+        # C = inf is the hard-margin bound; epsilon and gamma_rbf must be finite
+        train = random_dataset(30, seed=32, noise=0.05)
+        p = SvrPredictor(C=math.inf).fit(train)
+        assert np.isfinite(p.predict_many(train)).all()
 
     def test_smooth_single_feature_fit(self):
         # smooth function of one active driver: training MAPE within 10%
