@@ -34,6 +34,20 @@ def _attribute_similarities(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.where(hi == 0.0, 1.0, lo / hi)
 
 
+def check_weights(weights: Sequence[float]) -> tuple[float, ...]:
+    """The attribute weights as floats: four, each finite and >= 0, with a positive
+    sum. An all-zero set is ZERO_WEIGHT_SUM, any other breach a ValueError."""
+    checked = tuple(float(w) for w in weights)
+    valid = len(checked) == N_FEATURES and all(0.0 <= w < math.inf for w in checked)
+    if valid and sum(checked) > 0:  # the comparisons also reject a nan
+        return checked
+    error = ZeroWeightSumError if valid else ValueError
+    raise error(
+        f"need {N_FEATURES} finite, nonnegative attribute weights with a positive sum, "
+        f"got {checked}"
+    )
+
+
 def case_similarity(
     new: FeatureVector, stored: np.ndarray, weights: Sequence[float] = DEFAULT_WEIGHTS
 ) -> np.ndarray:
@@ -42,9 +56,7 @@ def case_similarity(
     b = np.asarray(stored, dtype=float)
     if new.has_missing or np.isnan(b).any():
         raise UnsupportedMissingError("case similarity requires complete feature vectors")
-    total_weight = float(sum(weights))
-    if total_weight <= 0:
-        raise ZeroWeightSumError("attribute weights must not sum to zero")
+    weights = check_weights(weights)
     a = new.to_array()
     if (a < 0).any() or (b < 0).any():
         raise NegativeAttributeError("attribute values must be nonnegative")
@@ -52,7 +64,7 @@ def case_similarity(
     score = 0.0
     for j, w in enumerate(weights):
         score = score + w * sims[:, j]
-    return score / total_weight
+    return score / sum(weights)
 
 
 @dataclass(frozen=True)
@@ -65,10 +77,7 @@ class CaseBase:
     def __post_init__(self):
         if not self.cases:
             raise ValueError("case base must be nonempty")
-        if len(self.attribute_weights) != N_FEATURES:
-            raise ValueError("expected one weight per attribute")
-        if sum(self.attribute_weights) <= 0:
-            raise ZeroWeightSumError("attribute weights must not sum to zero")
+        check_weights(self.attribute_weights)
 
     @cached_property
     def features(self) -> np.ndarray:
@@ -129,15 +138,7 @@ class CbrPredictor(Predictor):
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         self.k = k
-        weights = tuple(float(w) for w in attribute_weights)
-        if len(weights) != N_FEATURES or not (
-            all(0.0 <= w < math.inf for w in weights) and sum(weights) > 0
-        ):  # the comparisons also reject a nan
-            raise ValueError(
-                f"need {N_FEATURES} finite, nonnegative attribute weights with a positive sum, "
-                f"got {weights}"
-            )
-        self.attribute_weights = weights
+        self.attribute_weights = check_weights(attribute_weights)
         self.case_base: CaseBase | None = None
 
     def _fit(self, train: Dataset, y: np.ndarray) -> None:

@@ -1,9 +1,9 @@
 """Uniform model contract shared by every family in the zoo.
 
 A Predictor is fit once on a dataset and then predicts a cost for a feature
-vector. An optional target transform (sqrt or natural log) wraps any family:
-targets are transformed before the family-specific fit and the inverse is
-applied to every prediction. Fitted predictors are treated as immutable.
+vector. An optional target transform wraps any family: targets are
+transformed before the family-specific fit and the inverse is applied to
+every prediction. Fitted predictors are treated as immutable.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .errors import (
     AlreadyFittedError,
     EmptyTestError,
     EmptyTrainError,
+    NegativeSqrtDomainError,
     NonconvergenceError,
     NonpositiveTargetError,
     TransformDomainError,
@@ -32,30 +33,61 @@ DEFAULT_K_PREDICTORS = 4
 
 
 class TargetTransform(Enum):
-    """Invertible target-space change applied around a family's own fit."""
+    """Invertible target-space change applied around a family's own fit.
+
+    Each member changes the space a family is fit in and the inverse applied
+    to every prediction:
+
+        NONE         z = y          predict y = z
+        SQRT         z = sqrt(y)    predict y = z^2        (the "quadratic" model)
+        NATURAL_LOG  z = ln(y)      predict y = exp(z)     (semilog)
+        RECIPROCAL   z = 1/y        predict y = 1/z
+        SQUARE       z = y^2        predict y = sqrt(z)    (power-2)
+    """
 
     NONE = "none"
     SQRT = "sqrt"
     NATURAL_LOG = "natural_log"
+    RECIPROCAL = "reciprocal"
+    SQUARE = "square"
 
     def forward(self, y: np.ndarray) -> np.ndarray:
-        if self is TargetTransform.NONE:
-            return np.asarray(y, dtype=float)
         y = np.asarray(y, dtype=float)
+        if self is TargetTransform.NONE:
+            return y
+        if self is TargetTransform.SQUARE:
+            return y * y
         if np.any(y <= 0):
             raise TransformDomainError(
                 f"{self.value} transform requires strictly positive targets"
             )
-        return np.sqrt(y) if self is TargetTransform.SQRT else np.log(y)
+        if self is TargetTransform.SQRT:
+            return np.sqrt(y)
+        return np.log(y) if self is TargetTransform.NATURAL_LOG else 1.0 / y
 
     def inverse(self, z: np.ndarray) -> np.ndarray:
+        """Cost of every output; a negative root is reported only when every
+        earlier row is finite, as the caller reports the first non-finite row."""
         z = np.asarray(z, dtype=float)
         if self is TargetTransform.NONE:
             return z
-        if self is TargetTransform.SQRT:
-            return z * z
-        # math.exp per element: np.exp can differ from it in the last bit
-        return np.array([_exp(v) for v in z.ravel()]).reshape(z.shape)
+        if self is TargetTransform.NATURAL_LOG:
+            # math.exp per element: np.exp can differ from it in the last bit
+            return np.array([_exp(v) for v in z.ravel()]).reshape(z.shape)
+        if self is TargetTransform.RECIPROCAL:
+            with np.errstate(divide="ignore"):  # 1/0 is left to the finite check
+                return 1.0 / z
+        with np.errstate(invalid="ignore"):
+            out = z * z if self is TargetTransform.SQRT else np.sqrt(z)
+        negative = z < 0
+        if negative.any():
+            r = int(negative.argmax())
+            if np.isfinite(out[:r]).all():
+                space = "sqrt-space" if self is TargetTransform.SQRT else "squared-space"
+                raise NegativeSqrtDomainError(
+                    f"{space} output {float(z[r])!r} is negative; cost undefined"
+                )
+        return out
 
 
 def _exp(v: float) -> float:

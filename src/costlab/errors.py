@@ -119,7 +119,8 @@ class NegativeAttributeError(CostLabError):
     code = "NEGATIVE_ATTRIBUTE"
 
 
-class ZeroWeightSumError(CostLabError):
+class ZeroWeightSumError(CostLabError, ValueError):
+    # a ValueError too, so an all-zero [model.cbr] weights is a CONFIG_ERROR
     code = "ZERO_WEIGHT_SUM"
 
 

@@ -49,19 +49,18 @@ class TriangularMF:
             )
 
 
-def membership_grid(mf: TriangularMF, xs: np.ndarray) -> np.ndarray:
-    """Membership degree in [0, 1] per point, bit-identical to the scalar oracle
+def triangular_memberships(
+    x: np.ndarray, left: np.ndarray, peak: np.ndarray, right: np.ndarray
+) -> np.ndarray:
+    """Membership degree in [0, 1] of the points ``x`` in the triangles with these
+    breakpoints, all four broadcast together; bit-identical to the scalar oracle
     ``membership`` in ``tests/oracles.py``."""
-    xs = np.asarray(xs, dtype=float)
-    out = np.zeros(xs.shape, dtype=float)
-    if mf.peak > mf.left:
-        mask = (xs >= mf.left) & (xs < mf.peak)
-        out[mask] = (xs[mask] - mf.left) / (mf.peak - mf.left)
-    if mf.right > mf.peak:
-        mask = (xs > mf.peak) & (xs <= mf.right)
-        out[mask] = (mf.right - xs[mask]) / (mf.right - mf.peak)
-    out[xs == mf.peak] = 1.0
-    return out
+    with np.errstate(divide="ignore", invalid="ignore"):  # flat sides are never selected
+        rising = (x - left) / (peak - left)
+        falling = (right - x) / (right - peak)
+    out = np.where((x >= left) & (x < peak), rising, 0.0)
+    out = np.where((x > peak) & (x <= right), falling, out)
+    return np.where(x == peak, 1.0, out)
 
 
 @dataclass(frozen=True)
@@ -95,6 +94,11 @@ class FuzzyVariable:
 
     def __hash__(self) -> int:
         return self._hash
+
+    @cached_property
+    def breakpoints(self) -> np.ndarray:
+        """(3, 7) left, peak and right breakpoints of the membership functions."""
+        return np.array([[mf.left, mf.peak, mf.right] for mf in self.mfs]).T
 
     @cached_property
     def _hash(self) -> int:
@@ -202,25 +206,18 @@ class FuzzyEngine:
         self.grid = np.linspace(output_var.lo, output_var.hi, samples)
         self.step = (output_var.hi - output_var.lo) / (samples - 1)
         # (7, G) membership of each output MF on the grid
-        self.consequent_grid = np.stack(
-            [membership_grid(mf, self.grid) for mf in output_var.mfs]
+        self.consequent_grid = triangular_memberships(
+            self.grid, *output_var.breakpoints[:, :, None]
         )
         # (4, 7) left, peak and right breakpoints of every input MF
-        self.left, self.peak, self.right = (
-            np.array([[getattr(mf, name) for mf in var.mfs] for var in self.input_vars])
-            for name in ("left", "peak", "right")
+        self.left, self.peak, self.right = np.stack(
+            [var.breakpoints for var in self.input_vars], axis=1
         )
 
     def input_memberships(self, X: np.ndarray) -> np.ndarray:
-        """(n, 4) inputs -> (n, 4, 7) membership degrees, as ``membership_grid`` per MF."""
+        """(n, 4) inputs -> (n, 4, 7) membership degrees."""
         x = np.asarray(X, dtype=float)[:, :, None]
-        left, peak, right = self.left, self.peak, self.right
-        with np.errstate(divide="ignore", invalid="ignore"):  # flat sides are never selected
-            rising = (x - left) / (peak - left)
-            falling = (right - x) / (right - peak)
-        out = np.where((x >= left) & (x < peak), rising, 0.0)
-        out = np.where((x > peak) & (x <= right), falling, out)
-        return np.where(x == peak, 1.0, out)
+        return triangular_memberships(x, self.left, self.peak, self.right)
 
     def strengths(self, memberships: np.ndarray, antecedents: np.ndarray) -> np.ndarray:
         """(n, 4, 7) memberships and (R, 4) antecedents -> (n, R) firing strengths."""
@@ -328,9 +325,7 @@ def derive_rule_base(
     engine = _engine_for(tuple(input_vars), output_var, samples)
     memberships = engine.input_memberships(train.features_matrix)
     ant_indices = memberships.argmax(axis=2) + 1
-    out_memberships = np.stack(
-        [membership_grid(mf, train.targets) for mf in output_var.mfs], axis=1
-    )
+    out_memberships = triangular_memberships(train.targets[:, None], *output_var.breakpoints)
     cons_indices = out_memberships.argmax(axis=1) + 1
     strengths = np.min(
         np.take_along_axis(memberships, (ant_indices - 1)[:, :, None], axis=2)[:, :, 0],

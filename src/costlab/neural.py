@@ -26,7 +26,6 @@ class NetworkSpec:
 
     hidden: tuple[int, ...]
     activation: str = "tanh"
-    target_transform: TargetTransform = TargetTransform.NONE
     epochs: int = 3000
     learning_rate: float = 0.05
     momentum: float = 0.9
@@ -92,41 +91,36 @@ def _activate_deriv(z: np.ndarray, activation: str) -> np.ndarray:
     return np.ones_like(z)
 
 
-def forward(w: NetworkWeights, X: np.ndarray, activation: str = "tanh") -> np.ndarray:
-    """Batch forward pass; returns the identity-output column as a vector."""
-    a = np.atleast_2d(np.asarray(X, dtype=float))
+def _layers(w: NetworkWeights, X: np.ndarray, activation: str) -> tuple[list, list]:
+    """Pre-activations of every layer, and the activations with the (n, 4) input
+    first; the output layer is the identity."""
+    pre: list[np.ndarray] = []
+    activations = [np.atleast_2d(np.asarray(X, dtype=float))]
     last = len(w.weights) - 1
     for i, (W, b) in enumerate(zip(w.weights, w.biases)):
-        z = a @ W + b
-        a = z if i == last else _activate(z, activation)
-    return a[:, 0]
+        z = activations[-1] @ W + b
+        pre.append(z)
+        activations.append(z if i == last else _activate(z, activation))
+    return pre, activations
+
+
+def forward(w: NetworkWeights, X: np.ndarray, activation: str = "tanh") -> np.ndarray:
+    """Batch forward pass; returns the identity-output column as a vector."""
+    return _layers(w, X, activation)[1][-1][:, 0]
 
 
 def gradients(
     w: NetworkWeights, X: np.ndarray, targets: np.ndarray, activation: str = "tanh"
 ) -> tuple[list[np.ndarray], list[np.ndarray], float]:
     """Exact gradients of 0.5 * mean((output - target)^2) by backpropagation."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    targets = np.asarray(targets, dtype=float)
-    n = X.shape[0]
-    last = len(w.weights) - 1
-
-    pre: list[np.ndarray] = []
-    activations = [X]
-    a = X
-    for i, (W, b) in enumerate(zip(w.weights, w.biases)):
-        z = a @ W + b
-        pre.append(z)
-        a = z if i == last else _activate(z, activation)
-        activations.append(a)
-
-    err = activations[-1][:, 0] - targets
+    pre, activations = _layers(w, X, activation)
+    err = activations[-1][:, 0] - np.asarray(targets, dtype=float)
     loss = 0.5 * float(np.mean(err * err))
 
     grads_w = [np.zeros_like(W) for W in w.weights]
     grads_b = [np.zeros_like(b) for b in w.biases]
-    delta = (err / n)[:, None]
-    for i in range(last, -1, -1):
+    delta = (err / len(err))[:, None]
+    for i in reversed(range(len(pre))):
         grads_w[i] = activations[i].T @ delta
         grads_b[i] = delta.sum(axis=0)
         if i > 0:
@@ -162,8 +156,10 @@ def train_network(
 class NeuralPredictor(Predictor):
     """Zoo wrapper handling input and target scaling around the raw network."""
 
-    def __init__(self, spec: NetworkSpec, model_kind: str = "mlp"):
-        super().__init__(target_transform=spec.target_transform)
+    def __init__(
+        self, spec: NetworkSpec, model_kind: str, transform: TargetTransform = TargetTransform.NONE
+    ):
+        super().__init__(transform)
         self.spec = spec
         self.model_kind = model_kind
         self.net: NetworkWeights | None = None

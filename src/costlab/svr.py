@@ -132,17 +132,21 @@ def _dual_objective(beta: np.ndarray, F: np.ndarray, y: np.ndarray, epsilon: flo
     return float(-0.5 * beta @ F + y @ beta - epsilon * np.sum(np.abs(beta)))
 
 
+def _steps(beta: np.ndarray, resid: np.ndarray, C: float, epsilon: float) -> tuple:
+    """Each coefficient's gradient for a step up and for a step down, and whether
+    the box bound [-C, C] leaves it room to step up and to step down."""
+    g_up = np.where(beta >= 0, resid - epsilon, resid + epsilon)
+    g_dn = np.where(beta <= 0, resid + epsilon, resid - epsilon)
+    return g_up, g_dn, beta < C - _FREE_TOL, beta > -C + _FREE_TOL
+
+
 def _recover_bias(
     beta: np.ndarray, F: np.ndarray, y: np.ndarray, C: float, epsilon: float
 ) -> float:
     free = (np.abs(beta) > _FREE_TOL) & (np.abs(beta) < C - _FREE_TOL)
     if free.any():
         return float(np.mean(y[free] - F[free] - epsilon * np.sign(beta[free])))
-    resid = y - F
-    g_up = np.where(beta >= 0, resid - epsilon, resid + epsilon)
-    g_dn = np.where(beta <= 0, resid + epsilon, resid - epsilon)
-    can_up = beta < C - _FREE_TOL
-    can_dn = beta > -C + _FREE_TOL
+    g_up, g_dn, can_up, can_dn = _steps(beta, y - F, C, epsilon)
     low = float(g_up[can_up].max()) if can_up.any() else None
     high = float(g_dn[can_dn].min()) if can_dn.any() else None
     if low is None:
@@ -183,10 +187,7 @@ def fit_svr(X: np.ndarray, y: np.ndarray, **params: float) -> SvrModel:
         stalled = False
         for _ in range(n):
             resid = ys - F
-            g_up = np.where(beta >= 0, resid - epsilon, resid + epsilon)
-            g_dn = np.where(beta <= 0, resid + epsilon, resid - epsilon)
-            can_up = beta < C - _FREE_TOL
-            can_dn = beta > -C + _FREE_TOL
+            g_up, g_dn, can_up, can_dn = _steps(beta, resid, C, epsilon)
             if not can_up.any() or not can_dn.any():
                 converged = True
                 break

@@ -21,7 +21,7 @@ from .errors import ConfigError
 from .fuzzy import FuzzyPredictor
 from .genetic_fuzzy import GAConfig, GeneticFuzzyPredictor
 from .neural import NeuralPredictor, dnn_spec, mlp_spec
-from .regression import FrozenQuadraticPredictor, LinearTransform, RegressionPredictor
+from .regression import FrozenQuadraticPredictor, RegressionPredictor
 from .svr import SvrPredictor
 
 
@@ -72,17 +72,16 @@ def _renamed(typed: dict, **arguments: str) -> dict:
     return {arguments.get(key, key): value for key, value in typed.items()}
 
 
-def _regression_builder(transform: LinearTransform):
+def _regression_builder(model_id: str, transform: TargetTransform):
     def build(typed: dict, seed: int) -> Predictor:
-        return RegressionPredictor(transform)
+        return RegressionPredictor(transform, model_id)
 
     return build
 
 
 def _mlp_builder(model_id: str, transform: TargetTransform):
     def build(typed: dict, seed: int) -> Predictor:
-        spec = mlp_spec(target_transform=transform, seed=seed, **typed)
-        return NeuralPredictor(spec, model_kind=model_id)
+        return NeuralPredictor(mlp_spec(seed=seed, **typed), model_id, transform)
 
     return build
 
@@ -153,31 +152,31 @@ MODEL_REGISTRY: dict[str, ModelInfo] = {
             "sqrt_regression",
             "Sqrt-transformed regression (quadratic)",
             "transformed regression",
-            _regression_builder(LinearTransform.SQRT),
+            _regression_builder("sqrt_regression", TargetTransform.SQRT),
         ),
         ModelInfo(
             "plain_regression",
             "Linear regression",
             "transformed regression",
-            _regression_builder(LinearTransform.PLAIN),
+            _regression_builder("plain_regression", TargetTransform.NONE),
         ),
         ModelInfo(
             "log_regression",
             "Log-transformed regression (semilog)",
             "transformed regression",
-            _regression_builder(LinearTransform.LOG),
+            _regression_builder("log_regression", TargetTransform.NATURAL_LOG),
         ),
         ModelInfo(
             "reciprocal_regression",
             "Reciprocal-transformed regression",
             "transformed regression",
-            _regression_builder(LinearTransform.RECIPROCAL),
+            _regression_builder("reciprocal_regression", TargetTransform.RECIPROCAL),
         ),
         ModelInfo(
             "square_regression",
             "Squared-target regression (power 2)",
             "transformed regression",
-            _regression_builder(LinearTransform.SQUARE),
+            _regression_builder("square_regression", TargetTransform.SQUARE),
         ),
         ModelInfo(
             "plain_mlp",

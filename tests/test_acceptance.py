@@ -15,7 +15,7 @@ from oracles import fire_rule, membership, scalar_case_similarity
 from costlab.bench import BenchConfig, run_bench, write_outputs
 from costlab.cart import best_split
 from costlab.cbr import CaseBase, retrieve_and_predict
-from costlab.core import evaluate
+from costlab.core import TargetTransform, evaluate
 from costlab.data import (
     Dataset,
     FeatureVector,
@@ -31,12 +31,12 @@ from costlab.fuzzy import (
     RuleBase,
     default_variable,
     infer_detail,
-    membership_grid,
+    triangular_memberships,
 )
 from costlab.genetic_fuzzy import Chromosome, GAConfig, crossover, evolve, mutate
 from costlab.metrics import MapeCategory, adjusted_r_squared, mape, r_squared
 from costlab.neural import forward, gradients, init_weights
-from costlab.regression import LinearTransform, fit_ols
+from costlab.regression import fit_ols
 from costlab.svr import fit_svr, kernel_matrix, predict_svr
 from costlab.zoo import DEFAULT_MODEL_IDS, build_model
 
@@ -72,7 +72,7 @@ def test_criterion_02_generator_recovery_loop():
     dataset = synthesize(144, seed=GLOBAL_SEED, noise_pct=0.0)
     train, test = split(dataset, SplitSpec(seed=GLOBAL_SEED))
     assert (len(train), len(test)) == (111, 33)
-    model = fit_ols(train, LinearTransform.SQRT)
+    model = fit_ols(train, TargetTransform.SQRT.forward(train.targets))
     expected = (-37032.81, 2.21, 0.1691, 2.265, 18.594)
     got = (model.intercept, *model.coefficients)
     for g, e in zip(got, expected):
@@ -235,9 +235,8 @@ def test_criterion_07_fuzzy_centroid_oracle():
         agg = np.zeros_like(grid)
         for rule in rules:
             s = fire_rule(rb, rule, x)
-            agg = np.maximum(
-                agg, np.minimum(s, membership_grid(out_var.mfs[rule.consequent - 1], grid))
-            )
+            mu = triangular_memberships(grid, *out_var.breakpoints[:, rule.consequent - 1])
+            agg = np.maximum(agg, np.minimum(s, mu))
         oracle = float(np.trapezoid(agg * grid, grid) / np.trapezoid(agg, grid))
         assert abs(got - oracle) / abs(oracle) <= 1e-3
 

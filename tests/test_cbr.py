@@ -185,6 +185,18 @@ class TestCaseBase:
         with pytest.raises(ValueError):
             CaseBase(())
 
+    @pytest.mark.parametrize(
+        "weights", [(np.inf, 1.0, 1.0, 1.0), (-1.0, 1.0, 1.0, 1.0)], ids=["infinite", "negative"]
+    )
+    def test_infinite_or_negative_weight_rejected(self, weights):
+        # such weights once scored a nan similarity, or one above 1
+        with pytest.raises(ValueError, match="finite, nonnegative attribute weights"):
+            CaseBase(random_dataset(10, seed=1).records, weights)
+
+    def test_zero_weight_sum_rejected(self):
+        with pytest.raises(ZeroWeightSumError):
+            CaseBase(random_dataset(10, seed=1).records, (0.0, 0.0, 0.0, 0.0))
+
 
 class TestCbrPredictor:
     def test_predictor_round_trip(self):

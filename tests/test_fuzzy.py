@@ -14,9 +14,9 @@ from costlab.fuzzy import (
     default_variable,
     derive_rule_base,
     infer_detail,
-    membership_grid,
     rules_from_text,
     rules_to_text,
+    triangular_memberships,
     variables_from_dataset,
 )
 
@@ -56,14 +56,14 @@ class TestMembership:
             c = b + float(rng.uniform(0, 5))
             mf = TriangularMF(a, b, c)
             xs = rng.uniform(a - 1, c + 1, 50)
-            grid_vals = membership_grid(mf, xs)
+            grid_vals = triangular_memberships(xs, mf.left, mf.peak, mf.right)
             for x, v in zip(xs, grid_vals):
                 assert membership(mf, float(x)) == v
 
     def test_in_unit_interval_and_continuous(self):
         mf = TriangularMF(1.0, 4.0, 9.0)
         xs = np.linspace(0, 10, 5001)
-        vals = membership_grid(mf, xs)
+        vals = triangular_memberships(xs, mf.left, mf.peak, mf.right)
         assert np.all((vals >= 0) & (vals <= 1))
         assert np.max(np.abs(np.diff(vals))) < 1e-2  # no jumps on a dense grid
 
@@ -85,7 +85,7 @@ class TestDefaultVariable:
         xs = np.linspace(10, 70, 2001)
         total = np.zeros_like(xs)
         for mf in var.mfs:
-            total = np.maximum(total, membership_grid(mf, xs))
+            total = np.maximum(total, triangular_memberships(xs, mf.left, mf.peak, mf.right))
         assert np.all(total > 0)
 
     def test_gap_detected(self):
@@ -180,7 +180,8 @@ class TestInfer:
             agg = np.zeros_like(grid)
             for r in rules:
                 s = fire_rule(rb, r, x)
-                agg = np.maximum(agg, np.minimum(s, membership_grid(out_var.mfs[r.consequent - 1], grid)))
+                mu = triangular_memberships(grid, *out_var.breakpoints[:, r.consequent - 1])
+                agg = np.maximum(agg, np.minimum(s, mu))
             oracle = float(np.trapezoid(agg * grid, grid) / np.trapezoid(agg, grid))
             assert got == pytest.approx(oracle, rel=1e-3)
 

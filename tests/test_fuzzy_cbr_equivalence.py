@@ -11,7 +11,7 @@ for bit.
 import numpy as np
 import pytest
 
-from oracles import attribute_similarity, scalar_case_similarity
+from oracles import attribute_similarity, membership, scalar_case_similarity
 from costlab.cbr import (
     CaseBase,
     case_similarity,
@@ -28,7 +28,6 @@ from costlab.fuzzy import (
     default_variable,
     engine_for,
     infer_detail,
-    membership_grid,
 )
 
 
@@ -133,7 +132,7 @@ def _probe_points(var, rng):
     return np.array(breakpoints + nearby + outside + inside)
 
 
-def test_broadcast_memberships_match_membership_grid_per_mf():
+def test_broadcast_memberships_match_scalar_membership_per_mf():
     rng = np.random.default_rng(7)
     inputs = _variables()
     engine = FuzzyEngine(inputs, default_variable("cost", 0.0, 1.0))
@@ -144,7 +143,8 @@ def test_broadcast_memberships_match_membership_grid_per_mf():
     assert memberships.shape == (n, 4, MF_COUNT)
     for d, var in enumerate(inputs):
         for m, mf in enumerate(var.mfs):
-            assert np.array_equal(bits(memberships[:, d, m]), bits(membership_grid(mf, X[:, d])))
+            scalar = [membership(mf, float(x)) for x in X[:, d]]
+            assert np.array_equal(bits(memberships[:, d, m]), bits(scalar))
     # the shoulders and the skewed variable's flat sides peak at 1
     assert memberships[:, 2, :].max() == 1.0
     assert (memberships >= 0.0).all() and (memberships <= 1.0).all()

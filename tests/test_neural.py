@@ -200,9 +200,7 @@ class TestNeuralPredictor:
     def test_target_transforms_accepted(self):
         train = random_dataset(25, seed=24, noise=0.05)
         for transform in (TargetTransform.SQRT, TargetTransform.NATURAL_LOG):
-            p = NeuralPredictor(
-                mlp_spec(target_transform=transform, epochs=300, seed=5), "mlp"
-            ).fit(train)
+            p = NeuralPredictor(mlp_spec(epochs=300, seed=5), "mlp", transform).fit(train)
             assert np.isfinite(p.predict(train[0].features))
 
     def test_dnn_preset_shape(self):
