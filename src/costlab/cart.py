@@ -22,9 +22,11 @@ go to the exact loop, which still decides. The regularized booster in
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import accumulate
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -108,96 +110,163 @@ def _best_candidate(
 
 
 SHORTLIST_TOL = 1e-7  # tau: keep candidates within tau * scale of the best approximate gain
+EPS = float(np.finfo(float).eps)
+
+
+class NodeGains(NamedTuple):
+    """One node's approximate split gains, as ``split_shortlist`` scored them.
+
+    Row j of ``thresholds`` and ``gain`` holds the candidates of
+    ``features[j]`` in ascending order, one per boundary between sorted
+    positions; ``gain`` is -inf where a boundary is no candidate, and
+    ``feature_best[j]`` is the row's maximum. ``tol`` is the node's shortlist
+    tolerance.
+    """
+
+    features: tuple[int, ...]
+    thresholds: np.ndarray
+    gain: np.ndarray
+    feature_best: list[float]
+    tol: float
+
+    def shortlist(self, features: Sequence[int] | None = None) -> list[tuple[int, np.ndarray]]:
+        """(feature, thresholds) within ``tol`` of the best gain over ``features``.
+
+        ``features`` (default: all scored) is a subset of the scored features,
+        such as random forest's drawn ones; the shortlist follows its order.
+        """
+        rows = range(len(self.features)) if features is None else [
+            self.features.index(f) for f in features
+        ]
+        best = max(self.feature_best[j] for j in rows)
+        if best == -np.inf:
+            return []
+        floor = best - self.tol
+        return [
+            (self.features[j], self.thresholds[j][self.gain[j] >= floor])
+            for j in rows
+            if self.feature_best[j] >= floor
+        ]
 
 
 def split_shortlist(
-    X: np.ndarray,
-    t: np.ndarray,
+    nodes: Sequence[tuple[np.ndarray, np.ndarray]],
     features: Sequence[int],
     min_samples_leaf: int,
     lam: float | None = None,
-) -> Iterator[tuple[int, np.ndarray]]:
-    """(feature, thresholds) candidates an exact scorer could pick, in candidate order.
+) -> list[NodeGains]:
+    """Approximate gains of every candidate split of a batch of (X, t) nodes.
 
-    The candidates are the midpoints (a + b) / 2 between consecutive distinct
-    non-missing values of each feature, in feature order, then ascending. All
-    features are sorted in one pass and ``t`` is prefix-summed along each
-    sorted column; a midpoint's partition of ``col <= threshold`` is found by
+    The candidates of a node are the midpoints (a + b) / 2 between consecutive
+    distinct non-missing values of each feature, in feature order, then
+    ascending; ``NodeGains.shortlist`` returns those an exact scorer could
+    pick, in that order. One call covers the whole batch, so numpy's per-call
+    overhead is paid once per batch instead of once per node: the nodes form
+    a leading axis, and each node's rows (at least one) are padded to the
+    batch's largest node with a missing feature value and a zero ``t``. A
+    single node is a batch of one.
+
+    All columns are sorted in one pass (missing values and padding last) and
+    ``t`` is prefix-summed along each sorted column, within its own node and
+    feature. A midpoint's partition of ``col <= threshold`` is found by
     ``searchsorted(side="right")``, since a midpoint can round up onto b.
-    Candidates leaving fewer than ``min_samples_leaf`` rows on a side are
-    dropped. Each remaining one gets an approximate gain, up to a constant of
-    the node:
+    Candidates leaving fewer than ``min_samples_leaf`` of the node's rows on
+    a side are dropped. Each remaining one gets an approximate gain, up to a
+    constant of the node:
 
     - ``lam`` None (CART, ``t`` the targets, a missing value goes right as
-      ``col <= threshold`` sends it): G_L^2/n_L + G_R^2/n_R over the centred
-      targets t - mean(t); scale = sum((t - mean(t))^2).
+      ``col <= threshold`` sends it): G_L^2/n_L + G_R^2/n_R over the node's
+      centred targets t - mean(t); scale = sum((t - mean(t))^2).
     - ``lam`` a float (the regularized booster, ``t`` the gradients): the
       better of 0.5 * [G_L^2/(n_L+lam) + G_R^2/(n_R+lam)] over both
       missing-value directions; scale = sum(|t|)^2.
 
-    A candidate is kept when its approximate gain is within
-    ``SHORTLIST_TOL * scale`` of the best one. Error bound: a sum of n terms
-    in any order is off by at most about n*eps*sum|t|, and
-    sum|t - mean(t)| <= sqrt(n * scale), so an approximate gain is off the
+    A candidate is kept when its approximate gain is within ``tol`` of the
+    node's best one: ``SHORTLIST_TOL * scale``, plus for CART
+    6 * n * (n + 1)^2 * (eps * max|t|)^2. Error bound, for a node of n rows in
+    a batch padded to m >= n rows: the centring, the scale and max|t| are
+    computed over the node's own rows before padding, each node's prefix sums
+    stay in its own row, and a padded row adds an exact zero, which rounds
+    nothing; so every sum is off by at most about n*eps*sum|t| in any order,
+    as if unpadded. The CART gain is invariant under a shift of t, so a
+    rounded mean only leaves the centred values a rounding-sized total, and
+    sum|t - mean(t)| <= sqrt(n * scale). An approximate gain is thus off the
     true gain by at most about 2 * n^1.5 * eps * scale (CART) or
-    2 * n * eps * scale (booster), and the exact scorer's gains likewise
-    (CART's side means add about n^3 * eps^2 * mean(t)^2, negligible unless
-    the targets' spread is ~1e-9 of their mean or less). A candidate with the
-    highest exact gain thus trails the best approximate gain by at most twice
-    that: about 1e-12 * scale at the default 111 training rows, 3e-11 * scale
-    at n = 1000, orders under tau * scale. So the shortlist keeps every
-    candidate the exact scorer could pick, and the exact scorer, run over it
-    in candidate order, picks what it picks over all candidates.
-
-    A generator: nothing is computed before the first candidate is drawn, so
-    ``_best_candidate`` returns at a pure node without sorting anything.
+    2 * n * eps * scale (booster), n being the node's own row count, not m.
+    The exact scorer's gains are off by as much, plus, for CART, the rounding
+    of its side means: a mean off by up to (n + 1) * eps * max|t| moves each
+    of its three SSE terms by up to n times that squared. A candidate with
+    the highest exact gain thus trails the best approximate gain by at most
+    twice the sum: the first part is about 1e-12 * scale at the default 111
+    training rows and 3e-11 * scale at n = 1000, orders under tau * scale,
+    and the second is the CART term of ``tol``, which matters only when the
+    targets' spread is ~1e-10 of their size or less. So the shortlist keeps
+    every candidate the exact scorer could pick, and the exact scorer, run
+    over it in candidate order, picks what it picks over all candidates.
     """
-    features = np.asarray(features, dtype=int)
-    n = t.size
-    if lam is None:
-        t = t - t.sum() / n  # the CART gain is shift-invariant; centring keeps the sums small
-        scale = float(t @ t)
+    features = list(features)
+    sizes = [t.size for _, t in nodes]
+    b, m = len(nodes), max(sizes)
+    starts = list(accumulate(sizes[:-1], initial=0))
+    n = np.array(sizes)[:, None]
+    X = np.concatenate([X for X, _ in nodes] + [np.full((1, nodes[0][0].shape[1]), np.nan)])
+    if features != list(range(X.shape[1])):
+        X = X[:, features]
+    t = np.concatenate([t for _, t in nodes] + [np.zeros(1)])  # the padding's missing row and zero
+    if lam is None:  # the CART gain is shift-invariant; centring keeps the sums small
+        peak = np.maximum.reduceat(np.abs(t), starts)
+        t[:-1] -= np.repeat(np.add.reduceat(t, starts) / n[:, 0], sizes)
+        scale = np.add.reduceat(t * t, starts)
+        tol = SHORTLIST_TOL * scale + 6 * n[:, 0] * (n[:, 0] + 1) ** 2 * (EPS * peak) ** 2
     else:
-        scale = float(np.abs(t).sum()) ** 2
-    # one row per feature, one column per position in sorted order (NaN last);
-    # column i of the (k, n - 1) grids is the boundary after sorted position i
-    cols = X[:, features].T
-    order = cols.argsort(axis=1)
-    sorted_cols = np.sort(cols, axis=1)
-    cum = t[order].cumsum(axis=1)
-    g_all = cum[:, -1:]
-    missing = np.isnan(cols)
-    n_miss = missing.sum(axis=1, keepdims=True)
-    thresholds = (sorted_cols[:, :-1] + sorted_cols[:, 1:]) / 2.0
-    n_left = np.arange(1, n)
-    g_left = cum[:, :-1]
-    candidate = (sorted_cols[:, :-1] != sorted_cols[:, 1:]) & (n_left + n_miss < n)
-    rounded_up = candidate & ~(thresholds < sorted_cols[:, 1:])
+        scale = np.add.reduceat(np.abs(t), starts) ** 2
+        tol = SHORTLIST_TOL * scale
+    # the row of every padded position, (b, m), and the nodes' columns
+    # (k, b, m): axes feature, node, position in sorted order (NaN last); the
+    # boundary after sorted position i is position i of the (k, b, m - 1) grids
+    pos = np.arange(m)
+    rows = np.where(pos < n, pos + np.array(starts)[:, None], t.size - 1)
+    cols = X[rows].transpose(2, 0, 1)
+    order = cols.argsort(axis=2)
+    sorted_cols = np.sort(cols, axis=2)
+    cum = t[rows[np.arange(b)[:, None], order]].cumsum(axis=2)
+    g_all = cum[..., -1:]
+    lo, hi = sorted_cols[..., :-1], sorted_cols[..., 1:]
+    thresholds = (lo + hi) / 2.0
+    n_left = np.arange(1, m)
+    g_left = cum[..., :-1]
+    candidate = lo < hi  # distinct, and hi (so lo) present: NaN sorts last
+    rounded_up = candidate > (thresholds < hi)
     if rounded_up.any():  # rounded onto b, overflowed, or nan (-inf + inf): count the rows
-        n_left, g_left = np.tile(n_left, (features.size, 1)), g_left.copy()
-        for j, i in zip(*np.nonzero(rounded_up)):
-            n_left[j, i] = sorted_cols[j].searchsorted(thresholds[j, i], side="right")
-            g_left[j, i] = cum[j, n_left[j, i] - 1]
+        n_left, g_left = np.tile(n_left, (len(features), b, 1)), g_left.copy()
+        for j, i, p in zip(*np.nonzero(rounded_up)):
+            n_left[j, i, p] = sorted_cols[j, i].searchsorted(thresholds[j, i, p], side="right")
+            g_left[j, i, p] = cum[j, i, n_left[j, i, p] - 1]
     sides = [(g_left, n_left, g_all - g_left, n - n_left)]  # missing goes right
-    if lam is not None and n_miss.any():  # with nothing missing both directions score alike
-        g_miss = (missing @ t)[:, None]
-        g_right = g_all - g_left - g_miss
-        sides.append((g_left + g_miss, n_left + n_miss, g_right, n - n_left - n_miss))
-    gain = -np.inf
+    if lam is not None:
+        missing = np.isnan(X[:-1].T)
+        if missing.any():  # with nothing missing both directions score alike
+            n_miss = np.add.reduceat(missing, starts, axis=1)[..., None]
+            g_miss = np.add.reduceat(missing * t[:-1], starts, axis=1)[..., None]
+            g_right = g_all - g_left - g_miss
+            sides.append((g_left + g_miss, n_left + n_miss, g_right, n - n_left - n_miss))
+    gain = None
     with np.errstate(divide="ignore", invalid="ignore"):  # an empty side is masked out below
         for gl, nl, gr, nr in sides:
             if lam is None:
                 side_gain = gl * gl / nl + gr * gr / nr
             else:
                 side_gain = 0.5 * (gl * gl / (nl + lam) + gr * gr / (nr + lam))
-            ok = candidate & (nl >= min_samples_leaf) & (nr >= min_samples_leaf)
-            gain = np.where(ok, np.maximum(gain, side_gain), gain)
-    best = gain.max(initial=-np.inf)
-    if best == -np.inf:
-        return
-    keep = gain >= best - SHORTLIST_TOL * scale
-    for j in np.flatnonzero(keep.any(axis=1)):
-        yield int(features[j]), thresholds[j, keep[j]]
+            ok = candidate & ((nl >= min_samples_leaf) & (nr >= min_samples_leaf))
+            side_gain = np.where(ok, side_gain, -np.inf)
+            gain = side_gain if gain is None else np.maximum(gain, side_gain)
+    feature_best = gain.max(axis=2, initial=-np.inf).T.tolist()
+    tol = tol.tolist()
+    features = tuple(features)
+    return [
+        NodeGains(features, thresholds[:, i], gain[:, i], feature_best[i], tol[i])
+        for i in range(b)
+    ]
 
 
 def _uniform_cuts(
@@ -215,14 +284,24 @@ def best_split(
     y: np.ndarray,
     features: Sequence[int] | None = None,
     min_samples_leaf: int = 1,
+    gains: NodeGains | None = None,
 ) -> tuple[int, float, float] | None:
-    """Highest-gain (feature, threshold, gain), or None when nothing helps."""
+    """Highest-gain (feature, threshold, gain), or None when nothing helps.
+
+    ``gains`` is the node's precomputed ``split_shortlist`` result, scored
+    over at least ``features``; without it the node is scored as a batch of one.
+    """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if features is None:
         features = range(X.shape[1])
-    candidates = split_shortlist(X, y, features, min_samples_leaf)
-    return _best_candidate(X, y, candidates, min_samples_leaf)
+
+    def candidates() -> Iterator[tuple[int, np.ndarray]]:
+        # drawn lazily, so ``_best_candidate`` returns at a pure node before any scoring
+        node = gains if gains is not None else split_shortlist([(X, y)], features, min_samples_leaf)[0]
+        yield from node.shortlist(features)
+
+    return _best_candidate(X, y, candidates(), min_samples_leaf)
 
 
 # (feature, threshold, default_left or None, left row mask)
@@ -234,34 +313,66 @@ def grow_tree(
     t: np.ndarray,
     params: TreeParams,
     leaf_value: Callable[[np.ndarray], float],
-    find_split: Callable[[np.ndarray, np.ndarray], Split | None],
+    find_split: Callable[[np.ndarray, np.ndarray, NodeGains | None], Split | None],
+    score: Callable[[list[tuple[np.ndarray, np.ndarray]]], list[NodeGains]] | None = None,
+    breadth_first: bool = False,
 ) -> RegressionTree:
     """The greedy recursion of every tree learner; ``t`` is targets or gradients.
 
-    ``find_split`` runs only at nodes that pass the depth and size checks, so
-    its random draws follow the order in which the recursion visits nodes.
+    ``find_split`` runs only at nodes that pass the depth and size checks; it
+    gets the node's rows in their original order and, when ``score`` is
+    given, the node's ``NodeGains``. ``score`` (a batched ``split_shortlist``)
+    runs once for every node whose rows are known and which has no gains yet,
+    all together, when the next node to be decided has none. Nodes are
+    decided depth first, so random draws in ``find_split`` follow the order
+    of the plain recursion, and each batch is the two children of a split.
+    A ``find_split`` that draws nothing may set ``breadth_first``: nodes are
+    then decided a depth level at a time, and each batch is a whole level.
+    Either way the nodes are laid out depth first from root 0.
     """
-    nodes: list[dict] = []  # the RegressionTree fields of each node, in depth-first order
+    nodes: list[list] = []  # the RegressionTree fields of each node, in creation order
+    rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # undecided node -> (X, t)
+    gains: dict[int, NodeGains] = {}
+    unscored: list[int] = []
+    pending: deque[int] = deque()
 
-    def grow_node(X: np.ndarray, t: np.ndarray, depth: int) -> int:
+    def add(X: np.ndarray, t: np.ndarray, depth: int) -> int:
         i = len(nodes)
-        nodes.append(dict(feature=LEAF, threshold=np.nan, left=i, right=i, value=leaf_value(t),
-                          n=t.size, default_left=-1, depth=depth))
-        if depth >= params.max_depth or t.size < params.min_samples_split:
-            return i
-        split = find_split(X, t)
-        if split is None:
-            return i
-        feature, threshold, default_left, mask = split
-        left = grow_node(X[mask], t[mask], depth + 1)
-        right = grow_node(X[~mask], t[~mask], depth + 1)
-        nodes[i].update(feature=feature, threshold=threshold, left=left, right=right,
-                        default_left=-1 if default_left is None else int(default_left))
+        nodes.append([LEAF, np.nan, i, i, leaf_value(t), t.size, -1, depth])
+        if depth < params.max_depth and t.size >= params.min_samples_split:
+            rows[i] = (X, t)
+            unscored.append(i)
         return i
 
-    grow_node(X, t, 0)
-    return RegressionTree(**{f.name: np.array([node[f.name] for node in nodes])
-                             for f in fields(RegressionTree)})
+    add(X, t, 0)
+    pending.extend(rows)  # the root, unless it is a leaf already
+    while pending:
+        i = pending.popleft() if breadth_first else pending.pop()
+        if score is not None and i not in gains:
+            gains.update(zip(unscored, score([rows[j] for j in unscored])))
+            unscored.clear()
+        X, t = rows.pop(i)
+        split = find_split(X, t, gains.pop(i, None))
+        if split is None:
+            continue
+        feature, threshold, default_left, mask = split
+        depth = nodes[i][7] + 1
+        left, right = add(X[mask], t[mask], depth), add(X[~mask], t[~mask], depth)
+        default_left = -1 if default_left is None else int(default_left)
+        nodes[i][:4], nodes[i][6] = (feature, threshold, left, right), default_left
+        children = [child for child in (left, right) if child in rows]
+        pending.extend(children if breadth_first else reversed(children))
+
+    preorder, stack = [], [0]
+    while stack:
+        i = stack.pop()
+        preorder.append(i)
+        if nodes[i][0] != LEAF:
+            stack += nodes[i][3:1:-1]  # right, then left on top
+    position = {i: p for p, i in enumerate(preorder)}
+    for node in nodes:
+        node[2:4] = position[node[2]], position[node[3]]
+    return RegressionTree(*map(np.array, zip(*(nodes[i] for i in preorder))))
 
 
 def grow(
@@ -277,22 +388,32 @@ def grow(
     y = np.asarray(y, dtype=float)
     if y.size == 0:
         raise EmptyTrainError("cannot grow a tree on an empty training set")
+    every_feature = np.arange(X.shape[1])
 
-    def find_split(X: np.ndarray, y: np.ndarray) -> Split | None:
+    def find_split(X: np.ndarray, y: np.ndarray, gains: NodeGains | None) -> Split | None:
         if n_feature_subset is not None:
             features = np.sort(rng.choice(X.shape[1], size=n_feature_subset, replace=False))
         else:
-            features = np.arange(X.shape[1])
+            features = every_feature
         if random_thresholds:
             split = _best_candidate(X, y, _uniform_cuts(X, features, rng), params.min_samples_leaf)
         else:
-            split = best_split(X, y, features, params.min_samples_leaf)
+            split = best_split(X, y, features, params.min_samples_leaf, gains)
         if split is None:
             return None
         feature, threshold, _ = split
         return feature, threshold, None, X[:, feature] <= threshold
 
-    return grow_tree(X, y, params, lambda t: float(np.mean(t)), find_split)
+    def score(nodes: list[tuple[np.ndarray, np.ndarray]]) -> list[NodeGains]:
+        return split_shortlist(nodes, every_feature, params.min_samples_leaf)
+
+    def leaf_value(t: np.ndarray) -> float:
+        # np.mean of float64 is this same pairwise sum divided by the count
+        return float(t.sum()) / t.size
+
+    return grow_tree(X, y, params, leaf_value, find_split,
+                     score=None if random_thresholds else score,
+                     breadth_first=n_feature_subset is None and not random_thresholds)
 
 
 def stack_trees(trees: Sequence[RegressionTree]) -> RegressionTree:

@@ -28,6 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .cart import (
+    NodeGains,
     RegressionTree,
     TreeParams,
     grow,
@@ -248,19 +249,22 @@ def leaf_weight(g_sum: float, h_sum: float, lam: float) -> float:
 
 
 def _best_regularized_split(
-    X: np.ndarray, g: np.ndarray, cfg: BoostConfig
+    X: np.ndarray, g: np.ndarray, cfg: BoostConfig, gains: NodeGains | None = None
 ) -> tuple[int, float, bool, np.ndarray, float] | None:
     """Exact greedy search over features, thresholds, and default directions.
 
     Returns (feature, threshold, default_left, left row mask, gain); missing
     rows are sent down whichever side yields the higher gain. Under squared
     loss every hessian is 1, so each hessian sum is the side's row count.
-    Only the (feature, threshold) pairs of ``cart.split_shortlist`` are scored.
+    Only the (feature, threshold) pairs of the node's ``cart.split_shortlist``
+    gains (``gains``, or the node scored as a batch of one) are scored.
     """
     n = g.size
     min_leaf = cfg.tree.min_samples_leaf
+    if gains is None:
+        gains = split_shortlist([(X, g)], range(X.shape[1]), min_leaf, cfg.lam)[0]
     best: tuple[int, float, bool, np.ndarray, float] | None = None
-    for f, thresholds in split_shortlist(X, g, range(X.shape[1]), min_leaf, cfg.lam):
+    for f, thresholds in gains.shortlist():
         col = X[:, f]
         present = ~np.isnan(col)
         g_miss = float(g[~present].sum())
@@ -288,25 +292,31 @@ def fit_regularized_booster(X: np.ndarray, y: np.ndarray, cfg: BoostConfig) -> E
     """Second-order boosting with leaf-weight shrinkage and missing support.
 
     Each round grows a tree on the gradients g = pred - y with the shared CART
-    recursion; leaves hold w* = -G/(n + lambda), n being the leaf's row count.
+    recursion, a depth level at a time (the search draws nothing), scoring
+    each level's approximate gains in one ``split_shortlist`` call; leaves
+    hold w* = -G/(n + lambda), n being the leaf's row count.
     """
     X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
     _check_nonempty(y)
     n = y.size
     base = float(np.mean(y))
     pred = np.full(n, base)
+    every_feature = range(X.shape[1])
 
     def leaf(g: np.ndarray) -> float:
         return leaf_weight(float(g.sum()), float(g.size), cfg.lam)
 
-    def find_split(X: np.ndarray, g: np.ndarray) -> tuple | None:
-        split = _best_regularized_split(X, g, cfg)
+    def find_split(X: np.ndarray, g: np.ndarray, gains: NodeGains | None) -> tuple | None:
+        split = _best_regularized_split(X, g, cfg, gains)
         return None if split is None else split[:4]
+
+    def score(nodes: list[tuple[np.ndarray, np.ndarray]]) -> list[NodeGains]:
+        return split_shortlist(nodes, every_feature, cfg.tree.min_samples_leaf, cfg.lam)
 
     members: list[tuple[RegressionTree, float]] = []
     for _ in range(cfg.n_rounds):
         g = pred - y
-        tree = grow_tree(X, g, cfg.tree, leaf, find_split)
+        tree = grow_tree(X, g, cfg.tree, leaf, find_split, score, breadth_first=True)
         pred = pred + cfg.learning_rate * predict_tree(tree, X)
         members.append((tree, cfg.learning_rate))
     return EnsembleModel(members, CombineRule.ADDITIVE, base_score=base)

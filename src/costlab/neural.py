@@ -117,15 +117,15 @@ def gradients(
     err = activations[-1][:, 0] - np.asarray(targets, dtype=float)
     loss = 0.5 * float(np.mean(err * err))
 
-    grads_w = [np.zeros_like(W) for W in w.weights]
-    grads_b = [np.zeros_like(b) for b in w.biases]
+    grads_w: list[np.ndarray] = []  # output layer first, reversed below
+    grads_b: list[np.ndarray] = []
     delta = (err / len(err))[:, None]
     for i in reversed(range(len(pre))):
-        grads_w[i] = activations[i].T @ delta
-        grads_b[i] = delta.sum(axis=0)
+        grads_w.append(activations[i].T @ delta)
+        grads_b.append(delta.sum(axis=0))
         if i > 0:
             delta = (delta @ w.weights[i].T) * _activate_deriv(pre[i - 1], activation)
-    return grads_w, grads_b, loss
+    return grads_w[::-1], grads_b[::-1], loss
 
 
 def train_network(

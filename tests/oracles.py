@@ -5,9 +5,11 @@ with an array form; the package itself never calls them.
 """
 
 import math
+from dataclasses import fields
 
 import numpy as np
 
+from costlab.cart import LEAF, RegressionTree
 from costlab.cbr import DEFAULT_WEIGHTS
 from costlab.errors import NegativeAttributeError, UnsupportedMissingError
 from costlab.fuzzy import DEFAULT_SAMPLES
@@ -73,3 +75,36 @@ def scalar_case_similarity(new, stored, weights=DEFAULT_WEIGHTS):
     for w, a, b in zip(weights, new.as_tuple(), stored.as_tuple()):
         score += w * attribute_similarity(a, b)
     return score / float(sum(weights))
+
+
+# -- trees ------------------------------------------------------------------------
+
+
+def grow_tree_one_node_at_a_time(X, t, params, leaf_value, find_split, score=None, breadth_first=False):
+    """``cart.grow_tree`` as the plain depth-first recursion.
+
+    Each searched node is scored by ``score`` as a batch of one right before
+    ``find_split`` decides it, so nothing is batched or reordered;
+    ``breadth_first`` is accepted and ignored.
+    """
+    nodes = []
+
+    def grow_node(X, t, depth):
+        i = len(nodes)
+        nodes.append(dict(feature=LEAF, threshold=np.nan, left=i, right=i, value=leaf_value(t),
+                          n=t.size, default_left=-1, depth=depth))
+        if depth >= params.max_depth or t.size < params.min_samples_split:
+            return i
+        split = find_split(X, t, None if score is None else score([(X, t)])[0])
+        if split is None:
+            return i
+        feature, threshold, default_left, mask = split
+        left = grow_node(X[mask], t[mask], depth + 1)
+        right = grow_node(X[~mask], t[~mask], depth + 1)
+        nodes[i].update(feature=feature, threshold=threshold, left=left, right=right,
+                        default_left=-1 if default_left is None else int(default_left))
+        return i
+
+    grow_node(X, t, 0)
+    return RegressionTree(**{f.name: np.array([node[f.name] for node in nodes])
+                             for f in fields(RegressionTree)})

@@ -228,5 +228,5 @@ def test_shortlist_candidate_order_and_partition():
     y = np.array([0.0, 1.0, 0.0, 1.0])
     # every candidate has the same gain, so all are kept, feature-major and
     # ascending, except (low + top) / 2 == top, which leaves the right side empty
-    kept = [(f, t.tolist()) for f, t in split_shortlist(X, y, [0, 1], 1)]
+    kept = [(f, t.tolist()) for f, t in split_shortlist([(X, y)], [0, 1], 1)[0].shortlist()]
     assert kept == [(0, [1.5, 2.5]), (1, [low / 2.0])]
