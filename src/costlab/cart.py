@@ -4,8 +4,9 @@ The standalone tree model and the base learner for every ensemble family.
 ``grow_tree`` is the one greedy recursion behind every tree in the package:
 CART, bagging, random forest, extra trees, AdaBoost.R2 and gradient boosting
 grow through ``grow``, and the regularized booster calls it with its own leaf
-weight and split search. A tree is stored as flat node arrays, and one
-traversal kernel, ``walk_trees``, predicts for one tree or a whole ensemble.
+weight and split search. A tree is stored as flat node arrays in depth-first
+order, and one traversal kernel, ``walk_trees``, predicts for one tree or a
+whole ensemble.
 
 Split gain is SSE(parent) - SSE(left) - SSE(right), scored exactly by one
 loop over (feature, threshold) candidates. Ties break toward the first
@@ -15,9 +16,19 @@ the same partition produce bit-identical gains. Extra trees feed the loop one
 uniform cut per non-constant feature. ``best_split`` feeds it only the
 shortlist of ``split_shortlist``: every midpoint between consecutive distinct
 feature values is scored at once from sorted prefix sums, and only those
-within ``SHORTLIST_TOL`` of the best (far above the prefix sums' rounding)
-go to the exact loop, which still decides. The regularized booster in
-``ensemble`` scores its own shortlist the same way.
+within the shortlist tolerance of the best (far above the prefix sums'
+rounding) go to the exact loop, which still decides, once per node, on the
+node's rows in their original order. The regularized booster in ``ensemble``
+scores its own shortlist the same way.
+
+``split_shortlist`` scores a batch of nodes in one call, along a leading node
+axis with each node's rows padded to the largest node's, so numpy's per-call
+overhead is paid per batch. ``grow_tree`` batches every node whose rows are
+known and whose decision draws nothing: a whole depth level when the split
+search draws nothing (CART, bagging, AdaBoost.R2, gradient boosting, the
+regularized booster), the two children of each split for random forest,
+whose per-node feature subset is drawn, in depth-first order, after its
+batch is scored and filters the scored features.
 """
 
 from __future__ import annotations
@@ -135,9 +146,10 @@ class NodeGains(NamedTuple):
         ``features`` (default: all scored) is a subset of the scored features,
         such as random forest's drawn ones; the shortlist follows its order.
         """
-        rows = range(len(self.features)) if features is None else [
-            self.features.index(f) for f in features
-        ]
+        if features is None or tuple(features) == self.features:
+            rows = range(len(self.features))
+        else:
+            rows = [self.features.index(f) for f in features]
         best = max(self.feature_best[j] for j in rows)
         if best == -np.inf:
             return []
@@ -214,19 +226,19 @@ def split_shortlist(
         X = X[:, features]
     t = np.concatenate([t for _, t in nodes] + [np.zeros(1)])  # the padding's missing row and zero
     if lam is None:  # the CART gain is shift-invariant; centring keeps the sums small
-        peak = np.maximum.reduceat(np.abs(t), starts)
+        peak = np.maximum.reduceat(np.abs(t), starts).tolist()
         t[:-1] -= np.repeat(np.add.reduceat(t, starts) / n[:, 0], sizes)
         scale = np.add.reduceat(t * t, starts)
-        tol = SHORTLIST_TOL * scale + 6 * n[:, 0] * (n[:, 0] + 1) ** 2 * (EPS * peak) ** 2
+        slack = [6 * k * (k + 1) ** 2 * (EPS * p) ** 2 for k, p in zip(sizes, peak)]
     else:
         scale = np.add.reduceat(np.abs(t), starts) ** 2
-        tol = SHORTLIST_TOL * scale
+        slack = [0.0] * b
     # the row of every padded position, (b, m), and the nodes' columns
     # (k, b, m): axes feature, node, position in sorted order (NaN last); the
     # boundary after sorted position i is position i of the (k, b, m - 1) grids
     pos = np.arange(m)
     rows = np.where(pos < n, pos + np.array(starts)[:, None], t.size - 1)
-    cols = X[rows].transpose(2, 0, 1)
+    cols = X.T[:, rows]
     order = cols.argsort(axis=2)
     sorted_cols = np.sort(cols, axis=2)
     cum = t[rows[np.arange(b)[:, None], order]].cumsum(axis=2)
@@ -261,7 +273,7 @@ def split_shortlist(
             side_gain = np.where(ok, side_gain, -np.inf)
             gain = side_gain if gain is None else np.maximum(gain, side_gain)
     feature_best = gain.max(axis=2, initial=-np.inf).T.tolist()
-    tol = tol.tolist()
+    tol = [SHORTLIST_TOL * s + e for s, e in zip(scale.tolist(), slack)]
     features = tuple(features)
     return [
         NodeGains(features, thresholds[:, i], gain[:, i], feature_best[i], tol[i])
@@ -298,7 +310,7 @@ def best_split(
 
     def candidates() -> Iterator[tuple[int, np.ndarray]]:
         # drawn lazily, so ``_best_candidate`` returns at a pure node before any scoring
-        node = gains if gains is not None else split_shortlist([(X, y)], features, min_samples_leaf)[0]
+        node = gains or split_shortlist([(X, y)], features, min_samples_leaf)[0]
         yield from node.shortlist(features)
 
     return _best_candidate(X, y, candidates(), min_samples_leaf)
@@ -383,12 +395,12 @@ def grow(
     n_feature_subset: int | None = None,
     random_thresholds: bool = False,
 ) -> RegressionTree:
-    """Recursive greedy growth until depth, size, or gain stops it."""
+    """Greedy growth until depth, size, or gain stops it."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if y.size == 0:
         raise EmptyTrainError("cannot grow a tree on an empty training set")
-    every_feature = np.arange(X.shape[1])
+    every_feature = tuple(range(X.shape[1]))
 
     def find_split(X: np.ndarray, y: np.ndarray, gains: NodeGains | None) -> Split | None:
         if n_feature_subset is not None:

@@ -12,10 +12,12 @@ shared recursion in ``cart``, and one ``EnsemblePredictor`` wraps any of the
 
 The regularized split search scores every (feature, threshold) midpoint from
 sorted prefix sums of the gradients, for both missing-value directions, in
-``cart.split_shortlist``; only candidates within 1e-7 * (sum|g|)^2 of the best
-approximate gain, far above the prefix sums' rounding of about
-n * eps * (sum|g|)^2, are scored exactly by the mask loop, in the order of the
-full search, so the same split wins.
+``cart.split_shortlist``, a whole depth level of the tree in one call (the
+nodes padded to the level's largest); only candidates within 1e-7 *
+(sum|g|)^2 of a node's best approximate gain, far above the prefix sums'
+rounding of about n * eps * (sum|g|)^2 for a node of n rows, are scored
+exactly by the mask loop, once per node and in the order of the full search,
+so the same split wins.
 """
 
 from __future__ import annotations

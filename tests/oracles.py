@@ -80,7 +80,9 @@ def scalar_case_similarity(new, stored, weights=DEFAULT_WEIGHTS):
 # -- trees ------------------------------------------------------------------------
 
 
-def grow_tree_one_node_at_a_time(X, t, params, leaf_value, find_split, score=None, breadth_first=False):
+def grow_tree_one_node_at_a_time(
+    X, t, params, leaf_value, find_split, score=None, breadth_first=False
+):
     """``cart.grow_tree`` as the plain depth-first recursion.
 
     Each searched node is scored by ``score`` as a batch of one right before

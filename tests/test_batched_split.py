@@ -246,7 +246,8 @@ def test_random_forest_scores_the_children_of_each_split_together(monkeypatch):
 def test_extra_trees_score_nothing(monkeypatch):
     X, y = _arrays(60, 6)
     sizes = _record_batches(monkeypatch)
-    cart.grow(X, y, TreeParams(), np.random.default_rng(0), n_feature_subset=2, random_thresholds=True)
+    rng = np.random.default_rng(0)
+    cart.grow(X, y, TreeParams(), rng, n_feature_subset=2, random_thresholds=True)
     assert sizes == []
 
 
@@ -255,3 +256,16 @@ def test_leaf_value_is_the_mean_bit_for_bit():
     for n in range(1, 300):
         t = rng.normal(0, 10.0 ** rng.integers(-3, 7), n) + rng.choice([0.0, 1e6])
         assert float(t.sum()) / t.size == float(np.mean(t))
+
+
+def test_the_exact_search_runs_once_per_searched_node(monkeypatch):
+    X, y = _arrays(111, 7)
+    params = TreeParams()
+    calls = []
+    exact = cart.best_split
+    monkeypatch.setattr(cart, "best_split", lambda *args: calls.append(args) or exact(*args))
+    for n_feature_subset in (None, 2):
+        calls.clear()
+        tree = cart.grow(X, y, params, np.random.default_rng(1), n_feature_subset)
+        assert len(calls) == _searched_depths(tree, params).size
+        assert all(args[4] is not None for args in calls)  # each with its precomputed gains
