@@ -55,12 +55,13 @@ def triangular_memberships(
     """Membership degree in [0, 1] of the points ``x`` in the triangles with these
     breakpoints, all four broadcast together; bit-identical to the scalar oracle
     ``membership`` in ``tests/oracles.py``."""
-    with np.errstate(divide="ignore", invalid="ignore"):  # flat sides are never selected
+    with np.errstate(divide="ignore", invalid="ignore"):  # flat sides: +-inf, NaN at the peak
         rising = (x - left) / (peak - left)
         falling = (right - x) / (right - peak)
-    out = np.where((x >= left) & (x < peak), rising, 0.0)
-    out = np.where((x > peak) & (x <= right), falling, out)
-    return np.where(x == peak, 1.0, out)
+    # On [left, right] the smaller side is the membership: left of the peak
+    # rising <= 1 <= falling, right of it falling <= 1 <= rising.
+    inside = (x >= left) & (x <= right)
+    return np.where(x == peak, 1.0, np.where(inside, np.minimum(rising, falling), 0.0))
 
 
 @dataclass(frozen=True)
@@ -233,20 +234,22 @@ class FuzzyEngine:
         """Clip, aggregate, and defuzzify; returns (values, fired mask).
 
         Rules sharing a consequent are merged before clipping, which is exact:
-        max_r min(s_r, mu_c(r)) = max_c min(max_{r: c(r) = c} s_r, mu_c).
-        Rows where no rule fires get NaN and a False mask entry.
+        max_r min(s_r, mu_c(r)) = max_c min(max_{r: c(r) = c} s_r, mu_c); an
+        output set that no rule names is grouped at -inf and never wins the max.
+        Rows where no rule fires get NaN and a False mask entry and skip the
+        quadrature: only the fired rows are clipped and summed, which is exact
+        because each row's area and moment reduce along its own grid axis.
         """
-        used = np.unique(consequents)
-        members = consequents[:, None] == used[None, :]  # (R, C)
-        grouped = np.where(members, strengths[:, :, None], -np.inf).max(axis=1)  # (n, C)
-        clipped = np.minimum(grouped[:, :, None], self.consequent_grid[used - 1][None, :, :])
-        aggregated = clipped.max(axis=1)
-        area = self._trapezoid(aggregated)
-        moment = self._trapezoid(aggregated * self.grid)
         fired = strengths.max(axis=1) > 0.0
+        members = consequents[:, None] == np.arange(1, MF_COUNT + 1)  # (R, 7)
+        grouped = np.where(members, strengths[fired][:, :, None], -np.inf).max(axis=1)  # (f, 7)
+        aggregated = np.minimum(grouped[:, :, None], self.consequent_grid).max(axis=1)
+        area, moment = self._trapezoid(np.stack((aggregated, aggregated * self.grid)))
+        has_area = area > 0.0
+        ok = fired.copy()
+        ok[fired] = has_area
         values = np.full(strengths.shape[0], np.nan)
-        ok = fired & (area > 0.0)
-        values[ok] = moment[ok] / area[ok]
+        values[ok] = moment[has_area] / area[has_area]
         return values, ok
 
 
@@ -380,9 +383,14 @@ def rules_from_text(text: str) -> RuleBase:
             if name in universes:
                 raise ParseError(f"duplicate universe for {name!r}", row=line_no)
             try:
-                universes[name] = (float(parts[2]), float(parts[3]))
+                lo, hi = float(parts[2]), float(parts[3])
             except ValueError:
                 raise ParseError(f"bad universe bounds {parts[2:]!r}", row=line_no)
+            if not (lo < hi and np.isfinite(hi - lo)):  # also rejects nan and inf bounds
+                raise ParseError(
+                    f"universe bounds must be finite with lo < hi, got {parts[2:]!r}", row=line_no
+                )
+            universes[name] = (lo, hi)
             continue
         if len(parts) != 6 or parts[4] != "->":
             raise ParseError(f"expected 'a1 a2 a3 a4 -> c', got {line!r}", row=line_no)

@@ -8,14 +8,16 @@ chromosomes from the best population seen so far.
 
 Decoding prunes exact duplicates and resolves antecedent conflicts by keeping
 the consequent whose single-rule inference scores the lowest MAPE on the
-cases it fires on.
+cases it fires on. A population's conflicting rules are all scored in one
+``FuzzyEngine.centroids`` call, so decoding makes two calls per generation:
+that one and the population's own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -123,6 +125,36 @@ class _PopulationEvaluator:
         self.targets = train.targets
         self.fallback = float(np.mean(train.targets))
 
+    def _solo_mapes(
+        self,
+        pairs: list[tuple[tuple[int, ...], int]],
+        strengths: np.ndarray,
+        groups: Iterable[list[int]],
+    ) -> dict[int, float]:
+        """Training MAPE of each conflicting rule alone, on the rows its antecedent fires.
+
+        One ``centroids`` call scores them all: row block k holds candidate k's
+        strengths in column k and zeros elsewhere. A zero strength clips to 0 and
+        output memberships are >= 0, so each row aggregates its own candidate's set.
+        """
+        rows = {
+            idx: np.flatnonzero(strengths[:, idx] > 0.0)
+            for group in groups if len(group) > 1 for idx in group
+        }
+        scored = [idx for idx in rows if rows[idx].size]
+        if not scored:
+            return {}
+        sizes = [rows[idx].size for idx in scored]
+        fired = np.concatenate([rows[idx] for idx in scored])
+        column = np.repeat(np.arange(len(scored)), sizes)
+        block = np.zeros((fired.size, len(scored)))
+        block[np.arange(fired.size), column] = strengths[fired, np.array(scored)[column]]
+        values, _ = self.engine.centroids(block, np.array([pairs[i][1] for i in scored]))
+        return {
+            idx: mape(self.targets[rows[idx]], chunk)
+            for idx, chunk in zip(scored, np.split(values, np.cumsum(sizes)[:-1]))
+        }
+
     def decode_and_fitness(self, population: Sequence[Chromosome]) -> tuple[RuleBase, float]:
         # unique antecedent/consequent pairs in first-occurrence order
         pairs: list[tuple[tuple[int, ...], int]] = []
@@ -135,33 +167,17 @@ class _PopulationEvaluator:
         antecedents = np.array([p[0] for p in pairs], dtype=int)
         strengths = self.engine.strengths(self.memberships, antecedents)
 
+        # pair indices per antecedent, antecedents in first-occurrence order
         groups: dict[tuple[int, ...], list[int]] = {}
-        order: list[tuple[int, ...]] = []
         for idx, (ant, _) in enumerate(pairs):
-            if ant not in groups:
-                groups[ant] = []
-                order.append(ant)
-            groups[ant].append(idx)
+            groups.setdefault(ant, []).append(idx)
 
+        solo = self._solo_mapes(pairs, strengths, groups.values())
         winners: list[int] = []
-        for ant in order:
-            candidates = groups[ant]
-            if len(candidates) == 1:
-                winners.append(candidates[0])
-                continue
-            col = strengths[:, candidates[0]]
-            fired = col > 0.0
+        for group in groups.values():
             best_idx, best_score = None, (math.inf, GENE_MAX + 1)
-            for idx in candidates:
-                cons = pairs[idx][1]
-                if fired.any():
-                    values, _ = self.engine.centroids(
-                        col[fired][:, None], np.array([cons], dtype=int)
-                    )
-                    solo = mape(self.targets[fired], values)
-                else:
-                    solo = math.inf
-                score = (solo, cons)
+            for idx in group:
+                score = (solo.get(idx, math.inf), pairs[idx][1])
                 if score < best_score:
                     best_idx, best_score = idx, score
             winners.append(best_idx)

@@ -12,8 +12,9 @@ import numpy as np
 from costlab.cart import LEAF, RegressionTree
 from costlab.cbr import DEFAULT_WEIGHTS
 from costlab.errors import NegativeAttributeError, UnsupportedMissingError
-from costlab.fuzzy import DEFAULT_SAMPLES
-from costlab.genetic_fuzzy import _PopulationEvaluator
+from costlab.fuzzy import DEFAULT_SAMPLES, FuzzyRule, RuleBase
+from costlab.genetic_fuzzy import GENE_MAX, _PopulationEvaluator
+from costlab.metrics import mape
 
 
 # -- fuzzy ----------------------------------------------------------------------
@@ -43,6 +44,43 @@ def fire_rule(rule_base, rule, x):
 def decode_and_fitness(population, train, variables=None, samples=DEFAULT_SAMPLES):
     """The decoded rule base of a population and its training MAPE."""
     return _PopulationEvaluator(train, variables, samples).decode_and_fitness(population)
+
+
+def decode_and_fitness_per_candidate(evaluator, population):
+    """``_PopulationEvaluator.decode_and_fitness`` with one ``centroids`` call per
+    conflicting candidate: each consequent is scored alone on the rows its
+    antecedent fires, and the lowest solo MAPE wins, ties to the lower consequent."""
+    engine, targets = evaluator.engine, evaluator.targets
+    pairs = list(dict.fromkeys((ch.genes[:4], ch.genes[4]) for ch in population))
+    strengths = engine.strengths(evaluator.memberships, np.array([p[0] for p in pairs], dtype=int))
+    groups = {}
+    for idx, (ant, _) in enumerate(pairs):
+        groups.setdefault(ant, []).append(idx)
+
+    winners = []
+    for candidates in groups.values():
+        if len(candidates) == 1:
+            winners.append(candidates[0])
+            continue
+        col = strengths[:, candidates[0]]
+        fired = col > 0.0
+        best_idx, best_score = None, (math.inf, GENE_MAX + 1)
+        for idx in candidates:
+            cons = pairs[idx][1]
+            if fired.any():
+                values, _ = engine.centroids(col[fired][:, None], np.array([cons], dtype=int))
+                solo = mape(targets[fired], values)
+            else:
+                solo = math.inf
+            if (solo, cons) < best_score:
+                best_idx, best_score = idx, (solo, cons)
+        winners.append(best_idx)
+
+    rules = tuple(FuzzyRule(*pairs[i]) for i in winners)
+    values, ok = engine.centroids(strengths[:, winners], np.array([r.consequent for r in rules]))
+    values = np.where(ok, values, evaluator.fallback)
+    rule_base = RuleBase(rules, evaluator.input_vars, evaluator.output_var)
+    return rule_base, mape(targets, values)
 
 
 # -- kernel regression ------------------------------------------------------------

@@ -276,6 +276,19 @@ class TestRuleFiles:
         with pytest.raises(ParseError):
             rules_from_text("1 2 3 4 -> 5\n")
 
+    @pytest.mark.parametrize("bounds", ["5 1", "5 5", "nan 1", "0 nan", "0 inf", "-inf 0"])
+    @pytest.mark.parametrize("name", [IN_NAMES[2], "cost"])
+    def test_bad_universe_bounds_are_a_parse_error_on_their_row(self, name, bounds):
+        text = rules_to_text(simple_rule_base([FuzzyRule((1, 2, 3, 4), 5)]))
+        lines = text.splitlines()
+        row = next(i for i, line in enumerate(lines, start=1) if line.split()[1] == name)
+        lines[row - 1] = f"universe {name} {bounds}"
+        with pytest.raises(ParseError) as err:
+            rules_from_text("\n".join(lines) + "\n")
+        assert err.value.code == "PARSE_ERROR"
+        assert err.value.row == row
+        assert f"(row {row})" in str(err.value)
+
     def test_bad_rule_line_rejected(self):
         rb = simple_rule_base([FuzzyRule((1, 2, 3, 4), 5)])
         text = rules_to_text(rb) + "1 2 3 -> 5\n"

@@ -1,0 +1,128 @@
+"""Batched conflict scoring in the GA, and the call counts of fuzzy inference.
+
+``_PopulationEvaluator.decode_and_fitness`` scores every conflicting
+candidate of a population in one ``FuzzyEngine.centroids`` call. It must
+decode the same rule base and the same fitness bits as the per-candidate loop
+kept in ``oracles.py``. The call-count guards pin the number of ``centroids``
+calls a GA fit makes, and the one ``infer_detail`` call per priced row that
+the benchmark's tracer observes.
+"""
+
+import numpy as np
+import pytest
+
+from conftest import random_dataset
+from oracles import decode_and_fitness_per_candidate
+from costlab import fuzzy
+from costlab.data import SplitSpec, split
+from costlab.fuzzy import FuzzyEngine, FuzzyPredictor
+from costlab.genetic_fuzzy import (
+    GENE_MAX,
+    Chromosome,
+    GAConfig,
+    GeneticFuzzyPredictor,
+    _PopulationEvaluator,
+)
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+def _fired_antecedents(evaluator):
+    """Each training row's maximal-membership antecedent: it fires that row at least."""
+    return [tuple(int(a) for a in row) for row in evaluator.memberships.argmax(axis=2) + 1]
+
+
+def _random_population(rng, fired_pool):
+    """Antecedents from the training rows or drawn at random (most of which fire
+    nothing), each with one to five distinct consequents, some chromosomes repeated."""
+    no_conflict = rng.random() < 0.2
+    genes = []
+    for _ in range(int(rng.integers(1, 12))):
+        if rng.random() < 0.5:
+            ant = fired_pool[int(rng.integers(len(fired_pool)))]
+        else:
+            ant = tuple(int(a) for a in rng.integers(1, GENE_MAX + 1, 4))
+        size = 1 if no_conflict or rng.random() < 0.3 else int(rng.integers(2, 6))
+        for cons in rng.choice(np.arange(1, GENE_MAX + 1), size=size, replace=False):
+            genes.append((*ant, int(cons)))
+    if rng.random() < 0.5:
+        genes += [genes[int(i)] for i in rng.integers(0, len(genes), int(rng.integers(1, 6)))]
+    order = rng.permutation(len(genes))
+    return [Chromosome(genes[int(i)]) for i in order]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_batched_conflict_scoring_matches_the_per_candidate_loop(seed):
+    train = random_dataset(111, seed=seed, noise=0.2)
+    evaluator = _PopulationEvaluator(train, None, fuzzy.DEFAULT_SAMPLES)
+    fired_pool = _fired_antecedents(evaluator)
+    rng = np.random.default_rng(100 + seed)
+    seen = {"fired_group_of_3+": 0, "unfired_conflict": 0, "duplicate": 0, "no_conflict": 0}
+    for _ in range(120):
+        population = _random_population(rng, fired_pool)
+        rule_base, fitness = evaluator.decode_and_fitness(population)
+        want_rule_base, want_fitness = decode_and_fitness_per_candidate(evaluator, population)
+        assert rule_base == want_rule_base
+        assert bits(fitness) == bits(want_fitness)
+
+        groups = {}
+        for ch in set(population):
+            groups.setdefault(ch.genes[:4], []).append(ch.genes[4])
+        conflicts = [ant for ant, cons in groups.items() if len(cons) > 1]
+        strengths = evaluator.engine.strengths(
+            evaluator.memberships, np.array(conflicts, dtype=int).reshape(-1, 4)
+        )
+        fires = dict(zip(conflicts, strengths.max(axis=0) > 0.0))
+        seen["fired_group_of_3+"] += any(len(groups[ant]) >= 3 and fires[ant] for ant in conflicts)
+        seen["unfired_conflict"] += not all(fires.values())
+        seen["duplicate"] += len(set(population)) < len(population)
+        seen["no_conflict"] += not conflicts
+    assert all(count >= 15 for count in seen.values()), seen
+
+
+def _counting(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append(result)
+        return result
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def _train_test(synthetic_144):
+    return split(synthetic_144, SplitSpec(train_count=111, seed=42))
+
+
+@pytest.mark.parametrize("generations", [0, 1, 20])
+def test_a_ga_fit_makes_at_most_two_centroids_calls_per_generation(
+    monkeypatch, synthetic_144, generations
+):
+    train, _ = _train_test(synthetic_144)
+    calls = _counting(monkeypatch, FuzzyEngine, "centroids")
+    GeneticFuzzyPredictor(GAConfig(generations=generations, seed=7)).fit(train)
+    assert generations + 1 <= len(calls) <= 2 * (generations + 1)
+
+
+@pytest.mark.parametrize(
+    "model", [FuzzyPredictor(), GeneticFuzzyPredictor(GAConfig(generations=5, seed=7))]
+)
+def test_predict_many_makes_one_infer_detail_call_per_row(monkeypatch, synthetic_144, model):
+    """``perfbench/tracing.py`` counts fuzzy fallbacks by observing
+    ``fuzzy.infer_detail`` and reading the scalar ``degraded`` of each result,
+    one call per priced row. A batch path that bypasses it leaves that traced
+    boundary cold and its fallback fractions empty, so this pins the contract."""
+    train, test = _train_test(synthetic_144)
+    model.fit(train)
+    calls = _counting(monkeypatch, fuzzy, "infer_detail")
+    values = model.predict_many(test)
+    assert len(calls) == len(test) == values.size
+    assert all(type(result.degraded) is bool for result in calls)
+    degraded = np.array([result.degraded for result in calls])
+    assert degraded.any() and not degraded.all()  # both outcomes are observed
+    assert np.array_equal(values[degraded], np.full(degraded.sum(), model.fallback))

@@ -28,6 +28,7 @@ from costlab.fuzzy import (
     default_variable,
     engine_for,
     infer_detail,
+    triangular_memberships,
 )
 
 
@@ -98,6 +99,51 @@ def test_grouped_centroids_of_tied_rules_on_one_consequent():
     assert np.array_equal(bits(values), bits(want_values))
 
 
+@pytest.mark.parametrize("n", [0, 1, 40])
+def test_centroids_of_a_batch_where_no_rule_fires(n):
+    engine = _engine()
+    strengths = np.zeros((n, 3))
+    consequents = np.array([2, 4, 4])
+    values, ok = engine.centroids(strengths, consequents)
+    want_values, want_ok = ungrouped_centroids(engine, strengths, consequents)
+    assert values.shape == ok.shape == (n,)
+    assert values.dtype == float and ok.dtype == bool
+    assert np.isnan(values).all() and not ok.any()
+    assert np.array_equal(ok, want_ok)
+    assert np.array_equal(bits(values), bits(want_values))
+
+
+def test_centroids_of_one_fired_row_among_many_unfired():
+    engine = _engine()
+    rng = np.random.default_rng(11)
+    consequents = np.array([1, 3, 3, 6, 7, 2])
+    for row in (0, 57, 199):
+        strengths = np.zeros((200, consequents.size))
+        strengths[row] = rng.random(consequents.size)
+        values, ok = engine.centroids(strengths, consequents)
+        want_values, want_ok = ungrouped_centroids(engine, strengths, consequents)
+        assert np.flatnonzero(ok).tolist() == [row]
+        assert np.array_equal(ok, want_ok)
+        assert np.array_equal(bits(values), bits(want_values))
+        # the fired row's value does not depend on the unfired rows around it
+        alone, _ = engine.centroids(strengths[row : row + 1], consequents)
+        assert bits(values[row]) == bits(alone[0])
+
+
+@pytest.mark.parametrize("consequent", range(1, MF_COUNT + 1))
+def test_centroids_of_a_single_rule_batch(consequent):
+    engine = _engine()
+    rng = np.random.default_rng(consequent)
+    strengths = rng.random((30, 1))
+    strengths[rng.random(30) < 0.4] = 0.0
+    consequents = np.array([consequent])
+    values, ok = engine.centroids(strengths, consequents)
+    want_values, want_ok = ungrouped_centroids(engine, strengths, consequents)
+    assert 0 < np.count_nonzero(ok) < 30
+    assert np.array_equal(ok, want_ok)
+    assert np.array_equal(bits(values), bits(want_values))
+
+
 def _variables():
     skewed = FuzzyVariable(
         "skewed",
@@ -148,6 +194,32 @@ def test_broadcast_memberships_match_scalar_membership_per_mf():
     # the shoulders and the skewed variable's flat sides peak at 1
     assert memberships[:, 2, :].max() == 1.0
     assert (memberships >= 0.0).all() and (memberships <= 1.0).all()
+
+
+def test_memberships_of_flat_sided_and_zero_width_triangles_match_the_scalar_oracle():
+    rng = np.random.default_rng(19)
+    shapes = {"shoulder": 0, "zero_width": 0, "zero_breakpoint": 0}
+    for _ in range(400):
+        left, peak, right = np.sort(rng.normal(0.0, 10.0 ** rng.integers(-2, 4), 3))
+        kind = rng.integers(0, 5)
+        if kind == 1:
+            peak = left
+        elif kind == 2:
+            peak = right
+        elif kind == 3:
+            left = peak = right
+        elif kind == 4:
+            left, peak, right = np.sort([0.0, peak, right])
+        mf = TriangularMF(float(left), float(peak), float(right))
+        shapes["shoulder"] += kind in (1, 2)
+        shapes["zero_width"] += kind == 3
+        shapes["zero_breakpoint"] += kind == 4
+        points = [np.nextafter(b, to) for b in (left, peak, right) for to in (b, -np.inf, np.inf)]
+        x = np.array(points + [0.0, -0.0, *rng.uniform(left - 1.0, right + 1.0, 10)])
+        got = triangular_memberships(x, mf.left, mf.peak, mf.right)
+        want = [membership(mf, float(v)) for v in x]
+        assert np.array_equal(bits(got), bits(want))
+    assert all(count > 50 for count in shapes.values()), shapes
 
 
 def test_fired_rules_are_sorted_strongest_first_with_ties_in_rule_order():
