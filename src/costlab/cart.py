@@ -8,18 +8,17 @@ weight and split search. A tree is stored as flat node arrays in depth-first
 order, and one traversal kernel, ``walk_trees``, predicts for one tree or a
 whole ensemble.
 
-Split gain is SSE(parent) - SSE(left) - SSE(right), scored exactly by one
-loop over (feature, threshold) candidates. Ties break toward the first
-candidate, that is the lowest feature index, then the lowest threshold. SSE
-terms are computed from row masks in fixed row order, so candidates inducing
-the same partition produce bit-identical gains. Extra trees feed the loop one
-uniform cut per non-constant feature. ``best_split`` feeds it only the
-shortlist of ``split_shortlist``: every midpoint between consecutive distinct
-feature values is scored at once from sorted prefix sums, and only those
-within the shortlist tolerance of the best (far above the prefix sums'
-rounding) go to the exact loop, which still decides, once per node, on the
-node's rows in their original order. The regularized booster in ``ensemble``
-scores its own shortlist the same way.
+Split gain is SSE(parent) - SSE(left) - SSE(right). One decision stage,
+``split_shortlist``, scores every midpoint between consecutive distinct
+feature values at once from sorted prefix sums and decides: a node splits at
+the first candidate, in (feature, threshold) order, whose approximate gain
+is within the node's rounding bound of its best, and only when that best is
+above the bound, so ties break toward the lowest feature index, then the
+lowest threshold, and a node whose targets differ by rounding only is a
+leaf. ``best_split`` reads the decision, or applies the same rule to random
+forest's drawn features. Extra trees score one uniform cut per non-constant
+feature with the same gain and rule, and the regularized booster in
+``ensemble`` takes the kernel's decision with its missing-value direction.
 
 ``split_shortlist`` scores a batch of nodes in one call, along a leading node
 axis with each node's rows padded to the largest node's, so numpy's per-call
@@ -37,7 +36,7 @@ from collections import deque
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import accumulate
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -88,77 +87,41 @@ class RegressionTree:
         return int(self.depth.max())
 
 
-def _subset_sse(mask: np.ndarray, y: np.ndarray, count: int) -> float:
-    total = float(mask @ y)
-    mean = total / count
-    return float(mask @ ((y - mean) ** 2))
-
-
-def _best_candidate(
-    X: np.ndarray,
-    y: np.ndarray,
-    candidates: Iterable[tuple[int, Iterable[float]]],
-    min_samples_leaf: int,
-) -> tuple[int, float, float] | None:
-    """Highest-gain (feature, threshold, gain) over lazily drawn (feature, thresholds)."""
-    n = y.size
-    if n < 2 or np.all(y == y[0]):
-        return None  # before the first candidate, so random cuts draw nothing here
-    sse_parent = _subset_sse(np.ones(n), y, n)
-    best: tuple[int, float, float] | None = None
-    for f, thresholds in candidates:
-        col = X[:, f]
-        for threshold in thresholds:
-            left = (col <= threshold).astype(float)
-            n_left = int(left.sum())
-            n_right = n - n_left
-            if n_left < min_samples_leaf or n_right < min_samples_leaf:
-                continue
-            gain = sse_parent - _subset_sse(left, y, n_left) - _subset_sse(1.0 - left, y, n_right)
-            if gain > 0 and (best is None or gain > best[2]):
-                best = (int(f), float(threshold), float(gain))
-    return best
-
-
-SHORTLIST_TOL = 1e-7  # tau: keep candidates within tau * scale of the best approximate gain
 EPS = float(np.finfo(float).eps)
 
 
 class NodeGains(NamedTuple):
-    """One node's approximate split gains, as ``split_shortlist`` scored them.
+    """One node's approximate split gains and its split, as ``split_shortlist`` scored them.
 
     Row j of ``thresholds`` and ``gain`` holds the candidates of
     ``features[j]`` in ascending order, one per boundary between sorted
-    positions; ``gain`` is -inf where a boundary is no candidate, and
-    ``feature_best[j]`` is the row's maximum. ``tol`` is the node's shortlist
-    tolerance.
+    positions; ``gain`` is -inf where a boundary is no candidate. ``tol`` is
+    the node's rounding bound. ``choice`` is the split over every scored
+    feature, (feature, threshold, approximate gain), or None;
+    ``default_left`` tells whether its missing values go left.
     """
 
     features: tuple[int, ...]
     thresholds: np.ndarray
     gain: np.ndarray
-    feature_best: list[float]
     tol: float
+    choice: tuple[int, float, float] | None
+    default_left: bool
 
-    def shortlist(self, features: Sequence[int] | None = None) -> list[tuple[int, np.ndarray]]:
-        """(feature, thresholds) within ``tol`` of the best gain over ``features``.
 
-        ``features`` (default: all scored) is a subset of the scored features,
-        such as random forest's drawn ones; the shortlist follows its order.
-        """
-        if features is None or tuple(features) == self.features:
-            rows = range(len(self.features))
-        else:
-            rows = [self.features.index(f) for f in features]
-        best = max(self.feature_best[j] for j in rows)
-        if best == -np.inf:
-            return []
-        floor = best - self.tol
-        return [
-            (self.features[j], self.thresholds[j][self.gain[j] >= floor])
-            for j in rows
-            if self.feature_best[j] >= floor
-        ]
+def _decide(gain: np.ndarray, tol) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The split rule, per row of a (nodes, candidates) gain grid in candidate order.
+
+    Returns each row's best gain, whether it is above ``tol``, and the first
+    candidate within ``tol`` of it.
+    """
+    best = gain.max(axis=1)
+    return best, best > tol, (gain >= (best - tol)[:, None]).argmax(axis=1)
+
+
+def _cart_bound(n: int, scale: float, peak: float) -> float:
+    """CART's rounding bound for a node of n rows (see ``split_shortlist``)."""
+    return 8 * n**1.5 * EPS * scale + 6 * n * (n + 1) ** 2 * (EPS * peak) ** 2
 
 
 def split_shortlist(
@@ -167,16 +130,15 @@ def split_shortlist(
     min_samples_leaf: int,
     lam: float | None = None,
 ) -> list[NodeGains]:
-    """Approximate gains of every candidate split of a batch of (X, t) nodes.
+    """Approximate gains of every candidate split of a batch of (X, t) nodes, and their splits.
 
     The candidates of a node are the midpoints (a + b) / 2 between consecutive
     distinct non-missing values of each feature, in feature order, then
-    ascending; ``NodeGains.shortlist`` returns those an exact scorer could
-    pick, in that order. One call covers the whole batch, so numpy's per-call
-    overhead is paid once per batch instead of once per node: the nodes form
-    a leading axis, and each node's rows (at least one) are padded to the
-    batch's largest node with a missing feature value and a zero ``t``. A
-    single node is a batch of one.
+    ascending. One call covers the whole batch, so numpy's per-call overhead
+    is paid once per batch instead of once per node: the nodes form a leading
+    axis, and each node's rows (at least one) are padded to the batch's
+    largest node (at least two rows) with a missing feature value and a zero
+    ``t``. A single node is a batch of one.
 
     All columns are sorted in one pass (missing values and padding last) and
     ``t`` is prefix-summed along each sorted column, within its own node and
@@ -191,34 +153,31 @@ def split_shortlist(
       centred targets t - mean(t); scale = sum((t - mean(t))^2).
     - ``lam`` a float (the regularized booster, ``t`` the gradients): the
       better of 0.5 * [G_L^2/(n_L+lam) + G_R^2/(n_R+lam)] over both
-      missing-value directions; scale = sum(|t|)^2.
+      missing-value directions, missing values going left on a tie;
+      scale = sum(|t|)^2.
 
-    A candidate is kept when its approximate gain is within ``tol`` of the
-    node's best one: ``SHORTLIST_TOL * scale``, plus for CART
-    6 * n * (n + 1)^2 * (eps * max|t|)^2. Error bound, for a node of n rows in
-    a batch padded to m >= n rows: the centring, the scale and max|t| are
-    computed over the node's own rows before padding, each node's prefix sums
-    stay in its own row, and a padded row adds an exact zero, which rounds
-    nothing; so every sum is off by at most about n*eps*sum|t| in any order,
-    as if unpadded. The CART gain is invariant under a shift of t, so a
-    rounded mean only leaves the centred values a rounding-sized total, and
-    sum|t - mean(t)| <= sqrt(n * scale). An approximate gain is thus off the
-    true gain by at most about 2 * n^1.5 * eps * scale (CART) or
-    2 * n * eps * scale (booster), n being the node's own row count, not m.
-    The exact scorer's gains are off by as much, plus, for CART, the rounding
-    of its side means: a mean off by up to (n + 1) * eps * max|t| moves each
-    of its three SSE terms by up to n times that squared. A candidate with
-    the highest exact gain thus trails the best approximate gain by at most
-    twice the sum: the first part is about 1e-12 * scale at the default 111
-    training rows and 3e-11 * scale at n = 1000, orders under tau * scale,
-    and the second is the CART term of ``tol``, which matters only when the
-    targets' spread is ~1e-10 of their size or less. So the shortlist keeps
-    every candidate the exact scorer could pick, and the exact scorer, run
-    over it in candidate order, picks what it picks over all candidates.
+    A node splits at the first candidate whose approximate gain is within
+    ``tol`` of the node's best, when that best is above ``tol``:
+    8 * n^1.5 * eps * scale (CART) or 4 * n * eps * scale (booster), plus for
+    CART 6 * n * (n + 1)^2 * (eps * max|t|)^2. It bounds the rounding. For a
+    node of n rows in a batch padded to m >= n rows, the centring, the scale
+    and max|t| are computed over the node's own rows before padding, each
+    node's prefix sums stay in its own row, and a padded row adds an exact
+    zero, which rounds nothing; so every sum is off by at most n*eps*sum|t|
+    in any order, as if unpadded. With sum|t - mean(t)| <= sqrt(n * scale),
+    an approximate gain is off its true value, up to the node's constant, by
+    at most about 4 * n^1.5 * eps * scale (CART) or 2 * n * eps * scale
+    (booster), so the candidate with the highest true gain trails the best
+    approximate gain by at most twice that. CART's constant comes from the
+    rounded mean: off by up to (n + 1) * eps * max|t|, it leaves the centred
+    targets a sum G, and every candidate's approximate gain then exceeds its
+    true gain by G^2 / n, which the last term bounds six times over. So a
+    node whose targets differ by rounding only is a leaf. The booster's
+    constant, its parent term and gamma, is left to its caller.
     """
     features = list(features)
     sizes = [t.size for _, t in nodes]
-    b, m = len(nodes), max(sizes)
+    b, m = len(nodes), max(sizes + [2])
     starts = list(accumulate(sizes[:-1], initial=0))
     n = np.array(sizes)[:, None]
     X = np.concatenate([X for X, _ in nodes] + [np.full((1, nodes[0][0].shape[1]), np.nan)])
@@ -228,11 +187,11 @@ def split_shortlist(
     if lam is None:  # the CART gain is shift-invariant; centring keeps the sums small
         peak = np.maximum.reduceat(np.abs(t), starts).tolist()
         t[:-1] -= np.repeat(np.add.reduceat(t, starts) / n[:, 0], sizes)
-        scale = np.add.reduceat(t * t, starts)
-        slack = [6 * k * (k + 1) ** 2 * (EPS * p) ** 2 for k, p in zip(sizes, peak)]
+        scale = np.add.reduceat(t * t, starts).tolist()
+        tol = [_cart_bound(k, s, p) for k, s, p in zip(sizes, scale, peak)]
     else:
-        scale = np.add.reduceat(np.abs(t), starts) ** 2
-        slack = [0.0] * b
+        total = np.add.reduceat(np.abs(t), starts).tolist()
+        tol = [4 * k * EPS * s * s for k, s in zip(sizes, total)]
     # the row of every padded position, (b, m), and the nodes' columns
     # (k, b, m): axes feature, node, position in sorted order (NaN last); the
     # boundary after sorted position i is position i of the (k, b, m - 1) grids
@@ -272,23 +231,49 @@ def split_shortlist(
             ok = candidate & ((nl >= min_samples_leaf) & (nr >= min_samples_leaf))
             side_gain = np.where(ok, side_gain, -np.inf)
             gain = side_gain if gain is None else np.maximum(gain, side_gain)
-    feature_best = gain.max(axis=2, initial=-np.inf).T.tolist()
-    tol = [SHORTLIST_TOL * s + e for s, e in zip(scale.tolist(), slack)]
+    # every node's split over all its features, its (k, m - 1) grid in candidate order
+    best, split, first = _decide(gain.transpose(1, 0, 2).reshape(b, -1), np.array(tol))
     features = tuple(features)
-    return [
-        NodeGains(features, thresholds[:, i], gain[:, i], feature_best[i], tol[i])
-        for i in range(b)
-    ]
+    result = []
+    for i, (at, s, top) in enumerate(zip(first.tolist(), split.tolist(), best.tolist())):
+        j, p = divmod(at, m - 1)
+        choice = (features[j], float(thresholds[j, i, p]), float(gain[j, i, p])) if s else None
+        # the last side sends missing values left; with one side it is ``gain``
+        default_left = len(sides) == 1 or bool(side_gain[j, i, p] >= top - tol[i])
+        result.append(
+            NodeGains(features, thresholds[:, i], gain[:, i], tol[i], choice, default_left)
+        )
+    return result
 
 
-def _uniform_cuts(
-    X: np.ndarray, features: Iterable[int], rng: np.random.Generator
-) -> Iterator[tuple[int, tuple[float]]]:
-    """Extra-trees candidates: one uniform cut per non-constant feature."""
+def _best_uniform_cut(
+    X: np.ndarray, y: np.ndarray, features: Sequence[int], rng: np.random.Generator,
+    min_samples_leaf: int,
+) -> tuple[int, float, float] | None:
+    """Extra trees' split: one uniform cut per non-constant feature, drawn in
+    feature order, with CART's approximate gain, bound and rule.
+
+    A pure node returns before anything is drawn.
+    """
+    n = y.size
+    if n < 2 or np.all(y == y[0]):
+        return None
+    t = y - y.sum() / n
+    total = float(t.sum())
+    lo, hi = X.min(axis=0).tolist(), X.max(axis=0).tolist()
+    cuts = []
     for f in features:
-        lo, hi = float(X[:, f].min()), float(X[:, f].max())
-        if lo != hi:
-            yield f, (float(rng.uniform(lo, hi)),)
+        if lo[f] != hi[f]:
+            threshold = float(rng.uniform(lo[f], hi[f]))
+            left = X[:, f] <= threshold
+            n_left = int(np.count_nonzero(left))
+            if min(n_left, n - n_left) >= min_samples_leaf:
+                g_left = float(t @ left)
+                gain = g_left * g_left / n_left + (total - g_left) ** 2 / (n - n_left)
+                cuts.append((int(f), threshold, gain))
+    best = max((gain for _, _, gain in cuts), default=-np.inf)
+    tol = _cart_bound(n, float(t @ t), float(np.abs(y).max()))
+    return next(cut for cut in cuts if cut[2] >= best - tol) if best > tol else None
 
 
 def best_split(
@@ -298,22 +283,26 @@ def best_split(
     min_samples_leaf: int = 1,
     gains: NodeGains | None = None,
 ) -> tuple[int, float, float] | None:
-    """Highest-gain (feature, threshold, gain), or None when nothing helps.
+    """The node's split (feature, threshold, approximate gain), or None.
 
     ``gains`` is the node's precomputed ``split_shortlist`` result, scored
-    over at least ``features``; without it the node is scored as a batch of one.
+    over at least ``features``; without it the node is scored as a batch of
+    one. Over fewer features than were scored, such as random forest's drawn
+    ones, the rule is applied to their rows of the gain grid.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if features is None:
-        features = range(X.shape[1])
-
-    def candidates() -> Iterator[tuple[int, np.ndarray]]:
-        # drawn lazily, so ``_best_candidate`` returns at a pure node before any scoring
-        node = gains or split_shortlist([(X, y)], features, min_samples_leaf)[0]
-        yield from node.shortlist(features)
-
-    return _best_candidate(X, y, candidates(), min_samples_leaf)
+    if gains is None:
+        X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
+    features = tuple(range(X.shape[1]) if features is None else features)
+    node = gains or split_shortlist([(X, y)], features, min_samples_leaf)[0]
+    if features == node.features:
+        return node.choice
+    rows = [node.features.index(f) for f in features]
+    gain = node.gain[rows]
+    _, split, first = _decide(gain.reshape(1, -1), node.tol)
+    if not split[0]:
+        return None
+    j, p = divmod(int(first[0]), gain.shape[1])
+    return int(features[j]), float(node.thresholds[rows[j], p]), float(gain[j, p])
 
 
 # (feature, threshold, default_left or None, left row mask)
@@ -408,7 +397,7 @@ def grow(
         else:
             features = every_feature
         if random_thresholds:
-            split = _best_candidate(X, y, _uniform_cuts(X, features, rng), params.min_samples_leaf)
+            split = _best_uniform_cut(X, y, features, rng, params.min_samples_leaf)
         else:
             split = best_split(X, y, features, params.min_samples_leaf, gains)
         if split is None:

@@ -10,14 +10,15 @@ is a row count; no hessian array is kept. All six grow their trees with the
 shared recursion in ``cart``, and one ``EnsemblePredictor`` wraps any of the
 ``fit_*`` functions for the zoo.
 
-The regularized split search scores every (feature, threshold) midpoint from
-sorted prefix sums of the gradients, for both missing-value directions, in
-``cart.split_shortlist``, a whole depth level of the tree in one call (the
-nodes padded to the level's largest); only candidates within 1e-7 *
-(sum|g|)^2 of a node's best approximate gain, far above the prefix sums'
-rounding of about n * eps * (sum|g|)^2 for a node of n rows, are scored
-exactly by the mask loop, once per node and in the order of the full search,
-so the same split wins.
+The regularized split search is ``cart.split_shortlist``'s one decision
+stage: it scores every (feature, threshold) midpoint from sorted prefix sums
+of the gradients, for both missing-value directions, a whole depth level of
+the tree in one call, and picks the first candidate in (feature, threshold)
+order within the node's rounding bound, 4 * n * eps * (sum|g|)^2 for a node
+of n rows, of the best approximate gain, sending missing values left on a
+tie of the two directions (and always when nothing is missing). The pick
+splits when its penalized gain, one ``split_gain`` over its two sides' sums,
+is positive.
 """
 
 from __future__ import annotations
@@ -253,41 +254,29 @@ def leaf_weight(g_sum: float, h_sum: float, lam: float) -> float:
 def _best_regularized_split(
     X: np.ndarray, g: np.ndarray, cfg: BoostConfig, gains: NodeGains | None = None
 ) -> tuple[int, float, bool, np.ndarray, float] | None:
-    """Exact greedy search over features, thresholds, and default directions.
+    """(feature, threshold, default_left, left row mask, gain) of the node's split, or None.
 
-    Returns (feature, threshold, default_left, left row mask, gain); missing
-    rows are sent down whichever side yields the higher gain. Under squared
-    loss every hessian is 1, so each hessian sum is the side's row count.
-    Only the (feature, threshold) pairs of the node's ``cart.split_shortlist``
-    gains (``gains``, or the node scored as a batch of one) are scored.
+    The node's ``cart.split_shortlist`` gains (``gains``, or the node scored
+    as a batch of one) choose the candidate and its missing-value direction.
+    It is taken when its penalized gain, over the sums of its two sides, is
+    positive. Under squared loss every hessian is 1, so each hessian sum is
+    the side's row count.
     """
-    n = g.size
-    min_leaf = cfg.tree.min_samples_leaf
     if gains is None:
-        gains = split_shortlist([(X, g)], range(X.shape[1]), min_leaf, cfg.lam)[0]
-    best: tuple[int, float, bool, np.ndarray, float] | None = None
-    for f, thresholds in gains.shortlist():
-        col = X[:, f]
-        present = ~np.isnan(col)
-        g_miss = float(g[~present].sum())
-        n_miss = int(n - present.sum())
-        for threshold in thresholds:
-            left_present = present & (col <= threshold)
-            right_present = present & (col > threshold)
-            gl = float(g[left_present].sum())
-            gr = float(g[right_present].sum())
-            nl, nr = int(left_present.sum()), int(right_present.sum())
-            for default_left, g_left, g_right, n_left, n_right in (
-                (True, gl + g_miss, gr, nl + n_miss, nr),
-                (False, gl, gr + g_miss, nl, nr + n_miss),
-            ):
-                if n_left < min_leaf or n_right < min_leaf:
-                    continue  # before scoring: with lam 0 an empty side would divide by zero
-                gain = split_gain(g_left, n_left, g_right, n_right, cfg.lam, cfg.gamma)
-                if gain > 0 and (best is None or gain > best[4]):
-                    mask = left_present | (~present if default_left else np.zeros(n, bool))
-                    best = (f, float(threshold), default_left, mask, float(gain))
-    return best
+        gains = split_shortlist([(X, g)], range(X.shape[1]), cfg.tree.min_samples_leaf, cfg.lam)[0]
+    if gains.choice is None:
+        return None
+    feature, threshold, _ = gains.choice
+    col = X[:, feature]
+    mask = col <= threshold
+    if gains.default_left:
+        mask |= np.isnan(col)
+    n_left = int(mask.sum())
+    gain = split_gain(float(g[mask].sum()), n_left, float(g[~mask].sum()), g.size - n_left,
+                      cfg.lam, cfg.gamma)
+    if not gain > 0:
+        return None
+    return feature, threshold, gains.default_left, mask, gain
 
 
 def fit_regularized_booster(X: np.ndarray, y: np.ndarray, cfg: BoostConfig) -> EnsembleModel:

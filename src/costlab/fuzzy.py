@@ -54,7 +54,8 @@ def triangular_memberships(
 ) -> np.ndarray:
     """Membership degree in [0, 1] of the points ``x`` in the triangles with these
     breakpoints, all four broadcast together; bit-identical to the scalar oracle
-    ``membership`` in ``tests/oracles.py``."""
+    ``membership`` in ``tests/oracles.py`` for non-NaN ``x``. A NaN ``x`` gives
+    0.0 where the oracle gives NaN; every caller rejects missing values first."""
     with np.errstate(divide="ignore", invalid="ignore"):  # flat sides: +-inf, NaN at the peak
         rising = (x - left) / (peak - left)
         falling = (right - x) / (right - peak)

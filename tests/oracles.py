@@ -1,16 +1,20 @@
 """Scalar reference forms that the tests compare the package's batch paths against.
 
 Each is the straightforward one-value computation that the package replaced
-with an array form; the package itself never calls them.
+with an array form; the package itself never calls them. The split-search
+section also holds the exact scorers that the kernel's decision replaced and
+the exact-arithmetic checks of its tie rule.
 """
 
 import math
 from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 
 from costlab.cart import LEAF, RegressionTree
 from costlab.cbr import DEFAULT_WEIGHTS
+from costlab.ensemble import split_gain
 from costlab.errors import NegativeAttributeError, UnsupportedMissingError
 from costlab.fuzzy import DEFAULT_SAMPLES, FuzzyRule, RuleBase
 from costlab.genetic_fuzzy import GENE_MAX, _PopulationEvaluator
@@ -148,3 +152,144 @@ def grow_tree_one_node_at_a_time(
     grow_node(X, t, 0)
     return RegressionTree(**{f.name: np.array([node[f.name] for node in nodes])
                              for f in fields(RegressionTree)})
+
+
+# -- split search ------------------------------------------------------------------
+
+
+def _subset_sse(mask, y, count):
+    total = float(mask @ y)
+    mean = total / count
+    return float(mask @ ((y - mean) ** 2))
+
+
+def _best_candidate(X, y, candidates, min_samples_leaf):
+    """The exact CART scorer that the kernel's decision replaced.
+
+    Highest-gain (feature, threshold, gain) over lazily drawn (feature,
+    thresholds) candidates, each scored from row masks in fixed row order;
+    strict ``>`` keeps the first of bit-equal gains.
+    """
+    n = y.size
+    if n < 2 or np.all(y == y[0]):
+        return None  # before the first candidate, so random cuts draw nothing here
+    sse_parent = _subset_sse(np.ones(n), y, n)
+    best = None
+    for f, thresholds in candidates:
+        col = X[:, f]
+        for threshold in thresholds:
+            left = (col <= threshold).astype(float)
+            n_left = int(left.sum())
+            n_right = n - n_left
+            if n_left < min_samples_leaf or n_right < min_samples_leaf:
+                continue
+            gain = sse_parent - _subset_sse(left, y, n_left) - _subset_sse(1.0 - left, y, n_right)
+            if gain > 0 and (best is None or gain > best[2]):
+                best = (int(f), float(threshold), float(gain))
+    return best
+
+
+def regularized_mask_search(X, g, cfg, candidates):
+    """The regularized booster's exact mask loop that the kernel's decision replaced.
+
+    (feature, threshold, default_left, left row mask, gain) of the highest
+    penalized gain over (feature, thresholds) candidates and both
+    missing-value directions, missing-left first; strict ``>`` keeps the
+    first of bit-equal gains.
+    """
+    n = g.size
+    min_leaf = cfg.tree.min_samples_leaf
+    best = None
+    for f, thresholds in candidates:
+        col = X[:, f]
+        present = ~np.isnan(col)
+        g_miss = float(g[~present].sum())
+        n_miss = int(n - present.sum())
+        for threshold in thresholds:
+            left_present = present & (col <= threshold)
+            right_present = present & (col > threshold)
+            gl = float(g[left_present].sum())
+            gr = float(g[right_present].sum())
+            nl, nr = int(left_present.sum()), int(right_present.sum())
+            for default_left, g_left, g_right, n_left, n_right in (
+                (True, gl + g_miss, gr, nl + n_miss, nr),
+                (False, gl, gr + g_miss, nl, nr + n_miss),
+            ):
+                if n_left < min_leaf or n_right < min_leaf:
+                    continue  # before scoring: with lam 0 an empty side would divide by zero
+                gain = split_gain(g_left, n_left, g_right, n_right, cfg.lam, cfg.gamma)
+                if gain > 0 and (best is None or gain > best[4]):
+                    mask = left_present | (~present if default_left else np.zeros(n, bool))
+                    best = (f, float(threshold), default_left, mask, float(gain))
+    return best
+
+
+def uniform_cuts(X, features, rng):
+    """Extra trees' cuts as the exact scorer drew them: one uniform cut per non-constant feature."""
+    for f in features:
+        lo, hi = float(X[:, f].min()), float(X[:, f].max())
+        if lo != hi:
+            yield f, (float(rng.uniform(lo, hi)),)
+
+
+def midpoints(col):
+    """Every candidate threshold of a column: midpoints of its consecutive distinct values."""
+    distinct = np.unique(col[~np.isnan(col)])
+    return (distinct[:-1] + distinct[1:]) / 2.0
+
+
+def left_mask(X, feature, threshold, default_left=False):
+    col = X[:, feature]
+    return (col <= threshold) | (default_left & np.isnan(col))
+
+
+def exact_gain(t, mask, lam=None, gamma=0.0):
+    """The true gain of sending the ``mask`` rows left, in ``Fraction`` arithmetic.
+
+    CART's SSE(parent) - SSE(left) - SSE(right) when ``lam`` is None, else the
+    regularized booster's penalized gain with every hessian 1.
+    """
+    values = [Fraction(v) for v in np.asarray(t, dtype=float).tolist()]
+    left = [v for v, m in zip(values, np.asarray(mask).tolist()) if m]
+    right = [v for v, m in zip(values, np.asarray(mask).tolist()) if not m]
+    if lam is None:
+        def term(side):
+            return sum(side) ** 2 / len(side) if side else Fraction(0)
+        # SSE = sum(v^2) - (sum v)^2 / n, and the squares cancel between parent and sides
+        return term(left) + term(right) - term(values)
+    def term(side):
+        return sum(side, Fraction(0)) ** 2 / (len(side) + Fraction(lam))
+    return (term(left) + term(right) - term(values)) / 2 - Fraction(gamma)
+
+
+def cart_key(split):
+    """A CART split's candidate key, (feature, threshold), or None."""
+    return None if split is None else split[:2]
+
+
+def regularized_key(split):
+    """A booster split's candidate key, missing values left before right, or None."""
+    return None if split is None else (split[0], split[1], not split[2])
+
+
+def check_tie_rule(got, expected, gain_of, tol, exact=True):
+    """Check the kernel's split against the exact scorer's under the documented rule.
+
+    ``got`` and ``expected`` are candidate keys in candidate order, such as
+    (feature, threshold), or None for no split, and ``gain_of`` gives a key's
+    exact gain. Equal keys pass. Otherwise their exact gains must be within
+    2 * ``tol`` of each other, None (a leaf) having gain 0: the kernel picks
+    within ``tol`` of its best approximate gain, and each approximate gain is
+    off by at most half of ``tol``. Two splits must tie exactly (with
+    ``exact``), and ``got`` must come first in candidate order unless its
+    gain is the higher. Returns whether the two differ.
+    """
+    if got == expected:
+        return False
+    gain_got = Fraction(0) if got is None else gain_of(got)
+    gain_expected = Fraction(0) if expected is None else gain_of(expected)
+    assert abs(gain_got - gain_expected) <= 2 * Fraction(tol), (got, expected, tol)
+    if got is not None and expected is not None:
+        assert gain_got == gain_expected or not exact, (got, expected)
+        assert got < expected or gain_got > gain_expected, (got, expected)
+    return True

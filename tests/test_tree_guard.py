@@ -88,11 +88,11 @@ CASES = {
 EXPECTED = {
     "adaboost_r2": [
         "0x1.0ed71c192f0e5p+11",
-        "0x1.f2534e0f0764dp+10",
-        "0x1.cc7e39633764dp+10",
-        "0x1.56182fecaaf71p+11",
-        "0x1.2ea353623fd9bp+11",
-        "0x1.cc7e39633764dp+10",
+        "0x1.02b87e6aabcd6p+11",
+        "0x1.cd5107245c6e0p+10",
+        "0x1.4b25a60eeec5cp+11",
+        "0x1.2deeea0f05eb5p+11",
+        "0x1.cd5107245c6e0p+10",
     ],
     "bagging": [
         "0x1.06dc0e3c9dd23p+11",
