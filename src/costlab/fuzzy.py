@@ -15,7 +15,7 @@ strength).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -30,7 +30,7 @@ from .errors import (
 )
 
 MF_COUNT = 7
-DEFAULT_SAMPLES = 1001
+SAMPLES = 1001  # points of the uniform output grid that centroids integrate over
 OUTPUT_NAME = "cost"
 
 
@@ -94,18 +94,10 @@ class FuzzyVariable:
                     f"and starting {nxt.left}"
                 )
 
-    def __hash__(self) -> int:
-        return self._hash
-
     @cached_property
     def breakpoints(self) -> np.ndarray:
         """(3, 7) left, peak and right breakpoints of the membership functions."""
         return np.array([[mf.left, mf.peak, mf.right] for mf in self.mfs]).T
-
-    @cached_property
-    def _hash(self) -> int:
-        # engine_for hashes the variables on every inference call
-        return hash((self.name, self.lo, self.hi, self.mfs))
 
 
 def default_variable(name: str, lo: float, hi: float) -> FuzzyVariable:
@@ -174,17 +166,17 @@ class RuleBase:
         """(R,) consequent MF indices."""
         return np.array([r.consequent for r in self.rules], dtype=int)
 
+    @cached_property
+    def engine(self) -> FuzzyEngine:
+        """The inference engine over this rule base's variables, built on first use."""
+        return FuzzyEngine(self.input_vars, self.output_var)
+
 
 @dataclass(frozen=True)
 class InferenceResult:
     value: float
     fired: tuple[tuple[FuzzyRule, float], ...]
     degraded: bool
-
-
-def _check_samples(samples: int) -> None:
-    if samples < 1000:
-        raise ValueError(f"need at least 1000 quadrature samples, got {samples}")
 
 
 class FuzzyEngine:
@@ -195,18 +187,11 @@ class FuzzyEngine:
     scalar ``membership`` and ``fire_rule`` are oracles in ``tests/oracles.py``.
     """
 
-    def __init__(
-        self,
-        input_vars: Sequence[FuzzyVariable],
-        output_var: FuzzyVariable,
-        samples: int = DEFAULT_SAMPLES,
-    ):
-        _check_samples(samples)
+    def __init__(self, input_vars: Sequence[FuzzyVariable], output_var: FuzzyVariable):
         self.input_vars = tuple(input_vars)
         self.output_var = output_var
-        self.samples = samples
-        self.grid = np.linspace(output_var.lo, output_var.hi, samples)
-        self.step = (output_var.hi - output_var.lo) / (samples - 1)
+        self.grid = np.linspace(output_var.lo, output_var.hi, SAMPLES)
+        self.step = (output_var.hi - output_var.lo) / (SAMPLES - 1)
         # (7, G) membership of each output MF on the grid
         self.consequent_grid = triangular_memberships(
             self.grid, *output_var.breakpoints[:, :, None]
@@ -254,28 +239,14 @@ class FuzzyEngine:
         return values, ok
 
 
-@lru_cache(maxsize=32)
-def _engine_for(
-    input_vars: tuple[FuzzyVariable, ...], output_var: FuzzyVariable, samples: int
-) -> FuzzyEngine:
-    return FuzzyEngine(input_vars, output_var, samples)
-
-
-def engine_for(rule_base: RuleBase, samples: int = DEFAULT_SAMPLES) -> FuzzyEngine:
-    return _engine_for(rule_base.input_vars, rule_base.output_var, samples)
-
-
 def infer_detail(
-    rule_base: RuleBase,
-    x: FeatureVector,
-    samples: int = DEFAULT_SAMPLES,
-    fallback: float | None = None,
+    rule_base: RuleBase, x: FeatureVector, fallback: float | None = None
 ) -> InferenceResult:
     """Crisp cost with the fired-rule trace and the degraded-fallback flag;
     without a fallback, raises NO_RULE_FIRES when nothing fires."""
     if x.has_missing:
         raise UnsupportedMissingError("fuzzy inference requires complete feature vectors")
-    engine = engine_for(rule_base, samples)
+    engine = rule_base.engine
     memberships = engine.input_memberships(x.to_array()[None, :])
     strengths = engine.strengths(memberships, rule_base.antecedents)
     values, ok = engine.centroids(strengths, rule_base.consequents)
@@ -316,7 +287,6 @@ def variables_from_dataset(train: Dataset) -> tuple[tuple[FuzzyVariable, ...], F
 def derive_rule_base(
     train: Dataset,
     variables: tuple[tuple[FuzzyVariable, ...], FuzzyVariable] | None = None,
-    samples: int = DEFAULT_SAMPLES,
 ) -> RuleBase:
     """Vote one rule per training case from its maximal-membership functions.
 
@@ -326,7 +296,7 @@ def derive_rule_base(
     if len(train) == 0:
         raise ValueError("cannot derive rules from an empty dataset")
     input_vars, output_var = variables or variables_from_dataset(train)
-    engine = _engine_for(tuple(input_vars), output_var, samples)
+    engine = FuzzyEngine(input_vars, output_var)
     memberships = engine.input_memberships(train.features_matrix)
     ant_indices = memberships.argmax(axis=2) + 1
     out_memberships = triangular_memberships(train.targets[:, None], *output_var.breakpoints)
@@ -431,11 +401,9 @@ class FuzzyPredictor(Predictor):
 
     model_kind = "fuzzy"
 
-    def __init__(self, rule_file: str | None = None, samples: int = DEFAULT_SAMPLES):
+    def __init__(self, rule_file: str | None = None):
         super().__init__()
-        _check_samples(samples)
         self.rule_file = rule_file
-        self.samples = samples
         self.rule_base: RuleBase | None = None
         self.fallback: float | None = None
 
@@ -443,7 +411,7 @@ class FuzzyPredictor(Predictor):
         if self.rule_file is not None:
             self.rule_base = load_rules(self.rule_file)
         else:
-            self.rule_base = derive_rule_base(train, samples=self.samples)
+            self.rule_base = derive_rule_base(train)
         self.fallback = float(np.mean(train.targets))
 
     def _predict_batch(self, X: np.ndarray) -> np.ndarray:
@@ -451,4 +419,4 @@ class FuzzyPredictor(Predictor):
 
     def infer_trace(self, x: FeatureVector) -> InferenceResult:
         """Inference with fired rules and the degraded flag, for reporting."""
-        return infer_detail(self.rule_base, x, samples=self.samples, fallback=self.fallback)
+        return infer_detail(self.rule_base, x, fallback=self.fallback)

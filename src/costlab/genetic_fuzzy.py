@@ -23,15 +23,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import EmptyTrainError
-from .fuzzy import (
-    DEFAULT_SAMPLES,
-    FuzzyEngine,
-    FuzzyPredictor,
-    FuzzyRule,
-    FuzzyVariable,
-    RuleBase,
-    variables_from_dataset,
-)
+from .fuzzy import FuzzyEngine, FuzzyPredictor, FuzzyRule, RuleBase, variables_from_dataset
 from .metrics import mape
 
 GENE_COUNT = 5
@@ -63,7 +55,6 @@ class GAConfig:
     mutation_prob: float = 0.01
     elitism_count: int = 2
     seed: int = 0
-    samples: int = DEFAULT_SAMPLES
 
     def __post_init__(self):
         if self.population_size < 2:
@@ -83,7 +74,7 @@ def random_chromosome(rng: np.random.Generator) -> Chromosome:
 
 
 def crossover(
-    a: Chromosome, b: Chromosome, rng: np.random.Generator, prob: float = 0.7
+    a: Chromosome, b: Chromosome, rng: np.random.Generator, prob: float
 ) -> tuple[Chromosome, Chromosome]:
     """Single-point crossover at a uniform cut in 1..4, applied with ``prob``."""
     if rng.random() >= prob:
@@ -95,9 +86,7 @@ def crossover(
     )
 
 
-def mutate(
-    c: Chromosome, rng: np.random.Generator, prob: float = 0.01
-) -> Chromosome:
+def mutate(c: Chromosome, rng: np.random.Generator, prob: float) -> Chromosome:
     """Each gene independently redrawn uniformly from 1..7 with ``prob``."""
     genes = list(c.genes)
     for i in range(GENE_COUNT):
@@ -109,18 +98,11 @@ def mutate(
 class _PopulationEvaluator:
     """Precomputed training-side state for scoring whole populations."""
 
-    def __init__(
-        self,
-        train: Dataset,
-        variables: tuple[tuple[FuzzyVariable, ...], FuzzyVariable] | None,
-        samples: int,
-    ):
+    def __init__(self, train: Dataset):
         if len(train) == 0:
             raise EmptyTrainError("genetic-fuzzy evaluation needs a nonempty training set")
-        input_vars, output_var = variables or variables_from_dataset(train)
-        self.input_vars = tuple(input_vars)
-        self.output_var = output_var
-        self.engine = FuzzyEngine(self.input_vars, output_var, samples)
+        self.input_vars, self.output_var = variables_from_dataset(train)
+        self.engine = FuzzyEngine(self.input_vars, self.output_var)
         self.memberships = self.engine.input_memberships(train.features_matrix)
         self.targets = train.targets
         self.fallback = float(np.mean(train.targets))
@@ -201,11 +183,7 @@ def _tournament(
     return population[int(entrants[int(rng.integers(0, _TOURNAMENT_SIZE))])]
 
 
-def evolve(
-    cfg: GAConfig,
-    train: Dataset,
-    variables: tuple[tuple[FuzzyVariable, ...], FuzzyVariable] | None = None,
-) -> tuple[RuleBase, list[float]]:
+def evolve(cfg: GAConfig, train: Dataset) -> tuple[RuleBase, list[float]]:
     """Evolve a rule base minimizing training MAPE.
 
     Returns the best decoded rule base seen across all generations and the
@@ -214,7 +192,7 @@ def evolve(
     if len(train) == 0:
         raise EmptyTrainError("evolve needs a nonempty training set")
     rng = np.random.default_rng(cfg.seed)
-    evaluator = _PopulationEvaluator(train, variables, cfg.samples)
+    evaluator = _PopulationEvaluator(train)
 
     population = [random_chromosome(rng) for _ in range(cfg.population_size)]
     best_rule_base, best_fit = evaluator.decode_and_fitness(population)
@@ -246,8 +224,8 @@ class GeneticFuzzyPredictor(FuzzyPredictor):
     model_kind = "genetic_fuzzy"
 
     def __init__(self, config: GAConfig | None = None):
+        super().__init__()
         self.config = config or GAConfig()
-        super().__init__(samples=self.config.samples)
         self.history: list[float] = []
 
     def _fit(self, train: Dataset, y: np.ndarray) -> None:

@@ -43,7 +43,7 @@ def _floats(raw: str) -> tuple[float, ...]:
 _PARAM_TYPES: dict[str, Callable[[str], object]] = {
     **dict.fromkeys(
         ("max_depth", "min_samples_leaf", "min_samples_split", "n_members", "n_rounds",
-         "epochs", "max_passes", "k", "samples", "population_size", "generations",
+         "epochs", "max_passes", "k", "population_size", "generations",
          "elitism_count"),
         int,
     ),
@@ -57,7 +57,7 @@ _PARAM_TYPES: dict[str, Callable[[str], object]] = {
 }
 
 _TREE_KEYS = ("max_depth", "min_samples_leaf", "min_samples_split")
-_BOOST_KEYS = ("n_rounds", "learning_rate", "subsample", *_TREE_KEYS)
+_BOOST_KEYS = ("n_rounds", "learning_rate", *_TREE_KEYS)
 _NET_KEYS = ("epochs", "learning_rate")
 
 
@@ -236,7 +236,7 @@ MODEL_REGISTRY: dict[str, ModelInfo] = {
             "Stochastic gradient boosting",
             "ensemble",
             _build_sgb,
-            _BOOST_KEYS,
+            (*_BOOST_KEYS, "subsample"),
         ),
         ModelInfo(
             "genetic_fuzzy",
@@ -244,7 +244,7 @@ MODEL_REGISTRY: dict[str, ModelInfo] = {
             "hybrid fuzzy",
             _build_genetic_fuzzy,
             ("population_size", "generations", "crossover_prob", "mutation_prob",
-             "elitism_count", "samples"),
+             "elitism_count"),
         ),
         ModelInfo("cbr", "Case-based reasoning", "case-based", _build_cbr, ("k", "weights")),
         ModelInfo(
@@ -254,9 +254,7 @@ MODEL_REGISTRY: dict[str, ModelInfo] = {
             _build_svr,
             ("c", "epsilon", "gamma_rbf", "max_passes"),
         ),
-        ModelInfo(
-            "fuzzy", "Mamdani fuzzy inference", "fuzzy", _build_fuzzy, ("rule_file", "samples")
-        ),
+        ModelInfo("fuzzy", "Mamdani fuzzy inference", "fuzzy", _build_fuzzy, ("rule_file",)),
         ModelInfo(
             "frozen_quadratic",
             "Frozen quadratic baseline",

@@ -16,7 +16,7 @@ from costlab.cart import LEAF, RegressionTree
 from costlab.cbr import DEFAULT_WEIGHTS
 from costlab.ensemble import split_gain
 from costlab.errors import NegativeAttributeError, UnsupportedMissingError
-from costlab.fuzzy import DEFAULT_SAMPLES, FuzzyRule, RuleBase
+from costlab.fuzzy import FuzzyRule, RuleBase
 from costlab.genetic_fuzzy import GENE_MAX, _PopulationEvaluator
 from costlab.metrics import mape
 
@@ -45,9 +45,9 @@ def fire_rule(rule_base, rule, x):
     return strength
 
 
-def decode_and_fitness(population, train, variables=None, samples=DEFAULT_SAMPLES):
+def decode_and_fitness(population, train):
     """The decoded rule base of a population and its training MAPE."""
-    return _PopulationEvaluator(train, variables, samples).decode_and_fitness(population)
+    return _PopulationEvaluator(train).decode_and_fitness(population)
 
 
 def decode_and_fitness_per_candidate(evaluator, population):

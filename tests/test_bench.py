@@ -1,4 +1,5 @@
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -125,7 +126,7 @@ seed = 99
         section = readme[readme.index("## Benchmark config"):]
         start = section.index("```ini\n") + len("```ini\n")
         cfg = parse_config(section[start:section.index("```\n", start)])
-        assert len(cfg.model_params) == 9
+        assert len(cfg.model_params) == 8
         for model_id, params in cfg.model_params.items():
             assert params, model_id
             documented = build_model(model_id, params, derive_seed(42, model_id))
@@ -133,8 +134,15 @@ seed = 99
             assert vars(documented) == vars(default), model_id
 
 
+# Keys that name a setting the model does not have.
+UNKNOWN_KEYS = [
+    ("fuzzy", {"samples": "1001"}),  # the centroid grid is fixed at fuzzy.SAMPLES points
+    ("genetic_fuzzy", {"samples": "1001"}),
+    ("regularized_boosting", {"subsample": "0.3"}),  # the booster draws no row subsample
+]
+
 # One out-of-range value per model family (the regression family takes no
-# hyperparameters, so any key is bad there).
+# hyperparameters, so any key is bad there), and the unknown keys.
 BAD_HYPERPARAMETERS = [
     ("plain_regression", {"degree": "2"}),
     ("plain_mlp", {"epochs": "-1"}),
@@ -146,11 +154,11 @@ BAD_HYPERPARAMETERS = [
     ("adaboost_r2", {"n_members": "-3"}),
     ("sgb", {"subsample": "1.5"}),
     ("regularized_boosting", {"lam": "-1"}),
-    ("genetic_fuzzy", {"samples": "10"}),
+    ("genetic_fuzzy", {"elitism_count": "0"}),
     ("cbr", {"k": "0"}),
     ("cbr", {"weights": "0,0,0,0"}),
     ("svr", {"c": "0"}),
-    ("fuzzy", {"samples": "10"}),
+    ("genetic_fuzzy", {"mutation_prob": "1.5"}),
     ("svr", {"gamma_rbf": "-5"}),
     ("svr", {"c": "nan"}),
     ("cbr", {"weights": "nan,1,1,1"}),
@@ -163,6 +171,7 @@ BAD_HYPERPARAMETERS = [
     ("cbr", {"weights": "-1,1,1,1"}),
     ("svr", {"gamma_rbf": "inf"}),
     ("svr", {"epsilon": "inf"}),
+    *UNKNOWN_KEYS,
 ]
 
 
@@ -170,6 +179,11 @@ class TestBadHyperparameters:
     @pytest.mark.parametrize("model_id, params", BAD_HYPERPARAMETERS)
     def test_build_raises_config_error(self, model_id, params):
         with pytest.raises(ConfigError, match=model_id):
+            build_model(model_id, params, 0)
+
+    @pytest.mark.parametrize("model_id, params", UNKNOWN_KEYS)
+    def test_unknown_key_is_named(self, model_id, params):
+        with pytest.raises(ConfigError, match=re.escape(f"unknown hyperparameters {list(params)}")):
             build_model(model_id, params, 0)
 
     @pytest.mark.parametrize("model_id, params", BAD_HYPERPARAMETERS)
@@ -186,7 +200,7 @@ class TestBadHyperparameters:
         "section",
         [
             "[models]\nenabled = cart, svr\n\n[model.svr]\nc = 0\n",
-            "[models]\nenabled = cart, fuzzy\n\n[model.fuzzy]\nsamples = 10\n",
+            "[models]\nenabled = cart, genetic_fuzzy\n\n[model.genetic_fuzzy]\nelitism_count = 0\n",
             "[models]\nenabled = bagging\n\n[model.bagging]\nn_members = 0\n",
             "[data]\nn = 0\n",
             "[data]\nnoise_pct = -1\n",
@@ -200,7 +214,7 @@ class TestBadHyperparameters:
         ],
         ids=[
             "svr_c",
-            "fuzzy_samples",
+            "genetic_fuzzy_elitism_count",
             "bagging_n_members",
             "data_n",
             "data_noise_pct",

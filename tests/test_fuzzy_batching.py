@@ -56,7 +56,7 @@ def _random_population(rng, fired_pool):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_batched_conflict_scoring_matches_the_per_candidate_loop(seed):
     train = random_dataset(111, seed=seed, noise=0.2)
-    evaluator = _PopulationEvaluator(train, None, fuzzy.DEFAULT_SAMPLES)
+    evaluator = _PopulationEvaluator(train)
     fired_pool = _fired_antecedents(evaluator)
     rng = np.random.default_rng(100 + seed)
     seen = {"fired_group_of_3+": 0, "unfired_conflict": 0, "duplicate": 0, "no_conflict": 0}
@@ -126,3 +126,23 @@ def test_predict_many_makes_one_infer_detail_call_per_row(monkeypatch, synthetic
     degraded = np.array([result.degraded for result in calls])
     assert degraded.any() and not degraded.all()  # both outcomes are observed
     assert np.array_equal(values[degraded], np.full(degraded.sum(), model.fallback))
+
+
+@pytest.mark.parametrize(
+    "model", [FuzzyPredictor(), GeneticFuzzyPredictor(GAConfig(generations=5, seed=7))]
+)
+def test_a_fitted_model_builds_one_engine_for_all_its_predictions(
+    monkeypatch, synthetic_144, model
+):
+    """The fit builds one engine to score the training rows. The fitted rule base
+    builds its own on the first prediction, and every later call reuses it."""
+    train, test = _train_test(synthetic_144)
+    built = _counting(monkeypatch, FuzzyEngine, "__init__")
+    model.fit(train)
+    assert len(built) == 1
+    first = model.predict_many(test)
+    assert len(built) == 2
+    assert np.array_equal(model.predict_many(test), first)
+    for i, record in enumerate(test):
+        assert model.predict(record.features) == first[i]
+    assert len(built) == 2

@@ -26,7 +26,6 @@ from costlab.fuzzy import (
     RuleBase,
     TriangularMF,
     default_variable,
-    engine_for,
     infer_detail,
     triangular_memberships,
 )
@@ -229,7 +228,7 @@ def test_fired_rules_are_sorted_strongest_first_with_ties_in_rule_order():
         for a1 in range(1, 8) for a2 in range(1, 8) for a3 in (3, 4) for a4 in (2, 3)
     )
     rule_base = RuleBase(rules, inputs, default_variable("cost", 0.0, 100.0))
-    engine = engine_for(rule_base)
+    engine = rule_base.engine
     rng = np.random.default_rng(5)
     queries = np.column_stack(
         [rng.uniform(0, 6, 50), rng.uniform(0, 6, 50), rng.uniform(2, 3, 50), rng.uniform(1, 2, 50)]
