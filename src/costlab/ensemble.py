@@ -71,7 +71,7 @@ class BoostConfig:
     learning_rate: float = 0.1
     lam: float = 1.0
     gamma: float = 0.0
-    subsample: float = 1.0
+    subsample: float = 0.8
     tree: TreeParams = TreeParams()
     seed: int = 0
 

@@ -284,10 +284,7 @@ def variables_from_dataset(train: Dataset) -> tuple[tuple[FuzzyVariable, ...], F
     return tuple(inputs), default_variable(OUTPUT_NAME, lo, hi)
 
 
-def derive_rule_base(
-    train: Dataset,
-    variables: tuple[tuple[FuzzyVariable, ...], FuzzyVariable] | None = None,
-) -> RuleBase:
+def derive_rule_base(train: Dataset) -> RuleBase:
     """Vote one rule per training case from its maximal-membership functions.
 
     Identical antecedents with different consequents keep the consequent with
@@ -295,7 +292,7 @@ def derive_rule_base(
     """
     if len(train) == 0:
         raise ValueError("cannot derive rules from an empty dataset")
-    input_vars, output_var = variables or variables_from_dataset(train)
+    input_vars, output_var = variables_from_dataset(train)
     engine = FuzzyEngine(input_vars, output_var)
     memberships = engine.input_memberships(train.features_matrix)
     ant_indices = memberships.argmax(axis=2) + 1

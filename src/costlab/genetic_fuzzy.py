@@ -1,10 +1,12 @@
 """Genetic search over fuzzy rules: one chromosome encodes one rule.
 
-A chromosome is five genes in 1..7 (four antecedent MF indices plus the
-consequent). The population as a whole decodes to a rule base and is scored
+A chromosome is a plain 5-tuple of ints in 1..7 (four antecedent MF indices
+plus the consequent); the operators keep genes in range by construction. The
+population as a whole decodes to (antecedent, consequent) pairs and is scored
 collectively by training MAPE, so selection has no per-chromosome credit:
 tournament entrants win uniformly at random, and elitism re-injects
-chromosomes from the best population seen so far.
+chromosomes from the best population seen so far. The rules are validated
+once, when ``evolve`` builds the returned rule base from the best pairs.
 
 Decoding prunes exact duplicates and resolves antecedent conflicts by keeping
 the consequent whose single-rule inference scores the lowest MAPE on the
@@ -32,22 +34,6 @@ _TOURNAMENT_SIZE = 3
 
 
 @dataclass(frozen=True)
-class Chromosome:
-    """Five genes in 1..7; decodes to one fuzzy rule."""
-
-    genes: tuple[int, int, int, int, int]
-
-    def __post_init__(self):
-        if len(self.genes) != GENE_COUNT or any(
-            not (1 <= g <= GENE_MAX) for g in self.genes
-        ):
-            raise ValueError(f"genes must be {GENE_COUNT} integers in 1..{GENE_MAX}")
-
-    def decode(self) -> FuzzyRule:
-        return FuzzyRule(self.genes[:4], self.genes[4])
-
-
-@dataclass(frozen=True)
 class GAConfig:
     population_size: int = 63
     generations: int = 200
@@ -69,30 +55,31 @@ class GAConfig:
             raise ValueError("elitism_count must be in [1, population_size)")
 
 
-def random_chromosome(rng: np.random.Generator) -> Chromosome:
-    return Chromosome(tuple(int(g) for g in rng.integers(1, GENE_MAX + 1, GENE_COUNT)))
+Genes = tuple[int, ...]
+Pair = tuple[Genes, int]
+
+
+def random_chromosome(rng: np.random.Generator) -> Genes:
+    return tuple(int(g) for g in rng.integers(1, GENE_MAX + 1, GENE_COUNT))
 
 
 def crossover(
-    a: Chromosome, b: Chromosome, rng: np.random.Generator, prob: float
-) -> tuple[Chromosome, Chromosome]:
+    a: Genes, b: Genes, rng: np.random.Generator, prob: float
+) -> tuple[Genes, Genes]:
     """Single-point crossover at a uniform cut in 1..4, applied with ``prob``."""
     if rng.random() >= prob:
         return a, b
     cut = int(rng.integers(1, GENE_COUNT))
-    return (
-        Chromosome(a.genes[:cut] + b.genes[cut:]),
-        Chromosome(b.genes[:cut] + a.genes[cut:]),
-    )
+    return a[:cut] + b[cut:], b[:cut] + a[cut:]
 
 
-def mutate(c: Chromosome, rng: np.random.Generator, prob: float) -> Chromosome:
+def mutate(c: Genes, rng: np.random.Generator, prob: float) -> Genes:
     """Each gene independently redrawn uniformly from 1..7 with ``prob``."""
-    genes = list(c.genes)
+    genes = list(c)
     for i in range(GENE_COUNT):
         if rng.random() < prob:
             genes[i] = int(rng.integers(1, GENE_MAX + 1))
-    return Chromosome(tuple(genes))
+    return tuple(genes)
 
 
 class _PopulationEvaluator:
@@ -109,7 +96,7 @@ class _PopulationEvaluator:
 
     def _solo_mapes(
         self,
-        pairs: list[tuple[tuple[int, ...], int]],
+        pairs: list[Pair],
         strengths: np.ndarray,
         groups: Iterable[list[int]],
     ) -> dict[int, float]:
@@ -137,15 +124,10 @@ class _PopulationEvaluator:
             for idx, chunk in zip(scored, np.split(values, np.cumsum(sizes)[:-1]))
         }
 
-    def decode_and_fitness(self, population: Sequence[Chromosome]) -> tuple[RuleBase, float]:
+    def decode_and_fitness(self, population: Sequence[Genes]) -> tuple[list[Pair], float]:
+        """The population's winning (antecedent, consequent) pairs and their training MAPE."""
         # unique antecedent/consequent pairs in first-occurrence order
-        pairs: list[tuple[tuple[int, ...], int]] = []
-        seen: set[tuple[tuple[int, ...], int]] = set()
-        for ch in population:
-            pair = (ch.genes[:4], ch.genes[4])
-            if pair not in seen:
-                seen.add(pair)
-                pairs.append(pair)
+        pairs = list(dict.fromkeys((genes[:4], genes[4]) for genes in population))
         antecedents = np.array([p[0] for p in pairs], dtype=int)
         strengths = self.engine.strengths(self.memberships, antecedents)
 
@@ -164,19 +146,13 @@ class _PopulationEvaluator:
                     best_idx, best_score = idx, score
             winners.append(best_idx)
 
-        rules = tuple(FuzzyRule(pairs[i][0], pairs[i][1]) for i in winners)
-        consequents = np.array([r.consequent for r in rules], dtype=int)
+        consequents = np.array([pairs[i][1] for i in winners], dtype=int)
         values, ok = self.engine.centroids(strengths[:, winners], consequents)
-        values = values.copy()
         values[~ok] = self.fallback
-        fitness_pct = mape(self.targets, values)
-        rule_base = RuleBase(rules, self.input_vars, self.output_var)
-        return rule_base, fitness_pct
+        return [pairs[i] for i in winners], mape(self.targets, values)
 
 
-def _tournament(
-    population: Sequence[Chromosome], rng: np.random.Generator
-) -> Chromosome:
+def _tournament(population: Sequence[Genes], rng: np.random.Generator) -> Genes:
     # Chromosomes carry no individual credit in the collectively-scored
     # population, so the tournament winner is a uniform pick of the entrants.
     entrants = rng.integers(0, len(population), _TOURNAMENT_SIZE)
@@ -195,7 +171,7 @@ def evolve(cfg: GAConfig, train: Dataset) -> tuple[RuleBase, list[float]]:
     evaluator = _PopulationEvaluator(train)
 
     population = [random_chromosome(rng) for _ in range(cfg.population_size)]
-    best_rule_base, best_fit = evaluator.decode_and_fitness(population)
+    best_pairs, best_fit = evaluator.decode_and_fitness(population)
     best_population = list(population)
     history = [best_fit]
 
@@ -209,13 +185,14 @@ def evolve(cfg: GAConfig, train: Dataset) -> tuple[RuleBase, list[float]]:
             if len(next_population) < cfg.population_size:
                 next_population.append(mutate(child_b, rng, cfg.mutation_prob))
         population = next_population
-        rule_base, fit = evaluator.decode_and_fitness(population)
+        pairs, fit = evaluator.decode_and_fitness(population)
         if fit < best_fit:
-            best_rule_base, best_fit = rule_base, fit
+            best_pairs, best_fit = pairs, fit
             best_population = list(population)
         history.append(best_fit)
 
-    return best_rule_base, history
+    rules = tuple(FuzzyRule(ant, cons) for ant, cons in best_pairs)
+    return RuleBase(rules, evaluator.input_vars, evaluator.output_var), history
 
 
 class GeneticFuzzyPredictor(FuzzyPredictor):

@@ -18,6 +18,7 @@ from .data import Dataset, N_FEATURES
 from .errors import NonconvergenceError
 
 _ACTIVATIONS = ("tanh", "relu", "identity")
+MOMENTUM = 0.9
 
 
 @dataclass(frozen=True)
@@ -28,7 +29,6 @@ class NetworkSpec:
     activation: str = "tanh"
     epochs: int = 3000
     learning_rate: float = 0.05
-    momentum: float = 0.9
     seed: int = 0
 
     def __post_init__(self):
@@ -59,9 +59,6 @@ def dnn_spec(**fields) -> NetworkSpec:
 class NetworkWeights:
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-
-    def copy(self) -> "NetworkWeights":
-        return NetworkWeights([w.copy() for w in self.weights], [b.copy() for b in self.biases])
 
 
 def init_weights(layer_sizes: tuple[int, ...], rng: np.random.Generator) -> NetworkWeights:
@@ -146,8 +143,8 @@ def train_network(
             raise NonconvergenceError(f"training loss diverged to {loss!r}")
         losses.append(loss)
         for i in range(len(w.weights)):
-            vel_w[i] = spec.momentum * vel_w[i] - spec.learning_rate * grads_w[i]
-            vel_b[i] = spec.momentum * vel_b[i] - spec.learning_rate * grads_b[i]
+            vel_w[i] = MOMENTUM * vel_w[i] - spec.learning_rate * grads_w[i]
+            vel_b[i] = MOMENTUM * vel_b[i] - spec.learning_rate * grads_b[i]
             w.weights[i] = w.weights[i] + vel_w[i]
             w.biases[i] = w.biases[i] + vel_b[i]
     return w, losses

@@ -97,8 +97,7 @@ def _forest_builder(model_id: str, fit_name: str):
 
 
 def _build_sgb(typed: dict, seed: int) -> Predictor:
-    # sgb subsamples by default; BoostConfig's own default of 1.0 is plain boosting
-    cfg = BoostConfig(seed=seed, **{"subsample": 0.8, **_with_tree(typed)})
+    cfg = BoostConfig(seed=seed, **_with_tree(typed))
     kind = "stochastic_gradient_boosting" if cfg.subsample < 1.0 else "gradient_boosting"
     return EnsemblePredictor(kind, ensemble.fit_gradient_boosting, cfg)
 

@@ -47,7 +47,10 @@ def fire_rule(rule_base, rule, x):
 
 def decode_and_fitness(population, train):
     """The decoded rule base of a population and its training MAPE."""
-    return _PopulationEvaluator(train).decode_and_fitness(population)
+    evaluator = _PopulationEvaluator(train)
+    pairs, fitness = evaluator.decode_and_fitness(population)
+    rules = tuple(FuzzyRule(ant, cons) for ant, cons in pairs)
+    return RuleBase(rules, evaluator.input_vars, evaluator.output_var), fitness
 
 
 def decode_and_fitness_per_candidate(evaluator, population):
@@ -55,7 +58,7 @@ def decode_and_fitness_per_candidate(evaluator, population):
     conflicting candidate: each consequent is scored alone on the rows its
     antecedent fires, and the lowest solo MAPE wins, ties to the lower consequent."""
     engine, targets = evaluator.engine, evaluator.targets
-    pairs = list(dict.fromkeys((ch.genes[:4], ch.genes[4]) for ch in population))
+    pairs = list(dict.fromkeys((genes[:4], genes[4]) for genes in population))
     strengths = engine.strengths(evaluator.memberships, np.array([p[0] for p in pairs], dtype=int))
     groups = {}
     for idx, (ant, _) in enumerate(pairs):
@@ -80,11 +83,9 @@ def decode_and_fitness_per_candidate(evaluator, population):
                 best_idx, best_score = idx, (solo, cons)
         winners.append(best_idx)
 
-    rules = tuple(FuzzyRule(*pairs[i]) for i in winners)
-    values, ok = engine.centroids(strengths[:, winners], np.array([r.consequent for r in rules]))
+    values, ok = engine.centroids(strengths[:, winners], np.array([pairs[i][1] for i in winners]))
     values = np.where(ok, values, evaluator.fallback)
-    rule_base = RuleBase(rules, evaluator.input_vars, evaluator.output_var)
-    return rule_base, mape(targets, values)
+    return [pairs[i] for i in winners], mape(targets, values)
 
 
 # -- kernel regression ------------------------------------------------------------

@@ -33,7 +33,7 @@ from costlab.fuzzy import (
     infer_detail,
     triangular_memberships,
 )
-from costlab.genetic_fuzzy import Chromosome, GAConfig, crossover, evolve, mutate
+from costlab.genetic_fuzzy import GAConfig, crossover, evolve, mutate
 from costlab.metrics import MapeCategory, adjusted_r_squared, mape, r_squared
 from costlab.neural import forward, gradients, init_weights
 from costlab.regression import fit_ols
@@ -273,16 +273,16 @@ def test_criterion_08_ga_contract():
 
     # Monte Carlo operator rates
     rng = np.random.default_rng(123)
-    a = Chromosome((1, 2, 3, 4, 5))
-    b = Chromosome((2, 3, 4, 5, 6))
+    a = (1, 2, 3, 4, 5)
+    b = (2, 3, 4, 5, 6)
     applied = sum(crossover(a, b, rng, prob=0.7)[0] != a for _ in range(10000))
     assert applied / 10000 == pytest.approx(0.70, abs=0.02)
     rng = np.random.default_rng(77)
-    c = Chromosome((3, 1, 4, 1, 5))
+    c = (3, 1, 4, 1, 5)
     changed = sum(
         g != h
         for _ in range(2000)
-        for g, h in zip(mutate(c, rng, prob=0.01).genes, c.genes)
+        for g, h in zip(mutate(c, rng, prob=0.01), c)
     )
     rate = changed / 10000
     assert 0.007 <= rate <= 0.013

@@ -329,8 +329,7 @@ class TestDerivedRules:
         )
         y = np.array([100.0, 100.0, 900.0])
         train = make_dataset(X, y)
-        variables = variables_from_dataset(train)
-        rb = derive_rule_base(train, variables=variables)
+        rb = derive_rule_base(train)
         antecedents = {r.antecedent for r in rb.rules}
         assert len(antecedents) == len(rb.rules)  # conflict-free by construction
 

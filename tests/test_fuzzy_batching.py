@@ -2,8 +2,8 @@
 
 ``_PopulationEvaluator.decode_and_fitness`` scores every conflicting
 candidate of a population in one ``FuzzyEngine.centroids`` call. It must
-decode the same rule base and the same fitness bits as the per-candidate loop
-kept in ``oracles.py``. The call-count guards pin the number of ``centroids``
+decode the same winning rules and the same fitness bits as the per-candidate
+loop kept in ``oracles.py``. The call-count guards pin the number of ``centroids``
 calls a GA fit makes, and the one ``infer_detail`` call per priced row that
 the benchmark's tracer observes.
 """
@@ -18,7 +18,6 @@ from costlab.data import SplitSpec, split
 from costlab.fuzzy import FuzzyEngine, FuzzyPredictor
 from costlab.genetic_fuzzy import (
     GENE_MAX,
-    Chromosome,
     GAConfig,
     GeneticFuzzyPredictor,
     _PopulationEvaluator,
@@ -50,7 +49,7 @@ def _random_population(rng, fired_pool):
     if rng.random() < 0.5:
         genes += [genes[int(i)] for i in rng.integers(0, len(genes), int(rng.integers(1, 6)))]
     order = rng.permutation(len(genes))
-    return [Chromosome(genes[int(i)]) for i in order]
+    return [genes[int(i)] for i in order]
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -62,14 +61,14 @@ def test_batched_conflict_scoring_matches_the_per_candidate_loop(seed):
     seen = {"fired_group_of_3+": 0, "unfired_conflict": 0, "duplicate": 0, "no_conflict": 0}
     for _ in range(120):
         population = _random_population(rng, fired_pool)
-        rule_base, fitness = evaluator.decode_and_fitness(population)
-        want_rule_base, want_fitness = decode_and_fitness_per_candidate(evaluator, population)
-        assert rule_base == want_rule_base
+        pairs, fitness = evaluator.decode_and_fitness(population)
+        want_pairs, want_fitness = decode_and_fitness_per_candidate(evaluator, population)
+        assert pairs == want_pairs
         assert bits(fitness) == bits(want_fitness)
 
         groups = {}
-        for ch in set(population):
-            groups.setdefault(ch.genes[:4], []).append(ch.genes[4])
+        for genes in set(population):
+            groups.setdefault(genes[:4], []).append(genes[4])
         conflicts = [ant for ant, cons in groups.items() if len(cons) > 1]
         strengths = evaluator.engine.strengths(
             evaluator.memberships, np.array(conflicts, dtype=int).reshape(-1, 4)

@@ -5,9 +5,8 @@ from conftest import make_dataset, random_dataset
 from oracles import decode_and_fitness
 from costlab.data import synthesize
 from costlab.errors import EmptyTrainError
-from costlab.fuzzy import infer_detail
+from costlab.fuzzy import FuzzyRule, RuleBase, infer_detail
 from costlab.genetic_fuzzy import (
-    Chromosome,
     GAConfig,
     crossover,
     evolve,
@@ -32,38 +31,26 @@ class _ScriptedRng:
         return np.full(size, value) if size is not None else value
 
 
-class TestChromosome:
-    def test_gene_range_validated(self):
-        with pytest.raises(ValueError):
-            Chromosome((0, 1, 1, 1, 1))
-        with pytest.raises(ValueError):
-            Chromosome((1, 1, 1, 1, 8))
-
-    def test_decode(self):
-        rule = Chromosome((1, 2, 3, 4, 5)).decode()
-        assert rule.antecedent == (1, 2, 3, 4) and rule.consequent == 5
-
-
 class TestCrossover:
     def test_mechanical_splice_after_gene_two(self):
-        a = Chromosome((1, 2, 3, 4, 5))
-        b = Chromosome((7, 6, 5, 4, 3))
+        a = (1, 2, 3, 4, 5)
+        b = (7, 6, 5, 4, 3)
         rng = _ScriptedRng(randoms=(0.0,), integers=(2,))
         c1, c2 = crossover(a, b, rng, prob=0.7)
-        assert c1.genes == (1, 2, 5, 4, 3)
-        assert c2.genes == (7, 6, 3, 4, 5)
+        assert c1 == (1, 2, 5, 4, 3)
+        assert c2 == (7, 6, 3, 4, 5)
 
     def test_probability_zero_returns_parents(self):
-        a = Chromosome((1, 2, 3, 4, 5))
-        b = Chromosome((7, 6, 5, 4, 3))
+        a = (1, 2, 3, 4, 5)
+        b = (7, 6, 5, 4, 3)
         rng = np.random.default_rng(0)
         for _ in range(50):
             assert crossover(a, b, rng, prob=0.0) == (a, b)
 
     def test_monte_carlo_rate(self):
         # parents differing in every gene: any cut visibly changes both children
-        a = Chromosome((1, 2, 3, 4, 5))
-        b = Chromosome((2, 3, 4, 5, 6))
+        a = (1, 2, 3, 4, 5)
+        b = (2, 3, 4, 5, 6)
         rng = np.random.default_rng(123)
         applied = sum(
             crossover(a, b, rng, prob=0.7)[0] != a for _ in range(10000)
@@ -74,25 +61,25 @@ class TestCrossover:
 class TestMutate:
     def test_probability_zero_is_identity(self):
         rng = np.random.default_rng(1)
-        c = Chromosome((3, 1, 4, 1, 5))
+        c = (3, 1, 4, 1, 5)
         for _ in range(50):
             assert mutate(c, rng, prob=0.0) == c
 
     def test_probability_one_redraws_every_gene(self):
-        c = Chromosome((3, 1, 4, 1, 5))
+        c = (3, 1, 4, 1, 5)
         rng = _ScriptedRng(randoms=(0.0,) * 5, integers=(7, 7, 7, 7, 7))
-        assert mutate(c, rng, prob=1.0).genes == (7, 7, 7, 7, 7)
+        assert mutate(c, rng, prob=1.0) == (7, 7, 7, 7, 7)
 
     def test_monte_carlo_rate(self):
         # a redraw coincides with the old value 1/7 of the time, so the
         # observed change rate estimates 6/7 of the redraw probability
         rng = np.random.default_rng(77)
-        c = Chromosome((3, 1, 4, 1, 5))
+        c = (3, 1, 4, 1, 5)
         changed = 0
         trials = 2000
         for _ in range(trials):
             m = mutate(c, rng, prob=0.01)
-            changed += sum(g != h for g, h in zip(m.genes, c.genes))
+            changed += sum(g != h for g, h in zip(m, c))
         rate = changed / (trials * 5)
         assert 0.007 <= rate <= 0.013
 
@@ -103,16 +90,16 @@ class TestFitness:
         # output peak: the matching rule reproduces it, so MAPE is 0 only if
         # the clipped centroid lands on the target; verify consistency instead
         train = random_dataset(5, seed=0, noise=0.3)
-        population = [Chromosome((1, 1, 1, 1, 1)), Chromosome((4, 4, 4, 4, 4))]
+        population = [(1, 1, 1, 1, 1), (4, 4, 4, 4, 4)]
         _, value = decode_and_fitness(population, train)
         assert value >= 0.0
 
     def test_matches_independent_reimplementation(self):
         train = random_dataset(5, seed=2, noise=0.4)
         population = [
-            Chromosome((1, 2, 1, 2, 3)),
-            Chromosome((4, 4, 4, 4, 5)),
-            Chromosome((7, 6, 7, 6, 1)),
+            (1, 2, 1, 2, 3),
+            (4, 4, 4, 4, 5),
+            (7, 6, 7, 6, 1),
         ]
         rule_base, got = decode_and_fitness(population, train)
         fallback = float(np.mean(train.targets))
@@ -124,15 +111,15 @@ class TestFitness:
 
     def test_identical_for_equal_decoded_sets(self):
         train = random_dataset(6, seed=3, noise=0.2)
-        pop_a = [Chromosome((1, 2, 3, 4, 5)), Chromosome((1, 2, 3, 4, 5))]
-        pop_b = [Chromosome((1, 2, 3, 4, 5))]
+        pop_a = [(1, 2, 3, 4, 5), (1, 2, 3, 4, 5)]
+        pop_b = [(1, 2, 3, 4, 5)]
         assert decode_and_fitness(pop_a, train)[1] == decode_and_fitness(pop_b, train)[1]
 
     def test_empty_train_rejected(self):
         from costlab.data import Dataset
 
         with pytest.raises(EmptyTrainError):
-            decode_and_fitness([Chromosome((1, 2, 3, 4, 5))], Dataset([]))
+            decode_and_fitness([(1, 2, 3, 4, 5)], Dataset([]))
 
 
 class TestDecode:
@@ -168,7 +155,7 @@ class TestDecode:
         )
         y = np.array([1000.0, 1010.0, 1005.0, 1002.0, 1008.0, 9000.0])
         train = make_dataset(X, y)
-        population = [Chromosome((1, 1, 1, 1, 7)), Chromosome((1, 1, 1, 1, 1))]
+        population = [(1, 1, 1, 1, 7), (1, 1, 1, 1, 1)]
         rule_base, _ = decode_and_fitness(population, train)
         winners = {r.antecedent: r.consequent for r in rule_base.rules}
         assert winners[(1, 1, 1, 1)] == 1
@@ -204,6 +191,46 @@ class TestEvolve:
 
         with pytest.raises(EmptyTrainError):
             evolve(GAConfig(), Dataset([]))
+
+    def test_a_fit_validates_only_the_returned_rules(self, monkeypatch):
+        # the GA breeds and scores plain gene tuples; the one rule base it
+        # returns is the only one built, so each returned rule is checked once
+        built = {RuleBase: 0, FuzzyRule: 0}
+        for cls in built:
+            check = cls.__post_init__
+
+            def counted(self, _cls=cls, _check=check):
+                built[_cls] += 1
+                _check(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        train = random_dataset(30, seed=2, noise=0.3)
+        rule_base, _ = evolve(GAConfig(population_size=16, generations=5, seed=2), train)
+        assert built == {RuleBase: 1, FuzzyRule: len(rule_base.rules)}
+
+    def test_small_run_is_pinned(self):
+        # reference run: the best-so-far improves in generations 1, 3 and 5,
+        # so the rules returned are the last generation's
+        train = random_dataset(30, seed=2, noise=0.3)
+        rule_base, history = evolve(GAConfig(population_size=16, generations=5, seed=2), train)
+        assert [h.hex() for h in history] == [
+            "0x1.154ae9c535129p+5",
+            "0x1.026cf64bdad75p+5",
+            "0x1.026cf64bdad75p+5",
+            "0x1.fc2cef43b47a3p+4",
+            "0x1.fc2cef43b47a3p+4",
+            "0x1.f6489d5ee1afdp+4",
+        ]
+        assert [(r.antecedent, r.consequent) for r in rule_base.rules] == [
+            ((6, 2, 1, 3), 3),
+            ((6, 4, 1, 3), 5),
+            ((7, 5, 6, 7), 2),
+            ((5, 3, 1, 3), 3),
+            ((6, 2, 5, 7), 5),
+            ((4, 3, 1, 3), 3),
+            ((4, 3, 5, 4), 3),
+            ((7, 5, 5, 7), 3),
+        ]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
