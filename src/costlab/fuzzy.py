@@ -243,21 +243,26 @@ def infer_detail(
     rule_base: RuleBase, x: FeatureVector, fallback: float | None = None
 ) -> InferenceResult:
     """Crisp cost with the fired-rule trace and the degraded-fallback flag;
-    without a fallback, raises NO_RULE_FIRES when nothing fires."""
+    without a fallback, raises NO_RULE_FIRES when nothing fires.
+
+    A row that fires no rule is decided from its strengths alone, by the test
+    ``centroids`` uses for its fired mask, and is never defuzzified."""
     if x.has_missing:
         raise UnsupportedMissingError("fuzzy inference requires complete feature vectors")
     engine = rule_base.engine
     memberships = engine.input_memberships(x.to_array()[None, :])
     strengths = engine.strengths(memberships, rule_base.antecedents)
-    values, ok = engine.centroids(strengths, rule_base.consequents)
     row = strengths[0]
-    fired = tuple(
-        (rule_base.rules[r], float(row[r]))
-        # strongest first, ties in rule order; strengths are >= 0, so the fired lead
-        for r in np.argsort(-row, kind="stable")[: np.count_nonzero(row > 0.0)]
-    )
-    if ok[0]:
-        return InferenceResult(float(values[0]), fired, degraded=False)
+    fired: tuple[tuple[FuzzyRule, float], ...] = ()
+    if row.max() > 0.0:
+        values, ok = engine.centroids(strengths, rule_base.consequents)
+        fired = tuple(
+            (rule_base.rules[r], float(row[r]))
+            # strongest first, ties in rule order; strengths are >= 0, so the fired lead
+            for r in np.argsort(-row, kind="stable")[: np.count_nonzero(row > 0.0)]
+        )
+        if ok[0]:
+            return InferenceResult(float(values[0]), fired, degraded=False)
     if fallback is None:
         raise NoRuleFiresError("no rule fires for this input")
     return InferenceResult(float(fallback), fired, degraded=True)

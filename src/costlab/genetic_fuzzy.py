@@ -165,8 +165,6 @@ def evolve(cfg: GAConfig, train: Dataset) -> tuple[RuleBase, list[float]]:
     Returns the best decoded rule base seen across all generations and the
     best-so-far fitness history (index 0 is the initial random population).
     """
-    if len(train) == 0:
-        raise EmptyTrainError("evolve needs a nonempty training set")
     rng = np.random.default_rng(cfg.seed)
     evaluator = _PopulationEvaluator(train)
 

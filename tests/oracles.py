@@ -1,8 +1,10 @@
 """Scalar reference forms that the tests compare the package's batch paths against.
 
 Each is the straightforward one-value computation that the package replaced
-with an array form; the package itself never calls them. The split-search
-section also holds the exact scorers that the kernel's decision replaced and
+with an array form; the package itself never calls them. The fuzzy section
+also holds an inference that defuzzifies every row, fired or not, for the
+package's shortcut on rows that fire no rule. The split-search section also
+holds the exact scorers that the kernel's decision replaced and
 the exact-arithmetic checks of its tie rule.
 """
 
@@ -15,8 +17,8 @@ import numpy as np
 from costlab.cart import LEAF, RegressionTree
 from costlab.cbr import DEFAULT_WEIGHTS
 from costlab.ensemble import split_gain
-from costlab.errors import NegativeAttributeError, UnsupportedMissingError
-from costlab.fuzzy import FuzzyRule, RuleBase
+from costlab.errors import NegativeAttributeError, NoRuleFiresError, UnsupportedMissingError
+from costlab.fuzzy import FuzzyRule, InferenceResult, RuleBase
 from costlab.genetic_fuzzy import GENE_MAX, _PopulationEvaluator
 from costlab.metrics import mape
 
@@ -43,6 +45,28 @@ def fire_rule(rule_base, rule, x):
     for var, mf_index, value in zip(rule_base.input_vars, rule.antecedent, x.as_tuple()):
         strength = min(strength, membership(var.mfs[mf_index - 1], value))
     return strength
+
+
+def infer_detail_always_defuzzified(rule_base, x, fallback=None):
+    """``fuzzy.infer_detail`` that sends every row through ``centroids``, the
+    rows that fire no rule included, and reads the outcome from its mask."""
+    if x.has_missing:
+        raise UnsupportedMissingError("fuzzy inference requires complete feature vectors")
+    engine = rule_base.engine
+    memberships = engine.input_memberships(x.to_array()[None, :])
+    strengths = engine.strengths(memberships, rule_base.antecedents)
+    values, ok = engine.centroids(strengths, rule_base.consequents)
+    row = strengths[0]
+    fired = tuple(
+        (rule_base.rules[r], float(row[r]))
+        # strongest first, ties in rule order; strengths are >= 0, so the fired lead
+        for r in np.argsort(-row, kind="stable")[: np.count_nonzero(row > 0.0)]
+    )
+    if ok[0]:
+        return InferenceResult(float(values[0]), fired, degraded=False)
+    if fallback is None:
+        raise NoRuleFiresError("no rule fires for this input")
+    return InferenceResult(float(fallback), fired, degraded=True)
 
 
 def decode_and_fitness(population, train):

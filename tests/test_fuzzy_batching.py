@@ -4,8 +4,9 @@
 candidate of a population in one ``FuzzyEngine.centroids`` call. It must
 decode the same winning rules and the same fitness bits as the per-candidate
 loop kept in ``oracles.py``. The call-count guards pin the number of ``centroids``
-calls a GA fit makes, and the one ``infer_detail`` call per priced row that
-the benchmark's tracer observes.
+calls a GA fit makes, the one ``infer_detail`` call per priced row that
+the benchmark's tracer observes, and that a priced row which fires no rule
+makes no ``centroids`` call.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from conftest import random_dataset
 from oracles import decode_and_fitness_per_candidate
 from costlab import fuzzy
 from costlab.data import SplitSpec, split
+from costlab.errors import NoRuleFiresError
 from costlab.fuzzy import FuzzyEngine, FuzzyPredictor
 from costlab.genetic_fuzzy import (
     GENE_MAX,
@@ -145,3 +147,25 @@ def test_a_fitted_model_builds_one_engine_for_all_its_predictions(
     for i, record in enumerate(test):
         assert model.predict(record.features) == first[i]
     assert len(built) == 2
+
+
+@pytest.mark.parametrize(
+    "model", [FuzzyPredictor(), GeneticFuzzyPredictor(GAConfig(generations=5, seed=7))]
+)
+def test_only_rows_that_fire_a_rule_are_defuzzified(monkeypatch, synthetic_144, model):
+    """A row whose strongest rule is not above 0.0 returns the fallback from its
+    strengths alone: ``predict_many`` makes one ``centroids`` call per fired row."""
+    train, test = _train_test(synthetic_144)
+    model.fit(train)
+    results = _counting(monkeypatch, fuzzy, "infer_detail")
+    centroids = _counting(monkeypatch, FuzzyEngine, "centroids")
+    model.predict_many(test)
+    fired = [bool(result.fired) for result in results]
+    assert 0 < sum(fired) < len(test)  # both kinds of row are priced
+    assert len(centroids) == sum(fired)
+
+    unfired = next(rec.features for rec, hit in zip(test, fired) if not hit)
+    centroids.clear()
+    with pytest.raises(NoRuleFiresError, match="no rule fires for this input"):
+        fuzzy.infer_detail(model.rule_base, unfired)
+    assert centroids == []

@@ -5,19 +5,27 @@ clipping, ``FuzzyEngine.input_memberships`` evaluates every membership
 function in one broadcast, ``case_similarity`` scores a whole case matrix
 and ``retrieve_and_predict`` ranks it with a lexsort. Each must agree with
 the straightforward form, kept here or in ``oracles.py`` as the oracle, bit
-for bit.
+for bit. ``infer_detail`` returns the fallback for a row that fires no rule
+without defuzzifying it, and must agree with the form that defuzzifies every
+row.
 """
 
 import numpy as np
 import pytest
 
-from oracles import attribute_similarity, membership, scalar_case_similarity
+from oracles import (
+    attribute_similarity,
+    infer_detail_always_defuzzified,
+    membership,
+    scalar_case_similarity,
+)
 from costlab.cbr import (
     CaseBase,
     case_similarity,
     retrieve_and_predict,
 )
-from costlab.data import FeatureVector, ProjectRecord
+from costlab.data import N_FEATURES, FeatureVector, ProjectRecord
+from costlab.errors import NoRuleFiresError
 from costlab.fuzzy import (
     MF_COUNT,
     FuzzyEngine,
@@ -246,6 +254,83 @@ def test_fired_rules_are_sorted_strongest_first_with_ties_in_rule_order():
         assert list(fired) == want
         ties += len({s for _, s in fired}) < len(fired)
     assert ties > 10
+
+
+def _random_rule_base(rng):
+    """1-50 distinct rules over random universes: the first three drivers start
+    at 0 half the time, and output universes run from 0.1 to 10,000 wide."""
+    inputs = []
+    for d in range(N_FEATURES):
+        lo = 0.0 if d < 3 and rng.random() < 0.5 else float(rng.uniform(1.0, 100.0))
+        inputs.append(default_variable(f"x{d}", lo, lo + 10.0 ** rng.uniform(-1, 3)))
+    out_lo = float(rng.uniform(0.0, 1000.0))
+    output = default_variable("cost", out_lo, out_lo + 10.0 ** rng.uniform(-1, 4))
+    n_rules = int(rng.integers(1, 51))
+    codes = rng.choice(MF_COUNT**N_FEATURES, size=n_rules, replace=False)
+    rules = tuple(
+        FuzzyRule(
+            tuple(int(a) + 1 for a in np.unravel_index(code, (MF_COUNT,) * N_FEATURES)),
+            int(rng.integers(1, MF_COUNT + 1)),
+        )
+        for code in codes
+    )
+    return RuleBase(rules, tuple(inputs), output)
+
+
+def _random_row(rng, rule_base, kind):
+    """A uniform point, a point inside one rule's supports, the same with some
+    drivers exactly on a foot of that rule's triangle (its strength is then
+    exactly 0.0), or a rule's peaks with one driver a subnormal step past a
+    foot at 0 (a strength too small for the quadrature to see)."""
+    variables = rule_base.input_vars
+    if kind == "uniform":
+        return [float(rng.uniform(v.lo, v.hi)) for v in variables]
+    rule = rule_base.rules[int(rng.integers(len(rule_base.rules)))]
+    mfs = [v.mfs[a - 1] for v, a in zip(variables, rule.antecedent)]
+    if kind == "tiny":
+        row = [mf.peak for mf in mfs]
+        for d in rng.permutation(3):
+            if mfs[d].left == 0.0 < mfs[d].peak:
+                row[d] = 5e-324
+                break
+        return row
+    row = [float(rng.uniform(mf.left, mf.right)) for mf in mfs]
+    if kind == "foot":
+        for d in rng.choice(N_FEATURES, size=int(rng.integers(1, N_FEATURES + 1)), replace=False):
+            mf = mfs[d]
+            feet = [f for f in (mf.left, mf.right) if f != mf.peak]
+            row[d] = feet[int(rng.integers(len(feet)))]
+    return row
+
+
+def _outcome(infer, rule_base, x, fallback):
+    try:
+        result = infer(rule_base, x, fallback=fallback)
+    except NoRuleFiresError as exc:
+        return ("raises", str(exc))
+    fired = tuple((rule, int(bits(s))) for rule, s in result.fired)
+    return (int(bits(result.value)), fired, result.degraded)
+
+
+def test_infer_detail_matches_the_form_that_defuzzifies_every_row():
+    rng = np.random.default_rng(2024)
+    kinds = ["uniform", "near", "foot", "foot", "tiny", "near"]
+    seen = {"defuzzified": 0, "zero_area": 0, "unfired": 0, "unfired_on_a_foot": 0}
+    for _ in range(200):  # 6,000 rows
+        rule_base = _random_rule_base(rng)
+        for i in range(30):
+            kind = kinds[i % len(kinds)]
+            x = FeatureVector.from_array(_random_row(rng, rule_base, kind))
+            for fallback in (None, float(rng.uniform(0.0, 1000.0))):
+                want = _outcome(infer_detail_always_defuzzified, rule_base, x, fallback)
+                assert _outcome(infer_detail, rule_base, x, fallback) == want, (kind, x, fallback)
+            _, fired, degraded = want  # with a fallback nothing raises
+            if not fired:
+                seen["unfired"] += 1
+                seen["unfired_on_a_foot"] += kind == "foot"
+            else:
+                seen["zero_area" if degraded else "defuzzified"] += 1
+    assert all(count >= 10 for count in seen.values()), seen
 
 
 # -- case-based reasoning -------------------------------------------------------
