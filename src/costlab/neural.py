@@ -88,29 +88,39 @@ def _activate_deriv(z: np.ndarray, activation: str) -> np.ndarray:
     return np.ones_like(z)
 
 
-def _layers(w: NetworkWeights, X: np.ndarray, activation: str) -> tuple[list, list]:
+def _rowwise_matmul(a: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """``a @ W`` by numpy's own einsum loop, whose bits for each row of ``a`` do
+    not depend on the other rows; BLAS (also reached by ``optimize=True``)
+    promises no such thing."""
+    return np.einsum("ij,jk->ik", a, W)
+
+
+def _layers(w: NetworkWeights, X: np.ndarray, activation: str, matmul) -> tuple[list, list]:
     """Pre-activations of every layer, and the activations with the (n, 4) input
-    first; the output layer is the identity."""
+    first; the output layer is the identity. ``matmul`` contracts one layer."""
     pre: list[np.ndarray] = []
     activations = [np.atleast_2d(np.asarray(X, dtype=float))]
     last = len(w.weights) - 1
     for i, (W, b) in enumerate(zip(w.weights, w.biases)):
-        z = activations[-1] @ W + b
+        z = matmul(activations[-1], W) + b
         pre.append(z)
         activations.append(z if i == last else _activate(z, activation))
     return pre, activations
 
 
 def forward(w: NetworkWeights, X: np.ndarray, activation: str = "tanh") -> np.ndarray:
-    """Batch forward pass; returns the identity-output column as a vector."""
-    return _layers(w, X, activation)[1][-1][:, 0]
+    """Batch forward pass; returns the identity-output column as a vector.
+
+    Each row's output is the same bits in a batch of any size; it agrees with
+    the BLAS training pass of ``gradients`` to rounding."""
+    return _layers(w, X, activation, _rowwise_matmul)[1][-1][:, 0]
 
 
 def gradients(
     w: NetworkWeights, X: np.ndarray, targets: np.ndarray, activation: str = "tanh"
 ) -> tuple[list[np.ndarray], list[np.ndarray], float]:
     """Exact gradients of 0.5 * mean((output - target)^2) by backpropagation."""
-    pre, activations = _layers(w, X, activation)
+    pre, activations = _layers(w, X, activation, np.matmul)
     err = activations[-1][:, 0] - np.asarray(targets, dtype=float)
     loss = 0.5 * float(np.mean(err * err))
 
@@ -180,7 +190,5 @@ class NeuralPredictor(Predictor):
         self.net, self.losses = train_network(self.spec, Xs, t)
 
     def _predict_batch(self, X: np.ndarray) -> np.ndarray:
-        # one forward pass per row: a batched pass differs in the last bits
         Xs = (X - self._x_mean) / self._x_scale
-        out = np.array([forward(self.net, xs[None, :], self.spec.activation)[0] for xs in Xs])
-        return out * self._t_half + self._t_mid
+        return forward(self.net, Xs, self.spec.activation) * self._t_half + self._t_mid

@@ -27,14 +27,18 @@ _FREE_TOL = 1e-8
 
 
 def kernel_matrix(A: np.ndarray, B: np.ndarray, gamma_rbf: float) -> np.ndarray:
+    """(n, m) RBF kernel of the rows of A against the rows of B.
+
+    The squared distances are summed feature by feature, elementwise, so each
+    entry's bits depend only on its two rows, K(a, a) is exactly 1 and
+    K(A, A) is exactly symmetric."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
-    sq = (
-        np.sum(A * A, axis=1)[:, None]
-        + np.sum(B * B, axis=1)[None, :]
-        - 2.0 * (A @ B.T)
-    )
-    return np.exp(-gamma_rbf * np.maximum(sq, 0.0))
+    sq = np.zeros((len(A), len(B)))
+    for f in range(A.shape[1]):
+        d = A[:, f, None] - B[None, :, f]
+        sq += d * d
+    return np.exp(-gamma_rbf * sq)
 
 
 @dataclass
@@ -229,12 +233,16 @@ def fit_svr(X: np.ndarray, y: np.ndarray, **params: float) -> SvrModel:
     )
 
 
-def predict_svr(model: SvrModel, x: np.ndarray) -> float:
-    """De-standardized kernel expansion at one query point."""
-    xs = (np.asarray(x, dtype=float) - model.x_mean) / model.x_scale
-    k = kernel_matrix(model.X_std, xs[None, :], model.gamma_rbf)[:, 0]
-    f = float(model.beta @ k) + model.bias
-    return f * model.y_scale + model.y_mean
+def predict_svr(model: SvrModel, X: np.ndarray) -> np.ndarray | float:
+    """De-standardized kernel expansion at each (n, 4) query row; a float for a
+    single (4,) row. Each row's value is the same bits in a batch of any size."""
+    X = np.asarray(X, dtype=float)
+    xs = (np.atleast_2d(X) - model.x_mean) / model.x_scale
+    K = kernel_matrix(xs, model.X_std, model.gamma_rbf)
+    # a per-row sum along the contiguous last axis, unlike a BLAS K @ beta
+    f = (K * model.beta).sum(axis=1) + model.bias
+    out = f * model.y_scale + model.y_mean
+    return float(out[0]) if X.ndim == 1 else out
 
 
 class SvrPredictor(Predictor):
@@ -251,5 +259,4 @@ class SvrPredictor(Predictor):
         self.model = fit_svr(train.features_matrix, y, **asdict(self.params))
 
     def _predict_batch(self, X: np.ndarray) -> np.ndarray:
-        # one kernel row per query: a batched kernel matrix differs in the last bits
-        return np.array([predict_svr(self.model, x) for x in X])
+        return predict_svr(self.model, X)

@@ -9,6 +9,7 @@ from costlab.neural import (
     NetworkSpec,
     NetworkWeights,
     NeuralPredictor,
+    _layers,
     dnn_spec,
     forward,
     gradients,
@@ -85,13 +86,25 @@ class TestForward:
         linear = forward(w, X, "identity")
         assert np.max(np.abs(nonlinear - linear)) <= 1e-4
 
+    @pytest.mark.parametrize(
+        "layer_sizes, activation",
+        [((4, 3, 1), "tanh"), ((4, 5, 1), "tanh"), ((4, 100, 100, 100, 1), "relu")],
+    )
+    def test_agrees_with_the_training_pass(self, layer_sizes, activation):
+        rng = np.random.default_rng(4)
+        w = init_weights(layer_sizes, rng)
+        w.biases[-1] += 1.0  # keep the outputs away from zero for a relative bound
+        X = rng.normal(0, 1, (64, 4))
+        training = _layers(w, X, activation, np.matmul)[1][-1][:, 0]
+        np.testing.assert_allclose(forward(w, X, activation), training, rtol=1e-12, atol=0)
+
 
 class TestGradients:
     def test_zero_error_batch_zero_gradients(self):
         rng = np.random.default_rng(2)
         w = init_weights((4, 3, 1), rng)
         X = rng.normal(0, 1, (5, 4))
-        t = forward(w, X, "tanh")  # targets equal outputs
+        t = _layers(w, X, "tanh", np.matmul)[1][-1][:, 0]  # the training pass's outputs
         gw, gb, loss = gradients(w, X, t, "tanh")
         assert loss == 0.0
         for g in gw + gb:

@@ -4,6 +4,8 @@ Every registry model is fitted once on the first 100 rows of the 144-row
 synthetic set, with shortened iteration counts, and queried with the other
 44. Batch and scalar predictions are compared as raw float64 bits, and a
 failing batch must raise what the first failing row raises on its own.
+A row's prediction must also not depend on the other rows of its batch: a
+shuffled 400-row portfolio prices each row as the unshuffled one does.
 """
 
 import numpy as np
@@ -107,3 +109,41 @@ def test_regularized_boosting_bitwise_with_missing_values():
     assert any(rec.features.has_missing for rec in queries)
     scalar = [model.predict(rec.features) for rec in queries]
     assert _bits(model.predict_many(queries)) == _bits(scalar)
+
+
+_PORTFOLIO = synthesize(400, seed=7, noise_pct=5.0)
+_SHUFFLE = np.random.default_rng(11).permutation(len(_PORTFOLIO))
+BATCH_SIZES = (1, 2, 3, 7, 8, 9, 33, 128, 400)
+
+
+def _priced_rows(model):
+    """The portfolio rows the model prices one at a time, and their predictions."""
+    rows, values = [], []
+    for rec in _PORTFOLIO:
+        try:
+            values.append(model.predict(rec.features))
+        except NegativeSqrtDomainError:
+            continue
+        rows.append(rec)
+    return rows, values
+
+
+@pytest.mark.parametrize("model_id", list(MODEL_REGISTRY))
+def test_predict_many_is_row_invariant_on_a_shuffled_portfolio(model_id):
+    model = _fitted(model_id)
+    rows, scalar = _priced_rows(model)
+    assert len(rows) > 100
+    perm = [i for i in _SHUFFLE if i < len(rows)]
+    batch = model.predict_many(Dataset(rows))
+    shuffled = model.predict_many(Dataset([rows[i] for i in perm]))
+    assert _bits(shuffled) == _bits(batch[perm])
+    assert _bits(batch) == _bits(scalar)
+
+
+@pytest.mark.parametrize("model_id", ["plain_mlp", "sqrt_mlp", "log_mlp", "dnn", "svr"])
+def test_batch_size_does_not_move_a_row(model_id):
+    model = _fitted(model_id)
+    rows = [_PORTFOLIO[i] for i in _SHUFFLE]
+    scalar = [model.predict(rec.features) for rec in rows]
+    for n in BATCH_SIZES:
+        assert _bits(model.predict_many(Dataset(rows[:n]))) == _bits(scalar[:n]), n

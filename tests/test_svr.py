@@ -83,6 +83,13 @@ class TestKernel:
             for j in range(6):
                 assert K[i, j] == pytest.approx(rbf_kernel(A[i], A[j], 0.5), rel=1e-12)
 
+    @pytest.mark.parametrize("scale", [1.0, 10.0, 100.0, 1e3, 1e4])
+    def test_exact_unit_diagonal_and_symmetry(self, scale):
+        A = np.random.default_rng(4).normal(0, scale, (50, 4))
+        K = kernel_matrix(A, A, 0.25 / scale**2)
+        assert np.all(np.diag(K) == 1.0)
+        assert np.array_equal(K, K.T)
+
     def test_positive_semidefinite(self):
         rng = np.random.default_rng(3)
         for _ in range(10):

@@ -220,10 +220,10 @@ EXPECTED = {
         "0x1.dc2021afed9adp+19",
     ],
     "plain_mlp": [
-        "0x1.f27a0117408c0p+18",
+        "0x1.f27a0117408c2p+18",
         "0x1.1b022fb58bf44p+19",
         "0x1.c9de1dfb2da20p+19",
-        "0x1.043622b9a29c4p+21",
+        "0x1.043622b9a29c5p+21",
         "0x1.21ad7ae43c4f4p+20",
         "0x1.4ae10b80ede74p+20",
         "0x1.86bced8dea3e8p+19",
@@ -235,21 +235,21 @@ EXPECTED = {
         "0x1.89a9877317270p+20",
         "0x1.d6cb8791802a7p+20",
         "0x1.452d5b1a66be3p+20",
-        "0x1.e5b69565fe5dcp+18",
+        "0x1.e5b69565fe5dap+18",
         "0x1.c0a3d88af8333p+20",
         "0x1.affc3cff2d02ep+19",
         "0x1.6b21104aad8bap+20",
         "0x1.10383f6717399p+20",
         "0x1.2a64d2a7b3483p+20",
-        "0x1.a4dfda80ae636p+18",
-        "0x1.b4e53dfa452b0p+20",
+        "0x1.a4dfda80ae638p+18",
+        "0x1.b4e53dfa452b1p+20",
         "0x1.22edc35dc1a36p+20",
         "0x1.3fc6345bb349bp+19",
         "0x1.a33d2a5dce1e9p+19",
         "0x1.654fc7f5e7774p+18",
-        "0x1.940ca3b072bebp+19",
-        "0x1.9419a9b9ad093p+19",
-        "0x1.023462634c2b1p+20",
+        "0x1.940ca3b072beap+19",
+        "0x1.9419a9b9ad094p+19",
+        "0x1.023462634c2b2p+20",
         "0x1.e2c30e0b5f784p+20",
         "0x1.ad95cd08e34d4p+20",
         "0x1.c00e9e72013d2p+19",
@@ -261,8 +261,8 @@ EXPECTED = {
         "0x1.f5f1d6b179ff5p+20",
         "0x1.22531764d5864p+20",
         "0x1.5c96f2b8d5105p+20",
-        "0x1.8505d72d5fb0cp+19",
-        "0x1.cca1b2f9d5f22p+20",
+        "0x1.8505d72d5fb0ep+19",
+        "0x1.cca1b2f9d5f20p+20",
         "0x1.80042879a92f6p+20",
         "0x1.563da88fca28dp+20",
         "0x1.d99b73b705dcap+19",
@@ -283,7 +283,7 @@ EXPECTED = {
         "0x1.96473658c5e1fp+19",
         "0x1.803b3d99dce03p+18",
         "0x1.af10a9957f6d2p+19",
-        "0x1.8507b72736361p+19",
+        "0x1.8507b7273635fp+19",
         "0x1.09c5fc6e13e8fp+20",
         "0x1.e1a2cd5283e05p+20",
         "0x1.a420ae7247b83p+20",
@@ -320,7 +320,7 @@ EXPECTED = {
         "0x1.bdeae363461dbp+19",
         "0x1.7c19f89cdc200p+19",
         "0x1.11f126e14ef7ap+20",
-        "0x1.ecf0fb6ae4de1p+20",
+        "0x1.ecf0fb6ae4dd2p+20",
         "0x1.cea2eb8dd94d3p+20",
         "0x1.fbb1060c891eap+19",
     ],
