@@ -1,12 +1,12 @@
 """CART regression tree: variance-reduction splits, mean-valued leaves.
 
 The standalone tree model and the base learner for every ensemble family.
-``grow_tree`` is the one greedy recursion behind every tree in the package:
-CART, bagging, random forest, extra trees, AdaBoost.R2 and gradient boosting
-grow through ``grow``, and the regularized booster calls it with its own leaf
-weight and split search. A tree is stored as flat node arrays in depth-first
-order, and one traversal kernel, ``walk_trees``, predicts for one tree or a
-whole ensemble.
+``grow_trees`` is the one greedy grower behind every tree in the package.
+CART, AdaBoost.R2 and gradient boosting grow each tree through ``grow``, the
+three forests all their members in one ``grow_forest`` call, and the
+regularized booster calls it with its own leaf weight and split search. A tree
+is stored as flat node arrays in depth-first order, and one traversal kernel,
+``walk_trees``, predicts for one tree or a whole ensemble.
 
 Split gain is SSE(parent) - SSE(left) - SSE(right). One decision stage,
 ``split_shortlist``, scores every midpoint between consecutive distinct
@@ -22,17 +22,14 @@ feature with the same gain and rule, and the regularized booster in
 
 ``split_shortlist`` scores a batch of nodes in one call, along a leading node
 axis with each node's rows padded to the largest node's, so numpy's per-call
-overhead is paid per batch. ``grow_tree`` batches every node whose rows are
-known and whose decision draws nothing: a whole depth level when the split
-search draws nothing (CART, bagging, AdaBoost.R2, gradient boosting, the
-regularized booster), the two children of each split for random forest,
-whose per-node feature subset is drawn, in depth-first order, after its
-batch is scored and filters the scored features.
+overhead is paid per batch. ``grow_trees`` grows all the trees of a fit
+together a depth level at a time, scoring each level in chunks of
+``SCORE_CHUNK`` nodes; random forest's per-node feature subsets, drawn as
+each node is decided, pick the node's rows of the gain grid.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import accumulate
@@ -309,87 +306,86 @@ def best_split(
 Split = tuple[int, float, bool | None, np.ndarray]
 
 
-def grow_tree(
-    X: np.ndarray,
-    t: np.ndarray,
+SCORE_CHUNK = 128  # nodes per ``score`` call; it bounds the padded grids of one call
+
+
+def grow_trees(
+    samples: Sequence[tuple[np.ndarray, np.ndarray]],
     params: TreeParams,
     leaf_value: Callable[[np.ndarray], float],
     find_split: Callable[[np.ndarray, np.ndarray, NodeGains | None], Split | None],
     score: Callable[[list[tuple[np.ndarray, np.ndarray]]], list[NodeGains]] | None = None,
-    breadth_first: bool = False,
-) -> RegressionTree:
-    """The greedy recursion of every tree learner; ``t`` is targets or gradients.
+) -> list[RegressionTree]:
+    """One tree per (X, t) sample, all grown together a depth level at a time;
+    ``t`` is targets or gradients.
 
-    ``find_split`` runs only at nodes that pass the depth and size checks; it
-    gets the node's rows in their original order and, when ``score`` is
-    given, the node's ``NodeGains``. ``score`` (a batched ``split_shortlist``)
-    runs once for every node whose rows are known and which has no gains yet,
-    all together, when the next node to be decided has none. Nodes are
-    decided depth first, so random draws in ``find_split`` follow the order
-    of the plain recursion, and each batch is the two children of a split.
-    A ``find_split`` that draws nothing may set ``breadth_first``: nodes are
-    then decided a depth level at a time, and each batch is a whole level.
-    Either way the nodes are laid out depth first from root 0.
+    A level's nodes are decided tree by tree, and within a tree in creation
+    order (left child before right), so random draws in ``find_split`` follow
+    that order. ``find_split`` runs only at nodes that pass the depth and size
+    checks; it gets the node's rows in their original order and, when
+    ``score`` is given, the node's ``NodeGains``. ``score`` (a batched
+    ``split_shortlist``) runs once per level, over chunks of ``SCORE_CHUNK``
+    of those nodes. Each tree's nodes are laid out depth first from its root.
     """
-    nodes: list[list] = []  # the RegressionTree fields of each node, in creation order
-    rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # undecided node -> (X, t)
-    gains: dict[int, NodeGains] = {}
-    unscored: list[int] = []
-    pending: deque[int] = deque()
+    trees: list[list[list]] = [[] for _ in samples]  # each tree's node fields, in creation order
+    level: list[tuple[int, int, np.ndarray, np.ndarray]] = []  # (tree, node, X, t) to decide next
 
-    def add(X: np.ndarray, t: np.ndarray, depth: int) -> int:
+    def add(tree: int, X: np.ndarray, t: np.ndarray, depth: int) -> int:
+        nodes = trees[tree]
         i = len(nodes)
         nodes.append([LEAF, np.nan, i, i, leaf_value(t), t.size, -1, depth])
         if depth < params.max_depth and t.size >= params.min_samples_split:
-            rows[i] = (X, t)
-            unscored.append(i)
+            level.append((tree, i, X, t))
         return i
 
-    add(X, t, 0)
-    pending.extend(rows)  # the root, unless it is a leaf already
-    while pending:
-        i = pending.popleft() if breadth_first else pending.pop()
-        if score is not None and i not in gains:
-            gains.update(zip(unscored, score([rows[j] for j in unscored])))
-            unscored.clear()
-        X, t = rows.pop(i)
-        split = find_split(X, t, gains.pop(i, None))
-        if split is None:
-            continue
-        feature, threshold, default_left, mask = split
-        depth = nodes[i][7] + 1
-        left, right = add(X[mask], t[mask], depth), add(X[~mask], t[~mask], depth)
-        default_left = -1 if default_left is None else int(default_left)
-        nodes[i][:4], nodes[i][6] = (feature, threshold, left, right), default_left
-        children = [child for child in (left, right) if child in rows]
-        pending.extend(children if breadth_first else reversed(children))
+    for tree, (X, t) in enumerate(samples):
+        add(tree, X, t, 0)
+    while level:
+        decide, level = level, []
+        gains = [None] * len(decide)
+        if score is not None:
+            gains = []
+            for c in range(0, len(decide), SCORE_CHUNK):
+                gains += score([(X, t) for *_, X, t in decide[c:c + SCORE_CHUNK]])
+        for (tree, i, X, t), node_gains in zip(decide, gains):
+            split = find_split(X, t, node_gains)
+            if split is None:
+                continue
+            feature, threshold, default_left, mask = split
+            node = trees[tree][i]
+            left, right = (add(tree, X[rows], t[rows], node[7] + 1) for rows in (mask, ~mask))
+            default_left = -1 if default_left is None else int(default_left)
+            node[:4], node[6] = (feature, threshold, left, right), default_left
 
-    preorder, stack = [], [0]
-    while stack:
-        i = stack.pop()
-        preorder.append(i)
-        if nodes[i][0] != LEAF:
-            stack += nodes[i][3:1:-1]  # right, then left on top
-    position = {i: p for p, i in enumerate(preorder)}
-    for node in nodes:
-        node[2:4] = position[node[2]], position[node[3]]
-    return RegressionTree(*map(np.array, zip(*(nodes[i] for i in preorder))))
+    grown = []
+    for nodes in trees:
+        preorder, stack = [], [0]
+        while stack:
+            i = stack.pop()
+            preorder.append(i)
+            if nodes[i][0] != LEAF:
+                stack += nodes[i][3:1:-1]  # right, then left on top
+        position = {i: p for p, i in enumerate(preorder)}
+        for node in nodes:
+            node[2:4] = position[node[2]], position[node[3]]
+        grown.append(RegressionTree(*map(np.array, zip(*(nodes[i] for i in preorder)))))
+    return grown
 
 
-def grow(
-    X: np.ndarray,
-    y: np.ndarray,
+def grow_forest(
+    samples: Sequence[tuple[np.ndarray, np.ndarray]],
     params: TreeParams = TreeParams(),
     rng: np.random.Generator | None = None,
     n_feature_subset: int | None = None,
     random_thresholds: bool = False,
-) -> RegressionTree:
-    """Greedy growth until depth, size, or gain stops it."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if y.size == 0:
+) -> list[RegressionTree]:
+    """One CART tree per (X, y) sample, grown together until depth, size, or gain
+    stops them. At each searched node ``n_feature_subset`` features and, with
+    ``random_thresholds``, extra trees' cuts are drawn from ``rng``."""
+    samples = [(np.asarray(X, dtype=float), np.asarray(y, dtype=float)) for X, y in samples]
+    if any(y.size == 0 for _, y in samples):
         raise EmptyTrainError("cannot grow a tree on an empty training set")
-    every_feature = tuple(range(X.shape[1]))
+    every_feature = tuple(range(samples[0][0].shape[1]))
 
     def find_split(X: np.ndarray, y: np.ndarray, gains: NodeGains | None) -> Split | None:
         if n_feature_subset is not None:
@@ -412,9 +408,13 @@ def grow(
         # np.mean of float64 is this same pairwise sum divided by the count
         return float(t.sum()) / t.size
 
-    return grow_tree(X, y, params, leaf_value, find_split,
-                     score=None if random_thresholds else score,
-                     breadth_first=n_feature_subset is None and not random_thresholds)
+    return grow_trees(samples, params, leaf_value, find_split,
+                      score=None if random_thresholds else score)
+
+
+def grow(X: np.ndarray, y: np.ndarray, params: TreeParams = TreeParams()) -> RegressionTree:
+    """One CART tree: a forest of one."""
+    return grow_forest([(X, y)], params)[0]
 
 
 def stack_trees(trees: Sequence[RegressionTree]) -> RegressionTree:

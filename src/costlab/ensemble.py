@@ -12,8 +12,8 @@ shared recursion in ``cart``, and one ``EnsemblePredictor`` wraps any of the
 
 The regularized split search is ``cart.split_shortlist``'s one decision
 stage: it scores every (feature, threshold) midpoint from sorted prefix sums
-of the gradients, for both missing-value directions, a whole depth level of
-the tree in one call, and picks the first candidate in (feature, threshold)
+of the gradients, for both missing-value directions, a depth level of the
+tree per batched call, and picks the first candidate in (feature, threshold)
 order within the node's rounding bound, 4 * n * eps * (sum|g|)^2 for a node
 of n rows, of the best approximate gain, sending missing values left on a
 tie of the two directions (and always when nothing is missing). The pick
@@ -35,7 +35,8 @@ from .cart import (
     RegressionTree,
     TreeParams,
     grow,
-    grow_tree,
+    grow_forest,
+    grow_trees,
     predict_tree,
     split_shortlist,
     stack_trees,
@@ -138,16 +139,15 @@ def _fit_forest(
     n_feature_subset: int | None = None,
     random_thresholds: bool = False,
 ) -> EnsembleModel:
-    """Independently grown members combined by mean: the loop of the three forests."""
+    """Members grown together, every bootstrap drawn first, combined by mean: the three forests."""
     X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
     _check_nonempty(y)
     rng = np.random.default_rng(cfg.seed)
-    members = []
-    for _ in range(cfg.n_members):
-        idx = bootstrap_indices(y.size, rng) if bootstrap else slice(None)
-        tree = grow(X[idx], y[idx], cfg.tree, rng, n_feature_subset, random_thresholds)
-        members.append((tree, 1.0))
-    return EnsembleModel(members, CombineRule.MEAN)
+    n = y.size
+    rows = [bootstrap_indices(n, rng) if bootstrap else slice(None) for _ in range(cfg.n_members)]
+    trees = grow_forest([(X[r], y[r]) for r in rows], cfg.tree, rng, n_feature_subset,
+                        random_thresholds)
+    return EnsembleModel([(tree, 1.0) for tree in trees], CombineRule.MEAN)
 
 
 def fit_bagging(X: np.ndarray, y: np.ndarray, cfg: ForestConfig) -> EnsembleModel:
@@ -282,10 +282,10 @@ def _best_regularized_split(
 def fit_regularized_booster(X: np.ndarray, y: np.ndarray, cfg: BoostConfig) -> EnsembleModel:
     """Second-order boosting with leaf-weight shrinkage and missing support.
 
-    Each round grows a tree on the gradients g = pred - y with the shared CART
-    recursion, a depth level at a time (the search draws nothing), scoring
-    each level's approximate gains in one ``split_shortlist`` call; leaves
-    hold w* = -G/(n + lambda), n being the leaf's row count.
+    Each round grows a tree on the gradients g = pred - y with
+    ``cart.grow_trees``, a forest of one, scoring each depth level's
+    approximate gains in batched ``split_shortlist`` calls; leaves hold
+    w* = -G/(n + lambda), n being the leaf's row count.
     """
     X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
     _check_nonempty(y)
@@ -307,7 +307,7 @@ def fit_regularized_booster(X: np.ndarray, y: np.ndarray, cfg: BoostConfig) -> E
     members: list[tuple[RegressionTree, float]] = []
     for _ in range(cfg.n_rounds):
         g = pred - y
-        tree = grow_tree(X, g, cfg.tree, leaf, find_split, score, breadth_first=True)
+        tree = grow_trees([(X, g)], cfg.tree, leaf, find_split, score)[0]
         pred = pred + cfg.learning_rate * predict_tree(tree, X)
         members.append((tree, cfg.learning_rate))
     return EnsembleModel(members, CombineRule.ADDITIVE, base_score=base)

@@ -14,7 +14,7 @@ strength).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -134,11 +134,13 @@ class FuzzyRule:
 
 @dataclass(frozen=True)
 class RuleBase:
-    """Conflict-free, duplicate-free rule set over five fuzzy variables."""
+    """Conflict-free, duplicate-free rule set over five fuzzy variables, and the
+    inference engine over them: its builder's, when handed one, or a new one."""
 
     rules: tuple[FuzzyRule, ...]
     input_vars: tuple[FuzzyVariable, FuzzyVariable, FuzzyVariable, FuzzyVariable]
     output_var: FuzzyVariable
+    engine: FuzzyEngine | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.rules:
@@ -155,6 +157,8 @@ class RuleBase:
                     f"conflicting consequents {prior} and {rule.consequent} "
                     f"for antecedent {rule.antecedent}"
                 )
+        if self.engine is None:
+            object.__setattr__(self, "engine", FuzzyEngine(self.input_vars, self.output_var))
 
     @cached_property
     def antecedents(self) -> np.ndarray:
@@ -165,11 +169,6 @@ class RuleBase:
     def consequents(self) -> np.ndarray:
         """(R,) consequent MF indices."""
         return np.array([r.consequent for r in self.rules], dtype=int)
-
-    @cached_property
-    def engine(self) -> FuzzyEngine:
-        """The inference engine over this rule base's variables, built on first use."""
-        return FuzzyEngine(self.input_vars, self.output_var)
 
 
 @dataclass(frozen=True)
@@ -319,7 +318,7 @@ def derive_rule_base(train: Dataset) -> RuleBase:
         tallies = votes[ant]
         best = min(tallies, key=lambda c: (-tallies[c], c))
         rules.append(FuzzyRule(ant, best))
-    return RuleBase(tuple(rules), tuple(input_vars), output_var)
+    return RuleBase(tuple(rules), tuple(input_vars), output_var, engine)
 
 
 # -- rule file format ----------------------------------------------------------

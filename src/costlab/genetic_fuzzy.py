@@ -190,7 +190,7 @@ def evolve(cfg: GAConfig, train: Dataset) -> tuple[RuleBase, list[float]]:
         history.append(best_fit)
 
     rules = tuple(FuzzyRule(ant, cons) for ant, cons in best_pairs)
-    return RuleBase(rules, evaluator.input_vars, evaluator.output_var), history
+    return RuleBase(rules, evaluator.input_vars, evaluator.output_var, evaluator.engine), history
 
 
 class GeneticFuzzyPredictor(FuzzyPredictor):

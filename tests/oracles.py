@@ -147,36 +147,54 @@ def scalar_case_similarity(new, stored, weights=DEFAULT_WEIGHTS):
 # -- trees ------------------------------------------------------------------------
 
 
-def grow_tree_one_node_at_a_time(
-    X, t, params, leaf_value, find_split, score=None, breadth_first=False
-):
-    """``cart.grow_tree`` as the plain depth-first recursion.
+def grow_trees_one_node_at_a_time(samples, params, leaf_value, find_split, score=None):
+    """``cart.grow_trees`` as a plain level-order loop over nested nodes.
 
-    Each searched node is scored by ``score`` as a batch of one right before
-    ``find_split`` decides it, so nothing is batched or reordered;
-    ``breadth_first`` is accepted and ignored.
+    A depth level is decided tree by tree, left child before right, and each
+    searched node is scored by ``score`` as a batch of one right before
+    ``find_split`` decides it, so nothing is batched. Each tree is then laid
+    out depth first by recursion.
     """
-    nodes = []
+    def node(X, t, depth):
+        return dict(X=X, t=t, depth=depth, value=leaf_value(t), split=None, children=())
 
-    def grow_node(X, t, depth):
-        i = len(nodes)
-        nodes.append(dict(feature=LEAF, threshold=np.nan, left=i, right=i, value=leaf_value(t),
-                          n=t.size, default_left=-1, depth=depth))
-        if depth >= params.max_depth or t.size < params.min_samples_split:
-            return i
-        split = find_split(X, t, None if score is None else score([(X, t)])[0])
-        if split is None:
-            return i
-        feature, threshold, default_left, mask = split
-        left = grow_node(X[mask], t[mask], depth + 1)
-        right = grow_node(X[~mask], t[~mask], depth + 1)
-        nodes[i].update(feature=feature, threshold=threshold, left=left, right=right,
-                        default_left=-1 if default_left is None else int(default_left))
+    roots = [node(X, t, 0) for X, t in samples]
+    level = roots
+    while level:
+        next_level = []
+        for parent in level:
+            X, t, depth = parent["X"], parent["t"], parent["depth"]
+            if depth >= params.max_depth or t.size < params.min_samples_split:
+                continue
+            split = find_split(X, t, None if score is None else score([(X, t)])[0])
+            if split is None:
+                continue
+            feature, threshold, default_left, mask = split
+            default_left = -1 if default_left is None else int(default_left)
+            parent["split"] = (feature, threshold, default_left)
+            parent["children"] = (node(X[mask], t[mask], depth + 1),
+                                  node(X[~mask], t[~mask], depth + 1))
+            next_level += parent["children"]
+        level = next_level
+
+    def lay_out(tree_node, rows):
+        i = len(rows)
+        rows.append(dict(feature=LEAF, threshold=np.nan, left=i, right=i, value=tree_node["value"],
+                         n=tree_node["t"].size, default_left=-1, depth=tree_node["depth"]))
+        if tree_node["split"] is not None:
+            feature, threshold, default_left = tree_node["split"]
+            left, right = (lay_out(child, rows) for child in tree_node["children"])
+            rows[i].update(feature=feature, threshold=threshold, left=left, right=right,
+                           default_left=default_left)
         return i
 
-    grow_node(X, t, 0)
-    return RegressionTree(**{f.name: np.array([node[f.name] for node in nodes])
-                             for f in fields(RegressionTree)})
+    trees = []
+    for root in roots:
+        rows = []
+        lay_out(root, rows)
+        trees.append(RegressionTree(**{f.name: np.array([row[f.name] for row in rows])
+                                       for f in fields(RegressionTree)}))
+    return trees
 
 
 # -- split search ------------------------------------------------------------------

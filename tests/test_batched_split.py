@@ -6,9 +6,11 @@ of random nodes (1-32 per batch, 1-111 rows each, with ties, duplicate
 partitions, midpoints that round up, missing values, tiny spreads and pure
 nodes), each node's batched decision must agree with the full exact search of
 ``test_split_shortlist`` under the tie rule checked there, also over random
-forest's feature subsets drawn after the batch. ``cart.grow_tree`` decides
-nodes in batches and lays them out depth first; every tree learner must grow
-the same eight node arrays as the plain one-node-at-a-time recursion.
+forest's feature subsets drawn after the batch. ``cart.grow_trees`` grows
+all the trees of a fit together a depth level at a time, scores each level in
+chunks and lays each tree out depth first; every tree learner must grow the
+same eight node arrays as a plain level-order grower that scores one node at a
+time, and a chunk of one node must change nothing.
 """
 
 from dataclasses import fields
@@ -17,11 +19,12 @@ import numpy as np
 import pytest
 
 from costlab import cart, ensemble
+from costlab.bench import BenchConfig, _train_test, derive_seed
 from costlab.cart import RegressionTree, TreeParams, best_split, split_shortlist
 from costlab.ensemble import BoostConfig, _best_regularized_split
 from costlab.zoo import build_model
 from conftest import make_dataset
-from oracles import grow_tree_one_node_at_a_time
+from oracles import grow_trees_one_node_at_a_time
 from test_split_shortlist import (
     check_cart,
     check_regularized,
@@ -156,7 +159,7 @@ def _trees(model) -> list[RegressionTree]:
 def _fit_trees(model_id, params, X, y, monkeypatch=None):
     if monkeypatch is not None:
         for module in (cart, ensemble):
-            monkeypatch.setattr(module, "grow_tree", grow_tree_one_node_at_a_time)
+            monkeypatch.setattr(module, "grow_trees", grow_trees_one_node_at_a_time)
     model = build_model(model_id, params, 17).fit(make_dataset(X, y))
     if monkeypatch is not None:
         monkeypatch.undo()
@@ -185,6 +188,19 @@ def test_every_tree_equals_the_one_node_at_a_time_recursion(model_id, n, seed, d
         for field in fields(RegressionTree):
             a, b = getattr(got, field.name), getattr(expected, field.name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field.name
+
+
+@pytest.mark.parametrize("model_id", TREE_LEARNERS)
+def test_a_chunk_of_one_node_grows_the_same_trees(model_id, monkeypatch):
+    X, y = _arrays(111, 9)
+    params = _params(model_id, 6)
+    chunked = _fit_trees(model_id, params, X, y)
+    monkeypatch.setattr(cart, "SCORE_CHUNK", 1)
+    one_by_one = _fit_trees(model_id, params, X, y)
+    assert len(chunked) == len(one_by_one)
+    for got, expected in zip(chunked, one_by_one):
+        for field in fields(RegressionTree):
+            assert getattr(got, field.name).tobytes() == getattr(expected, field.name).tobytes()
 
 
 def test_regularized_tree_with_missing_values_equals_the_recursion(monkeypatch):
@@ -232,20 +248,24 @@ def test_draw_free_learners_score_one_batch_per_depth_level(monkeypatch):
     assert sizes == np.bincount(_searched_depths(booster.members[0][0], params)).tolist()
 
 
-def test_random_forest_scores_the_children_of_each_split_together(monkeypatch):
-    X, y = _arrays(111, 5)
-    params = TreeParams()
+@pytest.mark.parametrize("model_id", ["bagging", "random_forest"])
+def test_a_forest_scores_each_depth_level_of_all_its_members_together(model_id, monkeypatch):
+    # the default 100-member fit of the seed-42 bench; a level takes up to nine chunks
+    train, _ = _train_test(BenchConfig(), 42)
     sizes = _record_batches(monkeypatch)
-    tree = cart.grow(X, y, params, np.random.default_rng(0), n_feature_subset=2)
-    assert max(sizes) == 2 and sizes.count(2) > 0
-    assert sum(sizes) == _searched_depths(tree, params).size
+    model = build_model(model_id, {}, derive_seed(42, model_id)).fit(train)
+    params = TreeParams()
+    searched = sum(_searched_depths(tree, params).size for tree in _trees(model))
+    assert len(sizes) <= 35 and max(sizes) <= cart.SCORE_CHUNK
+    assert sum(sizes) == searched
 
 
 def test_extra_trees_score_nothing(monkeypatch):
     X, y = _arrays(60, 6)
     sizes = _record_batches(monkeypatch)
     rng = np.random.default_rng(0)
-    cart.grow(X, y, TreeParams(), rng, n_feature_subset=2, random_thresholds=True)
+    cart.grow_forest([(X, y), (X[::2], y[::2])], TreeParams(), rng, n_feature_subset=2,
+                     random_thresholds=True)
     assert sizes == []
 
 
@@ -264,6 +284,6 @@ def test_the_split_decision_runs_once_per_searched_node(monkeypatch):
     monkeypatch.setattr(cart, "best_split", lambda *args: calls.append(args) or decide(*args))
     for n_feature_subset in (None, 2):
         calls.clear()
-        tree = cart.grow(X, y, params, np.random.default_rng(1), n_feature_subset)
+        tree, = cart.grow_forest([(X, y)], params, np.random.default_rng(1), n_feature_subset)
         assert len(calls) == _searched_depths(tree, params).size
         assert all(args[4] is not None for args in calls)  # each with its precomputed gains

@@ -135,18 +135,17 @@ def test_predict_many_makes_one_infer_detail_call_per_row(monkeypatch, synthetic
 def test_a_fitted_model_builds_one_engine_for_all_its_predictions(
     monkeypatch, synthetic_144, model
 ):
-    """The fit builds one engine to score the training rows. The fitted rule base
-    builds its own on the first prediction, and every later call reuses it."""
+    """The fit builds one engine to score the training rows and hands it to the
+    fitted rule base, and every prediction reuses it."""
     train, test = _train_test(synthetic_144)
     built = _counting(monkeypatch, FuzzyEngine, "__init__")
     model.fit(train)
     assert len(built) == 1
     first = model.predict_many(test)
-    assert len(built) == 2
     assert np.array_equal(model.predict_many(test), first)
     for i, record in enumerate(test):
         assert model.predict(record.features) == first[i]
-    assert len(built) == 2
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize(

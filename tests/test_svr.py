@@ -173,6 +173,39 @@ class TestFitSvr:
                 mine, theirs = predict_svr(model, q), oracle(q)
                 assert mine == pytest.approx(theirs, rel=1e-2)
 
+    def test_duality_gap_vanishes_on_small_instances(self):
+        # a certificate of optimality that needs no QP solver. In the fit's
+        # standardized units the primal 0.5 b'Kb + C * sum(max(0, |y - Kb - bias| - eps))
+        # is never below the dual -0.5 b'Kb + y'b - eps * sum|b| when sum(b) = 0 and
+        # |b| <= C, and meets it only at the optimum. Each row adds
+        # eps|b_i| - b_i r_i + C max(0, |r_i| - eps) >= 0 to the gap, r = y - Kb - bias,
+        # which is at most (|b_i| + C) * tol when the KKT violations are within tol
+        rng = np.random.default_rng(12)
+        tol = 1e-8
+        seen = dict(at_bound=0, free=0, zero=0)
+        for trial in range(24):
+            n = int(rng.integers(2, 13))
+            C = float(rng.choice([0.3, 1.0, 10.0]))
+            epsilon = float(rng.choice([0.0, 0.05, 0.3, 0.8]))
+            X = rng.uniform(0, 10, (n, 4))
+            y = 1000 + 100 * X[:, 0] + 30 * np.sin(X[:, 1]) + rng.normal(0, 50, n)
+            model = fit_svr(X, y, C=C, epsilon=epsilon, gamma_rbf=0.25,
+                            max_passes=5000, tol=tol)
+            assert model.converged
+            beta = model.beta
+            K = kernel_matrix(model.X_std, model.X_std, model.gamma_rbf)
+            ys = (y - model.y_mean) / model.y_scale
+            Kb = K @ beta
+            resid = ys - Kb - model.bias
+            primal = 0.5 * beta @ Kb + C * np.maximum(0.0, np.abs(resid) - epsilon).sum()
+            dual = -0.5 * beta @ Kb + ys @ beta - epsilon * np.abs(beta).sum()
+            assert abs(beta.sum()) <= 1e-12 * n and np.all(np.abs(beta) <= C)
+            assert -1e-12 <= primal - dual <= 2 * n * C * tol
+            seen["at_bound"] += int(np.sum(np.abs(beta) == C))
+            seen["free"] += int(np.sum((0 < np.abs(beta)) & (np.abs(beta) < C)))
+            seen["zero"] += int(np.sum(beta == 0))
+        assert min(seen.values()) >= 10, seen
+
     def test_zero_coefficients_predict_constant_bias(self):
         X = np.array([[1.0, 2.0, 3.0, 4.0]])
         y = np.array([500.0])

@@ -119,20 +119,20 @@ EXPECTED = {
         "0x1.cd1a7dcdd6533p+10",
     ],
     "extra_trees": [
-        "0x1.195d2e19f0bbfp+11",
-        "0x1.d83d2592e8acbp+10",
-        "0x1.c99b90db61212p+10",
-        "0x1.669b065f1244fp+11",
-        "0x1.2087cc5d26d98p+11",
-        "0x1.bdaab98917e3cp+10",
+        "0x1.1321ebe4eb632p+11",
+        "0x1.d36a3760a8d5ap+10",
+        "0x1.c06c6fdcb8418p+10",
+        "0x1.5bc1f9506e96ep+11",
+        "0x1.308ffa2f85c48p+11",
+        "0x1.caa0e183452cfp+10",
     ],
     "extra_trees_deep": [
-        "0x1.083cc8107d7bbp+11",
-        "0x1.0508405854ad7p+11",
-        "0x1.b8f6cbfe9a150p+10",
-        "0x1.512e42f2f016dp+11",
-        "0x1.170b2a7158d0bp+11",
-        "0x1.a47ed36e7e70fp+10",
+        "0x1.f7d524a459568p+10",
+        "0x1.e8583d774c318p+10",
+        "0x1.ae9b91f10581bp+10",
+        "0x1.56182fecaaf71p+11",
+        "0x1.2a0de44261589p+11",
+        "0x1.d63799e31b44cp+10",
     ],
     "gradient_boosting": [
         "0x1.0bbd34f055700p+11",
@@ -143,20 +143,20 @@ EXPECTED = {
         "0x1.f39dea6ce3d73p+10",
     ],
     "random_forest": [
-        "0x1.112c185a6ab00p+11",
-        "0x1.1c9ee719c68cap+11",
-        "0x1.c92c0d412c044p+10",
-        "0x1.41cd58526cf5ap+11",
-        "0x1.2bc7dbf0ae126p+11",
-        "0x1.d27a940323549p+10",
+        "0x1.0c619a3f3b9eep+11",
+        "0x1.0c3e16e756914p+11",
+        "0x1.bcd3eb64cbddcp+10",
+        "0x1.5c422c49a7320p+11",
+        "0x1.2e17f941024c0p+11",
+        "0x1.cc75a67f6700ap+10",
     ],
     "random_forest_deep": [
-        "0x1.22f0a9c98bd90p+11",
-        "0x1.0a35dd5f1ef73p+11",
-        "0x1.c9cfd08cc179bp+10",
-        "0x1.53086c54c8888p+11",
-        "0x1.049522bc4bff1p+11",
-        "0x1.c9e2cf8342ee0p+10",
+        "0x1.178b5c0de371fp+11",
+        "0x1.2f10a25a7f2a4p+11",
+        "0x1.ae9b91f10581bp+10",
+        "0x1.4515fd15c3a17p+11",
+        "0x1.0acf879e5c571p+11",
+        "0x1.ac9c72309524fp+10",
     ],
     "regularized_boosting": [
         "0x1.0cf35f2f305bap+11",
