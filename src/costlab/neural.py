@@ -76,16 +76,20 @@ def _activate(z: np.ndarray, activation: str) -> np.ndarray:
         return np.tanh(z)
     if activation == "relu":
         return np.maximum(0.0, z)
-    return z
+    if activation == "identity":
+        return z
+    raise ValueError(f"unknown activation {activation!r}; expected one of {_ACTIVATIONS}")
 
 
-def _activate_deriv(z: np.ndarray, activation: str) -> np.ndarray:
+def _activate_deriv(a: np.ndarray, activation: str) -> np.ndarray:
+    """The activation's derivative, from its output ``a``."""
     if activation == "tanh":
-        t = np.tanh(z)
-        return 1.0 - t * t
+        return 1.0 - a * a
     if activation == "relu":
-        return (z > 0).astype(float)
-    return np.ones_like(z)
+        return (a > 0).astype(float)
+    if activation == "identity":
+        return np.ones_like(a)
+    raise ValueError(f"unknown activation {activation!r}; expected one of {_ACTIVATIONS}")
 
 
 def _rowwise_matmul(a: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -102,7 +106,8 @@ def _layers(w: NetworkWeights, X: np.ndarray, activation: str, matmul) -> tuple[
     activations = [np.atleast_2d(np.asarray(X, dtype=float))]
     last = len(w.weights) - 1
     for i, (W, b) in enumerate(zip(w.weights, w.biases)):
-        z = matmul(activations[-1], W) + b
+        z = matmul(activations[-1], W)
+        z += b
         pre.append(z)
         activations.append(z if i == last else _activate(z, activation))
     return pre, activations
@@ -122,7 +127,7 @@ def gradients(
     """Exact gradients of 0.5 * mean((output - target)^2) by backpropagation."""
     pre, activations = _layers(w, X, activation, np.matmul)
     err = activations[-1][:, 0] - np.asarray(targets, dtype=float)
-    loss = 0.5 * float(np.mean(err * err))
+    loss = 0.5 * float((err * err).sum() / len(err))
 
     grads_w: list[np.ndarray] = []  # output layer first, reversed below
     grads_b: list[np.ndarray] = []
@@ -131,32 +136,34 @@ def gradients(
         grads_w.append(activations[i].T @ delta)
         grads_b.append(delta.sum(axis=0))
         if i > 0:
-            delta = (delta @ w.weights[i].T) * _activate_deriv(pre[i - 1], activation)
+            delta = (delta @ w.weights[i].T) * _activate_deriv(activations[i], activation)
     return grads_w[::-1], grads_b[::-1], loss
 
 
 def train_network(
     spec: NetworkSpec, X: np.ndarray, targets: np.ndarray
 ) -> tuple[NetworkWeights, list[float]]:
-    """Full-batch momentum descent; raises on a non-finite loss."""
-    rng = np.random.default_rng(spec.seed)
-    w = init_weights(spec.layer_sizes, rng)
-    vel_w = [np.zeros_like(m) for m in w.weights]
-    vel_b = [np.zeros_like(b) for b in w.biases]
+    """Full-batch momentum descent, one step an epoch over a flat vector (weights
+    then biases) that every layer array views; raises on a non-finite loss."""
+    drawn = init_weights(spec.layer_sizes, np.random.default_rng(spec.seed))
+    arrays = [*drawn.weights, *drawn.biases]
+    theta = np.concatenate(arrays, axis=None)
+    ends = np.cumsum([a.size for a in arrays])
+    views = [theta[e - a.size : e].reshape(a.shape) for a, e in zip(arrays, ends)]
+    w = NetworkWeights(views[: len(drawn.weights)], views[len(drawn.weights) :])
+    vel = np.zeros_like(theta)
     losses: list[float] = []
-    for _ in range(spec.epochs):
-        # divergence shows up as inf/nan in the loss; the finite check below
-        # owns that case, so the interim overflow warnings are noise
-        with np.errstate(over="ignore", invalid="ignore"):
+    # divergence shows up as inf/nan in the loss; the finite check below
+    # owns that case, so the interim overflow warnings are noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(spec.epochs):
             grads_w, grads_b, loss = gradients(w, X, targets, spec.activation)
-        if not math.isfinite(loss):
-            raise NonconvergenceError(f"training loss diverged to {loss!r}")
-        losses.append(loss)
-        for i in range(len(w.weights)):
-            vel_w[i] = MOMENTUM * vel_w[i] - spec.learning_rate * grads_w[i]
-            vel_b[i] = MOMENTUM * vel_b[i] - spec.learning_rate * grads_b[i]
-            w.weights[i] = w.weights[i] + vel_w[i]
-            w.biases[i] = w.biases[i] + vel_b[i]
+            if not math.isfinite(loss):
+                raise NonconvergenceError(f"training loss diverged to {loss!r}")
+            losses.append(loss)
+            vel *= MOMENTUM
+            vel -= spec.learning_rate * np.concatenate(grads_w + grads_b, axis=None)
+            theta += vel
     return w, losses
 
 

@@ -139,8 +139,9 @@ def _dual_objective(beta: np.ndarray, F: np.ndarray, y: np.ndarray, epsilon: flo
 def _steps(beta: np.ndarray, resid: np.ndarray, C: float, epsilon: float) -> tuple:
     """Each coefficient's gradient for a step up and for a step down, and whether
     the box bound [-C, C] leaves it room to step up and to step down."""
-    g_up = np.where(beta >= 0, resid - epsilon, resid + epsilon)
-    g_dn = np.where(beta <= 0, resid + epsilon, resid - epsilon)
+    minus, plus = resid - epsilon, resid + epsilon
+    g_up = np.where(beta >= 0, minus, plus)
+    g_dn = np.where(beta <= 0, plus, minus)
     return g_up, g_dn, beta < C - _FREE_TOL, beta > -C + _FREE_TOL
 
 
@@ -209,7 +210,7 @@ def fit_svr(X: np.ndarray, y: np.ndarray, **params: float) -> SvrModel:
                 break
             beta[i] = min(max(beta[i] + delta, -C), C)
             beta[j] = min(max(beta[j] - delta, -C), C)
-            F = F + delta * (K[:, i] - K[:, j])
+            F += delta * (K[i] - K[j])  # rows: K is exactly symmetric
             n_updates += 1
         history.append(_dual_objective(beta, F, ys, epsilon))
         if converged or stalled:

@@ -10,6 +10,7 @@ from costlab.neural import (
     NetworkSpec,
     NetworkWeights,
     NeuralPredictor,
+    _activate_deriv,
     _layers,
     dnn_spec,
     forward,
@@ -86,6 +87,20 @@ class TestForward:
         nonlinear = forward(w, X, "tanh")
         linear = forward(w, X, "identity")
         assert np.max(np.abs(nonlinear - linear)) <= 1e-4
+
+    @pytest.mark.parametrize("name", ["ReLU", "sigmoid", ""])
+    def test_an_unknown_activation_raises(self, name):
+        # it once fell through to the identity, giving a linear network
+        rng = np.random.default_rng(2)
+        w = init_weights((4, 5, 1), rng)
+        X, t = rng.normal(0, 1, (6, 4)), rng.normal(0, 1, 6)
+        match = rf"unknown activation '{name}'; expected one of \('tanh', 'relu', 'identity'\)"
+        with pytest.raises(ValueError, match=match):
+            forward(w, X, name)
+        with pytest.raises(ValueError, match=match):
+            gradients(w, X, t, name)
+        with pytest.raises(ValueError, match=match):
+            _activate_deriv(X, name)
 
     @pytest.mark.parametrize(
         "layer_sizes, activation",
