@@ -5,7 +5,9 @@ with an array form; the package itself never calls them. The fuzzy section
 also holds an inference that defuzzifies every row, fired or not, for the
 package's shortcut on rows that fire no rule. The split-search section also
 holds the exact scorers that the kernel's decision replaced and
-the exact-arithmetic checks of its tie rule.
+the exact-arithmetic checks of its tie rule. The network trainer with a
+velocity and a momentum step per layer array is the reference for the
+package's one step over a flat parameter vector.
 """
 
 import math
@@ -21,6 +23,7 @@ from costlab.errors import NegativeAttributeError, NoRuleFiresError, Unsupported
 from costlab.fuzzy import FuzzyRule, InferenceResult, RuleBase
 from costlab.genetic_fuzzy import GENE_MAX, _PopulationEvaluator
 from costlab.metrics import mape
+from costlab.neural import MOMENTUM, gradients, init_weights
 
 
 # -- fuzzy ----------------------------------------------------------------------
@@ -110,6 +113,26 @@ def decode_and_fitness_per_candidate(evaluator, population):
     values, ok = engine.centroids(strengths[:, winners], np.array([pairs[i][1] for i in winners]))
     values = np.where(ok, values, evaluator.fallback)
     return [pairs[i] for i in winners], mape(targets, values)
+
+
+# -- networks -------------------------------------------------------------------
+
+
+def train_network_per_array(spec, X, targets):
+    """Full-batch momentum descent with a velocity and a step for each layer array."""
+    w = init_weights(spec.layer_sizes, np.random.default_rng(spec.seed))
+    vel_w = [np.zeros_like(m) for m in w.weights]
+    vel_b = [np.zeros_like(b) for b in w.biases]
+    losses = []
+    for _ in range(spec.epochs):
+        grads_w, grads_b, loss = gradients(w, X, targets, spec.activation)
+        losses.append(loss)
+        for i in range(len(w.weights)):
+            vel_w[i] = MOMENTUM * vel_w[i] - spec.learning_rate * grads_w[i]
+            vel_b[i] = MOMENTUM * vel_b[i] - spec.learning_rate * grads_b[i]
+            w.weights[i] = w.weights[i] + vel_w[i]
+            w.biases[i] = w.biases[i] + vel_b[i]
+    return w, losses
 
 
 # -- kernel regression ------------------------------------------------------------

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset, random_dataset
+from oracles import train_network_per_array
 from costlab.core import TargetTransform
 from costlab.errors import NonconvergenceError
 from costlab import neural
@@ -90,7 +91,7 @@ class TestForward:
 
     @pytest.mark.parametrize("name", ["ReLU", "sigmoid", ""])
     def test_an_unknown_activation_raises(self, name):
-        # it once fell through to the identity, giving a linear network
+        # a misspelt name must not silently give a linear network
         rng = np.random.default_rng(2)
         w = init_weights((4, 5, 1), rng)
         X, t = rng.normal(0, 1, (6, 4)), rng.normal(0, 1, 6)
@@ -167,6 +168,24 @@ class TestTrainNetwork:
         for a, b in zip(w.weights, expected.weights):
             assert np.array_equal(a, b)
         assert losses == []
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            NetworkSpec(hidden=(5,), epochs=60, seed=1),
+            NetworkSpec(hidden=(3,), activation="identity", epochs=40, seed=2),
+            NetworkSpec(hidden=(8, 6), activation="relu", epochs=40, learning_rate=0.01, seed=3),
+            NetworkSpec(hidden=(20,) * 3, activation="relu", epochs=15, learning_rate=0.01, seed=4),
+        ],
+    )
+    def test_the_flat_step_equals_a_step_per_array(self, spec):
+        rng = np.random.default_rng(11)
+        X, t = rng.normal(0, 1, (30, 4)), rng.normal(0, 1, 30)
+        w, losses = train_network(spec, X, t)
+        expected_w, expected_losses = train_network_per_array(spec, X, t)
+        assert losses == expected_losses
+        for got, want in zip(w.weights + w.biases, expected_w.weights + expected_w.biases):
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("epochs", [0, 1, 7])
     def test_one_gradients_call_per_epoch(self, monkeypatch, epochs):
