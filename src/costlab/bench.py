@@ -144,8 +144,12 @@ def parse_config(text: str, base_dir: str = ".") -> BenchConfig:
 
 
 def load_config(path: str) -> BenchConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read(), base_dir=os.path.dirname(os.path.abspath(path)))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
+    return parse_config(text, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
 def derive_seed(global_seed: int, namespace: str) -> int:

@@ -1,12 +1,13 @@
 """CART regression tree: variance-reduction splits, mean-valued leaves.
 
-The standalone tree model and the base learner for every ensemble family.
-``grow_trees`` is the one greedy grower behind every tree in the package.
-CART, AdaBoost.R2 and gradient boosting grow each tree through ``grow``, the
-three forests all their members in one ``grow_forest`` call, and the
-regularized booster calls it with its own leaf weight and split search. A tree
-is stored as flat node arrays in depth-first order, and one traversal kernel,
-``walk_trees``, predicts for one tree or a whole ensemble.
+The tree kernel behind every tree learner; the zoo's CART is a one-member
+ensemble (``ensemble.fit_cart``). ``grow_trees`` is the one greedy grower
+behind every tree in the package. CART, AdaBoost.R2 and gradient boosting
+grow each tree through ``grow``, the three forests all their members in one
+``grow_forest`` call, and the regularized booster calls it with its own leaf
+weight and split search. A tree is stored as flat node arrays in the order
+its nodes were grown, and one traversal kernel, ``walk_trees``, predicts for
+one tree or a whole ensemble.
 
 Split gain is SSE(parent) - SSE(left) - SSE(right). One decision stage,
 ``split_shortlist``, scores every midpoint between consecutive distinct
@@ -37,8 +38,6 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Predictor
-from .data import Dataset, FEATURE_NAMES
 from .errors import EmptyTrainError, UnsupportedMissingError
 
 
@@ -58,11 +57,13 @@ LEAF = -1  # ``feature`` of a leaf
 
 @dataclass(frozen=True, eq=False)
 class RegressionTree:
-    """Flat node arrays in depth-first order from root 0 (or several stacked trees).
+    """Flat node arrays in growth order from root 0 (or several stacked trees).
 
-    A leaf has ``feature`` LEAF, ``threshold`` NaN and ``left`` = ``right`` =
-    itself. ``default_left`` routes a missing value: 1 left, 0 right, -1 none.
-    ``depth`` is the node's distance from its root.
+    Growth order is level by level, a split's left child before its right, so
+    ``right == left + 1`` at every split and every child comes after its
+    parent. A leaf has ``feature`` LEAF, ``threshold`` NaN and ``left`` =
+    ``right`` = itself. ``default_left`` routes a missing value: 1 left, 0
+    right, -1 none. ``depth`` is the node's distance from its root.
     """
 
     feature: np.ndarray
@@ -325,7 +326,7 @@ def grow_trees(
     checks; it gets the node's rows in their original order and, when
     ``score`` is given, the node's ``NodeGains``. ``score`` (a batched
     ``split_shortlist``) runs once per level, over chunks of ``SCORE_CHUNK``
-    of those nodes. Each tree's nodes are laid out depth first from its root.
+    of those nodes. Each tree keeps its nodes in the order they were created.
     """
     trees: list[list[list]] = [[] for _ in samples]  # each tree's node fields, in creation order
     level: list[tuple[int, int, np.ndarray, np.ndarray]] = []  # (tree, node, X, t) to decide next
@@ -357,19 +358,7 @@ def grow_trees(
             default_left = -1 if default_left is None else int(default_left)
             node[:4], node[6] = (feature, threshold, left, right), default_left
 
-    grown = []
-    for nodes in trees:
-        preorder, stack = [], [0]
-        while stack:
-            i = stack.pop()
-            preorder.append(i)
-            if nodes[i][0] != LEAF:
-                stack += nodes[i][3:1:-1]  # right, then left on top
-        position = {i: p for p, i in enumerate(preorder)}
-        for node in nodes:
-            node[2:4] = position[node[2]], position[node[3]]
-        grown.append(RegressionTree(*map(np.array, zip(*(nodes[i] for i in preorder)))))
-    return grown
+    return [RegressionTree(*map(np.array, zip(*nodes))) for nodes in trees]
 
 
 def grow_forest(
@@ -457,42 +446,3 @@ def predict_tree(tree: RegressionTree, X: np.ndarray) -> np.ndarray:
     """Leaf value of every row of X (one row per query)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     return walk_trees(tree, X)[:, 0]
-
-
-def format_tree(tree: RegressionTree, feature_names: Sequence[str] = FEATURE_NAMES) -> str:
-    """Indented if/else rule dump of the fitted tree."""
-    lines: list[str] = []
-
-    def walk(i: int, indent: int):
-        pad = "  " * indent
-        if tree.feature[i] == LEAF:
-            lines.append(f"{pad}predict {float(tree.value[i])!r} (n={int(tree.n[i])})")
-            return
-        name = feature_names[tree.feature[i]]
-        lines.append(f"{pad}if {name} <= {float(tree.threshold[i])!r}:")
-        walk(tree.left[i], indent + 1)
-        lines.append(f"{pad}else:")
-        walk(tree.right[i], indent + 1)
-
-    walk(0, 0)
-    return "\n".join(lines) + "\n"
-
-
-class CartPredictor(Predictor):
-    """Zoo wrapper for a single regression tree."""
-
-    model_kind = "cart"
-
-    def __init__(self, params: TreeParams = TreeParams()):
-        super().__init__()
-        self.params = params
-        self.tree: RegressionTree | None = None
-
-    def _fit(self, train: Dataset, y: np.ndarray) -> None:
-        self.tree = grow(train.features_matrix, y, self.params)
-
-    def _predict_batch(self, X: np.ndarray) -> np.ndarray:
-        return predict_tree(self.tree, X)
-
-    def dump(self) -> str:
-        return format_tree(self.tree)

@@ -313,8 +313,8 @@ def synthesize(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if noise_pct < 0:
-        raise ValueError(f"noise_pct must be >= 0, got {noise_pct}")
+    if not 0 <= noise_pct < np.inf:  # the negated form also rejects a nan
+        raise ValueError(f"noise_pct must be finite and >= 0, got {noise_pct}")
     rng = np.random.default_rng(seed)
     lows = np.array([lo for lo, _ in ranges], dtype=float)
     highs = np.array([hi for _, hi in ranges], dtype=float)

@@ -1,13 +1,14 @@
-"""Ensembles over CART base learners.
+"""Ensembles over CART base learners, CART itself among them.
 
-Six families: bagging, random forest, extra trees, AdaBoost.R2, gradient
-boosting (stochastic when subsampled), and a regularized second-order booster
-whose split gain and leaf weights follow the penalized objective
+Seven families: CART as a one-member ensemble, bagging, random forest, extra
+trees, AdaBoost.R2, gradient boosting (stochastic when subsampled), and a
+regularized second-order booster whose split gain and leaf weights follow
+the penalized objective
 gain = 0.5 * [G_L^2/(H_L+lambda) + G_R^2/(H_R+lambda) - G^2/(H+lambda)] - gamma,
 w* = -G/(H+lambda), with per-split default directions learned for missing
 feature values. The loss is squared, so h = 1 per row and every hessian sum H
-is a row count; no hessian array is kept. All six grow their trees with the
-shared recursion in ``cart``, and one ``EnsemblePredictor`` wraps any of the
+is a row count; no hessian array is kept. All seven grow their trees with the
+shared grower in ``cart``, and one ``EnsemblePredictor`` wraps any of the
 ``fit_*`` functions for the zoo.
 
 The regularized split search is ``cart.split_shortlist``'s one decision
@@ -129,6 +130,11 @@ def bootstrap_indices(n: int, rng: np.random.Generator) -> np.ndarray:
 def _check_nonempty(y: np.ndarray) -> None:
     if y.size == 0:
         raise EmptyTrainError("empty training set")
+
+
+def fit_cart(X: np.ndarray, y: np.ndarray, params: TreeParams) -> EnsembleModel:
+    """One CART tree; the mean over one member is its leaf value exactly."""
+    return EnsembleModel([(grow(X, y, params), 1.0)], CombineRule.MEAN)
 
 
 def _fit_forest(
@@ -317,13 +323,14 @@ def fit_regularized_booster(X: np.ndarray, y: np.ndarray, cfg: BoostConfig) -> E
 
 
 class EnsemblePredictor(Predictor):
-    """Zoo wrapper for every ensemble family: a ``fit_*`` function and its config."""
+    """Zoo wrapper for every tree learner, CART included: a ``fit_*`` function and its config."""
 
     def __init__(
         self,
         model_kind: str,
-        fit: Callable[[np.ndarray, np.ndarray, ForestConfig | BoostConfig], EnsembleModel],
-        config: ForestConfig | BoostConfig,
+        fit: Callable[[np.ndarray, np.ndarray, TreeParams | ForestConfig | BoostConfig],
+                      EnsembleModel],
+        config: TreeParams | ForestConfig | BoostConfig,
         supports_missing: bool = False,
     ):
         super().__init__()

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .cart import CartPredictor, TreeParams
+from .cart import TreeParams
 from .cbr import CbrPredictor
 from .core import Predictor, TargetTransform
 from . import ensemble
@@ -118,7 +118,7 @@ def _build_dnn(typed: dict, seed: int) -> Predictor:
 
 
 def _build_cart(typed: dict, seed: int) -> Predictor:
-    return CartPredictor(TreeParams(**typed))
+    return EnsemblePredictor("cart", ensemble.fit_cart, TreeParams(**typed))
 
 
 def _build_cbr(typed: dict, seed: int) -> Predictor:

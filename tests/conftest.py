@@ -1,3 +1,11 @@
+import os
+
+# One BLAS thread, set before numpy is imported, as perfbench/run.py and CI set
+# it: the DNN's float.hex guards in test_fit_guard.py depend on how BLAS splits
+# its sums, which changes with the thread count.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_name] = "1"
+
 import numpy as np
 import pytest
 

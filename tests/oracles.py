@@ -176,7 +176,7 @@ def grow_trees_one_node_at_a_time(samples, params, leaf_value, find_split, score
     A depth level is decided tree by tree, left child before right, and each
     searched node is scored by ``score`` as a batch of one right before
     ``find_split`` decides it, so nothing is batched. Each tree is then laid
-    out depth first by recursion.
+    out breadth first from a queue, a split's children numbered together.
     """
     def node(X, t, depth):
         return dict(X=X, t=t, depth=depth, value=leaf_value(t), split=None, children=())
@@ -200,21 +200,21 @@ def grow_trees_one_node_at_a_time(samples, params, leaf_value, find_split, score
             next_level += parent["children"]
         level = next_level
 
-    def lay_out(tree_node, rows):
-        i = len(rows)
-        rows.append(dict(feature=LEAF, threshold=np.nan, left=i, right=i, value=tree_node["value"],
-                         n=tree_node["t"].size, default_left=-1, depth=tree_node["depth"]))
-        if tree_node["split"] is not None:
-            feature, threshold, default_left = tree_node["split"]
-            left, right = (lay_out(child, rows) for child in tree_node["children"])
-            rows[i].update(feature=feature, threshold=threshold, left=left, right=right,
-                           default_left=default_left)
-        return i
+    def lay_out(root):
+        queue = [root]  # a node's row is its place in the queue
+        for i, tree_node in enumerate(queue):
+            row = dict(feature=LEAF, threshold=np.nan, left=i, right=i, value=tree_node["value"],
+                       n=tree_node["t"].size, default_left=-1, depth=tree_node["depth"])
+            if tree_node["split"] is not None:
+                feature, threshold, default_left = tree_node["split"]
+                row.update(feature=feature, threshold=threshold, left=len(queue),
+                           right=len(queue) + 1, default_left=default_left)
+                queue += tree_node["children"]
+            yield row
 
     trees = []
     for root in roots:
-        rows = []
-        lay_out(root, rows)
+        rows = list(lay_out(root))
         trees.append(RegressionTree(**{f.name: np.array([row[f.name] for row in rows])
                                        for f in fields(RegressionTree)}))
     return trees

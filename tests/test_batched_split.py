@@ -8,9 +8,9 @@ nodes), each node's batched decision must agree with the full exact search of
 ``test_split_shortlist`` under the tie rule checked there, also over random
 forest's feature subsets drawn after the batch. ``cart.grow_trees`` grows
 all the trees of a fit together a depth level at a time, scores each level in
-chunks and lays each tree out depth first; every tree learner must grow the
-same eight node arrays as a plain level-order grower that scores one node at a
-time, and a chunk of one node must change nothing.
+chunks and keeps each tree's nodes in growth order; every tree learner must
+grow the same eight node arrays as a plain level-order grower that scores one
+node at a time, and a chunk of one node must change nothing.
 """
 
 from dataclasses import fields
@@ -153,7 +153,7 @@ def _arrays(n, seed, missing=False):
 
 
 def _trees(model) -> list[RegressionTree]:
-    return [model.tree] if hasattr(model, "tree") else [tree for tree, _ in model.model.members]
+    return [tree for tree, _ in model.model.members]
 
 
 def _fit_trees(model_id, params, X, y, monkeypatch=None):
@@ -212,6 +212,19 @@ def test_regularized_tree_with_missing_values_equals_the_recursion(monkeypatch):
     for got, expected in zip(batched, reference):
         for field in fields(RegressionTree):
             assert getattr(got, field.name).tobytes() == getattr(expected, field.name).tobytes()
+
+
+@pytest.mark.parametrize("model_id", TREE_LEARNERS)
+def test_every_tree_keeps_its_nodes_in_growth_order(model_id):
+    # each learner's default fit on the seed-42 bench's training side
+    train, _ = _train_test(BenchConfig(), 42)
+    model = build_model(model_id, {}, derive_seed(42, model_id)).fit(train)
+    for tree in _trees(model):
+        split = np.flatnonzero(tree.feature != cart.LEAF)
+        assert tree.roots.tolist() == [0]
+        assert (tree.right[split] == tree.left[split] + 1).all()
+        assert (tree.left[split] > split).all()
+        assert (np.diff(tree.depth) >= 0).all()
 
 
 # -- how the grower batches --------------------------------------------------------------------

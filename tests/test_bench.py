@@ -439,6 +439,17 @@ class TestCli:
         assert cli_main(["bench", "--config", str(config)]) == 1
         assert "CONFIG_ERROR" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["bench"],
+        ["predict", "--model", "cart", "--p1", "100", "--p2", "1000", "--p3", "10", "--p4", "2013"],
+        ["rules", "--out", "rules.txt"],
+    ])
+    def test_missing_config_file_is_a_config_error(self, command, tmp_path, capsys):
+        missing = str(tmp_path / "missing.ini")
+        assert cli_main([command[0], "--config", missing, *command[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: CONFIG_ERROR") and "missing.ini" in err
+
     def test_env_seed_fallback(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("COSTLAB_SEED", "31")
         data = str(tmp_path / "a.csv")

@@ -4,7 +4,6 @@ import pytest
 from conftest import random_dataset
 from costlab.cart import (
     LEAF,
-    CartPredictor,
     TreeParams,
     best_split,
     grow,
@@ -13,6 +12,7 @@ from costlab.cart import (
 )
 from costlab.errors import EmptyTrainError, UnsupportedMissingError
 from costlab.metrics import mape
+from costlab.zoo import build_model
 from oracles import cart_key, check_tie_rule, exact_gain, left_mask
 
 
@@ -188,13 +188,6 @@ class TestPredictTree:
 class TestCartPredictor:
     def test_fit_predict_round_trip(self):
         train = random_dataset(30, seed=4, noise=0.05)
-        p = CartPredictor().fit(train)
+        p = build_model("cart", {}, 0).fit(train)
         preds = [p.predict(rec.features) for rec in train]
         assert all(np.isfinite(v) for v in preds)
-
-    def test_dump_contains_rules(self):
-        train = random_dataset(30, seed=5, noise=0.05)
-        p = CartPredictor().fit(train)
-        text = p.dump()
-        assert "if p" in text and "predict" in text
-        assert text.count("predict") == int(np.sum(p.tree.feature == LEAF))

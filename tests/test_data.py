@@ -178,6 +178,11 @@ class TestSynthesize:
             ratio = rec.cost_le / (base * base)
             assert 0.9 - 1e-9 <= ratio <= 1.1 + 1e-9
 
+    @pytest.mark.parametrize("noise_pct", [-1.0, float("nan"), float("inf")])
+    def test_noise_must_be_finite_and_nonnegative(self, noise_pct):
+        with pytest.raises(ValueError, match="noise_pct"):
+            synthesize(5, seed=0, noise_pct=noise_pct)
+
     def test_range_exhaustion(self):
         # years far in the past keep the sqrt-domain value negative
         bad_ranges = ((20.0, 300.0), (200.0, 3000.0), (5.0, 60.0), (1900.0, 1901.0))
