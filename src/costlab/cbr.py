@@ -3,7 +3,8 @@
 Attribute similarity is min/max of the two nonnegative values (1 when both
 are zero, 0 when exactly one is). Case similarity is the attribute-weight
 average. Prediction reuses the similarity-weighted mean cost of the top-k
-cases; the default k=1 is pure reuse of the best case.
+cases; the default k=1 is pure reuse of the best case. A batch of queries is
+scored as one similarity matrix and ranked row by row in one call.
 """
 
 from __future__ import annotations
@@ -25,13 +26,13 @@ from .errors import (
 )
 
 DEFAULT_WEIGHTS = (1.0, 1.0, 1.0, 1.0)
+SIMILARITY_CHUNK = 64  # query rows scored together: bounds a batch's (4, rows, m) temporaries
 
 
 def _attribute_similarities(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Elementwise min/max of nonnegative values; 1 where both are zero."""
     lo, hi = np.minimum(a, b), np.maximum(a, b)
-    with np.errstate(invalid="ignore"):  # 0/0 where both are zero
-        return np.where(hi == 0.0, 1.0, lo / hi)
+    return np.divide(lo, hi, out=np.ones(lo.shape), where=hi != 0.0)
 
 
 def check_weights(weights: Sequence[float]) -> tuple[float, ...]:
@@ -49,22 +50,35 @@ def check_weights(weights: Sequence[float]) -> tuple[float, ...]:
 
 
 def case_similarity(
-    new: FeatureVector, stored: np.ndarray, weights: Sequence[float] = DEFAULT_WEIGHTS
+    new: FeatureVector | np.ndarray,
+    stored: np.ndarray,
+    weights: Sequence[float] = DEFAULT_WEIGHTS,
 ) -> np.ndarray:
     """Weighted average of the four attribute similarities to each of the (m, 4)
-    stored cases; bit-identical to the scalar oracle in ``tests/oracles.py``."""
+    stored cases: (m,) for one ``FeatureVector``, (n, m) for an (n, 4) matrix
+    of queries, whose non-finite values count as missing. Each value is
+    bit-identical to the scalar oracle in ``tests/oracles.py``."""
+    one = isinstance(new, FeatureVector)
+    a = new.to_array()[None, :] if one else np.asarray(new, dtype=float)
     b = np.asarray(stored, dtype=float)
-    if new.has_missing or np.isnan(b).any():
+    # NaN propagates through min and max, and an infinite query value is missing too
+    a_lo, a_hi, b_lo = a.min(initial=0.0), a.max(initial=0.0), b.min(initial=0.0)
+    if not (math.isfinite(a_lo) and math.isfinite(a_hi)) or math.isnan(b_lo):
         raise UnsupportedMissingError("case similarity requires complete feature vectors")
     weights = check_weights(weights)
-    a = new.to_array()
-    if (a < 0).any() or (b < 0).any():
+    if a_lo < 0 or b_lo < 0:
         raise NegativeAttributeError("attribute values must be nonnegative")
-    sims = _attribute_similarities(a, b)
-    score = 0.0
-    for j, w in enumerate(weights):
-        score = score + w * sims[:, j]
-    return score / sum(weights)
+    # feature-major (4, rows, m), so each feature's pass runs along the cases
+    cases = b.T[:, None, :]
+    score = np.empty((len(a), len(b)))
+    for start in range(0, len(a), SIMILARITY_CHUNK):
+        rows = slice(start, start + SIMILARITY_CHUNK)
+        sims = _attribute_similarities(a[rows].T[:, :, None], cases)
+        total = 0.0
+        for w, sim in zip(weights, sims):
+            total = total + w * sim
+        score[rows] = total / sum(weights)
+    return score[0] if one else score
 
 
 @dataclass(frozen=True)
@@ -83,6 +97,11 @@ class CaseBase:
     def features(self) -> np.ndarray:
         """(m, 4) feature matrix of the stored cases, in case order."""
         return np.array([case.features.to_array() for case in self.cases])
+
+    @cached_property
+    def costs(self) -> np.ndarray:
+        """(m,) observed costs of the stored cases, in case order."""
+        return np.array([case.cost_le for case in self.cases])
 
     @cached_property
     def id_rank(self) -> np.ndarray:
@@ -105,27 +124,38 @@ class RetrievalResult:
 
 
 def retrieve_and_predict(
-    case_base: CaseBase, x: FeatureVector, k: int = 1
-) -> tuple[float, RetrievalResult]:
+    case_base: CaseBase, x: FeatureVector | np.ndarray, k: int = 1
+) -> tuple[float, RetrievalResult] | tuple[np.ndarray, np.ndarray]:
     """Rank cases by similarity, reuse the weighted mean of the top-k costs.
 
     Ties in similarity break toward the lexically smaller case id. If every
-    retained similarity is zero the top-k costs are averaged unweighted.
+    retained similarity is zero the top-k costs are averaged unweighted. One
+    ``FeatureVector`` gives its cost and retrieval trace; an (n, 4) matrix
+    gives each row's cost and best case index, the same bits as one row alone.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k > len(case_base.cases):
         raise KTooLargeError(f"k={k} exceeds case base size {len(case_base.cases)}")
     sims = case_similarity(x, case_base.features, case_base.attribute_weights)
-    order = np.lexsort((case_base.id_rank, -sims))[:k]
-    top = [(float(sims[i]), case_base.cases[i]) for i in order]
-    sim_sum = sum(sim for sim, _ in top)
-    if sim_sum > 0:
-        cost = sum(sim * case.cost_le for sim, case in top) / sim_sum
-    else:
-        cost = sum(case.cost_le for _, case in top) / len(top)
-    best_sim, best_case = top[0]
-    return cost, RetrievalResult(best_case, best_sim, x)
+    sims = sims.reshape(-1, len(case_base.cases))
+    id_rank = np.tile(case_base.id_rank, (len(sims), 1))
+    order = np.lexsort((id_rank, -sims), axis=-1)[:, :k]
+    top_sims = sims[np.arange(len(sims))[:, None], order]
+    top_costs = case_base.costs[order]
+    # the left-to-right sums of the scalar scan, a column at a time (0 + s is s)
+    sim_sum, weighted, plain = top_sims[:, 0], top_sims[:, 0] * top_costs[:, 0], top_costs[:, 0]
+    for j in range(1, k):
+        sim_sum = sim_sum + top_sims[:, j]
+        weighted = weighted + top_sims[:, j] * top_costs[:, j]
+        plain = plain + top_costs[:, j]
+    costs = np.divide(weighted, sim_sum, out=plain / k, where=sim_sum > 0)
+    best = order[:, 0]
+    if isinstance(x, FeatureVector):
+        return float(costs[0]), RetrievalResult(
+            case_base.cases[best[0]], float(top_sims[0, 0]), x
+        )
+    return costs, best
 
 
 class CbrPredictor(Predictor):
@@ -145,7 +175,7 @@ class CbrPredictor(Predictor):
         self.case_base = CaseBase(train.records, self.attribute_weights)
 
     def _predict_batch(self, X: np.ndarray) -> np.ndarray:
-        return np.array([self.retrieve(FeatureVector.from_array(x))[0] for x in X])
+        return retrieve_and_predict(self.case_base, X, self.k)[0]
 
     def retrieve(self, x: FeatureVector) -> tuple[float, RetrievalResult]:
         """Prediction plus the retrieval trace for reporting."""

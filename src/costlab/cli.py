@@ -144,6 +144,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: VALUE_ERROR: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # e.g. an --out path whose directory does not exist
+        print(f"error: OS_ERROR: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -92,13 +92,6 @@ class FeatureVector:
             [np.nan if v is None else float(v) for v in self.as_tuple()], dtype=float
         )
 
-    @classmethod
-    def from_array(cls, values: Sequence[float]) -> "FeatureVector":
-        vals = [None if (v is None or not math.isfinite(v)) else float(v) for v in values]
-        if len(vals) != N_FEATURES:
-            raise ValueError(f"expected {N_FEATURES} feature values, got {len(vals)}")
-        return cls(*vals)
-
     @property
     def has_missing(self) -> bool:
         return any(v is None for v in self.as_tuple())

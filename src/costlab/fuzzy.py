@@ -239,17 +239,19 @@ class FuzzyEngine:
 
 
 def infer_detail(
-    rule_base: RuleBase, x: FeatureVector, fallback: float | None = None
+    rule_base: RuleBase, x: FeatureVector | np.ndarray, fallback: float | None = None
 ) -> InferenceResult:
-    """Crisp cost with the fired-rule trace and the degraded-fallback flag;
-    without a fallback, raises NO_RULE_FIRES when nothing fires.
+    """Crisp cost of one ``FeatureVector`` or (4,) row, with the fired-rule trace
+    and the degraded-fallback flag; without a fallback, raises NO_RULE_FIRES
+    when nothing fires. A non-finite value in a row counts as missing.
 
     A row that fires no rule is decided from its strengths alone, by the test
     ``centroids`` uses for its fired mask, and is never defuzzified."""
-    if x.has_missing:
+    point = x.to_array() if isinstance(x, FeatureVector) else np.asarray(x, dtype=float)
+    if not np.isfinite(point).all():
         raise UnsupportedMissingError("fuzzy inference requires complete feature vectors")
     engine = rule_base.engine
-    memberships = engine.input_memberships(x.to_array()[None, :])
+    memberships = engine.input_memberships(point[None, :])
     strengths = engine.strengths(memberships, rule_base.antecedents)
     row = strengths[0]
     fired: tuple[tuple[FuzzyRule, float], ...] = ()
@@ -416,8 +418,8 @@ class FuzzyPredictor(Predictor):
         self.fallback = float(np.mean(train.targets))
 
     def _predict_batch(self, X: np.ndarray) -> np.ndarray:
-        return np.array([self.infer_trace(FeatureVector.from_array(x)).value for x in X])
+        return np.array([self.infer_trace(x).value for x in X])
 
-    def infer_trace(self, x: FeatureVector) -> InferenceResult:
+    def infer_trace(self, x: FeatureVector | np.ndarray) -> InferenceResult:
         """Inference with fired rules and the degraded flag, for reporting."""
         return infer_detail(self.rule_base, x, fallback=self.fallback)

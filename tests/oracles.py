@@ -18,12 +18,18 @@ import numpy as np
 
 from costlab.cart import LEAF, RegressionTree
 from costlab.cbr import DEFAULT_WEIGHTS
+from costlab.data import FeatureVector
 from costlab.ensemble import split_gain
 from costlab.errors import NegativeAttributeError, NoRuleFiresError, UnsupportedMissingError
 from costlab.fuzzy import FuzzyRule, InferenceResult, RuleBase
 from costlab.genetic_fuzzy import GENE_MAX, _PopulationEvaluator
 from costlab.metrics import mape
 from costlab.neural import MOMENTUM, gradients, init_weights
+
+
+def feature_vector(row):
+    """The ``FeatureVector`` of four numbers, a non-finite value read as missing."""
+    return FeatureVector(*(float(v) if math.isfinite(v) else None for v in row))
 
 
 # -- fuzzy ----------------------------------------------------------------------

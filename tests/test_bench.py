@@ -450,6 +450,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: CONFIG_ERROR") and "missing.ini" in err
 
+    @pytest.mark.parametrize("command, name", [
+        (["rules"], "r.txt"),
+        (["generate", "--n", "5"], "x.csv"),
+    ])
+    def test_unwritable_out_path_is_an_os_error(self, command, name, tmp_path, capsys):
+        out = str(tmp_path / "MISSING_DIR" / name)
+        assert cli_main([*command, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: OS_ERROR: ") and "MISSING_DIR" in err
+        assert not os.path.exists(tmp_path / "MISSING_DIR")
+
     def test_env_seed_fallback(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("COSTLAB_SEED", "31")
         data = str(tmp_path / "a.csv")

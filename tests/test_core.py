@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset, random_dataset
+from oracles import feature_vector
 from costlab.core import Predictor, TargetTransform, evaluate
 from costlab.data import Dataset, FeatureVector
 from costlab.errors import (
@@ -130,7 +131,7 @@ class TestEvaluate:
                 pass
 
             def _predict_batch(self, X):
-                return np.array([self.mapping[FeatureVector.from_array(x)] for x in X])
+                return np.array([self.mapping[feature_vector(x)] for x in X])
 
         mapping = {rec.features: rec.cost_le for rec in test}
         p = Echo(mapping).fit(test)

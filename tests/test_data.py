@@ -37,10 +37,6 @@ class TestFeatureVector:
         arr = fv.to_array()
         assert np.isnan(arr[1]) and arr[0] == 1.0
 
-    def test_round_trip_through_array(self):
-        fv = FeatureVector(1.5, 2.5, None, 2010.0)
-        assert FeatureVector.from_array(fv.to_array()) == fv
-
     def test_rejects_negative_driver(self):
         with pytest.raises(ValueError):
             FeatureVector(-1.0, 2.0, 3.0, 2013.0)

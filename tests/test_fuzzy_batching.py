@@ -16,7 +16,7 @@ from conftest import random_dataset
 from oracles import decode_and_fitness_per_candidate
 from costlab import fuzzy
 from costlab.data import SplitSpec, split
-from costlab.errors import NoRuleFiresError
+from costlab.errors import NoRuleFiresError, UnsupportedMissingError
 from costlab.fuzzy import FuzzyEngine, FuzzyPredictor
 from costlab.genetic_fuzzy import (
     GENE_MAX,
@@ -168,3 +168,22 @@ def test_only_rows_that_fire_a_rule_are_defuzzified(monkeypatch, synthetic_144, 
     with pytest.raises(NoRuleFiresError, match="no rule fires for this input"):
         fuzzy.infer_detail(model.rule_base, unfired)
     assert centroids == []
+
+
+@pytest.mark.parametrize(
+    "model", [FuzzyPredictor(), GeneticFuzzyPredictor(GAConfig(generations=5, seed=7))]
+)
+def test_infer_detail_reads_a_float_row_as_its_feature_vector(synthetic_144, model):
+    """``predict_many`` hands each ndarray row straight to ``infer_detail``. A row
+    gives the result its ``FeatureVector`` gives, and a non-finite value is
+    missing, as a ``None`` slot is."""
+    train, test = _train_test(synthetic_144)
+    model.fit(train)
+    for record, row in zip(test, test.features_matrix):
+        want = fuzzy.infer_detail(model.rule_base, record.features, model.fallback)
+        assert fuzzy.infer_detail(model.rule_base, row, model.fallback) == want
+    for value in (np.nan, np.inf, -np.inf):
+        row = test.features_matrix[0].copy()
+        row[2] = value
+        with pytest.raises(UnsupportedMissingError):
+            fuzzy.infer_detail(model.rule_base, row, model.fallback)

@@ -15,6 +15,7 @@ import pytest
 
 from oracles import (
     attribute_similarity,
+    feature_vector,
     infer_detail_always_defuzzified,
     membership,
     scalar_case_similarity,
@@ -243,7 +244,7 @@ def test_fired_rules_are_sorted_strongest_first_with_ties_in_rule_order():
     )
     ties = 0
     for query in queries:
-        x = FeatureVector.from_array(query)
+        x = feature_vector(query)
         strengths = engine.strengths(engine.input_memberships(query[None, :]), rule_base.antecedents)
         want = [
             (rule, float(s))
@@ -320,7 +321,7 @@ def test_infer_detail_matches_the_form_that_defuzzifies_every_row():
         rule_base = _random_rule_base(rng)
         for i in range(30):
             kind = kinds[i % len(kinds)]
-            x = FeatureVector.from_array(_random_row(rng, rule_base, kind))
+            x = feature_vector(_random_row(rng, rule_base, kind))
             for fallback in (None, float(rng.uniform(0.0, 1000.0))):
                 want = _outcome(infer_detail_always_defuzzified, rule_base, x, fallback)
                 assert _outcome(infer_detail, rule_base, x, fallback) == want, (kind, x, fallback)
@@ -357,9 +358,9 @@ def test_case_similarity_matrix_matches_the_scalar_loop(weights):
     rng = np.random.default_rng(3)
     stored = _feature_rows(rng, 300)
     for query in _feature_rows(rng, 20):
-        x = FeatureVector.from_array(query)
+        x = feature_vector(query)
         sims = case_similarity(x, stored, weights)
-        want = [scalar_case_similarity(x, FeatureVector.from_array(s), weights) for s in stored]
+        want = [scalar_case_similarity(x, feature_vector(s), weights) for s in stored]
         assert np.array_equal(bits(sims), bits(want))
 
 
@@ -401,7 +402,7 @@ def _tied_case_base(rng, weights):
     # ids out of lexical order, so "c10" sorts before "c2"
     ids = [f"c{i}" for i in rng.permutation(len(rows))]
     cases = tuple(
-        ProjectRecord(case_id, FeatureVector.from_array(row), float(rng.uniform(1e5, 1e6)))
+        ProjectRecord(case_id, feature_vector(row), float(rng.uniform(1e5, 1e6)))
         for case_id, row in zip(ids, rows)
     )
     return CaseBase(cases, weights), base
@@ -414,7 +415,7 @@ def test_retrieval_matches_the_sorted_scan(k, weights):
     case_base, base = _tied_case_base(rng, weights)
     queries = [*base, *_feature_rows(rng, 10)]
     for query in queries:
-        x = FeatureVector.from_array(query)
+        x = feature_vector(query)
         cost, result = retrieve_and_predict(case_base, x, k)
         want_cost, top = brute_force_retrieval(case_base, x, k)
         assert bits(cost) == bits(want_cost)
@@ -429,7 +430,7 @@ def test_retrieval_matches_the_sorted_scan(k, weights):
 def test_tied_retrieval_breaks_by_id():
     rng = np.random.default_rng(0)
     case_base, base = _tied_case_base(rng, (1.0, 1.0, 1.0, 1.0))
-    x = FeatureVector.from_array(base[0])
+    x = feature_vector(base[0])
     exact = sorted(c.id for c in case_base.cases if c.features == x)
     assert len(exact) == 2
     _, result = retrieve_and_predict(case_base, x, 1)
