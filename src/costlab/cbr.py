@@ -4,7 +4,8 @@ Attribute similarity is min/max of the two nonnegative values (1 when both
 are zero, 0 when exactly one is). Case similarity is the attribute-weight
 average. Prediction reuses the similarity-weighted mean cost of the top-k
 cases; the default k=1 is pure reuse of the best case. A batch of queries is
-scored as one similarity matrix and ranked row by row in one call.
+scored as one similarity matrix, and each row's top k are selected from it
+without sorting the row.
 """
 
 from __future__ import annotations
@@ -104,10 +105,9 @@ class CaseBase:
         return np.array([case.cost_le for case in self.cases])
 
     @cached_property
-    def id_rank(self) -> np.ndarray:
-        """Rank of each case's id in lexical order; equal ids share a rank."""
-        ranks = {case_id: r for r, case_id in enumerate(sorted({c.id for c in self.cases}))}
-        return np.array([ranks[case.id] for case in self.cases])
+    def id_order(self) -> np.ndarray:
+        """Case indices sorted by id in lexical order; equal ids keep case order."""
+        return np.array(sorted(range(len(self.cases)), key=lambda i: self.cases[i].id))
 
 
 @dataclass(frozen=True)
@@ -139,9 +139,16 @@ def retrieve_and_predict(
         raise KTooLargeError(f"k={k} exceeds case base size {len(case_base.cases)}")
     sims = case_similarity(x, case_base.features, case_base.attribute_weights)
     sims = sims.reshape(-1, len(case_base.cases))
-    id_rank = np.tile(case_base.id_rank, (len(sims), 1))
-    order = np.lexsort((id_rank, -sims), axis=-1)[:, :k]
-    top_sims = sims[np.arange(len(sims))[:, None], order]
+    # the first maximum over columns in id order breaks ties toward the smaller id,
+    # then the earlier case; each pick is masked out before the next
+    rows = np.arange(len(sims))
+    by_id = sims[:, case_base.id_order]
+    order = np.empty((len(sims), k), dtype=int)
+    for j in range(k):
+        picked = by_id.argmax(axis=1)
+        order[:, j] = case_base.id_order[picked]
+        by_id[rows, picked] = -np.inf
+    top_sims = sims[rows[:, None], order]
     top_costs = case_base.costs[order]
     # the left-to-right sums of the scalar scan, a column at a time (0 + s is s)
     sim_sum, weighted, plain = top_sims[:, 0], top_sims[:, 0] * top_costs[:, 0], top_costs[:, 0]

@@ -113,10 +113,6 @@ class Predictor(ABC):
         self.target_transform = target_transform
         self._fitted = False
 
-    @property
-    def is_fitted(self) -> bool:
-        return self._fitted
-
     def fit(self, train: Dataset) -> "Predictor":
         if self._fitted:
             raise AlreadyFittedError(f"{self.model_kind} is already fitted")

@@ -92,10 +92,6 @@ class FeatureVector:
             [np.nan if v is None else float(v) for v in self.as_tuple()], dtype=float
         )
 
-    @property
-    def has_missing(self) -> bool:
-        return any(v is None for v in self.as_tuple())
-
 
 @dataclass(frozen=True)
 class ProjectRecord:
@@ -150,10 +146,6 @@ class Dataset(Sequence[ProjectRecord]):
     @property
     def targets(self) -> np.ndarray:
         return self._y
-
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(rec.id for rec in self._records)
 
     @property
     def has_missing_features(self) -> bool:

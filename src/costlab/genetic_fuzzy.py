@@ -10,9 +10,10 @@ once, when ``evolve`` builds the returned rule base from the best pairs.
 
 Decoding prunes exact duplicates and resolves antecedent conflicts by keeping
 the consequent whose single-rule inference scores the lowest MAPE on the
-cases it fires on. A population's conflicting rules are all scored in one
-``FuzzyEngine.centroids`` call, so decoding makes two calls per generation:
-that one and the population's own.
+cases it fires on. That score depends only on the pair, so each pair is
+scored once a fit: a population's conflicting rules not yet scored are all
+scored in one ``FuzzyEngine.centroids`` call, so decoding makes at most two
+calls per generation: that one and the population's own.
 """
 
 from __future__ import annotations
@@ -93,6 +94,7 @@ class _PopulationEvaluator:
         self.memberships = self.engine.input_memberships(train.features_matrix)
         self.targets = train.targets
         self.fallback = float(np.mean(train.targets))
+        self._solo: dict[Pair, float] = {}  # solo MAPE by pair, kept for the fit
 
     def _solo_mapes(
         self,
@@ -100,29 +102,32 @@ class _PopulationEvaluator:
         strengths: np.ndarray,
         groups: Iterable[list[int]],
     ) -> dict[int, float]:
-        """Training MAPE of each conflicting rule alone, on the rows its antecedent fires.
+        """Training MAPE of each conflicting rule alone, on the rows its antecedent
+        fires (inf when it fires none), by pair index.
 
-        One ``centroids`` call scores them all: row block k holds candidate k's
-        strengths in column k and zeros elsewhere. A zero strength clips to 0 and
-        output memberships are >= 0, so each row aggregates its own candidate's set.
+        A pair's score depends only on the pair and the training side, so each is
+        scored once a fit and kept by pair. One ``centroids`` call scores a
+        population's new pairs: row block k holds candidate k's strengths in
+        column k and zeros elsewhere. A zero strength clips to 0 and output
+        memberships are >= 0, so each row aggregates its own candidate's set.
         """
+        conflicting = [idx for group in groups if len(group) > 1 for idx in group]
         rows = {
             idx: np.flatnonzero(strengths[:, idx] > 0.0)
-            for group in groups if len(group) > 1 for idx in group
+            for idx in conflicting if pairs[idx] not in self._solo
         }
+        self._solo.update((pairs[idx], math.inf) for idx in rows)
         scored = [idx for idx in rows if rows[idx].size]
-        if not scored:
-            return {}
-        sizes = [rows[idx].size for idx in scored]
-        fired = np.concatenate([rows[idx] for idx in scored])
-        column = np.repeat(np.arange(len(scored)), sizes)
-        block = np.zeros((fired.size, len(scored)))
-        block[np.arange(fired.size), column] = strengths[fired, np.array(scored)[column]]
-        values, _ = self.engine.centroids(block, np.array([pairs[i][1] for i in scored]))
-        return {
-            idx: mape(self.targets[rows[idx]], chunk)
-            for idx, chunk in zip(scored, np.split(values, np.cumsum(sizes)[:-1]))
-        }
+        if scored:
+            sizes = [rows[idx].size for idx in scored]
+            fired = np.concatenate([rows[idx] for idx in scored])
+            column = np.repeat(np.arange(len(scored)), sizes)
+            block = np.zeros((fired.size, len(scored)))
+            block[np.arange(fired.size), column] = strengths[fired, np.array(scored)[column]]
+            values, _ = self.engine.centroids(block, np.array([pairs[i][1] for i in scored]))
+            for idx, chunk in zip(scored, np.split(values, np.cumsum(sizes)[:-1])):
+                self._solo[pairs[idx]] = mape(self.targets[rows[idx]], chunk)
+        return {idx: self._solo[pairs[idx]] for idx in conflicting}
 
     def decode_and_fitness(self, population: Sequence[Genes]) -> tuple[list[Pair], float]:
         """The population's winning (antecedent, consequent) pairs and their training MAPE."""

@@ -72,23 +72,26 @@ def init_weights(layer_sizes: tuple[int, ...], rng: np.random.Generator) -> Netw
 
 
 def _activate(z: np.ndarray, activation: str) -> np.ndarray:
+    """The activation of the fresh pre-activation ``z``, written over it."""
     if activation == "tanh":
-        return np.tanh(z)
+        return np.tanh(z, out=z)
     if activation == "relu":
-        return np.maximum(0.0, z)
+        return np.maximum(0.0, z, out=z)
     if activation == "identity":
         return z
     raise ValueError(f"unknown activation {activation!r}; expected one of {_ACTIVATIONS}")
 
 
-def _activate_deriv(a: np.ndarray, activation: str) -> np.ndarray:
-    """The activation's derivative, from its output ``a``."""
+def _activate_deriv(a: np.ndarray, activation: str) -> np.ndarray | float:
+    """The activation's derivative, from its output ``a``, as a factor of the
+    backpropagated delta: ReLU's is the ``a > 0`` mask, which multiplies a float
+    to the same bits as the mask cast to 0.0 and 1.0."""
     if activation == "tanh":
         return 1.0 - a * a
     if activation == "relu":
-        return (a > 0).astype(float)
+        return a > 0
     if activation == "identity":
-        return np.ones_like(a)
+        return 1.0
     raise ValueError(f"unknown activation {activation!r}; expected one of {_ACTIVATIONS}")
 
 
@@ -99,70 +102,82 @@ def _rowwise_matmul(a: np.ndarray, W: np.ndarray) -> np.ndarray:
     return np.einsum("ij,jk->ik", a, W)
 
 
-def _layers(w: NetworkWeights, X: np.ndarray, activation: str, matmul) -> tuple[list, list]:
-    """Pre-activations of every layer, and the activations with the (n, 4) input
-    first; the output layer is the identity. ``matmul`` contracts one layer."""
-    pre: list[np.ndarray] = []
-    activations = [np.atleast_2d(np.asarray(X, dtype=float))]
+def _layers(w: NetworkWeights, X: np.ndarray, activation: str, matmul) -> list[np.ndarray]:
+    """The activations of every layer, the (n, 4) float input first; the output
+    layer is the identity. ``matmul`` contracts one layer."""
+    activations = [X]
     last = len(w.weights) - 1
     for i, (W, b) in enumerate(zip(w.weights, w.biases)):
         z = matmul(activations[-1], W)
         z += b
-        pre.append(z)
         activations.append(z if i == last else _activate(z, activation))
-    return pre, activations
+    return activations
 
 
 def forward(w: NetworkWeights, X: np.ndarray, activation: str = "tanh") -> np.ndarray:
-    """Batch forward pass; returns the identity-output column as a vector.
+    """Batch forward pass over an (n, 4) float array; returns the identity-output
+    column as a vector.
 
     Each row's output is the same bits in a batch of any size; it agrees with
     the BLAS training pass of ``gradients`` to rounding."""
-    return _layers(w, X, activation, _rowwise_matmul)[1][-1][:, 0]
+    return _layers(w, X, activation, _rowwise_matmul)[-1][:, 0]
 
 
 def gradients(
-    w: NetworkWeights, X: np.ndarray, targets: np.ndarray, activation: str = "tanh"
+    w: NetworkWeights, X: np.ndarray, targets: np.ndarray, activation: str = "tanh",
+    out: NetworkWeights | None = None,
 ) -> tuple[list[np.ndarray], list[np.ndarray], float]:
-    """Exact gradients of 0.5 * mean((output - target)^2) by backpropagation."""
-    pre, activations = _layers(w, X, activation, np.matmul)
-    err = activations[-1][:, 0] - np.asarray(targets, dtype=float)
+    """Exact gradients of 0.5 * mean((output - target)^2) over an (n, 4) float
+    array and its (n,) targets by backpropagation, written into the arrays of
+    ``out`` (shaped as ``w``'s) or into new ones."""
+    activations = _layers(w, X, activation, np.matmul)
+    err = activations[-1][:, 0] - targets
     loss = 0.5 * float((err * err).sum() / len(err))
 
-    grads_w: list[np.ndarray] = []  # output layer first, reversed below
-    grads_b: list[np.ndarray] = []
+    if out is None:
+        out = NetworkWeights([np.empty_like(a) for a in w.weights],
+                             [np.empty_like(a) for a in w.biases])
     delta = (err / len(err))[:, None]
-    for i in reversed(range(len(pre))):
-        grads_w.append(activations[i].T @ delta)
-        grads_b.append(delta.sum(axis=0))
+    for i in reversed(range(len(w.weights))):
+        np.matmul(activations[i].T, delta, out=out.weights[i])
+        delta.sum(axis=0, out=out.biases[i])
         if i > 0:
-            delta = (delta @ w.weights[i].T) * _activate_deriv(activations[i], activation)
-    return grads_w[::-1], grads_b[::-1], loss
+            delta = delta @ w.weights[i].T
+            delta *= _activate_deriv(activations[i], activation)
+    return out.weights, out.biases, loss
 
 
 def train_network(
     spec: NetworkSpec, X: np.ndarray, targets: np.ndarray
 ) -> tuple[NetworkWeights, list[float]]:
     """Full-batch momentum descent, one step an epoch over a flat vector (weights
-    then biases) that every layer array views; raises on a non-finite loss."""
+    then biases) that every layer array views; ``gradients`` writes each epoch's
+    gradient into views of a vector laid out the same way. Raises on a
+    non-finite loss."""
     drawn = init_weights(spec.layer_sizes, np.random.default_rng(spec.seed))
     arrays = [*drawn.weights, *drawn.biases]
-    theta = np.concatenate(arrays, axis=None)
     ends = np.cumsum([a.size for a in arrays])
-    views = [theta[e - a.size : e].reshape(a.shape) for a, e in zip(arrays, ends)]
-    w = NetworkWeights(views[: len(drawn.weights)], views[len(drawn.weights) :])
+
+    def views(flat: np.ndarray) -> NetworkWeights:
+        layers = [flat[e - a.size : e].reshape(a.shape) for a, e in zip(arrays, ends)]
+        return NetworkWeights(layers[: len(drawn.weights)], layers[len(drawn.weights) :])
+
+    theta = np.concatenate(arrays, axis=None)
+    grad = np.empty_like(theta)
+    w, grads = views(theta), views(grad)
     vel = np.zeros_like(theta)
     losses: list[float] = []
     # divergence shows up as inf/nan in the loss; the finite check below
     # owns that case, so the interim overflow warnings are noise
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(spec.epochs):
-            grads_w, grads_b, loss = gradients(w, X, targets, spec.activation)
+            loss = gradients(w, X, targets, spec.activation, grads)[2]
             if not math.isfinite(loss):
                 raise NonconvergenceError(f"training loss diverged to {loss!r}")
             losses.append(loss)
             vel *= MOMENTUM
-            vel -= spec.learning_rate * np.concatenate(grads_w + grads_b, axis=None)
+            grad *= spec.learning_rate
+            vel -= grad
             theta += vel
     return w, losses
 

@@ -7,7 +7,9 @@ package's shortcut on rows that fire no rule. The split-search section also
 holds the exact scorers that the kernel's decision replaced and
 the exact-arithmetic checks of its tie rule. The network trainer with a
 velocity and a momentum step per layer array is the reference for the
-package's one step over a flat parameter vector.
+package's one step over a flat parameter vector, and backpropagation with
+new arrays for every activation, derivative and gradient is the reference
+for the package's pass that writes them in place.
 """
 
 import math
@@ -48,7 +50,7 @@ def membership(mf, x):
 
 def fire_rule(rule_base, rule, x):
     """min-AND firing strength of one rule at a crisp input."""
-    if x.has_missing:
+    if None in x.as_tuple():
         raise UnsupportedMissingError("fuzzy inference requires complete feature vectors")
     strength = 1.0
     for var, mf_index, value in zip(rule_base.input_vars, rule.antecedent, x.as_tuple()):
@@ -59,7 +61,7 @@ def fire_rule(rule_base, rule, x):
 def infer_detail_always_defuzzified(rule_base, x, fallback=None):
     """``fuzzy.infer_detail`` that sends every row through ``centroids``, the
     rows that fire no rule included, and reads the outcome from its mask."""
-    if x.has_missing:
+    if None in x.as_tuple():
         raise UnsupportedMissingError("fuzzy inference requires complete feature vectors")
     engine = rule_base.engine
     memberships = engine.input_memberships(x.to_array()[None, :])
@@ -84,6 +86,30 @@ def decode_and_fitness(population, train):
     pairs, fitness = evaluator.decode_and_fitness(population)
     rules = tuple(FuzzyRule(ant, cons) for ant, cons in pairs)
     return RuleBase(rules, evaluator.input_vars, evaluator.output_var), fitness
+
+
+class PerGenerationEvaluator(_PopulationEvaluator):
+    """``_PopulationEvaluator`` that re-scores every conflicting pair of every
+    population, with no memory of the pairs it scored before."""
+
+    def _solo_mapes(self, pairs, strengths, groups):
+        rows = {
+            idx: np.flatnonzero(strengths[:, idx] > 0.0)
+            for group in groups if len(group) > 1 for idx in group
+        }
+        scored = [idx for idx in rows if rows[idx].size]
+        if not scored:
+            return {}
+        sizes = [rows[idx].size for idx in scored]
+        fired = np.concatenate([rows[idx] for idx in scored])
+        column = np.repeat(np.arange(len(scored)), sizes)
+        block = np.zeros((fired.size, len(scored)))
+        block[np.arange(fired.size), column] = strengths[fired, np.array(scored)[column]]
+        values, _ = self.engine.centroids(block, np.array([pairs[i][1] for i in scored]))
+        return {
+            idx: mape(self.targets[rows[idx]], chunk)
+            for idx, chunk in zip(scored, np.split(values, np.cumsum(sizes)[:-1]))
+        }
 
 
 def decode_and_fitness_per_candidate(evaluator, population):
@@ -122,6 +148,32 @@ def decode_and_fitness_per_candidate(evaluator, population):
 
 
 # -- networks -------------------------------------------------------------------
+
+
+def gradients_out_of_place(w, X, targets, activation):
+    """``neural.gradients`` with a new array for every pre-activation, activation,
+    derivative and gradient, the gradients listed output layer first and reversed."""
+    nonlinear = {"tanh": np.tanh, "relu": lambda z: np.maximum(0.0, z), "identity": lambda z: z}
+    derivative = {
+        "tanh": lambda a: 1.0 - a * a,
+        "relu": lambda a: (a > 0).astype(float),
+        "identity": np.ones_like,
+    }
+    activations = [np.atleast_2d(np.asarray(X, dtype=float))]
+    for i, (W, b) in enumerate(zip(w.weights, w.biases)):
+        z = activations[-1] @ W + b
+        activations.append(z if i == len(w.weights) - 1 else nonlinear[activation](z))
+    err = activations[-1][:, 0] - np.asarray(targets, dtype=float)
+    loss = 0.5 * float((err * err).sum() / len(err))
+
+    grads_w, grads_b = [], []
+    delta = (err / len(err))[:, None]
+    for i in reversed(range(len(w.weights))):
+        grads_w.append(activations[i].T @ delta)
+        grads_b.append(delta.sum(axis=0))
+        if i > 0:
+            delta = (delta @ w.weights[i].T) * derivative[activation](activations[i])
+    return grads_w[::-1], grads_b[::-1], loss
 
 
 def train_network_per_array(spec, X, targets):

@@ -71,7 +71,7 @@ class TestContract:
         p = _Stub(1.0)
         with pytest.raises(UnfittedError):
             p.predict(X_PROBE)
-        assert not p.is_fitted
+        assert not p._fitted
 
     def test_empty_train_rejected(self):
         with pytest.raises(EmptyTrainError):

@@ -33,7 +33,7 @@ def write(tmp_path, body, header=HEADER):
 class TestFeatureVector:
     def test_missing_slots(self):
         fv = FeatureVector(1.0, None, 3.0, 2013.0)
-        assert fv.has_missing
+        assert None in fv.as_tuple()
         arr = fv.to_array()
         assert np.isnan(arr[1]) and arr[0] == 1.0
 
@@ -101,7 +101,8 @@ class TestSplit:
         ds = synthesize(50, seed=0, noise_pct=0.0)
         a = split(ds, SplitSpec(seed=9))
         b = split(ds, SplitSpec(seed=9))
-        assert a[0].ids == b[0].ids and a[1].ids == b[1].ids
+        assert [r.id for r in a[0]] == [r.id for r in b[0]]
+        assert [r.id for r in a[1]] == [r.id for r in b[1]]
 
     def test_half_split_of_four(self):
         ds = synthesize(4, seed=0, noise_pct=0.0)
@@ -110,10 +111,10 @@ class TestSplit:
 
     def test_partition_property_over_seeds(self):
         ds = synthesize(37, seed=5, noise_pct=0.0)
-        everything = set(ds.ids)
+        everything = {r.id for r in ds}
         for seed in range(25):
             train, test = split(ds, SplitSpec(seed=seed))
-            train_ids, test_ids = set(train.ids), set(test.ids)
+            train_ids, test_ids = {r.id for r in train}, {r.id for r in test}
             assert train_ids | test_ids == everything
             assert not (train_ids & test_ids)
 

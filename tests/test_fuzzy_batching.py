@@ -3,7 +3,9 @@
 ``_PopulationEvaluator.decode_and_fitness`` scores every conflicting
 candidate of a population in one ``FuzzyEngine.centroids`` call. It must
 decode the same winning rules and the same fitness bits as the per-candidate
-loop kept in ``oracles.py``. The call-count guards pin the number of ``centroids``
+loop kept in ``oracles.py``, and a GA fit that keeps each pair's solo score
+must evolve the same rules and history as one that re-scores every
+generation's conflicting pairs. The call-count guards pin the number of ``centroids``
 calls a GA fit makes, the one ``infer_detail`` call per priced row that
 the benchmark's tracer observes, and that a priced row which fires no rule
 makes no ``centroids`` call.
@@ -13,8 +15,8 @@ import numpy as np
 import pytest
 
 from conftest import random_dataset
-from oracles import decode_and_fitness_per_candidate
-from costlab import fuzzy
+from oracles import PerGenerationEvaluator, decode_and_fitness_per_candidate
+from costlab import fuzzy, genetic_fuzzy
 from costlab.data import SplitSpec, split
 from costlab.errors import NoRuleFiresError, UnsupportedMissingError
 from costlab.fuzzy import FuzzyEngine, FuzzyPredictor
@@ -81,6 +83,19 @@ def test_batched_conflict_scoring_matches_the_per_candidate_loop(seed):
         seen["duplicate"] += len(set(population)) < len(population)
         seen["no_conflict"] += not conflicts
     assert all(count >= 15 for count in seen.values()), seen
+
+
+@pytest.mark.parametrize("seed", [3, 7, 42])
+def test_a_fit_scoring_each_pair_once_evolves_as_one_rescoring_every_generation(
+    monkeypatch, synthetic_144, seed
+):
+    train, _ = _train_test(synthetic_144)
+    cfg = GAConfig(generations=60, seed=seed)
+    rules, history = genetic_fuzzy.evolve(cfg, train)
+    monkeypatch.setattr(genetic_fuzzy, "_PopulationEvaluator", PerGenerationEvaluator)
+    want_rules, want_history = genetic_fuzzy.evolve(cfg, train)
+    assert rules.rules == want_rules.rules
+    assert [h.hex() for h in history] == [h.hex() for h in want_history]
 
 
 def _counting(monkeypatch, owner, name):

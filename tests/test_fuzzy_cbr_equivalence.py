@@ -3,7 +3,7 @@
 ``FuzzyEngine.centroids`` merges the rules that share a consequent before
 clipping, ``FuzzyEngine.input_memberships`` evaluates every membership
 function in one broadcast, ``case_similarity`` scores a whole case matrix
-and ``retrieve_and_predict`` ranks it with a lexsort. Each must agree with
+and ``retrieve_and_predict`` selects each row's top k from it. Each must agree with
 the straightforward form, kept here or in ``oracles.py`` as the oracle, bit
 for bit. ``infer_detail`` returns the fallback for a row that fires no rule
 without defuzzifying it, and must agree with the form that defuzzifies every
@@ -425,6 +425,33 @@ def test_retrieval_matches_the_sorted_scan(k, weights):
             attribute_similarity(a, b)
             for a, b in zip(x.as_tuple(), result.best_case.features.as_tuple())
         )
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_retrieval_with_repeated_ids_matches_the_sorted_scan(k):
+    """Cases sharing an id tie on it too; the sorted scan is stable, so the
+    earlier case leads, and a batch agrees with it row by row."""
+    rng = np.random.default_rng(20 + k)
+    tied, base = _tied_case_base(rng, WEIGHTS[0])
+    # each duplicated row's two copies share an id, and the cases are shuffled
+    records = [
+        ProjectRecord(f"c{i // 2}", case.features, case.cost_le)
+        for i, case in enumerate(tied.cases)
+    ]
+    case_base = CaseBase(tuple(records[int(i)] for i in rng.permutation(len(records))))
+    queries = np.vstack([base, _feature_rows(rng, 10)])
+    costs, best = retrieve_and_predict(case_base, queries, k)
+    full_ties = 0
+    for query, cost, index in zip(queries, costs, best):
+        want_cost, top = brute_force_retrieval(case_base, feature_vector(query), k)
+        assert bits(cost) == bits(want_cost)
+        assert case_base.cases[index] is top[0][1]
+        sims = case_similarity(query[None, :], case_base.features)[0]
+        best_id = top[0][1].id
+        full_ties += sum(
+            sim == sims[index] and case.id == best_id for sim, case in zip(sims, case_base.cases)
+        ) > 1
+    assert full_ties >= 2
 
 
 def test_tied_retrieval_breaks_by_id():

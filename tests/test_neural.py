@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset, random_dataset
-from oracles import train_network_per_array
+from oracles import gradients_out_of_place, train_network_per_array
 from costlab.core import TargetTransform
 from costlab.errors import NonconvergenceError
 from costlab import neural
@@ -112,7 +112,7 @@ class TestForward:
         w = init_weights(layer_sizes, rng)
         w.biases[-1] += 1.0  # keep the outputs away from zero for a relative bound
         X = rng.normal(0, 1, (64, 4))
-        training = _layers(w, X, activation, np.matmul)[1][-1][:, 0]
+        training = _layers(w, X, activation, np.matmul)[-1][:, 0]
         np.testing.assert_allclose(forward(w, X, activation), training, rtol=1e-12, atol=0)
 
 
@@ -121,7 +121,7 @@ class TestGradients:
         rng = np.random.default_rng(2)
         w = init_weights((4, 3, 1), rng)
         X = rng.normal(0, 1, (5, 4))
-        t = _layers(w, X, "tanh", np.matmul)[1][-1][:, 0]  # the training pass's outputs
+        t = _layers(w, X, "tanh", np.matmul)[-1][:, 0]  # the training pass's outputs
         gw, gb, loss = gradients(w, X, t, "tanh")
         assert loss == 0.0
         for g in gw + gb:
@@ -145,6 +145,61 @@ class TestGradients:
             assert_close(gw, fd_w)
             assert_close(gb, fd_b)
             checked += 1
+
+    @staticmethod
+    def _assert_bits_equal(got, want):
+        gw, gb, loss = got
+        ow, ob, oracle_loss = want
+        assert loss.hex() == oracle_loss.hex()
+        assert len(gw) == len(ow) and len(gb) == len(ob)
+        for g, o in zip(gw + gb, ow + ob):
+            assert g.shape == o.shape and g.tobytes() == o.tobytes()
+
+    @pytest.mark.parametrize(
+        "layer_sizes, activation",
+        [((4, 5, 1), "tanh"), ((4, 5, 1), "identity"), ((4, 100, 100, 100, 1), "relu")],
+    )
+    def test_the_presets_match_the_out_of_place_pass_bit_for_bit(self, layer_sizes, activation):
+        rng = np.random.default_rng(8)
+        w = init_weights(layer_sizes, rng)
+        X, t = rng.normal(0, 1, (111, 4)), rng.uniform(-1, 1, 111)
+        want = gradients_out_of_place(w, X, t, activation)
+        self._assert_bits_equal(gradients(w, X, t, activation), want)
+        # into caller-given arrays, which hold garbage beforehand
+        out = NetworkWeights([np.full_like(W, np.nan) for W in w.weights],
+                             [np.full_like(b, 7.0) for b in w.biases])
+        got = gradients(w, X, t, activation, out)
+        assert got[0] is out.weights and got[1] is out.biases
+        self._assert_bits_equal(got, want)
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu", "identity"])
+    def test_random_nets_match_the_out_of_place_pass_bit_for_bit(self, activation):
+        rng = np.random.default_rng(9)
+        for _ in range(10):
+            hidden = tuple(int(h) for h in rng.integers(1, 40, size=int(rng.integers(0, 4))))
+            w = init_weights((4, *hidden, 1), rng)
+            for b in w.biases:
+                b += rng.normal(0, 0.5, b.shape)
+            n = int(rng.integers(1, 60))
+            X, t = rng.normal(0, 2, (n, 4)), rng.normal(0, 1, n)
+            want = gradients_out_of_place(w, X, t, activation)
+            self._assert_bits_equal(gradients(w, X, t, activation), want)
+            out = NetworkWeights([np.empty_like(W) for W in w.weights],
+                                 [np.empty_like(b) for b in w.biases])
+            self._assert_bits_equal(gradients(w, X, t, activation, out), want)
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu", "identity"])
+    def test_forward_and_gradients_leave_their_inputs_unmodified(self, activation):
+        rng = np.random.default_rng(10)
+        w = init_weights((4, 6, 5, 1), rng)
+        X, t = rng.normal(0, 1, (12, 4)), rng.normal(0, 1, 12)
+        before = [a.copy() for a in (X, t, *w.weights, *w.biases)]
+        forward(w, X, activation)
+        gradients(w, X, t, activation)
+        gradients(w, X, t, activation, NetworkWeights([np.empty_like(W) for W in w.weights],
+                                                      [np.empty_like(b) for b in w.biases]))
+        for a, b in zip((X, t, *w.weights, *w.biases), before):
+            assert a.tobytes() == b.tobytes()
 
     def test_linear_network_matches_closed_form(self):
         rng = np.random.default_rng(4)

@@ -106,7 +106,7 @@ def test_regularized_boosting_bitwise_with_missing_values():
     for col in range(X.shape[1]):
         X[rng.random(len(y)) < 0.3, col] = np.nan
     queries = make_dataset(X, y)
-    assert any(rec.features.has_missing for rec in queries)
+    assert queries.has_missing_features
     scalar = [model.predict(rec.features) for rec in queries]
     assert _bits(model.predict_many(queries)) == _bits(scalar)
 

@@ -1,12 +1,17 @@
-"""Every module-level function in the package has a caller in the package.
+"""Every module-level function and every public method or property of a class
+in the package has a caller in the package.
 
-A function that only tests call is a second implementation or a dead helper;
-a scalar reference the tests compare against belongs in ``tests/oracles.py``.
-A reference is a name, an attribute, an import alias or a string constant
-that is an identifier (``zoo`` looks up ``ensemble.fit_*`` by name).
+A function or member that only tests call is a second implementation or a
+dead helper; a scalar reference the tests compare against belongs in
+``tests/oracles.py``. For a function, a reference is a name, an attribute, an
+import alias or a string constant that is an identifier (``zoo`` looks up
+``ensemble.fit_*`` by name). A member is only reached as ``x.name``, so for a
+member only an attribute reference counts: a local variable of the same name
+is not a reader.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "costlab"
@@ -45,8 +50,35 @@ def unreferenced_functions(src: Path = SRC) -> list[str]:
     ]
 
 
+def _attribute_counts(node: ast.AST) -> Counter:
+    return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
+
+
+def unreferenced_members(src: Path = SRC) -> list[str]:
+    """``module.Class.member`` for each public method or property of a
+    module-level class that no code outside its own body reads as ``x.member``."""
+    modules = {
+        path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(src.glob("*.py"))
+    }
+    everywhere = sum((_attribute_counts(tree) for tree in modules.values()), Counter())
+    return [
+        f"{module}.{cls.name}.{member.name}"
+        for module, tree in modules.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for member in cls.body
+        if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not member.name.startswith("_")
+        and everywhere[member.name] == _attribute_counts(member)[member.name]
+    ]
+
+
 def test_every_module_level_function_has_a_caller_in_src():
     assert unreferenced_functions() == []
+
+
+def test_every_public_method_and_property_has_a_reader_in_src():
+    assert unreferenced_members() == []
 
 
 def test_the_check_sees_an_uncalled_function(tmp_path):
@@ -57,3 +89,15 @@ def test_the_check_sees_an_uncalled_function(tmp_path):
     )
     (tmp_path / "b.py").write_text("from a import used as alias\n\ndef helper():\n    return 1\n")
     assert unreferenced_functions(tmp_path) == ["a.recursive"]
+
+
+def test_the_member_check_counts_attribute_reads_only(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class A:\n"
+        "    @property\n    def read(self):\n        return 1\n\n"
+        "    @property\n    def shadowed(self):\n        return self.shadowed\n\n"
+        "    def _private(self):\n        pass\n\n"
+        "    def called(self):\n        return self.read\n\n"
+        "def use(a):\n    shadowed = a.called()\n    return shadowed\n"
+    )
+    assert unreferenced_members(tmp_path) == ["a.A.shadowed"]
