@@ -31,6 +31,7 @@ from .errors import (
 
 MF_COUNT = 7
 SAMPLES = 1001  # points of the uniform output grid that centroids integrate over
+STRENGTH_CHUNK = 64  # rows per strengths pass in a batch, to bound its (rows, R, 4) gather
 OUTPUT_NAME = "cost"
 
 
@@ -171,11 +172,31 @@ class RuleBase:
         return np.array([r.consequent for r in self.rules], dtype=int)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InferenceResult:
+    """One row's crisp cost, whether it is the fallback, and what its fired-rule
+    trace is built from when ``fired`` is first read."""
+
     value: float
-    fired: tuple[tuple[FuzzyRule, float], ...]
     degraded: bool
+    strengths: np.ndarray = field(repr=False)  # (R,) firing strength of each rule
+    rules: tuple[FuzzyRule, ...] = field(repr=False)
+
+    @cached_property
+    def fired(self) -> tuple[tuple[FuzzyRule, float], ...]:
+        """The rules with a positive strength and their strengths, strongest
+        first, ties in rule order."""
+        row = self.strengths
+        return tuple(
+            (self.rules[r], float(row[r]))
+            # strengths are >= 0, so the fired lead
+            for r in np.argsort(-row, kind="stable")[: np.count_nonzero(row > 0.0)]
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, InferenceResult):
+            return NotImplemented
+        return (self.value, self.degraded, self.fired) == (other.value, other.degraded, other.fired)
 
 
 class FuzzyEngine:
@@ -195,6 +216,12 @@ class FuzzyEngine:
         self.consequent_grid = triangular_memberships(
             self.grid, *output_var.breakpoints[:, :, None]
         )
+        # grid index range [a, b) where each output MF is nonzero (a triangle's
+        # nonzero points are contiguous); (0, 0) for one that misses every point
+        self.supports = [
+            (int(idx[0]), int(idx[-1]) + 1) if idx.size else (0, 0)
+            for idx in map(np.flatnonzero, self.consequent_grid > 0.0)
+        ]
         # (4, 7) left, peak and right breakpoints of every input MF
         self.left, self.peak, self.right = np.stack(
             [var.breakpoints for var in self.input_vars], axis=1
@@ -224,11 +251,21 @@ class FuzzyEngine:
         Rows where no rule fires get NaN and a False mask entry and skip the
         quadrature: only the fired rows are clipped and summed, which is exact
         because each row's area and moment reduce along its own grid axis.
+
+        Only the sets with a positive grouped strength in some fired row are
+        aggregated, each over its support, into zeros. That is exact too: a
+        fired row has a set above 0, so its max over all sets is >= 0 at every
+        point, and each set's clip is 0 or -inf off its support and when its
+        strength is not above 0; max and min do not round.
         """
         fired = strengths.max(axis=1) > 0.0
         members = consequents[:, None] == np.arange(1, MF_COUNT + 1)  # (R, 7)
         grouped = np.where(members, strengths[fired][:, :, None], -np.inf).max(axis=1)  # (f, 7)
-        aggregated = np.minimum(grouped[:, :, None], self.consequent_grid).max(axis=1)
+        aggregated = np.zeros((grouped.shape[0], self.grid.size))
+        for c in np.flatnonzero((grouped > 0.0).any(axis=0)):
+            a, b = self.supports[c]
+            part = aggregated[:, a:b]
+            np.maximum(part, np.minimum(grouped[:, c, None], self.consequent_grid[c, a:b]), out=part)
         area, moment = self._trapezoid(np.stack((aggregated, aggregated * self.grid)))
         has_area = area > 0.0
         ok = fired.copy()
@@ -239,34 +276,33 @@ class FuzzyEngine:
 
 
 def infer_detail(
-    rule_base: RuleBase, x: FeatureVector | np.ndarray, fallback: float | None = None
+    rule_base: RuleBase,
+    x: FeatureVector | np.ndarray,
+    fallback: float | None = None,
+    strengths: np.ndarray | None = None,
 ) -> InferenceResult:
     """Crisp cost of one ``FeatureVector`` or (4,) row, with the fired-rule trace
     and the degraded-fallback flag; without a fallback, raises NO_RULE_FIRES
     when nothing fires. A non-finite value in a row counts as missing.
 
-    A row that fires no rule is decided from its strengths alone, by the test
-    ``centroids`` uses for its fired mask, and is never defuzzified."""
+    ``strengths`` are the row's (R,) firing strengths, when the caller has them
+    from a batch pass; without them they are computed here. A row that fires
+    no rule is decided from its strengths alone, by the test ``centroids``
+    uses for its fired mask, and is never defuzzified."""
     point = x.to_array() if isinstance(x, FeatureVector) else np.asarray(x, dtype=float)
     if not np.isfinite(point).all():
         raise UnsupportedMissingError("fuzzy inference requires complete feature vectors")
     engine = rule_base.engine
-    memberships = engine.input_memberships(point[None, :])
-    strengths = engine.strengths(memberships, rule_base.antecedents)
-    row = strengths[0]
-    fired: tuple[tuple[FuzzyRule, float], ...] = ()
-    if row.max() > 0.0:
-        values, ok = engine.centroids(strengths, rule_base.consequents)
-        fired = tuple(
-            (rule_base.rules[r], float(row[r]))
-            # strongest first, ties in rule order; strengths are >= 0, so the fired lead
-            for r in np.argsort(-row, kind="stable")[: np.count_nonzero(row > 0.0)]
-        )
+    if strengths is None:
+        memberships = engine.input_memberships(point[None, :])
+        strengths = engine.strengths(memberships, rule_base.antecedents)[0]
+    if strengths.max() > 0.0:
+        values, ok = engine.centroids(strengths[None, :], rule_base.consequents)
         if ok[0]:
-            return InferenceResult(float(values[0]), fired, degraded=False)
+            return InferenceResult(float(values[0]), False, strengths, rule_base.rules)
     if fallback is None:
         raise NoRuleFiresError("no rule fires for this input")
-    return InferenceResult(float(fallback), fired, degraded=True)
+    return InferenceResult(float(fallback), True, strengths, rule_base.rules)
 
 
 # -- rule-base construction ----------------------------------------------------
@@ -418,7 +454,17 @@ class FuzzyPredictor(Predictor):
         self.fallback = float(np.mean(train.targets))
 
     def _predict_batch(self, X: np.ndarray) -> np.ndarray:
-        return np.array([self.infer_trace(x).value for x in X])
+        """The strengths of ``STRENGTH_CHUNK`` rows at a time in one pass, then one
+        ``infer_detail`` call per row with its strengths, which decides the row."""
+        rule_base = self.rule_base
+        engine = rule_base.engine
+        values = np.empty(len(X))
+        for start in range(0, len(X), STRENGTH_CHUNK):
+            rows = X[start : start + STRENGTH_CHUNK]
+            strengths = engine.strengths(engine.input_memberships(rows), rule_base.antecedents)
+            for i, (x, row) in enumerate(zip(rows, strengths), start):
+                values[i] = infer_detail(rule_base, x, self.fallback, strengths=row).value
+        return values
 
     def infer_trace(self, x: FeatureVector | np.ndarray) -> InferenceResult:
         """Inference with fired rules and the degraded flag, for reporting."""

@@ -122,10 +122,11 @@ class SvrParams:
 
     def __post_init__(self):
         C, epsilon, gamma_rbf = self.C, self.epsilon, self.gamma_rbf
-        # the negated form also rejects a nan
-        if not (C > 0 and 0 <= epsilon < math.inf and 0 < gamma_rbf < math.inf):
+        # the negated form also rejects a nan; a C within _FREE_TOL of 0 leaves
+        # no coefficient room to move, and so no bias to recover
+        if not (C > _FREE_TOL and 0 <= epsilon < math.inf and 0 < gamma_rbf < math.inf):
             raise ValueError(
-                f"need C > 0, finite epsilon >= 0 and finite gamma_rbf > 0, "
+                f"need C > {_FREE_TOL}, finite epsilon >= 0 and finite gamma_rbf > 0, "
                 f"got C={C!r}, epsilon={epsilon!r}, gamma_rbf={gamma_rbf!r}"
             )
         if self.max_passes < 0:
@@ -136,27 +137,27 @@ def _dual_objective(beta: np.ndarray, F: np.ndarray, y: np.ndarray, epsilon: flo
     return float(-0.5 * beta @ F + y @ beta - epsilon * np.sum(np.abs(beta)))
 
 
-def _steps(beta: np.ndarray, resid: np.ndarray, C: float, epsilon: float) -> tuple:
-    """Each coefficient's gradient for a step up and for a step down, and whether
-    the box bound [-C, C] leaves it room to step up and to step down."""
-    minus, plus = resid - epsilon, resid + epsilon
-    g_up = np.where(beta >= 0, minus, plus)
-    g_dn = np.where(beta <= 0, plus, minus)
-    return g_up, g_dn, beta < C - _FREE_TOL, beta > -C + _FREE_TOL
+def _offsets(b: float, C: float, epsilon: float) -> tuple[float, float]:
+    """What a coefficient at ``b`` adds to its residual for its gradient of a step
+    up and of a step down: -inf and +inf where the box bound [-C, C] leaves no
+    room to step that way, so the pair selection never picks it."""
+    up = -math.inf if b >= C - _FREE_TOL else (-epsilon if b >= 0 else epsilon)
+    dn = math.inf if b <= -C + _FREE_TOL else (epsilon if b <= 0 else -epsilon)
+    return up, dn
 
 
 def _recover_bias(
-    beta: np.ndarray, F: np.ndarray, y: np.ndarray, C: float, epsilon: float
+    beta: np.ndarray, F: np.ndarray, y: np.ndarray, C: float, epsilon: float,
+    up: np.ndarray, dn: np.ndarray,
 ) -> float:
     free = (np.abs(beta) > _FREE_TOL) & (np.abs(beta) < C - _FREE_TOL)
     if free.any():
         return float(np.mean(y[free] - F[free] - epsilon * np.sign(beta[free])))
-    g_up, g_dn, can_up, can_dn = _steps(beta, y - F, C, epsilon)
-    low = float(g_up[can_up].max()) if can_up.any() else None
-    high = float(g_dn[can_dn].min()) if can_dn.any() else None
-    if low is None:
+    resid = y - F
+    low, high = float((resid + up).max()), float((resid + dn).min())
+    if low == -math.inf:  # not both infinite, as C > _FREE_TOL
         return high
-    if high is None:
+    if high == math.inf:
         return low
     return 0.5 * (low + high)
 
@@ -185,6 +186,8 @@ def fit_svr(X: np.ndarray, y: np.ndarray, **params: float) -> SvrModel:
     K = kernel_matrix(Xs, Xs, gamma_rbf)
     beta = np.zeros(n)
     F = np.zeros(n)
+    # each coefficient's gradient for a step up is resid + up, for one down resid + dn
+    up, dn = (np.full(n, offset) for offset in _offsets(0.0, C, epsilon))
     converged = False
     n_updates = 0
     history = [_dual_objective(beta, F, ys, epsilon)]
@@ -192,13 +195,9 @@ def fit_svr(X: np.ndarray, y: np.ndarray, **params: float) -> SvrModel:
         stalled = False
         for _ in range(n):
             resid = ys - F
-            g_up, g_dn, can_up, can_dn = _steps(beta, resid, C, epsilon)
-            if not can_up.any() or not can_dn.any():
-                converged = True
-                break
-            i = int(np.where(can_up, g_up, -np.inf).argmax())
-            j = int(np.where(can_dn, g_dn, np.inf).argmin())
-            if g_up[i] - g_dn[j] <= p.tol:
+            g_up, g_dn = resid + up, resid + dn
+            i, j = int(g_up.argmax()), int(g_dn.argmin())
+            if g_up[i] == -math.inf or g_dn[j] == math.inf or g_up[i] - g_dn[j] <= p.tol:
                 converged = True
                 break
             delta = _solve_pair(
@@ -210,13 +209,15 @@ def fit_svr(X: np.ndarray, y: np.ndarray, **params: float) -> SvrModel:
                 break
             beta[i] = min(max(beta[i] + delta, -C), C)
             beta[j] = min(max(beta[j] - delta, -C), C)
+            up[i], dn[i] = _offsets(beta[i], C, epsilon)
+            up[j], dn[j] = _offsets(beta[j], C, epsilon)
             F += delta * (K[i] - K[j])  # rows: K is exactly symmetric
             n_updates += 1
         history.append(_dual_objective(beta, F, ys, epsilon))
         if converged or stalled:
             break
 
-    bias = _recover_bias(beta, F, ys, C, epsilon)
+    bias = _recover_bias(beta, F, ys, C, epsilon, up, dn)
     return SvrModel(
         beta=beta,
         bias=bias,

@@ -9,7 +9,9 @@ the exact-arithmetic checks of its tie rule. The network trainer with a
 velocity and a momentum step per layer array is the reference for the
 package's one step over a flat parameter vector, and backpropagation with
 new arrays for every activation, derivative and gradient is the reference
-for the package's pass that writes them in place.
+for the package's pass that writes them in place. The SVR pair loop that
+rescans every coefficient's bounds before each selection is the reference for
+the package's loop that keeps each coefficient's step offsets.
 """
 
 import math
@@ -23,10 +25,11 @@ from costlab.cbr import DEFAULT_WEIGHTS
 from costlab.data import FeatureVector
 from costlab.ensemble import split_gain
 from costlab.errors import NegativeAttributeError, NoRuleFiresError, UnsupportedMissingError
-from costlab.fuzzy import FuzzyRule, InferenceResult, RuleBase
+from costlab.fuzzy import MF_COUNT, FuzzyRule, InferenceResult, RuleBase
 from costlab.genetic_fuzzy import GENE_MAX, _PopulationEvaluator
 from costlab.metrics import mape
 from costlab.neural import MOMENTUM, gradients, init_weights
+from costlab.svr import _FREE_TOL, SvrParams, _dual_objective, _solve_pair, kernel_matrix
 
 
 def feature_vector(row):
@@ -67,17 +70,27 @@ def infer_detail_always_defuzzified(rule_base, x, fallback=None):
     memberships = engine.input_memberships(x.to_array()[None, :])
     strengths = engine.strengths(memberships, rule_base.antecedents)
     values, ok = engine.centroids(strengths, rule_base.consequents)
-    row = strengths[0]
-    fired = tuple(
-        (rule_base.rules[r], float(row[r]))
-        # strongest first, ties in rule order; strengths are >= 0, so the fired lead
-        for r in np.argsort(-row, kind="stable")[: np.count_nonzero(row > 0.0)]
-    )
     if ok[0]:
-        return InferenceResult(float(values[0]), fired, degraded=False)
+        return InferenceResult(float(values[0]), False, strengths[0], rule_base.rules)
     if fallback is None:
         raise NoRuleFiresError("no rule fires for this input")
-    return InferenceResult(float(fallback), fired, degraded=True)
+    return InferenceResult(float(fallback), True, strengths[0], rule_base.rules)
+
+
+def centroids_full_grid(engine, strengths, consequents):
+    """``FuzzyEngine.centroids`` that clips all seven output sets over the whole
+    grid, the (f, 7, G) form, before the max."""
+    fired = strengths.max(axis=1) > 0.0
+    members = consequents[:, None] == np.arange(1, MF_COUNT + 1)  # (R, 7)
+    grouped = np.where(members, strengths[fired][:, :, None], -np.inf).max(axis=1)  # (f, 7)
+    aggregated = np.minimum(grouped[:, :, None], engine.consequent_grid).max(axis=1)
+    area, moment = engine._trapezoid(np.stack((aggregated, aggregated * engine.grid)))
+    has_area = area > 0.0
+    ok = fired.copy()
+    ok[fired] = has_area
+    values = np.full(strengths.shape[0], np.nan)
+    values[ok] = moment[has_area] / area[has_area]
+    return values, ok
 
 
 def decode_and_fitness(population, train):
@@ -200,6 +213,78 @@ def rbf_kernel(a, b, gamma_rbf):
     """exp(-gamma * squared distance); 1 at zero distance."""
     diff = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
     return math.exp(-gamma_rbf * float(diff @ diff))
+
+
+def _svr_steps(beta, resid, C, epsilon):
+    """Each coefficient's gradient for a step up and for a step down, and whether
+    the box bound [-C, C] leaves it room to step up and to step down."""
+    minus, plus = resid - epsilon, resid + epsilon
+    g_up = np.where(beta >= 0, minus, plus)
+    g_dn = np.where(beta <= 0, plus, minus)
+    return g_up, g_dn, beta < C - _FREE_TOL, beta > -C + _FREE_TOL
+
+
+def _svr_bias(beta, F, y, C, epsilon):
+    free = (np.abs(beta) > _FREE_TOL) & (np.abs(beta) < C - _FREE_TOL)
+    if free.any():
+        return float(np.mean(y[free] - F[free] - epsilon * np.sign(beta[free])))
+    g_up, g_dn, can_up, can_dn = _svr_steps(beta, y - F, C, epsilon)
+    low = float(g_up[can_up].max()) if can_up.any() else None
+    high = float(g_dn[can_dn].min()) if can_dn.any() else None
+    if low is None:
+        return high
+    if high is None:
+        return low
+    return 0.5 * (low + high)
+
+
+def fit_svr_full_scan(X, y, **params):
+    """``svr.fit_svr``'s pair loop recomputing every coefficient's step gradients
+    and room masks from beta before each selection; returns beta, the decision
+    values F, the bias, the update count, the converged flag and the objective
+    history, in the standardized space."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    y = np.asarray(y, dtype=float)
+    p = SvrParams(**params)
+    C, epsilon = p.C, p.epsilon
+    n = y.size
+    x_scale = X.std(axis=0)
+    x_scale[x_scale == 0.0] = 1.0
+    Xs = (X - X.mean(axis=0)) / x_scale
+    ys = (y - float(y.mean())) / (float(y.std()) or 1.0)
+    K = kernel_matrix(Xs, Xs, p.gamma_rbf)
+    beta, F = np.zeros(n), np.zeros(n)
+    converged, n_updates = False, 0
+    history = [_dual_objective(beta, F, ys, epsilon)]
+    for _ in range(p.max_passes):
+        stalled = False
+        for _ in range(n):
+            resid = ys - F
+            g_up, g_dn, can_up, can_dn = _svr_steps(beta, resid, C, epsilon)
+            if not can_up.any() or not can_dn.any():
+                converged = True
+                break
+            i = int(np.where(can_up, g_up, -np.inf).argmax())
+            j = int(np.where(can_dn, g_dn, np.inf).argmin())
+            if g_up[i] - g_dn[j] <= p.tol:
+                converged = True
+                break
+            delta = _solve_pair(
+                float(beta[i]), float(beta[j]), float(resid[i] - resid[j]),
+                float(K[i, i] + K[j, j] - 2.0 * K[i, j]), C, epsilon,
+            )
+            if delta == 0.0:
+                stalled = True
+                break
+            beta[i] = min(max(beta[i] + delta, -C), C)
+            beta[j] = min(max(beta[j] - delta, -C), C)
+            F += delta * (K[i] - K[j])
+            n_updates += 1
+        history.append(_dual_objective(beta, F, ys, epsilon))
+        if converged or stalled:
+            break
+    bias = _svr_bias(beta, F, ys, C, epsilon)
+    return beta, F, bias, n_updates, converged, history
 
 
 # -- case-based reasoning -------------------------------------------------------

@@ -172,6 +172,7 @@ BAD_HYPERPARAMETERS = [
     ("svr", {"gamma_rbf": "inf"}),
     ("svr", {"epsilon": "inf"}),
     *UNKNOWN_KEYS,
+    ("svr", {"c": "1e-9"}),
 ]
 
 

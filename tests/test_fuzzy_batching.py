@@ -8,7 +8,9 @@ must evolve the same rules and history as one that re-scores every
 generation's conflicting pairs. The call-count guards pin the number of ``centroids``
 calls a GA fit makes, the one ``infer_detail`` call per priced row that
 the benchmark's tracer observes, and that a priced row which fires no rule
-makes no ``centroids`` call.
+makes no ``centroids`` call. ``predict_many`` computes the strengths of
+``fuzzy.STRENGTH_CHUNK`` rows in one pass and hands each row's to that call:
+every row must get what ``infer_detail`` computing its own strengths gives.
 """
 
 import numpy as np
@@ -17,7 +19,7 @@ import pytest
 from conftest import random_dataset
 from oracles import PerGenerationEvaluator, decode_and_fitness_per_candidate
 from costlab import fuzzy, genetic_fuzzy
-from costlab.data import SplitSpec, split
+from costlab.data import SplitSpec, split, synthesize
 from costlab.errors import NoRuleFiresError, UnsupportedMissingError
 from costlab.fuzzy import FuzzyEngine, FuzzyPredictor
 from costlab.genetic_fuzzy import (
@@ -202,3 +204,43 @@ def test_infer_detail_reads_a_float_row_as_its_feature_vector(synthetic_144, mod
         row[2] = value
         with pytest.raises(UnsupportedMissingError):
             fuzzy.infer_detail(model.rule_base, row, model.fallback)
+
+
+@pytest.fixture(scope="module")
+def portfolio():
+    return synthesize(400, seed=7, noise_pct=5.0)
+
+
+@pytest.fixture(scope="module", params=["fuzzy", "genetic_fuzzy"])
+def fitted(request, synthetic_144):
+    train, _ = _train_test(synthetic_144)
+    if request.param == "fuzzy":
+        return FuzzyPredictor().fit(train)
+    return GeneticFuzzyPredictor(GAConfig(generations=20, seed=7)).fit(train)
+
+
+@pytest.mark.parametrize("chunk", [fuzzy.STRENGTH_CHUNK, 1])
+def test_predict_many_matches_infer_detail_on_each_row(monkeypatch, fitted, portfolio, chunk):
+    monkeypatch.setattr(fuzzy, "STRENGTH_CHUNK", chunk)
+    results = _counting(monkeypatch, fuzzy, "infer_detail")
+    values = fitted.predict_many(portfolio)
+    monkeypatch.undo()
+    want = [
+        fuzzy.infer_detail(fitted.rule_base, x, fitted.fallback) for x in portfolio.features_matrix
+    ]
+    assert np.array_equal(bits(values), bits([w.value for w in want]))
+    assert [r.degraded for r in results] == [w.degraded for w in want]
+    assert [r.fired for r in results] == [w.fired for w in want]
+    kinds = {(bool(w.fired), w.degraded) for w in want}
+    assert {(True, False), (False, True)} <= kinds, kinds  # defuzzified and unfired rows
+
+
+@pytest.mark.parametrize("row", [0, 63, 64, 70, 399])
+def test_an_infinite_feature_mid_batch_raises_at_its_row(monkeypatch, fitted, portfolio, row):
+    X = portfolio.features_matrix.copy()
+    X[row, 1] = np.inf
+    results = _counting(monkeypatch, fuzzy, "infer_detail")
+    with pytest.raises(UnsupportedMissingError) as caught:
+        fitted._predict_checked(X)
+    assert caught.value.code == "UNSUPPORTED_MISSING"
+    assert len(results) == row  # the rows before it were priced, one call each

@@ -1,7 +1,8 @@
 """The array forms of fuzzy inference and CBR retrieval against their scalar oracles.
 
 ``FuzzyEngine.centroids`` merges the rules that share a consequent before
-clipping, ``FuzzyEngine.input_memberships`` evaluates every membership
+clipping and aggregates only the firing output sets over their supports,
+``FuzzyEngine.input_memberships`` evaluates every membership
 function in one broadcast, ``case_similarity`` scores a whole case matrix
 and ``retrieve_and_predict`` selects each row's top k from it. Each must agree with
 the straightforward form, kept here or in ``oracles.py`` as the oracle, bit
@@ -15,6 +16,7 @@ import pytest
 
 from oracles import (
     attribute_similarity,
+    centroids_full_grid,
     feature_vector,
     infer_detail_always_defuzzified,
     membership,
@@ -150,6 +152,61 @@ def test_centroids_of_a_single_rule_batch(consequent):
     assert 0 < np.count_nonzero(ok) < 30
     assert np.array_equal(ok, want_ok)
     assert np.array_equal(bits(values), bits(want_values))
+
+
+def _skewed_output(rng):
+    """Seven triangles between neighbouring peaks drawn at random: some narrow
+    enough to hold one grid point or none, some with equal peaks (flat sides,
+    or zero width), over a universe that may straddle 0."""
+    lo = float(rng.choice([0.0, -500.0, 100.0]))
+    hi = lo + float(10.0 ** rng.uniform(-1, 4))
+    cuts = rng.random(5) ** 3 if rng.random() < 0.5 else rng.random(5)
+    if rng.random() < 0.5:
+        cuts[1:3] = cuts[0] + rng.choice([0.0, 1e-4, 4e-4], size=2)  # clustered peaks
+    peaks = [lo, *np.sort(lo + (hi - lo) * np.clip(cuts, 0.0, 1.0)), hi]
+    mfs = tuple(
+        TriangularMF(peaks[max(j - 1, 0)], peaks[j], peaks[min(j + 1, MF_COUNT - 1)])
+        for j in range(MF_COUNT)
+    )
+    return FuzzyVariable("cost", lo, hi, mfs)
+
+
+def test_support_aggregation_matches_the_full_grid_form():
+    """``centroids`` aggregates only the sets that fire in some row, each over
+    the grid points where it is nonzero; the oracle clips all seven sets over
+    the whole grid."""
+    rng = np.random.default_rng(77)
+    inputs = _engine().input_vars
+    seen = {"empty_support": 0, "zero_group": 0, "rows_fire_other_sets": 0, "unfired_row": 0}
+    for _ in range(300):
+        engine = FuzzyEngine(inputs, _skewed_output(rng))
+        for _ in range(5):
+            strengths, consequents = _random_case(rng)
+            if rng.random() < 0.5:  # one output set's rules never fire
+                strengths[:, consequents == rng.choice(consequents)] = 0.0
+            values, ok = engine.centroids(strengths, consequents)
+            want_values, want_ok = centroids_full_grid(engine, strengths, consequents)
+            assert np.array_equal(ok, want_ok)
+            assert np.array_equal(bits(values), bits(want_values))
+
+            members = consequents[:, None] == np.arange(1, MF_COUNT + 1)
+            grouped = np.where(members, strengths[:, :, None], -np.inf).max(axis=1)
+            firing = grouped > 0.0
+            named = members.any(axis=0)
+            seen["empty_support"] += any(a == b for a, b in engine.supports)
+            seen["zero_group"] += bool((named & ~firing.any(axis=0)).any())
+            seen["rows_fire_other_sets"] += len({tuple(row) for row in firing if row.any()}) > 1
+            seen["unfired_row"] += bool((~firing.any(axis=1)).any())
+    assert all(count >= 50 for count in seen.values()), seen
+
+
+def test_supports_hold_every_nonzero_grid_point():
+    rng = np.random.default_rng(78)
+    for _ in range(200):
+        engine = FuzzyEngine(_engine().input_vars, _skewed_output(rng))
+        for mu, (a, b) in zip(engine.consequent_grid, engine.supports):
+            assert (mu[a:b] > 0.0).all()
+            assert (mu[:a] == 0.0).all() and (mu[b:] == 0.0).all()
 
 
 def _variables():

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import random_dataset
-from oracles import rbf_kernel
+from oracles import fit_svr_full_scan, rbf_kernel
+from costlab import svr
 from costlab.errors import EmptyTrainError
 from costlab.svr import (
+    SvrParams,
     SvrPredictor,
     fit_svr,
     kernel_matrix,
@@ -159,6 +161,19 @@ class TestFitSvr:
         with pytest.raises(EmptyTrainError):
             fit_svr(np.empty((0, 4)), np.array([]))
 
+    @pytest.mark.parametrize("C", [1e-9, 1e-8, 0.0, -1.0])
+    def test_a_c_within_the_free_tolerance_of_zero_is_rejected(self, C):
+        # no coefficient could move, and no bias could be recovered to predict with
+        with pytest.raises(ValueError, match="need C > 1e-08"):
+            SvrParams(C=C)
+        with pytest.raises(ValueError, match="need C > 1e-08"):
+            fit_svr(np.eye(4), np.arange(4.0), C=C)
+
+    def test_the_smallest_c_above_the_free_tolerance_predicts(self):
+        X = np.random.default_rng(9).uniform(0, 10, (12, 4))
+        model = fit_svr(X, 100 + 10 * X[:, 0], C=math.nextafter(1e-8, 1.0))
+        assert np.isfinite(predict_svr(model, X)).all()
+
     def test_matches_qp_oracle_on_small_instances(self):
         rng = np.random.default_rng(9)
         for trial in range(8):
@@ -255,3 +270,51 @@ class TestSvrPredictor:
         p = SvrPredictor(C=10.0, epsilon=0.01, max_passes=3000, tol=1e-5).fit(train)
         preds = [p.predict(rec.features) for rec in train]
         assert mape(y, preds) <= 10.0
+
+
+def _random_svr_problem(rng):
+    n = int(rng.integers(1, 41))
+    X = rng.uniform(0, 10, (n, 4))
+    if rng.random() < 0.3:
+        X[:, int(rng.integers(4))] = 5.0  # a constant driver
+    y = 100 + 10 * X[:, 0] + rng.normal(0, 1 + 30 * rng.random(), n)
+    if rng.random() < 0.2:
+        y = np.round(y, -2)  # tied targets
+    params = dict(
+        C=float(rng.choice([2e-8, 0.05, 1.0, 10.0, math.inf])),
+        epsilon=float(rng.choice([0.0, 0.01, 0.1, 0.5, 3.0])),
+        gamma_rbf=float(rng.choice([0.05, 0.25, 2.0])),
+        max_passes=int(rng.choice([0, 1, 2, 5, 200])),
+        tol=float(rng.choice([1e-12, 1e-5, 1e-3, 0.5])),
+    )
+    return X, y, params
+
+
+def test_the_pair_loop_matches_the_one_that_rescans_every_coefficient(monkeypatch):
+    """``fit_svr`` keeps each coefficient's step offsets and updates the two it
+    moves; it must select, step and stop as the loop that rebuilds them from beta
+    before every selection, bit for bit."""
+    spied = []
+    recover = svr._recover_bias
+
+    def spy(beta, F, *args):
+        spied.append(F.copy())
+        return recover(beta, F, *args)
+
+    monkeypatch.setattr(svr, "_recover_bias", spy)
+    rng = np.random.default_rng(2026)
+    seen = {"C=inf": 0, "epsilon=0": 0, "one_pass": 0, "converged": 0, "unconverged": 0}
+    for _ in range(150):
+        X, y, params = _random_svr_problem(rng)
+        model = fit_svr(X, y, **params)
+        beta, F, bias, n_updates, converged, history = fit_svr_full_scan(X, y, **params)
+        assert np.array_equal(model.beta.view(np.uint64), beta.view(np.uint64))
+        assert np.array_equal(spied.pop().view(np.uint64), F.view(np.uint64))
+        assert model.bias.hex() == bias.hex()
+        assert (model.n_updates, model.converged) == (n_updates, converged)
+        assert [h.hex() for h in model.objective_history] == [h.hex() for h in history]
+        seen["C=inf"] += params["C"] == math.inf
+        seen["epsilon=0"] += params["epsilon"] == 0.0
+        seen["one_pass"] += params["max_passes"] == 1
+        seen["converged" if converged else "unconverged"] += 1
+    assert all(count >= 10 for count in seen.values()), seen
