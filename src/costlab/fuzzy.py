@@ -256,7 +256,9 @@ class FuzzyEngine:
         aggregated, each over its support, into zeros. That is exact too: a
         fired row has a set above 0, so its max over all sets is >= 0 at every
         point, and each set's clip is 0 or -inf off its support and when its
-        strength is not above 0; max and min do not round.
+        strength is not above 0; max and min do not round. So a batch call, as
+        a predict chunk or a GA population makes, gives each row the value a
+        one-row call gives it.
         """
         fired = strengths.max(axis=1) > 0.0
         members = consequents[:, None] == np.arange(1, MF_COUNT + 1)  # (R, 7)
@@ -280,15 +282,17 @@ def infer_detail(
     x: FeatureVector | np.ndarray,
     fallback: float | None = None,
     strengths: np.ndarray | None = None,
+    centroid: float | None = None,
 ) -> InferenceResult:
     """Crisp cost of one ``FeatureVector`` or (4,) row, with the fired-rule trace
     and the degraded-fallback flag; without a fallback, raises NO_RULE_FIRES
     when nothing fires. A non-finite value in a row counts as missing.
 
-    ``strengths`` are the row's (R,) firing strengths, when the caller has them
-    from a batch pass; without them they are computed here. A row that fires
-    no rule is decided from its strengths alone, by the test ``centroids``
-    uses for its fired mask, and is never defuzzified."""
+    ``strengths`` are the row's (R,) firing strengths and ``centroid`` its
+    value from ``centroids`` (NaN where that found no area), when the caller
+    has them from a batch pass; without them they are computed here. A row
+    that fires no rule is decided from its strengths alone, by the test
+    ``centroids`` uses for its fired mask, and is never defuzzified."""
     point = x.to_array() if isinstance(x, FeatureVector) else np.asarray(x, dtype=float)
     if not np.isfinite(point).all():
         raise UnsupportedMissingError("fuzzy inference requires complete feature vectors")
@@ -296,10 +300,12 @@ def infer_detail(
     if strengths is None:
         memberships = engine.input_memberships(point[None, :])
         strengths = engine.strengths(memberships, rule_base.antecedents)[0]
-    if strengths.max() > 0.0:
-        values, ok = engine.centroids(strengths[None, :], rule_base.consequents)
-        if ok[0]:
-            return InferenceResult(float(values[0]), False, strengths, rule_base.rules)
+    if centroid is None:
+        centroid = np.nan
+        if strengths.max() > 0.0:
+            centroid = engine.centroids(strengths[None, :], rule_base.consequents)[0][0]
+    if not np.isnan(centroid):
+        return InferenceResult(float(centroid), False, strengths, rule_base.rules)
     if fallback is None:
         raise NoRuleFiresError("no rule fires for this input")
     return InferenceResult(float(fallback), True, strengths, rule_base.rules)
@@ -454,16 +460,21 @@ class FuzzyPredictor(Predictor):
         self.fallback = float(np.mean(train.targets))
 
     def _predict_batch(self, X: np.ndarray) -> np.ndarray:
-        """The strengths of ``STRENGTH_CHUNK`` rows at a time in one pass, then one
-        ``infer_detail`` call per row with its strengths, which decides the row."""
+        """The strengths of ``STRENGTH_CHUNK`` rows at a time in one pass, and their
+        centroids in one ``centroids`` call when any of them fires, then one
+        ``infer_detail`` call per row with both, which decides the row."""
         rule_base = self.rule_base
         engine = rule_base.engine
         values = np.empty(len(X))
         for start in range(0, len(X), STRENGTH_CHUNK):
             rows = X[start : start + STRENGTH_CHUNK]
             strengths = engine.strengths(engine.input_memberships(rows), rule_base.antecedents)
-            for i, (x, row) in enumerate(zip(rows, strengths), start):
-                values[i] = infer_detail(rule_base, x, self.fallback, strengths=row).value
+            centroids = np.full(len(rows), np.nan)
+            if strengths.max() > 0.0:
+                centroids = engine.centroids(strengths, rule_base.consequents)[0]
+            for i, (x, row, centroid) in enumerate(zip(rows, strengths, centroids), start):
+                result = infer_detail(rule_base, x, self.fallback, strengths=row, centroid=centroid)
+                values[i] = result.value
         return values
 
     def infer_trace(self, x: FeatureVector | np.ndarray) -> InferenceResult:

@@ -7,10 +7,12 @@ loop kept in ``oracles.py``, and a GA fit that keeps each pair's solo score
 must evolve the same rules and history as one that re-scores every
 generation's conflicting pairs. The call-count guards pin the number of ``centroids``
 calls a GA fit makes, the one ``infer_detail`` call per priced row that
-the benchmark's tracer observes, and that a priced row which fires no rule
-makes no ``centroids`` call. ``predict_many`` computes the strengths of
-``fuzzy.STRENGTH_CHUNK`` rows in one pass and hands each row's to that call:
-every row must get what ``infer_detail`` computing its own strengths gives.
+the benchmark's tracer observes, one ``centroids`` call per
+``fuzzy.STRENGTH_CHUNK`` rows of which one fires and none for a chunk or a
+one-row quote where nothing fires. ``predict_many`` computes the strengths of
+a chunk in one pass and defuzzifies it in one ``centroids`` call, and hands
+each row's strengths and centroid to ``infer_detail``, which decides the row:
+every row must get what ``infer_detail`` computing both itself gives.
 """
 
 import numpy as np
@@ -21,7 +23,15 @@ from oracles import PerGenerationEvaluator, decode_and_fitness_per_candidate
 from costlab import fuzzy, genetic_fuzzy
 from costlab.data import SplitSpec, split, synthesize
 from costlab.errors import NoRuleFiresError, UnsupportedMissingError
-from costlab.fuzzy import FuzzyEngine, FuzzyPredictor
+from costlab.fuzzy import (
+    FuzzyEngine,
+    FuzzyPredictor,
+    FuzzyRule,
+    FuzzyVariable,
+    RuleBase,
+    TriangularMF,
+    default_variable,
+)
 from costlab.genetic_fuzzy import (
     GENE_MAX,
     GAConfig,
@@ -168,28 +178,6 @@ def test_a_fitted_model_builds_one_engine_for_all_its_predictions(
 @pytest.mark.parametrize(
     "model", [FuzzyPredictor(), GeneticFuzzyPredictor(GAConfig(generations=5, seed=7))]
 )
-def test_only_rows_that_fire_a_rule_are_defuzzified(monkeypatch, synthetic_144, model):
-    """A row whose strongest rule is not above 0.0 returns the fallback from its
-    strengths alone: ``predict_many`` makes one ``centroids`` call per fired row."""
-    train, test = _train_test(synthetic_144)
-    model.fit(train)
-    results = _counting(monkeypatch, fuzzy, "infer_detail")
-    centroids = _counting(monkeypatch, FuzzyEngine, "centroids")
-    model.predict_many(test)
-    fired = [bool(result.fired) for result in results]
-    assert 0 < sum(fired) < len(test)  # both kinds of row are priced
-    assert len(centroids) == sum(fired)
-
-    unfired = next(rec.features for rec, hit in zip(test, fired) if not hit)
-    centroids.clear()
-    with pytest.raises(NoRuleFiresError, match="no rule fires for this input"):
-        fuzzy.infer_detail(model.rule_base, unfired)
-    assert centroids == []
-
-
-@pytest.mark.parametrize(
-    "model", [FuzzyPredictor(), GeneticFuzzyPredictor(GAConfig(generations=5, seed=7))]
-)
 def test_infer_detail_reads_a_float_row_as_its_feature_vector(synthetic_144, model):
     """``predict_many`` hands each ndarray row straight to ``infer_detail``. A row
     gives the result its ``FeatureVector`` gives, and a non-finite value is
@@ -219,7 +207,13 @@ def fitted(request, synthetic_144):
     return GeneticFuzzyPredictor(GAConfig(generations=20, seed=7)).fit(train)
 
 
-@pytest.mark.parametrize("chunk", [fuzzy.STRENGTH_CHUNK, 1])
+def _fired_chunks(results, chunk):
+    """Whether any row of each run of ``chunk`` priced rows fired a rule."""
+    fired = [bool(result.fired) for result in results]
+    return [any(fired[i : i + chunk]) for i in range(0, len(fired), chunk)]
+
+
+@pytest.mark.parametrize("chunk", [fuzzy.STRENGTH_CHUNK, 7, 1])
 def test_predict_many_matches_infer_detail_on_each_row(monkeypatch, fitted, portfolio, chunk):
     monkeypatch.setattr(fuzzy, "STRENGTH_CHUNK", chunk)
     results = _counting(monkeypatch, fuzzy, "infer_detail")
@@ -233,6 +227,104 @@ def test_predict_many_matches_infer_detail_on_each_row(monkeypatch, fitted, port
     assert [r.fired for r in results] == [w.fired for w in want]
     kinds = {(bool(w.fired), w.degraded) for w in want}
     assert {(True, False), (False, True)} <= kinds, kinds  # defuzzified and unfired rows
+    if chunk < fuzzy.STRENGTH_CHUNK:  # every 64-row chunk of the portfolio fires
+        assert not all(_fired_chunks(results, chunk))  # a chunk priced without centroids
+
+
+@pytest.mark.parametrize("chunk", [fuzzy.STRENGTH_CHUNK, 7, 1])
+def test_a_chunk_is_defuzzified_in_one_call_when_one_of_its_rows_fires(
+    monkeypatch, fitted, portfolio, chunk
+):
+    """One ``centroids`` call prices every row of a chunk that has a fired row,
+    and a chunk without one makes none: at a chunk of 1, one per fired row."""
+    monkeypatch.setattr(fuzzy, "STRENGTH_CHUNK", chunk)
+    results = _counting(monkeypatch, fuzzy, "infer_detail")
+    centroids = _counting(monkeypatch, FuzzyEngine, "centroids")
+    fitted.predict_many(portfolio)
+    fired_chunks = _fired_chunks(results, chunk)
+    sizes = [len(results[i : i + chunk]) for i in range(0, len(results), chunk)]
+    assert [values.size for values, _ in centroids] == [
+        size for size, fired in zip(sizes, fired_chunks) if fired
+    ]
+    assert any(fired_chunks)
+
+
+def test_a_one_row_quote_that_fires_nothing_is_not_defuzzified(monkeypatch, fitted, portfolio):
+    results = _counting(monkeypatch, fuzzy, "infer_detail")
+    fitted.predict_many(portfolio)
+    unfired = next(rec.features for rec, result in zip(portfolio, results) if not result.fired)
+    centroids = _counting(monkeypatch, FuzzyEngine, "centroids")
+    assert fitted.predict(unfired) == fitted.fallback
+    with pytest.raises(NoRuleFiresError, match="no rule fires for this input"):
+        fuzzy.infer_detail(fitted.rule_base, unfired)
+    assert centroids == []
+
+
+def _outcome(result):
+    return int(bits(result.value)), result.degraded, result.fired
+
+
+def test_infer_detail_of_a_batch_centroid_matches_its_own(monkeypatch, fitted, portfolio):
+    """A row's strengths and its centroid from one call over the whole
+    portfolio decide it as ``infer_detail`` computing both itself does, with
+    no ``centroids`` call of its own."""
+    rule_base, fallback = fitted.rule_base, fitted.fallback
+    engine = rule_base.engine
+    X = portfolio.features_matrix
+    strengths = engine.strengths(engine.input_memberships(X), rule_base.antecedents)
+    values, ok = engine.centroids(strengths, rule_base.consequents)
+    assert 0 < ok.sum() < len(X)
+    want = [_outcome(fuzzy.infer_detail(rule_base, x, fallback)) for x in X]
+    centroids = _counting(monkeypatch, FuzzyEngine, "centroids")
+    got = [
+        _outcome(fuzzy.infer_detail(rule_base, x, fallback, strengths=row, centroid=value))
+        for x, row, value in zip(X, strengths, values)
+    ]
+    assert got == want
+    assert centroids == []
+
+
+def test_a_nan_centroid_gives_the_fallback_or_raises(monkeypatch, fitted, portfolio):
+    rule_base, fallback = fitted.rule_base, fitted.fallback
+    engine = rule_base.engine
+    X = portfolio.features_matrix
+    strengths = engine.strengths(engine.input_memberships(X), rule_base.antecedents)
+    want_fired = [fuzzy.infer_detail(rule_base, x, fallback).fired for x in X]
+    assert any(want_fired) and not all(want_fired)
+    centroids = _counting(monkeypatch, FuzzyEngine, "centroids")
+    for x, row, fired in zip(X, strengths, want_fired):
+        result = fuzzy.infer_detail(rule_base, x, fallback, strengths=row, centroid=np.nan)
+        assert (result.value, result.degraded, result.fired) == (fallback, True, fired)
+        with pytest.raises(NoRuleFiresError, match="no rule fires for this input"):
+            fuzzy.infer_detail(rule_base, x, strengths=row, centroid=np.nan)
+    assert centroids == []
+
+
+def test_a_fired_row_with_zero_area_gives_the_fallback_by_both_paths():
+    """Output set 4 lies between two points of the integer output grid, so a row
+    that fires only its rule has a fired rule and no area."""
+    peaks = [0.0, 100.0, 300.2, 300.4, 300.6, 500.0, 1000.0]
+    mfs = tuple(
+        TriangularMF(peaks[max(j - 1, 0)], peaks[j], peaks[min(j + 1, 6)]) for j in range(7)
+    )
+    inputs = tuple(default_variable(f"x{d}", 0.0, 6.0) for d in range(4))
+    rules = (FuzzyRule((4, 4, 4, 4), 4), FuzzyRule((2, 2, 2, 2), 6))
+    rule_base = RuleBase(rules, inputs, FuzzyVariable("cost", 0.0, 1000.0, mfs))
+    engine = rule_base.engine
+    assert engine.supports[3] == (0, 0)
+    X = np.array([[3.0, 3.0, 3.0, 3.0], [1.0, 1.0, 1.0, 1.0], [6.0, 6.0, 6.0, 6.0]])
+    strengths = engine.strengths(engine.input_memberships(X), rule_base.antecedents)
+    values, ok = engine.centroids(strengths, rule_base.consequents)
+    assert ok.tolist() == [False, True, False]
+    results = []
+    for x, row, value in zip(X, strengths, values):
+        want = fuzzy.infer_detail(rule_base, x, 123.0)
+        results.append(fuzzy.infer_detail(rule_base, x, 123.0, strengths=row, centroid=value))
+        assert _outcome(results[-1]) == _outcome(want)
+    assert results[0].degraded and results[0].fired  # a rule fired, and no area
+    for kwargs in ({}, {"strengths": strengths[0], "centroid": values[0]}):
+        with pytest.raises(NoRuleFiresError):
+            fuzzy.infer_detail(rule_base, X[0], **kwargs)
 
 
 @pytest.mark.parametrize("row", [0, 63, 64, 70, 399])
