@@ -11,22 +11,22 @@ one tree or a whole ensemble.
 
 Split gain is SSE(parent) - SSE(left) - SSE(right). One decision stage,
 ``split_shortlist``, scores every midpoint between consecutive distinct
-feature values at once from sorted prefix sums and decides: a node splits at
-the first candidate, in (feature, threshold) order, whose approximate gain
-is within the node's rounding bound of its best, and only when that best is
-above the bound, so ties break toward the lowest feature index, then the
-lowest threshold, and a node whose targets differ by rounding only is a
-leaf. ``best_split`` reads the decision, or applies the same rule to random
-forest's drawn features. Extra trees score one uniform cut per non-constant
-feature with the same gain and rule, and the regularized booster in
-``ensemble`` takes the kernel's decision with its missing-value direction.
+feature values at once from sorted prefix sums, or extra trees' drawn cuts
+from row masks, and decides: a node splits at the first candidate, in
+(feature, threshold) order, whose approximate gain is within the node's
+rounding bound of its best, and only when that best is above the bound, so
+ties break toward the lowest feature index, then the lowest threshold, and
+a node whose targets differ by rounding only is a leaf. ``best_split``
+reads the decision, or applies the same rule to random forest's drawn
+features, and the regularized booster in ``ensemble`` takes the kernel's
+decision with its missing-value direction.
 
 ``split_shortlist`` scores a batch of nodes in one call, along a leading node
 axis with each node's rows padded to the largest node's, so numpy's per-call
 overhead is paid per batch. ``grow_trees`` grows all the trees of a fit
 together a depth level at a time, scoring each level in chunks of
-``SCORE_CHUNK`` nodes; random forest's per-node feature subsets, drawn as
-each node is decided, pick the node's rows of the gain grid.
+``SCORE_CHUNK`` nodes; extra trees draw each node's features and cuts as
+its chunk is scored, random forest its features as the node is decided.
 """
 
 from __future__ import annotations
@@ -93,10 +93,10 @@ class NodeGains(NamedTuple):
 
     Row j of ``thresholds`` and ``gain`` holds the candidates of
     ``features[j]`` in ascending order, one per boundary between sorted
-    positions; ``gain`` is -inf where a boundary is no candidate. ``tol`` is
-    the node's rounding bound. ``choice`` is the split over every scored
-    feature, (feature, threshold, approximate gain), or None;
-    ``default_left`` tells whether its missing values go left.
+    positions, or its one cut; ``gain`` is -inf where a slot is no
+    candidate. ``tol`` is the node's rounding bound. ``choice`` is the split
+    over every scored feature, (feature, threshold, approximate gain), or
+    None; ``default_left`` tells whether its missing values go left.
     """
 
     features: tuple[int, ...]
@@ -127,6 +127,7 @@ def split_shortlist(
     features: Sequence[int],
     min_samples_leaf: int,
     lam: float | None = None,
+    cuts: np.ndarray | None = None,
 ) -> list[NodeGains]:
     """Approximate gains of every candidate split of a batch of (X, t) nodes, and their splits.
 
@@ -142,6 +143,10 @@ def split_shortlist(
     ``t`` is prefix-summed along each sorted column, within its own node and
     feature. A midpoint's partition of ``col <= threshold`` is found by
     ``searchsorted(side="right")``, since a midpoint can round up onto b.
+    ``cuts``, a (nodes, features) array of extra trees' drawn cuts, NaN for
+    none, makes each cut instead the one candidate of its node and feature,
+    with nothing sorted: its left side, ``col <= cut`` with missing values
+    and padding right, is counted and summed from a row mask.
     Candidates leaving fewer than ``min_samples_leaf`` of the node's rows on
     a side are dropped. Each remaining one gets an approximate gain, up to a
     constant of the node:
@@ -191,26 +196,34 @@ def split_shortlist(
         total = np.add.reduceat(np.abs(t), starts).tolist()
         tol = [4 * k * EPS * s * s for k, s in zip(sizes, total)]
     # the row of every padded position, (b, m), and the nodes' columns
-    # (k, b, m): axes feature, node, position in sorted order (NaN last); the
-    # boundary after sorted position i is position i of the (k, b, m - 1) grids
+    # (k, b, m): axes feature, node, position (in sorted order, NaN last, for
+    # midpoints); a node's candidates are the last axis of the (k, b, c) grids
     pos = np.arange(m)
     rows = np.where(pos < n, pos + np.array(starts)[:, None], t.size - 1)
     cols = X.T[:, rows]
-    order = cols.argsort(axis=2)
-    sorted_cols = np.sort(cols, axis=2)
-    cum = t[rows[np.arange(b)[:, None], order]].cumsum(axis=2)
-    g_all = cum[..., -1:]
-    lo, hi = sorted_cols[..., :-1], sorted_cols[..., 1:]
-    thresholds = (lo + hi) / 2.0
-    n_left = np.arange(1, m)
-    g_left = cum[..., :-1]
-    candidate = lo < hi  # distinct, and hi (so lo) present: NaN sorts last
-    rounded_up = candidate > (thresholds < hi)
-    if rounded_up.any():  # rounded onto b, overflowed, or nan (-inf + inf): count the rows
-        n_left, g_left = np.tile(n_left, (len(features), b, 1)), g_left.copy()
-        for j, i, p in zip(*np.nonzero(rounded_up)):
-            n_left[j, i, p] = sorted_cols[j, i].searchsorted(thresholds[j, i, p], side="right")
-            g_left[j, i, p] = cum[j, i, n_left[j, i, p] - 1]
+    if cuts is None:  # the boundary after sorted position i is candidate i
+        order = cols.argsort(axis=2)
+        sorted_cols = np.sort(cols, axis=2)
+        cum = t[rows[np.arange(b)[:, None], order]].cumsum(axis=2)
+        g_all = cum[..., -1:]
+        lo, hi = sorted_cols[..., :-1], sorted_cols[..., 1:]
+        thresholds = (lo + hi) / 2.0
+        n_left = np.arange(1, m)
+        g_left = cum[..., :-1]
+        candidate = lo < hi  # distinct, and hi (so lo) present: NaN sorts last
+        rounded_up = candidate > (thresholds < hi)
+        if rounded_up.any():  # rounded onto b, overflowed, or nan (-inf + inf): count the rows
+            n_left, g_left = np.tile(n_left, (len(features), b, 1)), g_left.copy()
+            for j, i, p in zip(*np.nonzero(rounded_up)):
+                n_left[j, i, p] = sorted_cols[j, i].searchsorted(thresholds[j, i, p], side="right")
+                g_left[j, i, p] = cum[j, i, n_left[j, i, p] - 1]
+    else:  # one candidate per node and feature; a missing or padded value goes right
+        thresholds = np.asarray(cuts, dtype=float).T[..., None]
+        left = cols <= thresholds
+        n_left = left.sum(axis=2, keepdims=True)
+        g_left = (left * t[rows]).sum(axis=2, keepdims=True)
+        g_all = t[rows].sum(axis=1, keepdims=True)
+        candidate = ~np.isnan(thresholds)
     sides = [(g_left, n_left, g_all - g_left, n - n_left)]  # missing goes right
     if lam is not None:
         missing = np.isnan(X[:-1].T)
@@ -229,12 +242,12 @@ def split_shortlist(
             ok = candidate & ((nl >= min_samples_leaf) & (nr >= min_samples_leaf))
             side_gain = np.where(ok, side_gain, -np.inf)
             gain = side_gain if gain is None else np.maximum(gain, side_gain)
-    # every node's split over all its features, its (k, m - 1) grid in candidate order
+    # every node's split over all its features, its (k, c) grid in candidate order
     best, split, first = _decide(gain.transpose(1, 0, 2).reshape(b, -1), np.array(tol))
     features = tuple(features)
     result = []
     for i, (at, s, top) in enumerate(zip(first.tolist(), split.tolist(), best.tolist())):
-        j, p = divmod(at, m - 1)
+        j, p = divmod(at, gain.shape[2])
         choice = (features[j], float(thresholds[j, i, p]), float(gain[j, i, p])) if s else None
         # the last side sends missing values left; with one side it is ``gain``
         default_left = len(sides) == 1 or bool(side_gain[j, i, p] >= top - tol[i])
@@ -242,36 +255,6 @@ def split_shortlist(
             NodeGains(features, thresholds[:, i], gain[:, i], tol[i], choice, default_left)
         )
     return result
-
-
-def _best_uniform_cut(
-    X: np.ndarray, y: np.ndarray, features: Sequence[int], rng: np.random.Generator,
-    min_samples_leaf: int,
-) -> tuple[int, float, float] | None:
-    """Extra trees' split: one uniform cut per non-constant feature, drawn in
-    feature order, with CART's approximate gain, bound and rule.
-
-    A pure node returns before anything is drawn.
-    """
-    n = y.size
-    if n < 2 or np.all(y == y[0]):
-        return None
-    t = y - y.sum() / n
-    total = float(t.sum())
-    lo, hi = X.min(axis=0).tolist(), X.max(axis=0).tolist()
-    cuts = []
-    for f in features:
-        if lo[f] != hi[f]:
-            threshold = float(rng.uniform(lo[f], hi[f]))
-            left = X[:, f] <= threshold
-            n_left = int(np.count_nonzero(left))
-            if min(n_left, n - n_left) >= min_samples_leaf:
-                g_left = float(t @ left)
-                gain = g_left * g_left / n_left + (total - g_left) ** 2 / (n - n_left)
-                cuts.append((int(f), threshold, gain))
-    best = max((gain for _, _, gain in cuts), default=-np.inf)
-    tol = _cart_bound(n, float(t @ t), float(np.abs(y).max()))
-    return next(cut for cut in cuts if cut[2] >= best - tol) if best > tol else None
 
 
 def best_split(
@@ -314,19 +297,20 @@ def grow_trees(
     samples: Sequence[tuple[np.ndarray, np.ndarray]],
     params: TreeParams,
     leaf_value: Callable[[np.ndarray], float],
-    find_split: Callable[[np.ndarray, np.ndarray, NodeGains | None], Split | None],
-    score: Callable[[list[tuple[np.ndarray, np.ndarray]]], list[NodeGains]] | None = None,
+    find_split: Callable[[np.ndarray, np.ndarray, NodeGains], Split | None],
+    score: Callable[[list[tuple[np.ndarray, np.ndarray]]], list[NodeGains]],
 ) -> list[RegressionTree]:
     """One tree per (X, t) sample, all grown together a depth level at a time;
     ``t`` is targets or gradients.
 
-    A level's nodes are decided tree by tree, and within a tree in creation
-    order (left child before right), so random draws in ``find_split`` follow
-    that order. ``find_split`` runs only at nodes that pass the depth and size
-    checks; it gets the node's rows in their original order and, when
-    ``score`` is given, the node's ``NodeGains``. ``score`` (a batched
+    A level's nodes are scored and decided tree by tree, and within a tree in
+    creation order (left child before right), so random draws in ``score``
+    or ``find_split`` follow that order. ``find_split`` runs only at nodes
+    that pass the depth and size checks; it gets the node's rows in their
+    original order and the node's ``NodeGains``. ``score`` (a batched
     ``split_shortlist``) runs once per level, over chunks of ``SCORE_CHUNK``
-    of those nodes. Each tree keeps its nodes in the order they were created.
+    of those nodes, before any of them is decided. Each tree keeps its nodes
+    in the order they were created.
     """
     trees: list[list[list]] = [[] for _ in samples]  # each tree's node fields, in creation order
     level: list[tuple[int, int, np.ndarray, np.ndarray]] = []  # (tree, node, X, t) to decide next
@@ -343,11 +327,9 @@ def grow_trees(
         add(tree, X, t, 0)
     while level:
         decide, level = level, []
-        gains = [None] * len(decide)
-        if score is not None:
-            gains = []
-            for c in range(0, len(decide), SCORE_CHUNK):
-                gains += score([(X, t) for *_, X, t in decide[c:c + SCORE_CHUNK]])
+        gains = []
+        for c in range(0, len(decide), SCORE_CHUNK):
+            gains += score([(X, t) for *_, X, t in decide[c:c + SCORE_CHUNK]])
         for (tree, i, X, t), node_gains in zip(decide, gains):
             split = find_split(X, t, node_gains)
             if split is None:
@@ -376,29 +358,37 @@ def grow_forest(
         raise EmptyTrainError("cannot grow a tree on an empty training set")
     every_feature = tuple(range(samples[0][0].shape[1]))
 
-    def find_split(X: np.ndarray, y: np.ndarray, gains: NodeGains | None) -> Split | None:
-        if n_feature_subset is not None:
-            features = np.sort(rng.choice(X.shape[1], size=n_feature_subset, replace=False))
-        else:
-            features = every_feature
-        if random_thresholds:
-            split = _best_uniform_cut(X, y, features, rng, params.min_samples_leaf)
-        else:
-            split = best_split(X, y, features, params.min_samples_leaf, gains)
+    def draw_features() -> Sequence[int]:
+        if n_feature_subset is None:
+            return every_feature
+        return np.sort(rng.choice(len(every_feature), size=n_feature_subset, replace=False))
+
+    def find_split(X: np.ndarray, y: np.ndarray, gains: NodeGains) -> Split | None:
+        features = every_feature if random_thresholds else draw_features()
+        split = best_split(X, y, features, params.min_samples_leaf, gains)
         if split is None:
             return None
         feature, threshold, _ = split
         return feature, threshold, None, X[:, feature] <= threshold
 
     def score(nodes: list[tuple[np.ndarray, np.ndarray]]) -> list[NodeGains]:
-        return split_shortlist(nodes, every_feature, params.min_samples_leaf)
+        cuts = None
+        if random_thresholds:  # per node: its features, then one cut per non-constant one
+            starts = list(accumulate([y.size for _, y in nodes[:-1]], initial=0))
+            Xy = np.column_stack([np.concatenate(arrays) for arrays in zip(*nodes)])
+            lows, highs = (f.reduceat(Xy, starts).tolist() for f in (np.minimum, np.maximum))
+            cuts = np.full((len(nodes), len(every_feature)), np.nan)
+            for cut, lo, hi in zip(cuts, lows, highs):
+                live = [f for f in draw_features() if lo[f] != hi[f]]
+                if live and lo[-1] != hi[-1]:  # a pure node (last column y) draws no cut
+                    cut[live] = rng.uniform([lo[f] for f in live], [hi[f] for f in live])
+        return split_shortlist(nodes, every_feature, params.min_samples_leaf, cuts=cuts)
 
     def leaf_value(t: np.ndarray) -> float:
         # np.mean of float64 is this same pairwise sum divided by the count
         return float(t.sum()) / t.size
 
-    return grow_trees(samples, params, leaf_value, find_split,
-                      score=None if random_thresholds else score)
+    return grow_trees(samples, params, leaf_value, find_split, score)
 
 
 def grow(X: np.ndarray, y: np.ndarray, params: TreeParams = TreeParams()) -> RegressionTree:

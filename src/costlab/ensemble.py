@@ -303,7 +303,7 @@ def fit_regularized_booster(X: np.ndarray, y: np.ndarray, cfg: BoostConfig) -> E
     def leaf(g: np.ndarray) -> float:
         return leaf_weight(float(g.sum()), float(g.size), cfg.lam)
 
-    def find_split(X: np.ndarray, g: np.ndarray, gains: NodeGains | None) -> tuple | None:
+    def find_split(X: np.ndarray, g: np.ndarray, gains: NodeGains) -> tuple | None:
         split = _best_regularized_split(X, g, cfg, gains)
         return None if split is None else split[:4]
 

@@ -246,8 +246,9 @@ class FuzzyEngine:
         """Clip, aggregate, and defuzzify; returns (values, fired mask).
 
         Rules sharing a consequent are merged before clipping, which is exact:
-        max_r min(s_r, mu_c(r)) = max_c min(max_{r: c(r) = c} s_r, mu_c); an
-        output set that no rule names is grouped at -inf and never wins the max.
+        max_r min(s_r, mu_c(r)) = max_c min(max_{r: c(r) = c} s_r, mu_c), a max
+        over each run of the rules sorted by consequent; an output set that no
+        rule names is grouped at -inf and never wins the max.
         Rows where no rule fires get NaN and a False mask entry and skip the
         quadrature: only the fired rows are clipped and summed, which is exact
         because each row's area and moment reduce along its own grid axis.
@@ -261,8 +262,10 @@ class FuzzyEngine:
         one-row call gives it.
         """
         fired = strengths.max(axis=1) > 0.0
-        members = consequents[:, None] == np.arange(1, MF_COUNT + 1)  # (R, 7)
-        grouped = np.where(members, strengths[fired][:, :, None], -np.inf).max(axis=1)  # (f, 7)
+        order = consequents.argsort()
+        named, starts = np.unique(consequents[order], return_index=True)
+        grouped = np.full((int(fired.sum()), MF_COUNT), -np.inf)  # (f, 7)
+        grouped[:, named - 1] = np.maximum.reduceat(strengths[fired][:, order], starts, axis=1)
         aggregated = np.zeros((grouped.shape[0], self.grid.size))
         for c in np.flatnonzero((grouped > 0.0).any(axis=0)):
             a, b = self.supports[c]

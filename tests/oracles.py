@@ -4,8 +4,9 @@ Each is the straightforward one-value computation that the package replaced
 with an array form; the package itself never calls them. The fuzzy section
 also holds an inference that defuzzifies every row, fired or not, for the
 package's shortcut on rows that fire no rule. The split-search section also
-holds the exact scorers that the kernel's decision replaced and
-the exact-arithmetic checks of its tie rule. The network trainer with a
+holds the exact scorers that the kernel's decision replaced, the scalar
+extra-trees cut scorer that its cut candidates replaced, and the
+exact-arithmetic checks of its tie rule. The network trainer with a
 velocity and a momentum step per layer array is the reference for the
 package's one step over a flat parameter vector, and backpropagation with
 new arrays for every activation, derivative and gradient is the reference
@@ -20,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from costlab.cart import LEAF, RegressionTree
+from costlab.cart import LEAF, RegressionTree, _cart_bound
 from costlab.cbr import DEFAULT_WEIGHTS
 from costlab.data import FeatureVector
 from costlab.ensemble import split_gain
@@ -433,12 +434,48 @@ def regularized_mask_search(X, g, cfg, candidates):
     return best
 
 
-def uniform_cuts(X, features, rng):
-    """Extra trees' cuts as the exact scorer drew them: one uniform cut per non-constant feature."""
+def best_uniform_cut(X, y, features, rng, min_samples_leaf):
+    """Extra trees' scalar cut scorer that the kernel's cut candidates replaced.
+
+    One uniform cut per non-constant feature, drawn in feature order, each
+    scored from its row mask with CART's approximate gain, bound and rule. A
+    pure node returns before anything is drawn.
+    """
+    n = y.size
+    if n < 2 or np.all(y == y[0]):
+        return None
+    t = y - y.sum() / n
+    total = float(t.sum())
+    lo, hi = X.min(axis=0).tolist(), X.max(axis=0).tolist()
+    cuts = []
     for f in features:
-        lo, hi = float(X[:, f].min()), float(X[:, f].max())
-        if lo != hi:
-            yield f, (float(rng.uniform(lo, hi)),)
+        if lo[f] != hi[f]:
+            threshold = float(rng.uniform(lo[f], hi[f]))
+            left = X[:, f] <= threshold
+            n_left = int(np.count_nonzero(left))
+            if min(n_left, n - n_left) >= min_samples_leaf:
+                g_left = float(t @ left)
+                gain = g_left * g_left / n_left + (total - g_left) ** 2 / (n - n_left)
+                cuts.append((int(f), threshold, gain))
+    best = max((gain for _, _, gain in cuts), default=-np.inf)
+    tol = _cart_bound(n, float(t @ t), float(np.abs(y).max()))
+    return next(cut for cut in cuts if cut[2] >= best - tol) if best > tol else None
+
+
+def grow_extra_trees_one_node_at_a_time(samples, params, rng, n_feature_subset):
+    """``cart.grow_forest`` with ``random_thresholds`` through the plain grower,
+    with no ``score``: each searched node draws its sorted feature subset and
+    then its cuts as ``find_split`` decides it with ``best_uniform_cut``."""
+    def find_split(X, y, gains):
+        features = np.sort(rng.choice(X.shape[1], size=n_feature_subset, replace=False))
+        split = best_uniform_cut(X, y, features, rng, params.min_samples_leaf)
+        if split is None:
+            return None
+        feature, threshold, _ = split
+        return feature, threshold, None, X[:, feature] <= threshold
+
+    return grow_trees_one_node_at_a_time(samples, params, lambda t: float(t.sum()) / t.size,
+                                         find_split)
 
 
 def midpoints(col):

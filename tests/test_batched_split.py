@@ -10,7 +10,9 @@ forest's feature subsets drawn after the batch. ``cart.grow_trees`` grows
 all the trees of a fit together a depth level at a time, scores each level in
 chunks and keeps each tree's nodes in growth order; every tree learner must
 grow the same eight node arrays as a plain level-order grower that scores one
-node at a time, and a chunk of one node must change nothing.
+node at a time, and a chunk of one node must change nothing. Extra trees must
+also grow the same arrays as that grower deciding each node with the scalar
+cut scorer, which draws the node's features and cuts as it decides it.
 """
 
 from dataclasses import fields
@@ -21,10 +23,10 @@ import pytest
 from costlab import cart, ensemble
 from costlab.bench import BenchConfig, _train_test, derive_seed
 from costlab.cart import RegressionTree, TreeParams, best_split, split_shortlist
-from costlab.ensemble import BoostConfig, _best_regularized_split
+from costlab.ensemble import RF_FEATURE_SUBSET, BoostConfig, _best_regularized_split
 from costlab.zoo import build_model
 from conftest import make_dataset
-from oracles import grow_trees_one_node_at_a_time
+from oracles import grow_extra_trees_one_node_at_a_time, grow_trees_one_node_at_a_time
 from test_split_shortlist import (
     check_cart,
     check_regularized,
@@ -203,6 +205,32 @@ def test_a_chunk_of_one_node_grows_the_same_trees(model_id, monkeypatch):
             assert getattr(got, field.name).tobytes() == getattr(expected, field.name).tobytes()
 
 
+@pytest.mark.parametrize("chunk", [1, 128])
+@pytest.mark.parametrize("flat", [False, True])
+@pytest.mark.parametrize("n, seed, depth", [(30, 0, 6), (111, 1, 6), (60, 2, 10)])
+def test_extra_trees_equal_the_scalar_cut_scorer(n, seed, depth, flat, chunk, monkeypatch):
+    # the same draws in the same order, and the same decisions, as deciding
+    # each node alone with the cuts drawn there
+    X, y = _arrays(n, seed)
+    if flat:  # pure nodes over distinct rows, and targets that differ by rounding only
+        y[X[:, 2] < 8] = 1e6
+        near = X[:, 2] >= 10
+        y[near] = 1e6 + np.random.default_rng(seed).uniform(-1e-9, 1e-9, near.sum())
+    params = TreeParams(depth, 1, 2) if depth > 6 else TreeParams(max_depth=depth)
+    samples = [(X, y), (X[::2], y[::2]), (X, y)]
+    monkeypatch.setattr(cart, "SCORE_CHUNK", chunk)
+    batched = cart.grow_forest(samples, params, np.random.default_rng(seed), RF_FEATURE_SUBSET,
+                               random_thresholds=True)
+    reference = grow_extra_trees_one_node_at_a_time(samples, params, np.random.default_rng(seed),
+                                                    RF_FEATURE_SUBSET)
+    assert len(batched) == len(reference) == len(samples)
+    assert sum((tree.feature != cart.LEAF).sum() for tree in batched) > 10
+    for got, expected in zip(batched, reference):
+        for field in fields(RegressionTree):
+            a, b = getattr(got, field.name), getattr(expected, field.name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field.name
+
+
 def test_regularized_tree_with_missing_values_equals_the_recursion(monkeypatch):
     X, y = _arrays(80, 3, missing=True)
     params = {"n_rounds": "4", "lam": "0.5", "gamma": "1.0", "max_depth": "5"}
@@ -261,7 +289,7 @@ def test_draw_free_learners_score_one_batch_per_depth_level(monkeypatch):
     assert sizes == np.bincount(_searched_depths(booster.members[0][0], params)).tolist()
 
 
-@pytest.mark.parametrize("model_id", ["bagging", "random_forest"])
+@pytest.mark.parametrize("model_id", ["bagging", "random_forest", "extra_trees"])
 def test_a_forest_scores_each_depth_level_of_all_its_members_together(model_id, monkeypatch):
     # the default 100-member fit of the seed-42 bench; a level takes up to nine chunks
     train, _ = _train_test(BenchConfig(), 42)
@@ -271,15 +299,6 @@ def test_a_forest_scores_each_depth_level_of_all_its_members_together(model_id, 
     searched = sum(_searched_depths(tree, params).size for tree in _trees(model))
     assert len(sizes) <= 35 and max(sizes) <= cart.SCORE_CHUNK
     assert sum(sizes) == searched
-
-
-def test_extra_trees_score_nothing(monkeypatch):
-    X, y = _arrays(60, 6)
-    sizes = _record_batches(monkeypatch)
-    rng = np.random.default_rng(0)
-    cart.grow_forest([(X, y), (X[::2], y[::2])], TreeParams(), rng, n_feature_subset=2,
-                     random_thresholds=True)
-    assert sizes == []
 
 
 def test_leaf_value_is_the_mean_bit_for_bit():

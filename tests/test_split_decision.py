@@ -5,10 +5,10 @@ its split decision wrapped, and at every searched node the exact scorer of
 ``tests/oracles.py`` decides too: the row-mask SSE loop for CART, bagging,
 random forest, AdaBoost.R2 and gradient boosting, the mask loop over both
 missing-value directions for the regularized booster, and the SSE loop over
-the same uniform cuts for extra trees. The exact scorers run over the
-candidates within 1e-7 of the node's spread of the best approximate gain,
-plus CART's centring term, the shortlist they were given before, which holds
-every candidate they could pick. Where the two decisions differ, their
+the drawn uniform cuts, which the kernel scored, for extra trees. The exact
+scorers run over the candidates within 1e-7 of the node's spread of the best
+approximate gain, plus CART's centring term, the shortlist they were given
+before, which holds every candidate they could pick. Where the two decisions differ, their
 partitions must tie in exact arithmetic with the kernel's pick first in
 (feature, threshold) order; the test prints how many nodes differ.
 The near-pure tests check that nodes whose targets differ by rounding only
@@ -35,7 +35,6 @@ from oracles import (
     midpoints,
     regularized_key,
     regularized_mask_search,
-    uniform_cuts,
 )
 
 SEED = 42
@@ -53,13 +52,12 @@ def shortlist(gains, features, tol):
 
 
 class Recorder:
-    """Wraps the three split decisions and checks each against its exact scorer."""
+    """Wraps the two split decisions and checks each against its exact scorer."""
 
     def __init__(self, monkeypatch):
         self.model = None
         self.searched, self.differ, self.ties = Counter(), Counter(), Counter()
         decide, regularized = cart.best_split, ensemble._best_regularized_split
-        uniform = cart._best_uniform_cut
 
         def best_split_checked(X, y, features, min_samples_leaf, gains):
             got = decide(X, y, features, min_samples_leaf, gains)
@@ -78,21 +76,8 @@ class Recorder:
                 g, left_mask(X, k[0], k[1], not k[2]), cfg.lam, cfg.gamma), gains.tol)
             return got
 
-        def uniform_checked(X, y, features, rng, min_samples_leaf):
-            clone = np.random.Generator(type(rng.bit_generator)())
-            clone.bit_generator.state = rng.bit_generator.state
-            got = uniform(X, y, features, rng, min_samples_leaf)
-            expected = _best_candidate(X, y, uniform_cuts(X, features, clone), min_samples_leaf)
-            assert clone.bit_generator.state == rng.bit_generator.state  # the same draws
-            scale, peak = float(((y - y.mean()) ** 2).sum()), float(np.abs(y).max())
-            tol = cart._cart_bound(y.size, scale, peak)
-            self.check(cart_key(got), cart_key(expected),
-                       lambda k: exact_gain(y, left_mask(X, *k)), tol)
-            return got
-
         monkeypatch.setattr(cart, "best_split", best_split_checked)
         monkeypatch.setattr(ensemble, "_best_regularized_split", regularized_checked)
-        monkeypatch.setattr(cart, "_best_uniform_cut", uniform_checked)
 
     def check(self, got, expected, gain_of, tol):
         self.searched[self.model] += 1
