@@ -7,7 +7,8 @@ grow each tree through ``grow``, the three forests all their members in one
 ``grow_forest`` call, and the regularized booster calls it with its own leaf
 weight and split search. A tree is stored as flat node arrays in the order
 its nodes were grown, and one traversal kernel, ``walk_trees``, predicts for
-one tree or a whole ensemble.
+one tree or a whole ensemble. It steps to ``right - (x <= threshold)``, which
+growth order makes exact: a split's right child just follows its left.
 
 Split gain is SSE(parent) - SSE(left) - SSE(right). One decision stage,
 ``split_shortlist``, scores every midpoint between consecutive distinct
@@ -409,16 +410,21 @@ def stack_trees(trees: Sequence[RegressionTree]) -> RegressionTree:
 def walk_trees(nodes: RegressionTree, X: np.ndarray) -> np.ndarray:
     """(n, number of roots) leaf values reached by every row of X from every root.
 
-    All walks step down one level together, as many times as the deepest
-    node is deep; a leaf steps to itself. x <= threshold goes left, a missing
-    value takes the default direction.
+    The (row, root) pairs form one flat index vector, and all walks step down
+    one level together, as many times as the deepest node is deep: x, read
+    from ``X.ravel()`` at row * k + feature, steps to ``right - (x <=
+    threshold)``, since ``right == left + 1`` at a split; a leaf is its own
+    child with a NaN threshold, so it stays put. A missing value takes the
+    default direction.
     """
-    rows = np.arange(X.shape[0])[:, None]
-    at = np.repeat(nodes.roots[None, :], X.shape[0], axis=0)
-    has_missing = bool(np.isnan(X).any())
+    n, k = X.shape
+    at = np.tile(nodes.roots, n)
+    offset = np.repeat(np.arange(0, n * k, k), nodes.roots.size)
+    values = X.ravel()
+    has_missing = bool(np.isnan(values).any())
     for _ in range(nodes.max_depth):
         feature = nodes.feature[at]
-        x = X[rows, feature]
+        x = values[offset + feature]
         go_left = x <= nodes.threshold[at]
         if has_missing:
             default = nodes.default_left[at]
@@ -428,8 +434,8 @@ def walk_trees(nodes: RegressionTree, X: np.ndarray) -> np.ndarray:
                     "tree was grown without missing-value default directions"
                 )
             go_left = np.where(missing, default == 1, go_left)
-        at = np.where(go_left, nodes.left[at], nodes.right[at])
-    return nodes.value[at]
+        at = nodes.right[at] - go_left
+    return nodes.value[at].reshape(n, nodes.roots.size)
 
 
 def predict_tree(tree: RegressionTree, X: np.ndarray) -> np.ndarray:

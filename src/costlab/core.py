@@ -73,7 +73,7 @@ class TargetTransform(Enum):
             return z
         if self is TargetTransform.NATURAL_LOG:
             # math.exp per element: np.exp can differ from it in the last bit
-            return np.array([_exp(v) for v in z.ravel()]).reshape(z.shape)
+            return np.fromiter(map(_exp, z.ravel().tolist()), float, z.size).reshape(z.shape)
         if self is TargetTransform.RECIPROCAL:
             with np.errstate(divide="ignore"):  # 1/0 is left to the finite check
                 return 1.0 / z

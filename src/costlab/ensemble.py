@@ -106,8 +106,9 @@ class EnsembleModel:
             return outputs.mean(axis=1)
         if self.combine is CombineRule.WEIGHTED_MEDIAN:
             return weighted_median(outputs, self._weights)
-        # one dot per row: ``outputs @ weights`` can sum in another order
-        return self.base_score + np.array([np.dot(self._weights, row) for row in outputs])
+        # np.vecdot makes one cblas_ddot per row, as a per-row np.dot does;
+        # ``outputs @ weights`` can sum in another order
+        return self.base_score + np.vecdot(outputs, self._weights)
 
 
 def weighted_median(values: np.ndarray, weights: Sequence[float]) -> np.ndarray:
@@ -118,8 +119,8 @@ def weighted_median(values: np.ndarray, weights: Sequence[float]) -> np.ndarray:
     cum = np.cumsum(weights[order], axis=-1)
     # the count of sums below half is where searchsorted would insert half
     idx = np.minimum((cum < 0.5 * cum[..., -1:]).sum(axis=-1), values.shape[-1] - 1)
-    pick = np.take_along_axis(order, idx[..., None], axis=-1)
-    return np.take_along_axis(values, pick, axis=-1)[..., 0]
+    lead = np.indices(idx.shape, sparse=True)  # () for 1-D input
+    return values[(*lead, order[(*lead, idx)])]
 
 
 def bootstrap_indices(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -271,7 +271,8 @@ class FuzzyEngine:
             a, b = self.supports[c]
             part = aggregated[:, a:b]
             np.maximum(part, np.minimum(grouped[:, c, None], self.consequent_grid[c, a:b]), out=part)
-        area, moment = self._trapezoid(np.stack((aggregated, aggregated * self.grid)))
+        area = self._trapezoid(aggregated)  # then the moment's products overwrite it
+        moment = self._trapezoid(np.multiply(aggregated, self.grid, out=aggregated))
         has_area = area > 0.0
         ok = fired.copy()
         ok[fired] = has_area

@@ -12,7 +12,11 @@ package's one step over a flat parameter vector, and backpropagation with
 new arrays for every activation, derivative and gradient is the reference
 for the package's pass that writes them in place. The SVR pair loop that
 rescans every coefficient's bounds before each selection is the reference for
-the package's loop that keeps each coefficient's step offsets.
+the package's loop that keeps each coefficient's step offsets. The tree walk
+that gathers ``X[rows, feature]`` and steps with ``np.where``, the weighted
+median read through ``np.take_along_axis`` and the boosters' per-row
+``np.dot`` are the references for the package's flat walk, direct-index
+median and ``np.vecdot`` combine.
 """
 
 import math
@@ -24,7 +28,7 @@ import numpy as np
 from costlab.cart import LEAF, RegressionTree, _cart_bound
 from costlab.cbr import DEFAULT_WEIGHTS
 from costlab.data import FeatureVector
-from costlab.ensemble import split_gain
+from costlab.ensemble import CombineRule, split_gain
 from costlab.errors import NegativeAttributeError, NoRuleFiresError, UnsupportedMissingError
 from costlab.fuzzy import MF_COUNT, FuzzyRule, InferenceResult, RuleBase
 from costlab.genetic_fuzzy import GENE_MAX, _PopulationEvaluator
@@ -312,6 +316,50 @@ def scalar_case_similarity(new, stored, weights=DEFAULT_WEIGHTS):
 
 
 # -- trees ------------------------------------------------------------------------
+
+
+def walk_trees_2d(nodes, X):
+    """``cart.walk_trees`` as an (n, roots) walk: each level gathers
+    ``X[rows, feature]`` and picks each entry's child with ``np.where``."""
+    rows = np.arange(X.shape[0])[:, None]
+    at = np.repeat(nodes.roots[None, :], X.shape[0], axis=0)
+    has_missing = bool(np.isnan(X).any())
+    for _ in range(nodes.max_depth):
+        feature = nodes.feature[at]
+        x = X[rows, feature]
+        go_left = x <= nodes.threshold[at]
+        if has_missing:
+            default = nodes.default_left[at]
+            missing = np.isnan(x) & (feature != LEAF)
+            if (missing & (default < 0)).any():
+                raise UnsupportedMissingError(
+                    "tree was grown without missing-value default directions"
+                )
+            go_left = np.where(missing, default == 1, go_left)
+        at = np.where(go_left, nodes.left[at], nodes.right[at])
+    return nodes.value[at]
+
+
+def weighted_median_take_along_axis(values, weights):
+    """``ensemble.weighted_median`` that reads its pick through two ``np.take_along_axis``."""
+    values = np.asarray(values, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    order = np.argsort(values, axis=-1, kind="stable")
+    cum = np.cumsum(weights[order], axis=-1)
+    idx = np.minimum((cum < 0.5 * cum[..., -1:]).sum(axis=-1), values.shape[-1] - 1)
+    pick = np.take_along_axis(order, idx[..., None], axis=-1)
+    return np.take_along_axis(values, pick, axis=-1)[..., 0]
+
+
+def ensemble_predict_per_row(model, X):
+    """``EnsembleModel.predict`` over ``walk_trees_2d``, with the weighted median
+    above and the additive boosters combined by one ``np.dot`` per row."""
+    outputs = walk_trees_2d(model._nodes, X)
+    if model.combine is CombineRule.MEAN:
+        return outputs.mean(axis=1)
+    if model.combine is CombineRule.WEIGHTED_MEDIAN:
+        return weighted_median_take_along_axis(outputs, model._weights)
+    return model.base_score + np.array([np.dot(model._weights, row) for row in outputs])
 
 
 def grow_trees_one_node_at_a_time(samples, params, leaf_value, find_split, score=None):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,15 @@ class TestTransforms:
             z = t.forward(y)
             back = np.array([t.inverse(v) for v in z])
             assert np.allclose(back, y, rtol=1e-12)
+
+    def test_log_inverse_is_math_exp_per_element(self):
+        z = np.array([[0.0, -1.5, 13.2], [1e10, -1e10, 7.000000000000001]])
+        got = TargetTransform.NATURAL_LOG.inverse(z)
+        expected = [math.inf if v > 709.0 else math.exp(v) for v in z.ravel().tolist()]
+        assert got.shape == z.shape
+        assert [float(v).hex() for v in got.ravel()] == [v.hex() for v in expected]
+        assert TargetTransform.NATURAL_LOG.inverse(np.array(2.5)).shape == ()
+        assert TargetTransform.NATURAL_LOG.inverse(np.empty(0)).shape == (0,)
 
     def test_forward_rejects_nonpositive(self):
         for t in (TargetTransform.SQRT, TargetTransform.NATURAL_LOG):
