@@ -85,6 +85,7 @@ class BenchConfig:
         for model_id, params in self.model_params.items():
             if model_id not in MODEL_REGISTRY:
                 raise ConfigError(f"config section [model.{model_id}]: unknown model id")
+            build_model(model_id, params, 0)  # a disabled model's section is checked too
             rule_file = params.get("rule_file")
             if rule_file is not None and not os.path.exists(rule_file):
                 raise ConfigError(f"[model.{model_id}] rule_file does not exist: {rule_file}")

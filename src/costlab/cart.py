@@ -5,10 +5,10 @@ ensemble (``ensemble.fit_cart``). ``grow_trees`` is the one greedy grower
 behind every tree in the package. CART, AdaBoost.R2 and gradient boosting
 grow each tree through ``grow``, the three forests all their members in one
 ``grow_forest`` call, and the regularized booster calls it with its own leaf
-weight and split search. A tree is stored as flat node arrays in the order
-its nodes were grown, and one traversal kernel, ``walk_trees``, predicts for
-one tree or a whole ensemble. It steps to ``right - (x <= threshold)``, which
-growth order makes exact: a split's right child just follows its left.
+weight and split search. A tree is stored as six flat node arrays in the
+order its nodes were grown, and one traversal kernel, ``walk_trees``, predicts
+for one tree or a whole ensemble. It steps to ``right - (x <= threshold)``,
+which growth order makes exact: a split's left child is ``right - 1``.
 
 Split gain is SSE(parent) - SSE(left) - SSE(right). One decision stage,
 ``split_shortlist``, scores every midpoint between consecutive distinct
@@ -17,17 +17,17 @@ from row masks, and decides: a node splits at the first candidate, in
 (feature, threshold) order, whose approximate gain is within the node's
 rounding bound of its best, and only when that best is above the bound, so
 ties break toward the lowest feature index, then the lowest threshold, and
-a node whose targets differ by rounding only is a leaf. ``best_split``
-reads the decision, or applies the same rule to random forest's drawn
-features, and the regularized booster in ``ensemble`` takes the kernel's
-decision with its missing-value direction.
+a node whose targets differ by rounding only is a leaf. Random forest's
+undrawn features are masked out before that rule, so the kernel decides every
+tree split: ``best_split`` reads the decision, and the regularized booster in
+``ensemble`` takes it with its missing-value direction.
 
 ``split_shortlist`` scores a batch of nodes in one call, along a leading node
 axis with each node's rows padded to the largest node's, so numpy's per-call
 overhead is paid per batch. ``grow_trees`` grows all the trees of a fit
 together a depth level at a time, scoring each level in chunks of
-``SCORE_CHUNK`` nodes; extra trees draw each node's features and cuts as
-its chunk is scored, random forest its features as the node is decided.
+``SCORE_CHUNK`` nodes; both random forests draw each node's features, and
+extra trees its cuts, as its chunk is scored.
 """
 
 from __future__ import annotations
@@ -61,18 +61,17 @@ class RegressionTree:
     """Flat node arrays in growth order from root 0 (or several stacked trees).
 
     Growth order is level by level, a split's left child before its right, so
-    ``right == left + 1`` at every split and every child comes after its
-    parent. A leaf has ``feature`` LEAF, ``threshold`` NaN and ``left`` =
-    ``right`` = itself. ``default_left`` routes a missing value: 1 left, 0
-    right, -1 none. ``depth`` is the node's distance from its root.
+    a split's children are ``right - 1`` and ``right``, and every child comes
+    after its parent. A leaf has ``feature`` LEAF, ``threshold`` NaN and
+    ``right`` = itself. ``value`` is the node's leaf value, ``default_left``
+    routes a missing value: 1 left, 0 right, -1 none, and ``depth`` is the
+    node's distance from its root.
     """
 
     feature: np.ndarray
     threshold: np.ndarray
-    left: np.ndarray
     right: np.ndarray
     value: np.ndarray
-    n: np.ndarray
     default_left: np.ndarray
     depth: np.ndarray
 
@@ -92,30 +91,19 @@ EPS = float(np.finfo(float).eps)
 class NodeGains(NamedTuple):
     """One node's approximate split gains and its split, as ``split_shortlist`` scored them.
 
-    Row j of ``thresholds`` and ``gain`` holds the candidates of
-    ``features[j]`` in ascending order, one per boundary between sorted
-    positions, or its one cut; ``gain`` is -inf where a slot is no
-    candidate. ``tol`` is the node's rounding bound. ``choice`` is the split
-    over every scored feature, (feature, threshold, approximate gain), or
+    Row j of ``thresholds`` and ``gain`` holds the candidates of feature j in
+    ascending order, one per boundary between sorted positions, or its one
+    cut; ``gain`` is -inf where a slot is no candidate, as in every row of a
+    feature that was not drawn. ``tol`` is the node's rounding bound.
+    ``choice`` is the node's split, (feature, threshold, approximate gain), or
     None; ``default_left`` tells whether its missing values go left.
     """
 
-    features: tuple[int, ...]
     thresholds: np.ndarray
     gain: np.ndarray
     tol: float
     choice: tuple[int, float, float] | None
     default_left: bool
-
-
-def _decide(gain: np.ndarray, tol) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The split rule, per row of a (nodes, candidates) gain grid in candidate order.
-
-    Returns each row's best gain, whether it is above ``tol``, and the first
-    candidate within ``tol`` of it.
-    """
-    best = gain.max(axis=1)
-    return best, best > tol, (gain >= (best - tol)[:, None]).argmax(axis=1)
 
 
 def _cart_bound(n: int, scale: float, peak: float) -> float:
@@ -125,10 +113,10 @@ def _cart_bound(n: int, scale: float, peak: float) -> float:
 
 def split_shortlist(
     nodes: Sequence[tuple[np.ndarray, np.ndarray]],
-    features: Sequence[int],
     min_samples_leaf: int,
     lam: float | None = None,
     cuts: np.ndarray | None = None,
+    drawn: np.ndarray | None = None,
 ) -> list[NodeGains]:
     """Approximate gains of every candidate split of a batch of (X, t) nodes, and their splits.
 
@@ -147,7 +135,9 @@ def split_shortlist(
     ``cuts``, a (nodes, features) array of extra trees' drawn cuts, NaN for
     none, makes each cut instead the one candidate of its node and feature,
     with nothing sorted: its left side, ``col <= cut`` with missing values
-    and padding right, is counted and summed from a row mask.
+    and padding right, is counted and summed from a row mask. ``drawn``, a
+    (nodes, features) bool array of random forest's drawn features, makes
+    every candidate of a feature that was not drawn no candidate.
     Candidates leaving fewer than ``min_samples_leaf`` of the node's rows on
     a side are dropped. Each remaining one gets an approximate gain, up to a
     constant of the node:
@@ -179,14 +169,11 @@ def split_shortlist(
     node whose targets differ by rounding only is a leaf. The booster's
     constant, its parent term and gamma, is left to its caller.
     """
-    features = list(features)
     sizes = [t.size for _, t in nodes]
     b, m = len(nodes), max(sizes + [2])
     starts = list(accumulate(sizes[:-1], initial=0))
     n = np.array(sizes)[:, None]
     X = np.concatenate([X for X, _ in nodes] + [np.full((1, nodes[0][0].shape[1]), np.nan)])
-    if features != list(range(X.shape[1])):
-        X = X[:, features]
     t = np.concatenate([t for _, t in nodes] + [np.zeros(1)])  # the padding's missing row and zero
     if lam is None:  # the CART gain is shift-invariant; centring keeps the sums small
         peak = np.maximum.reduceat(np.abs(t), starts).tolist()
@@ -214,7 +201,7 @@ def split_shortlist(
         candidate = lo < hi  # distinct, and hi (so lo) present: NaN sorts last
         rounded_up = candidate > (thresholds < hi)
         if rounded_up.any():  # rounded onto b, overflowed, or nan (-inf + inf): count the rows
-            n_left, g_left = np.tile(n_left, (len(features), b, 1)), g_left.copy()
+            n_left, g_left = np.tile(n_left, (X.shape[1], b, 1)), g_left.copy()
             for j, i, p in zip(*np.nonzero(rounded_up)):
                 n_left[j, i, p] = sorted_cols[j, i].searchsorted(thresholds[j, i, p], side="right")
                 g_left[j, i, p] = cum[j, i, n_left[j, i, p] - 1]
@@ -243,17 +230,21 @@ def split_shortlist(
             ok = candidate & ((nl >= min_samples_leaf) & (nr >= min_samples_leaf))
             side_gain = np.where(ok, side_gain, -np.inf)
             gain = side_gain if gain is None else np.maximum(gain, side_gain)
-    # every node's split over all its features, its (k, c) grid in candidate order
-    best, split, first = _decide(gain.transpose(1, 0, 2).reshape(b, -1), np.array(tol))
-    features = tuple(features)
+    if drawn is not None:
+        gain[~drawn.T] = -np.inf
+    # every node's split: the first candidate of its (k, c) grid, in candidate
+    # order, within tol of its best, when that best is above tol
+    grid, tol_all = gain.transpose(1, 0, 2).reshape(b, -1), np.array(tol)
+    best = grid.max(axis=1)
+    split, first = best > tol_all, (grid >= (best - tol_all)[:, None]).argmax(axis=1)
     result = []
     for i, (at, s, top) in enumerate(zip(first.tolist(), split.tolist(), best.tolist())):
         j, p = divmod(at, gain.shape[2])
-        choice = (features[j], float(thresholds[j, i, p]), float(gain[j, i, p])) if s else None
+        choice = (j, float(thresholds[j, i, p]), float(gain[j, i, p])) if s else None
         # the last side sends missing values left; with one side it is ``gain``
         default_left = len(sides) == 1 or bool(side_gain[j, i, p] >= top - tol[i])
         result.append(
-            NodeGains(features, thresholds[:, i], gain[:, i], tol[i], choice, default_left)
+            NodeGains(thresholds[:, i], gain[:, i], tol[i], choice, default_left)
         )
     return result
 
@@ -261,30 +252,16 @@ def split_shortlist(
 def best_split(
     X: np.ndarray,
     y: np.ndarray,
-    features: Sequence[int] | None = None,
     min_samples_leaf: int = 1,
     gains: NodeGains | None = None,
 ) -> tuple[int, float, float] | None:
-    """The node's split (feature, threshold, approximate gain), or None.
-
-    ``gains`` is the node's precomputed ``split_shortlist`` result, scored
-    over at least ``features``; without it the node is scored as a batch of
-    one. Over fewer features than were scored, such as random forest's drawn
-    ones, the rule is applied to their rows of the gain grid.
-    """
+    """The node's split (feature, threshold, approximate gain), or None, as the
+    kernel decided it: ``gains`` is the node's precomputed ``split_shortlist``
+    result; without it the node is scored as a batch of one."""
     if gains is None:
-        X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
-    features = tuple(range(X.shape[1]) if features is None else features)
-    node = gains or split_shortlist([(X, y)], features, min_samples_leaf)[0]
-    if features == node.features:
-        return node.choice
-    rows = [node.features.index(f) for f in features]
-    gain = node.gain[rows]
-    _, split, first = _decide(gain.reshape(1, -1), node.tol)
-    if not split[0]:
-        return None
-    j, p = divmod(int(first[0]), gain.shape[1])
-    return int(features[j]), float(node.thresholds[rows[j], p]), float(gain[j, p])
+        node = (np.asarray(X, dtype=float), np.asarray(y, dtype=float))
+        gains = split_shortlist([node], min_samples_leaf)[0]
+    return gains.choice
 
 
 # (feature, threshold, default_left or None, left row mask)
@@ -306,9 +283,9 @@ def grow_trees(
 
     A level's nodes are scored and decided tree by tree, and within a tree in
     creation order (left child before right), so random draws in ``score``
-    or ``find_split`` follow that order. ``find_split`` runs only at nodes
-    that pass the depth and size checks; it gets the node's rows in their
-    original order and the node's ``NodeGains``. ``score`` (a batched
+    follow that order. ``find_split`` runs only at nodes that pass the depth
+    and size checks; it gets the node's rows in their original order and the
+    node's ``NodeGains``. ``score`` (a batched
     ``split_shortlist``) runs once per level, over chunks of ``SCORE_CHUNK``
     of those nodes, before any of them is decided. Each tree keeps its nodes
     in the order they were created.
@@ -319,7 +296,7 @@ def grow_trees(
     def add(tree: int, X: np.ndarray, t: np.ndarray, depth: int) -> int:
         nodes = trees[tree]
         i = len(nodes)
-        nodes.append([LEAF, np.nan, i, i, leaf_value(t), t.size, -1, depth])
+        nodes.append([LEAF, np.nan, i, leaf_value(t), -1, depth])
         if depth < params.max_depth and t.size >= params.min_samples_split:
             level.append((tree, i, X, t))
         return i
@@ -337,9 +314,9 @@ def grow_trees(
                 continue
             feature, threshold, default_left, mask = split
             node = trees[tree][i]
-            left, right = (add(tree, X[rows], t[rows], node[7] + 1) for rows in (mask, ~mask))
+            _, right = (add(tree, X[rows], t[rows], node[5] + 1) for rows in (mask, ~mask))
             default_left = -1 if default_left is None else int(default_left)
-            node[:4], node[6] = (feature, threshold, left, right), default_left
+            node[:3], node[4] = (feature, threshold, right), default_left
 
     return [RegressionTree(*map(np.array, zip(*nodes))) for nodes in trees]
 
@@ -353,37 +330,41 @@ def grow_forest(
 ) -> list[RegressionTree]:
     """One CART tree per (X, y) sample, grown together until depth, size, or gain
     stops them. At each searched node ``n_feature_subset`` features and, with
-    ``random_thresholds``, extra trees' cuts are drawn from ``rng``."""
+    ``random_thresholds``, extra trees' cuts are drawn from ``rng`` as the
+    node is scored."""
     samples = [(np.asarray(X, dtype=float), np.asarray(y, dtype=float)) for X, y in samples]
     if any(y.size == 0 for _, y in samples):
         raise EmptyTrainError("cannot grow a tree on an empty training set")
-    every_feature = tuple(range(samples[0][0].shape[1]))
+    k = samples[0][0].shape[1]
 
     def draw_features() -> Sequence[int]:
         if n_feature_subset is None:
-            return every_feature
-        return np.sort(rng.choice(len(every_feature), size=n_feature_subset, replace=False))
+            return range(k)
+        return np.sort(rng.choice(k, size=n_feature_subset, replace=False))
 
     def find_split(X: np.ndarray, y: np.ndarray, gains: NodeGains) -> Split | None:
-        features = every_feature if random_thresholds else draw_features()
-        split = best_split(X, y, features, params.min_samples_leaf, gains)
+        split = best_split(X, y, params.min_samples_leaf, gains)
         if split is None:
             return None
         feature, threshold, _ = split
         return feature, threshold, None, X[:, feature] <= threshold
 
     def score(nodes: list[tuple[np.ndarray, np.ndarray]]) -> list[NodeGains]:
-        cuts = None
+        cuts = drawn = None
         if random_thresholds:  # per node: its features, then one cut per non-constant one
             starts = list(accumulate([y.size for _, y in nodes[:-1]], initial=0))
             Xy = np.column_stack([np.concatenate(arrays) for arrays in zip(*nodes)])
             lows, highs = (f.reduceat(Xy, starts).tolist() for f in (np.minimum, np.maximum))
-            cuts = np.full((len(nodes), len(every_feature)), np.nan)
+            cuts = np.full((len(nodes), k), np.nan)
             for cut, lo, hi in zip(cuts, lows, highs):
                 live = [f for f in draw_features() if lo[f] != hi[f]]
                 if live and lo[-1] != hi[-1]:  # a pure node (last column y) draws no cut
                     cut[live] = rng.uniform([lo[f] for f in live], [hi[f] for f in live])
-        return split_shortlist(nodes, every_feature, params.min_samples_leaf, cuts=cuts)
+        elif n_feature_subset is not None:  # random forest: per node, its features
+            drawn = np.zeros((len(nodes), k), dtype=bool)
+            for row in drawn:
+                row[draw_features()] = True
+        return split_shortlist(nodes, params.min_samples_leaf, cuts=cuts, drawn=drawn)
 
     def leaf_value(t: np.ndarray) -> float:
         # np.mean of float64 is this same pairwise sum divided by the count
@@ -402,8 +383,7 @@ def stack_trees(trees: Sequence[RegressionTree]) -> RegressionTree:
     sizes = [tree.feature.size for tree in trees]
     names = [f.name for f in fields(RegressionTree)]
     arrays = {name: np.concatenate([getattr(tree, name) for tree in trees]) for name in names}
-    for child in ("left", "right"):
-        arrays[child] += np.repeat(np.cumsum([0] + sizes[:-1]), sizes)
+    arrays["right"] += np.repeat(np.cumsum([0] + sizes[:-1]), sizes)
     return RegressionTree(**arrays)
 
 
@@ -413,8 +393,8 @@ def walk_trees(nodes: RegressionTree, X: np.ndarray) -> np.ndarray:
     The (row, root) pairs form one flat index vector, and all walks step down
     one level together, as many times as the deepest node is deep: x, read
     from ``X.ravel()`` at row * k + feature, steps to ``right - (x <=
-    threshold)``, since ``right == left + 1`` at a split; a leaf is its own
-    child with a NaN threshold, so it stays put. A missing value takes the
+    threshold)``, since a split's left child is ``right - 1``; a leaf is its
+    own child with a NaN threshold, so it stays put. A missing value takes the
     default direction.
     """
     n, k = X.shape

@@ -259,18 +259,15 @@ def leaf_weight(g_sum: float, h_sum: float, lam: float) -> float:
 
 
 def _best_regularized_split(
-    X: np.ndarray, g: np.ndarray, cfg: BoostConfig, gains: NodeGains | None = None
+    X: np.ndarray, g: np.ndarray, cfg: BoostConfig, gains: NodeGains
 ) -> tuple[int, float, bool, np.ndarray, float] | None:
     """(feature, threshold, default_left, left row mask, gain) of the node's split, or None.
 
-    The node's ``cart.split_shortlist`` gains (``gains``, or the node scored
-    as a batch of one) choose the candidate and its missing-value direction.
-    It is taken when its penalized gain, over the sums of its two sides, is
-    positive. Under squared loss every hessian is 1, so each hessian sum is
-    the side's row count.
+    The node's ``cart.split_shortlist`` gains choose the candidate and its
+    missing-value direction. It is taken when its penalized gain, over the
+    sums of its two sides, is positive. Under squared loss every hessian is
+    1, so each hessian sum is the side's row count.
     """
-    if gains is None:
-        gains = split_shortlist([(X, g)], range(X.shape[1]), cfg.tree.min_samples_leaf, cfg.lam)[0]
     if gains.choice is None:
         return None
     feature, threshold, _ = gains.choice
@@ -299,7 +296,6 @@ def fit_regularized_booster(X: np.ndarray, y: np.ndarray, cfg: BoostConfig) -> E
     n = y.size
     base = float(np.mean(y))
     pred = np.full(n, base)
-    every_feature = range(X.shape[1])
 
     def leaf(g: np.ndarray) -> float:
         return leaf_weight(float(g.sum()), float(g.size), cfg.lam)
@@ -309,7 +305,7 @@ def fit_regularized_booster(X: np.ndarray, y: np.ndarray, cfg: BoostConfig) -> E
         return None if split is None else split[:4]
 
     def score(nodes: list[tuple[np.ndarray, np.ndarray]]) -> list[NodeGains]:
-        return split_shortlist(nodes, every_feature, cfg.tree.min_samples_leaf, cfg.lam)
+        return split_shortlist(nodes, cfg.tree.min_samples_leaf, cfg.lam)
 
     members: list[tuple[RegressionTree, float]] = []
     for _ in range(cfg.n_rounds):

@@ -9,6 +9,7 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 import pytest
 
+from costlab.cart import LEAF
 from costlab.data import Dataset, FeatureVector, ProjectRecord, synthesize
 
 
@@ -39,6 +40,24 @@ def random_dataset(n, seed, target_fn=None, noise=0.0):
     if noise:
         y = y * (1.0 + rng.uniform(-noise, noise, n))
     return make_dataset(X, y)
+
+
+def node_sizes(tree, X) -> np.ndarray:
+    """How many rows of X reach each node of a one-root tree, each row walked
+    alone: a missing value goes left only where its node's default is left,
+    as the grower partitions a node's rows."""
+    sizes = np.zeros(tree.feature.size, dtype=int)
+    for x in np.asarray(X, dtype=float):
+        node = 0
+        sizes[node] += 1
+        while tree.feature[node] != LEAF:
+            value = x[tree.feature[node]]
+            go_left = value <= tree.threshold[node] or (
+                np.isnan(value) and tree.default_left[node] == 1
+            )
+            node = tree.right[node] - 1 if go_left else tree.right[node]
+            sizes[node] += 1
+    return sizes
 
 
 @pytest.fixture(scope="session")

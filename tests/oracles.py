@@ -5,8 +5,9 @@ with an array form; the package itself never calls them. The fuzzy section
 also holds an inference that defuzzifies every row, fired or not, for the
 package's shortcut on rows that fire no rule. The split-search section also
 holds the exact scorers that the kernel's decision replaced, the scalar
-extra-trees cut scorer that its cut candidates replaced, and the
-exact-arithmetic checks of its tie rule. The network trainer with a
+extra-trees cut scorer that its cut candidates replaced, random forest's
+decide-time feature draw and subset rule that its ``drawn`` mask replaced,
+and the exact-arithmetic checks of its tie rule. The network trainer with a
 velocity and a momentum step per layer array is the reference for the
 package's one step over a flat parameter vector, and backpropagation with
 new arrays for every activation, derivative and gradient is the reference
@@ -25,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from costlab.cart import LEAF, RegressionTree, _cart_bound
+from costlab.cart import LEAF, RegressionTree, _cart_bound, split_shortlist
 from costlab.cbr import DEFAULT_WEIGHTS
 from costlab.data import FeatureVector
 from costlab.ensemble import CombineRule, split_gain
@@ -336,7 +337,7 @@ def walk_trees_2d(nodes, X):
                     "tree was grown without missing-value default directions"
                 )
             go_left = np.where(missing, default == 1, go_left)
-        at = np.where(go_left, nodes.left[at], nodes.right[at])
+        at = np.where(go_left, nodes.right[at] - 1, nodes.right[at])
     return nodes.value[at]
 
 
@@ -395,12 +396,12 @@ def grow_trees_one_node_at_a_time(samples, params, leaf_value, find_split, score
     def lay_out(root):
         queue = [root]  # a node's row is its place in the queue
         for i, tree_node in enumerate(queue):
-            row = dict(feature=LEAF, threshold=np.nan, left=i, right=i, value=tree_node["value"],
-                       n=tree_node["t"].size, default_left=-1, depth=tree_node["depth"])
+            row = dict(feature=LEAF, threshold=np.nan, right=i, value=tree_node["value"],
+                       default_left=-1, depth=tree_node["depth"])
             if tree_node["split"] is not None:
                 feature, threshold, default_left = tree_node["split"]
-                row.update(feature=feature, threshold=threshold, left=len(queue),
-                           right=len(queue) + 1, default_left=default_left)
+                row.update(feature=feature, threshold=threshold, right=len(queue) + 1,
+                           default_left=default_left)
                 queue += tree_node["children"]
             yield row
 
@@ -524,6 +525,35 @@ def grow_extra_trees_one_node_at_a_time(samples, params, rng, n_feature_subset):
 
     return grow_trees_one_node_at_a_time(samples, params, lambda t: float(t.sum()) / t.size,
                                          find_split)
+
+
+def subset_choice(gains, features):
+    """Random forest's decide-time rule: the kernel's split rule applied to the
+    rows of the sorted drawn ``features`` in a node's full ``NodeGains`` grid."""
+    gain = gains.gain[features]
+    best = gain.max()
+    if not best > gains.tol:
+        return None
+    j, p = divmod(int((gain.ravel() >= best - gains.tol).argmax()), gain.shape[1])
+    return int(features[j]), float(gains.thresholds[features[j], p]), float(gain[j, p])
+
+
+def grow_random_forest_one_node_at_a_time(samples, params, rng, n_feature_subset):
+    """``cart.grow_forest`` with a feature subset through the plain grower: each
+    searched node is scored over every feature, then draws its sorted subset as
+    ``find_split`` decides it with ``subset_choice``."""
+    def find_split(X, y, gains):
+        features = np.sort(rng.choice(X.shape[1], size=n_feature_subset, replace=False))
+        split = subset_choice(gains, features)
+        if split is None:
+            return None
+        feature, threshold, _ = split
+        return feature, threshold, None, X[:, feature] <= threshold
+
+    return grow_trees_one_node_at_a_time(
+        samples, params, lambda t: float(t.sum()) / t.size, find_split,
+        lambda nodes: split_shortlist(nodes, params.min_samples_leaf),
+    )
 
 
 def midpoints(col):

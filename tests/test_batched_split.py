@@ -6,13 +6,16 @@ of random nodes (1-32 per batch, 1-111 rows each, with ties, duplicate
 partitions, midpoints that round up, missing values, tiny spreads and pure
 nodes), each node's batched decision must agree with the full exact search of
 ``test_split_shortlist`` under the tie rule checked there, also over random
-forest's feature subsets drawn after the batch. ``cart.grow_trees`` grows
-all the trees of a fit together a depth level at a time, scores each level in
-chunks and keeps each tree's nodes in growth order; every tree learner must
-grow the same eight node arrays as a plain level-order grower that scores one
-node at a time, and a chunk of one node must change nothing. Extra trees must
-also grow the same arrays as that grower deciding each node with the scalar
-cut scorer, which draws the node's features and cuts as it decides it.
+forest's feature subsets passed as the kernel's ``drawn`` mask.
+``cart.grow_trees`` grows all the trees of a fit together a depth level at a
+time, scores each level in chunks and keeps each tree's nodes in growth
+order; every tree learner must grow the same six node arrays as a plain
+level-order grower that scores one node at a time, and a chunk of one node
+must change nothing. Extra trees must also grow the same arrays as that
+grower deciding each node with the scalar cut scorer, which draws the node's
+features and cuts as it decides it, and random forest the same arrays as that
+grower drawing each node's features as it decides it and applying the split
+rule to their rows of the node's full gain grid.
 """
 
 from dataclasses import fields
@@ -25,8 +28,12 @@ from costlab.bench import BenchConfig, _train_test, derive_seed
 from costlab.cart import RegressionTree, TreeParams, best_split, split_shortlist
 from costlab.ensemble import RF_FEATURE_SUBSET, BoostConfig, _best_regularized_split
 from costlab.zoo import build_model
-from conftest import make_dataset
-from oracles import grow_extra_trees_one_node_at_a_time, grow_trees_one_node_at_a_time
+from conftest import make_dataset, node_sizes
+from oracles import (
+    grow_extra_trees_one_node_at_a_time,
+    grow_random_forest_one_node_at_a_time,
+    grow_trees_one_node_at_a_time,
+)
 from test_split_shortlist import (
     check_cart,
     check_regularized,
@@ -67,21 +74,25 @@ def test_batched_cart_choice_equals_full_search():
         nodes = random_batch(rng)
         min_leaf = int(rng.integers(1, 4))
         k = nodes[0][0].shape[1]
-        gains = split_shortlist(nodes, range(k), min_leaf)
+        gains = split_shortlist(nodes, min_leaf)
+        drawn = np.ones((len(nodes), k), dtype=bool)
+        if k > 1:  # as random forest draws them, node by node
+            for row in drawn:
+                size = int(rng.integers(1, k))
+                row[:] = np.isin(np.arange(k), rng.choice(k, size=size, replace=False))
+        masked = split_shortlist(nodes, min_leaf, drawn=drawn)
         sizes = {t.size for _, t in nodes}
         seen["batches"] += 1
         seen["single"] += len(nodes) == 1
-        for (X, y), node_gains in zip(nodes, gains):
+        for (X, y), node_gains, drawn_gains, row in zip(nodes, gains, masked, drawn):
             seen["padded"] += y.size < max(sizes)
-            subsets = [np.arange(k)]
-            if k > 1:  # as random forest draws them, after the batch is scored
-                size = int(rng.integers(1, k))
-                subsets.append(np.sort(rng.choice(k, size=size, replace=False)))
-            for features in subsets:
+            decisions = [(np.arange(k), best_split(X, y, min_leaf, node_gains), node_gains.tol)]
+            if k > 1:
+                decisions.append((np.flatnonzero(row), drawn_gains.choice, drawn_gains.tol))
+            for features, got, tol in decisions:
                 expected = full_cart_search(X, y, features, min_leaf)
-                got = best_split(X, y, features, min_leaf, node_gains)
                 seen["subset"] += features.size < k
-                check_cart(X, y, got, expected, node_gains.tol)
+                check_cart(X, y, got, expected, tol)
                 if got is None:
                     seen["none"] += 1
                     seen["near_pure"] += 0 < np.ptp(y) < 1e-8
@@ -99,8 +110,7 @@ def test_batched_regularized_choice_equals_full_search(lam):
         gamma = float(rng.choice([0.0, 0.5]))
         min_leaf = int(rng.integers(1, 4))
         cfg = BoostConfig(lam=lam, gamma=gamma, tree=TreeParams(min_samples_leaf=min_leaf))
-        k = nodes[0][0].shape[1]
-        gains = split_shortlist(nodes, range(k), min_leaf, lam)
+        gains = split_shortlist(nodes, min_leaf, lam)
         largest = max(g.size for _, g in nodes)
         for (X, g), node_gains in zip(nodes, gains):
             seen["padded"] += g.size < largest
@@ -120,8 +130,8 @@ def test_padding_is_invisible_to_a_node():
     rng = np.random.default_rng(5)
     small = (rng.uniform(0, 10, (6, 3)), rng.normal(0, 1, 6))
     large = (rng.uniform(0, 10, (90, 3)), rng.normal(0, 1, 90))
-    alone = split_shortlist([small], range(3), 1)[0]
-    batched = split_shortlist([large, small], range(3), 1)[1]
+    alone = split_shortlist([small], 1)[0]
+    batched = split_shortlist([large, small], 1)[1]
     width = alone.gain.shape[1]
     assert alone.gain.tobytes() == batched.gain[:, :width].tobytes()
     assert alone.thresholds.tobytes() == batched.thresholds[:, :width].tobytes()
@@ -231,6 +241,28 @@ def test_extra_trees_equal_the_scalar_cut_scorer(n, seed, depth, flat, chunk, mo
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field.name
 
 
+@pytest.mark.parametrize("chunk", [1, 128])
+@pytest.mark.parametrize("n_feature_subset", [1, 2, 3, 4])
+@pytest.mark.parametrize("n, seed, depth", [(30, 0, 6), (111, 1, 6), (60, 2, 10)])
+def test_random_forest_equals_the_decide_time_subset_rule(n, seed, depth, n_feature_subset, chunk,
+                                                          monkeypatch):
+    # the same draws in the same order, and the same decisions, as drawing each
+    # node's features as it is decided and deciding over their rows of its gains
+    X, y = _arrays(n, seed)
+    params = TreeParams(depth, 1, 2) if depth > 6 else TreeParams(max_depth=depth)
+    samples = [(X, y), (X[::2], y[::2]), (X[1::3], y[1::3]), (X, y)]
+    monkeypatch.setattr(cart, "SCORE_CHUNK", chunk)
+    batched = cart.grow_forest(samples, params, np.random.default_rng(seed), n_feature_subset)
+    reference = grow_random_forest_one_node_at_a_time(samples, params,
+                                                      np.random.default_rng(seed), n_feature_subset)
+    assert len(batched) == len(reference) == len(samples)
+    assert sum((tree.feature != cart.LEAF).sum() for tree in batched) > 10
+    for got, expected in zip(batched, reference):
+        for field in fields(RegressionTree):
+            a, b = getattr(got, field.name), getattr(expected, field.name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field.name
+
+
 def test_regularized_tree_with_missing_values_equals_the_recursion(monkeypatch):
     X, y = _arrays(80, 3, missing=True)
     params = {"n_rounds": "4", "lam": "0.5", "gamma": "1.0", "max_depth": "5"}
@@ -249,18 +281,19 @@ def test_every_tree_keeps_its_nodes_in_growth_order(model_id):
     model = build_model(model_id, {}, derive_seed(42, model_id)).fit(train)
     for tree in _trees(model):
         split = np.flatnonzero(tree.feature != cart.LEAF)
+        leaf = np.flatnonzero(tree.feature == cart.LEAF)
         assert tree.roots.tolist() == [0]
-        assert (tree.right[split] == tree.left[split] + 1).all()
-        assert (tree.left[split] > split).all()
+        assert (tree.right[split] - 1 > split).all()
+        assert (tree.right[leaf] == leaf).all()
         assert (np.diff(tree.depth) >= 0).all()
 
 
 # -- how the grower batches --------------------------------------------------------------------
 
 
-def _searched_depths(tree, params):
-    """Depth of every node that passed the depth and size checks."""
-    searched = (tree.depth < params.max_depth) & (tree.n >= params.min_samples_split)
+def _searched_depths(tree, params, X):
+    """Depth of every node of a tree grown on rows X that passed the depth and size checks."""
+    searched = (tree.depth < params.max_depth) & (node_sizes(tree, X) >= params.min_samples_split)
     return tree.depth[searched]
 
 
@@ -282,11 +315,11 @@ def test_draw_free_learners_score_one_batch_per_depth_level(monkeypatch):
     params = TreeParams()
     sizes = _record_batches(monkeypatch)
     tree = cart.grow(X, y, params)
-    depths = _searched_depths(tree, params)
+    depths = _searched_depths(tree, params, X)
     assert sizes == np.bincount(depths).tolist()
     sizes.clear()
     booster = ensemble.fit_regularized_booster(X, y, BoostConfig(n_rounds=1))
-    assert sizes == np.bincount(_searched_depths(booster.members[0][0], params)).tolist()
+    assert sizes == np.bincount(_searched_depths(booster.members[0][0], params, X)).tolist()
 
 
 @pytest.mark.parametrize("model_id", ["bagging", "random_forest", "extra_trees"])
@@ -294,9 +327,18 @@ def test_a_forest_scores_each_depth_level_of_all_its_members_together(model_id, 
     # the default 100-member fit of the seed-42 bench; a level takes up to nine chunks
     train, _ = _train_test(BenchConfig(), 42)
     sizes = _record_batches(monkeypatch)
+    samples = []  # each member's training rows
+    grow_forest = ensemble.grow_forest
+
+    def recording(members, *args):
+        samples.extend(members)
+        return grow_forest(members, *args)
+
+    monkeypatch.setattr(ensemble, "grow_forest", recording)
     model = build_model(model_id, {}, derive_seed(42, model_id)).fit(train)
     params = TreeParams()
-    searched = sum(_searched_depths(tree, params).size for tree in _trees(model))
+    searched = sum(_searched_depths(tree, params, X).size
+                   for tree, (X, _) in zip(_trees(model), samples, strict=True))
     assert len(sizes) <= 35 and max(sizes) <= cart.SCORE_CHUNK
     assert sum(sizes) == searched
 
@@ -317,5 +359,5 @@ def test_the_split_decision_runs_once_per_searched_node(monkeypatch):
     for n_feature_subset in (None, 2):
         calls.clear()
         tree, = cart.grow_forest([(X, y)], params, np.random.default_rng(1), n_feature_subset)
-        assert len(calls) == _searched_depths(tree, params).size
-        assert all(args[4] is not None for args in calls)  # each with its precomputed gains
+        assert len(calls) == _searched_depths(tree, params, X).size
+        assert all(args[3] is not None for args in calls)  # each with its precomputed gains

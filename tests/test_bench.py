@@ -19,7 +19,7 @@ from costlab.bench import (
 )
 from costlab.cbr import CbrPredictor
 from costlab.cli import main as cli_main
-from costlab.core import EvalReport, Predictor
+from costlab.core import EvalReport
 from costlab.data import FeatureVector
 from costlab.errors import ConfigError
 from costlab.metrics import MapeCategory
@@ -84,9 +84,12 @@ seed = 99
             parse_config("[model.not_a_model]\nx = 1\n")
 
     def test_unknown_hyperparameter_rejected_at_build(self):
-        cfg = parse_config("[models]\nenabled = cart\n\n[model.cart]\nbogus = 1\n")
         with pytest.raises(ConfigError):
-            run_bench(cfg, seed=0)
+            parse_config("[models]\nenabled = cart\n\n[model.cart]\nbogus = 1\n")
+
+    def test_section_of_a_disabled_model_is_checked(self):
+        with pytest.raises(ConfigError, match="svr"):
+            parse_config("[models]\nenabled = cart\n\n[model.svr]\nbogus = 1\nc = -5\n")
 
     def test_both_split_forms_rejected(self):
         with pytest.raises(ConfigError):
@@ -115,6 +118,8 @@ seed = 99
             {"enabled": ()},
             {"enabled": ("cart", "cart")},
             {"model_params": {"not_a_model": {}}},
+            {"enabled": ("cart",), "model_params": {"svr": {"bogus": "1", "c": "-5"}}},
+            {"enabled": ("cart",), "model_params": {"svr": {"c": "-5"}}},
         ],
     )
     def test_config_built_in_code_is_checked(self, kwargs):
@@ -188,14 +193,10 @@ class TestBadHyperparameters:
             build_model(model_id, params, 0)
 
     @pytest.mark.parametrize("model_id, params", BAD_HYPERPARAMETERS)
-    def test_run_bench_fails_before_any_fit(self, model_id, params, monkeypatch):
-        fits = []
-        monkeypatch.setattr(Predictor, "fit", lambda self, train: fits.append(self))
+    def test_bench_config_raises_config_error(self, model_id, params):
         enabled = tuple(dict.fromkeys(("cart", model_id)))  # a duplicate id is a ConfigError
-        cfg = BenchConfig(enabled=enabled, model_params={model_id: params})
-        with pytest.raises(ConfigError):
-            run_bench(cfg, seed=0)
-        assert fits == []
+        with pytest.raises(ConfigError, match=model_id):
+            BenchConfig(enabled=enabled, model_params={model_id: params})
 
     @pytest.mark.parametrize(
         "section",
@@ -203,6 +204,7 @@ class TestBadHyperparameters:
             "[models]\nenabled = cart, svr\n\n[model.svr]\nc = 0\n",
             "[models]\nenabled = cart, genetic_fuzzy\n\n[model.genetic_fuzzy]\nelitism_count = 0\n",
             "[models]\nenabled = bagging\n\n[model.bagging]\nn_members = 0\n",
+            "[models]\nenabled = cart\n\n[model.svr]\nbogus = 1\nc = -5\n",
             "[data]\nn = 0\n",
             "[data]\nnoise_pct = -1\n",
             "[data]\nnoise_pct = inf\n",
@@ -217,6 +219,7 @@ class TestBadHyperparameters:
             "svr_c",
             "genetic_fuzzy_elitism_count",
             "bagging_n_members",
+            "disabled_svr",
             "data_n",
             "data_noise_pct",
             "data_noise_pct_inf",

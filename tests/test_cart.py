@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_dataset
+from conftest import node_sizes, random_dataset
 from costlab.cart import (
     LEAF,
     TreeParams,
@@ -74,7 +74,7 @@ class TestBestSplit:
             y = rng.uniform(0, 100, n)
             mine = best_split(X, y)
             oracle = brute_force_split(X, y)
-            tol = split_shortlist([(X, y)], range(2), 1)[0].tol
+            tol = split_shortlist([(X, y)], 1)[0].tol
             check_tie_rule(cart_key(mine), cart_key(oracle),
                            lambda k: exact_gain(y, left_mask(X, *k)), tol)
             if mine is not None and oracle is not None:
@@ -101,7 +101,7 @@ class TestGrow:
         y = np.array([5.0, 5.0, 5.0, 9.0, 9.0, 9.0])
         tree = grow(X, y)
         assert tree.feature[0] == 0 and tree.threshold[0] == 6.5
-        left, right = tree.left[0], tree.right[0]
+        left, right = tree.right[0] - 1, tree.right[0]
         assert tree.feature[left] == LEAF and tree.value[left] == 5.0
         assert tree.feature[right] == LEAF and tree.value[right] == 9.0
 
@@ -120,7 +120,7 @@ class TestGrow:
         for i in range(40):
             leaf = _route(tree, X[i])
             assert tree.value[leaf] == pytest.approx(np.mean(members[leaf]), rel=1e-12)
-            assert tree.n[leaf] == len(members[leaf])
+            assert len(members[leaf]) >= TreeParams().min_samples_leaf
 
     def test_mass_conservation(self):
         rng = np.random.default_rng(2)
@@ -129,7 +129,7 @@ class TestGrow:
             y = rng.uniform(0, 100, 50)
             tree = grow(X, y)
             leaves = tree.feature == LEAF
-            total = sum(n * v for n, v in zip(tree.n[leaves], tree.value[leaves]))
+            total = sum(n * v for n, v in zip(node_sizes(tree, X)[leaves], tree.value[leaves]))
             assert total == pytest.approx(float(np.sum(y)), rel=1e-9)
 
     def test_deeper_trees_never_increase_training_sse(self):
@@ -161,7 +161,7 @@ def _route(tree, x):
     node = 0
     while tree.feature[node] != LEAF:
         go_left = x[tree.feature[node]] <= tree.threshold[node]
-        node = tree.left[node] if go_left else tree.right[node]
+        node = tree.right[node] - 1 if go_left else tree.right[node]
     return int(node)
 
 
@@ -175,7 +175,7 @@ class TestPredictTree:
         X = np.array([[1.0], [2.0], [3.0], [10.0], [11.0], [12.0]])
         y = np.array([5.0, 5.0, 5.0, 9.0, 9.0, 9.0])
         tree = grow(X, y)
-        assert predict_tree(tree, [[tree.threshold[0]]]).tolist() == [tree.value[tree.left[0]]]
+        assert predict_tree(tree, [[tree.threshold[0]]]).tolist() == [tree.value[tree.right[0] - 1]]
 
     def test_missing_rejected_without_default_directions(self):
         X = np.array([[1.0], [2.0], [3.0], [10.0], [11.0], [12.0]])

@@ -3,7 +3,8 @@
 Each tree learner of the default ``costlab bench`` run (seed 42) is fit with
 its split decision wrapped, and at every searched node the exact scorer of
 ``tests/oracles.py`` decides too: the row-mask SSE loop for CART, bagging,
-random forest, AdaBoost.R2 and gradient boosting, the mask loop over both
+random forest (over the features it drew, the only ones with gains),
+AdaBoost.R2 and gradient boosting, the mask loop over both
 missing-value directions for the regularized booster, and the SSE loop over
 the drawn uniform cuts, which the kernel scored, for extra trees. The exact
 scorers run over the candidates within 1e-7 of the node's spread of the best
@@ -43,12 +44,12 @@ TREE_LEARNERS = (
 )
 
 
-def shortlist(gains, features, tol):
-    """(feature, thresholds) of the candidates within ``tol`` of the best gain over ``features``."""
-    rows = [gains.features.index(f) for f in features]
-    floor = max(gains.gain[j].max() for j in rows) - tol
-    kept = [(gains.gain[j] >= floor) & (gains.gain[j] > -np.inf) for j in rows]
-    return [(gains.features[j], gains.thresholds[j][keep]) for j, keep in zip(rows, kept)]
+def shortlist(gains, tol):
+    """(feature, thresholds) of the candidates within ``tol`` of the node's best gain;
+    a feature random forest did not draw has none."""
+    floor = gains.gain.max() - tol
+    kept = (gains.gain >= floor) & (gains.gain > -np.inf)
+    return list(enumerate(thresholds[keep] for thresholds, keep in zip(gains.thresholds, kept)))
 
 
 class Recorder:
@@ -59,11 +60,11 @@ class Recorder:
         self.searched, self.differ, self.ties = Counter(), Counter(), Counter()
         decide, regularized = cart.best_split, ensemble._best_regularized_split
 
-        def best_split_checked(X, y, features, min_samples_leaf, gains):
-            got = decide(X, y, features, min_samples_leaf, gains)
+        def best_split_checked(X, y, min_samples_leaf, gains):
+            got = decide(X, y, min_samples_leaf, gains)
             n, scale, peak = y.size, float(((y - y.mean()) ** 2).sum()), float(np.abs(y).max())
             old_tol = 1e-7 * scale + 6 * n * (n + 1) ** 2 * (EPS * peak) ** 2
-            expected = _best_candidate(X, y, shortlist(gains, features, old_tol), min_samples_leaf)
+            expected = _best_candidate(X, y, shortlist(gains, old_tol), min_samples_leaf)
             self.check(cart_key(got), cart_key(expected),
                        lambda k: exact_gain(y, left_mask(X, *k)), gains.tol)
             return got
@@ -71,7 +72,7 @@ class Recorder:
         def regularized_checked(X, g, cfg, gains):
             got = regularized(X, g, cfg, gains)
             old_tol = 1e-7 * float(np.abs(g).sum()) ** 2
-            expected = regularized_mask_search(X, g, cfg, shortlist(gains, gains.features, old_tol))
+            expected = regularized_mask_search(X, g, cfg, shortlist(gains, old_tol))
             self.check(regularized_key(got), regularized_key(expected), lambda k: exact_gain(
                 g, left_mask(X, k[0], k[1], not k[2]), cfg.lam, cfg.gamma), gains.tol)
             return got
@@ -122,7 +123,7 @@ def check_node(X, y, split, min_samples_leaf=1):
         if min_samples_leaf <= np.count_nonzero(X[:, f] <= threshold) <= n - min_samples_leaf
     }
     best = max(gains.values(), default=0)
-    bound = 2 * Fraction(split_shortlist([(X, y)], range(X.shape[1]), min_samples_leaf)[0].tol)
+    bound = 2 * Fraction(split_shortlist([(X, y)], min_samples_leaf)[0].tol)
     if split is None:
         assert best <= bound
     else:
@@ -163,4 +164,4 @@ def test_near_pure_trees_split_on_true_gain_only(spread):
             f, threshold = int(tree.feature[i]), float(tree.threshold[i])
             check_node(X[rows[i]], y[rows[i]], (f, threshold))
             go_left = X[:, f] <= threshold
-            rows[tree.left[i]], rows[tree.right[i]] = rows[i] & go_left, rows[i] & ~go_left
+            rows[tree.right[i] - 1], rows[tree.right[i]] = rows[i] & go_left, rows[i] & ~go_left

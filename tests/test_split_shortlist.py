@@ -1,7 +1,8 @@
 """The prefix-sum split kernel's decisions against the exact searches it replaced.
 
 ``best_split`` and ``ensemble._best_regularized_split`` take the split that
-``cart.split_shortlist`` decides from its approximate gains. The full exact
+``cart.split_shortlist`` decides from its approximate gains, over random
+forest's drawn features when a ``drawn`` mask is given. The full exact
 searches, over every midpoint of every feature, are the oracles
 (``tests/oracles.py``). On random nodes built to produce exact ties,
 duplicate partitions, midpoints that round up onto the next value and missing
@@ -40,6 +41,12 @@ def full_cart_search(X, y, features, min_samples_leaf):
 
 def full_regularized_search(X, g, cfg):
     return regularized_mask_search(X, g, cfg, ((f, midpoints(X[:, f])) for f in range(X.shape[1])))
+
+
+def regularized_split(X, g, cfg):
+    """``_best_regularized_split`` of the node scored as a batch of one."""
+    gains = split_shortlist([(X, g)], cfg.tree.min_samples_leaf, cfg.lam)[0]
+    return _best_regularized_split(X, g, cfg, gains)
 
 
 def check_cart(X, y, got, expected, tol):
@@ -122,14 +129,16 @@ def test_cart_shortlist_choice_equals_full_search():
         X, y = random_node(rng)
         min_leaf = int(rng.integers(1, 4))
         features = np.arange(X.shape[1])
-        if X.shape[1] > 1 and rng.random() < 0.5:  # as random forest passes them
+        subset = X.shape[1] > 1 and rng.random() < 0.5
+        if subset:  # as random forest draws them, passed as the kernel's drawn mask
             size = int(rng.integers(1, X.shape[1] + 1))
             features = np.sort(rng.choice(X.shape[1], size=size, replace=False))
             seen["subset"] += 1
+        drawn = np.isin(np.arange(X.shape[1]), features)[None, :]
+        node = split_shortlist([(X, y)], min_leaf, drawn=drawn)[0]
         expected = full_cart_search(X, y, features, min_leaf)
-        got = best_split(X, y, features, min_leaf)
-        tol = split_shortlist([(X, y)], features, min_leaf)[0].tol
-        check_cart(X, y, got, expected, tol)
+        got = node.choice if subset else best_split(X, y, min_leaf)
+        check_cart(X, y, got, expected, node.tol)
         if got is None:
             seen["none"] += 1
             continue
@@ -151,8 +160,8 @@ def test_regularized_shortlist_choice_equals_full_search(lam):
         min_leaf = int(rng.integers(1, 4))
         cfg = BoostConfig(lam=lam, gamma=gamma, tree=TreeParams(min_samples_leaf=min_leaf))
         expected = full_regularized_search(X, g, cfg)
-        got = _best_regularized_split(X, g, cfg)
-        tol = split_shortlist([(X, g)], range(X.shape[1]), min_leaf, lam)[0].tol
+        got = regularized_split(X, g, cfg)
+        tol = split_shortlist([(X, g)], min_leaf, lam)[0].tol
         check_regularized(X, g, cfg, got, expected, tol)
         if got is None:
             seen["none"] += 1
@@ -173,7 +182,7 @@ def test_regularized_search_scores_fewer_candidates(monkeypatch):
     X = rng.uniform(0, 10, (100, 4))
     g = rng.normal(0, 1, 100)
     cfg = BoostConfig(tree=TreeParams(min_samples_leaf=1))
-    got = _best_regularized_split(X, g, cfg)
+    got = regularized_split(X, g, cfg)
     expected = full_regularized_search(X, g, cfg)
     assert (got[0], got[1], got[2], got[4]) == (expected[0], expected[1], expected[2], expected[4])
     assert len(calls) == 1  # the full search scores 4 * 99 * 2 candidates
@@ -188,7 +197,7 @@ def test_lam_zero_midpoint_onto_the_largest_value():
     X = np.array([[low], [top], [np.nan], [low], [top], [np.nan]])
     g = np.array([1.0, -2.0, 3.0, 0.5, -1.0, 2.0])
     cfg = BoostConfig(lam=0.0, tree=TreeParams(min_samples_leaf=1))
-    assert _best_regularized_split(X, g, cfg) is not None
+    assert regularized_split(X, g, cfg) is not None
 
 
 def test_shortlist_candidate_order_and_partition():
@@ -198,9 +207,9 @@ def test_shortlist_candidate_order_and_partition():
     y = np.array([0.0, 1.0, 0.0, 1.0])
     # every candidate has the same gain, feature-major and ascending, except
     # (low + top) / 2 == top, which leaves the right side empty; the first wins
-    node = split_shortlist([(X, y)], [0, 1], 1)[0]
+    node = split_shortlist([(X, y)], 1)[0]
     scored = [
-        (f, t[g > -np.inf].tolist()) for f, t, g in zip(node.features, node.thresholds, node.gain)
+        (f, t[g > -np.inf].tolist()) for f, (t, g) in enumerate(zip(node.thresholds, node.gain))
     ]
     assert scored == [(0, [1.5, 2.5]), (1, [low / 2.0])]
     assert np.ptp(node.gain[node.gain > -np.inf]) <= node.tol
