@@ -28,8 +28,8 @@ from .data import (
     split,
     synthesize,
 )
-from .errors import ConfigError, CostLabError
-from .fuzzy import FuzzyPredictor, RuleBase, derive_rule_base
+from .errors import ConfigError, CostLabError, ParseError
+from .fuzzy import FuzzyPredictor, RuleBase, derive_rule_base, load_rules
 from .genetic_fuzzy import GeneticFuzzyPredictor
 from .zoo import DEFAULT_MODEL_IDS, MODEL_REGISTRY, build_model
 
@@ -87,8 +87,14 @@ class BenchConfig:
                 raise ConfigError(f"config section [model.{model_id}]: unknown model id")
             build_model(model_id, params, 0)  # a disabled model's section is checked too
             rule_file = params.get("rule_file")
-            if rule_file is not None and not os.path.exists(rule_file):
+            if rule_file is None:
+                continue
+            if not os.path.exists(rule_file):
                 raise ConfigError(f"[model.{model_id}] rule_file does not exist: {rule_file}")
+            try:  # parsed at fit too; a bad file fails here, not as a leaderboard row
+                load_rules(rule_file)
+            except (ParseError, OSError, UnicodeDecodeError) as exc:
+                raise ConfigError(f"[model.{model_id}] rule_file {rule_file}: {exc}") from exc
 
 
 def _model_ids(raw: str) -> tuple[str, ...]:

@@ -5,7 +5,7 @@ ensemble (``ensemble.fit_cart``). ``grow_trees`` is the one greedy grower
 behind every tree in the package. CART, AdaBoost.R2 and gradient boosting
 grow each tree through ``grow``, the three forests all their members in one
 ``grow_forest`` call, and the regularized booster calls it with its own leaf
-weight and split search. A tree is stored as six flat node arrays in the
+weight and gain test. A tree is stored as six flat node arrays in the
 order its nodes were grown, and one traversal kernel, ``walk_trees``, predicts
 for one tree or a whole ensemble. It steps to ``right - (x <= threshold)``,
 which growth order makes exact: a split's left child is ``right - 1``.
@@ -19,8 +19,9 @@ rounding bound of its best, and only when that best is above the bound, so
 ties break toward the lowest feature index, then the lowest threshold, and
 a node whose targets differ by rounding only is a leaf. Random forest's
 undrawn features are masked out before that rule, so the kernel decides every
-tree split: ``best_split`` reads the decision, and the regularized booster in
-``ensemble`` takes it with its missing-value direction.
+tree split, and the grower turns each decision, read through ``best_split``,
+into children. Only the booster learns a missing-value direction; CART sends
+missing values right.
 
 ``split_shortlist`` scores a batch of nodes in one call, along a leading node
 axis with each node's rows padded to the largest node's, so numpy's per-call
@@ -96,14 +97,15 @@ class NodeGains(NamedTuple):
     cut; ``gain`` is -inf where a slot is no candidate, as in every row of a
     feature that was not drawn. ``tol`` is the node's rounding bound.
     ``choice`` is the node's split, (feature, threshold, approximate gain), or
-    None; ``default_left`` tells whether its missing values go left.
+    None; ``default_left`` tells whether its missing values go left, and is
+    None for CART (``lam`` None), which learns no direction.
     """
 
     thresholds: np.ndarray
     gain: np.ndarray
     tol: float
     choice: tuple[int, float, float] | None
-    default_left: bool
+    default_left: bool | None
 
 
 def _cart_bound(n: int, scale: float, peak: float) -> float:
@@ -242,10 +244,9 @@ def split_shortlist(
         j, p = divmod(at, gain.shape[2])
         choice = (j, float(thresholds[j, i, p]), float(gain[j, i, p])) if s else None
         # the last side sends missing values left; with one side it is ``gain``
-        default_left = len(sides) == 1 or bool(side_gain[j, i, p] >= top - tol[i])
-        result.append(
-            NodeGains(thresholds[:, i], gain[:, i], tol[i], choice, default_left)
-        )
+        default_left = None if lam is None else (
+            len(sides) == 1 or bool(side_gain[j, i, p] >= top - tol[i]))
+        result.append(NodeGains(thresholds[:, i], gain[:, i], tol[i], choice, default_left))
     return result
 
 
@@ -264,10 +265,6 @@ def best_split(
     return gains.choice
 
 
-# (feature, threshold, default_left or None, left row mask)
-Split = tuple[int, float, bool | None, np.ndarray]
-
-
 SCORE_CHUNK = 128  # nodes per ``score`` call; it bounds the padded grids of one call
 
 
@@ -275,20 +272,21 @@ def grow_trees(
     samples: Sequence[tuple[np.ndarray, np.ndarray]],
     params: TreeParams,
     leaf_value: Callable[[np.ndarray], float],
-    find_split: Callable[[np.ndarray, np.ndarray, NodeGains], Split | None],
     score: Callable[[list[tuple[np.ndarray, np.ndarray]]], list[NodeGains]],
+    accept: Callable[[np.ndarray, np.ndarray], bool] | None = None,
 ) -> list[RegressionTree]:
     """One tree per (X, t) sample, all grown together a depth level at a time;
     ``t`` is targets or gradients.
 
-    A level's nodes are scored and decided tree by tree, and within a tree in
-    creation order (left child before right), so random draws in ``score``
-    follow that order. ``find_split`` runs only at nodes that pass the depth
-    and size checks; it gets the node's rows in their original order and the
-    node's ``NodeGains``. ``score`` (a batched
-    ``split_shortlist``) runs once per level, over chunks of ``SCORE_CHUNK``
-    of those nodes, before any of them is decided. Each tree keeps its nodes
-    in the order they were created.
+    ``score`` (a batched ``split_shortlist``) runs once per level, over chunks
+    of ``SCORE_CHUNK`` of the nodes that pass the depth and size checks,
+    before any of them is decided. A level's nodes are then decided tree by
+    tree, and within a tree in creation order (left child before right), so
+    random draws in ``score`` follow that order. Each kernel decision becomes
+    children here: the left rows are ``col <= threshold``, plus the missing
+    ones when ``default_left`` is true (stored -1 when it is None), unless
+    ``accept(t, left mask)`` refuses the split. Each tree keeps its nodes in
+    the order they were created.
     """
     trees: list[list[list]] = [[] for _ in samples]  # each tree's node fields, in creation order
     level: list[tuple[int, int, np.ndarray, np.ndarray]] = []  # (tree, node, X, t) to decide next
@@ -309,14 +307,21 @@ def grow_trees(
         for c in range(0, len(decide), SCORE_CHUNK):
             gains += score([(X, t) for *_, X, t in decide[c:c + SCORE_CHUNK]])
         for (tree, i, X, t), node_gains in zip(decide, gains):
-            split = find_split(X, t, node_gains)
+            # perfbench traces ``cart.best_split`` as the split search: keep
+            # reading every decision through it until the kernel is traced
+            split = best_split(X, t, params.min_samples_leaf, node_gains)
             if split is None:
                 continue
-            feature, threshold, default_left, mask = split
+            feature, threshold, _ = split
+            mask, default_left = X[:, feature] <= threshold, node_gains.default_left
+            if default_left:
+                mask |= np.isnan(X[:, feature])
+            if accept is not None and not accept(t, mask):
+                continue
             node = trees[tree][i]
             _, right = (add(tree, X[rows], t[rows], node[5] + 1) for rows in (mask, ~mask))
-            default_left = -1 if default_left is None else int(default_left)
-            node[:3], node[4] = (feature, threshold, right), default_left
+            node[:3] = feature, threshold, right
+            node[4] = -1 if default_left is None else int(default_left)
 
     return [RegressionTree(*map(np.array, zip(*nodes))) for nodes in trees]
 
@@ -342,13 +347,6 @@ def grow_forest(
             return range(k)
         return np.sort(rng.choice(k, size=n_feature_subset, replace=False))
 
-    def find_split(X: np.ndarray, y: np.ndarray, gains: NodeGains) -> Split | None:
-        split = best_split(X, y, params.min_samples_leaf, gains)
-        if split is None:
-            return None
-        feature, threshold, _ = split
-        return feature, threshold, None, X[:, feature] <= threshold
-
     def score(nodes: list[tuple[np.ndarray, np.ndarray]]) -> list[NodeGains]:
         cuts = drawn = None
         if random_thresholds:  # per node: its features, then one cut per non-constant one
@@ -370,7 +368,7 @@ def grow_forest(
         # np.mean of float64 is this same pairwise sum divided by the count
         return float(t.sum()) / t.size
 
-    return grow_trees(samples, params, leaf_value, find_split, score)
+    return grow_trees(samples, params, leaf_value, score)
 
 
 def grow(X: np.ndarray, y: np.ndarray, params: TreeParams = TreeParams()) -> RegressionTree:

@@ -17,9 +17,9 @@ of the gradients, for both missing-value directions, a depth level of the
 tree per batched call, and picks the first candidate in (feature, threshold)
 order within the node's rounding bound, 4 * n * eps * (sum|g|)^2 for a node
 of n rows, of the best approximate gain, sending missing values left on a
-tie of the two directions (and always when nothing is missing). The pick
-splits when its penalized gain, one ``split_gain`` over its two sides' sums,
-is positive.
+tie of the two directions (and always when nothing is missing). The grower
+keeps the pick when its penalized gain, one ``split_gain`` over its two
+sides' sums, is positive: the booster's one acceptance test.
 """
 
 from __future__ import annotations
@@ -207,30 +207,41 @@ def fit_adaboost_r2(X: np.ndarray, y: np.ndarray, cfg: ForestConfig) -> Ensemble
     return EnsembleModel(members, CombineRule.WEIGHTED_MEDIAN)
 
 
+def _boost(
+    X: np.ndarray,
+    y: np.ndarray,
+    cfg: BoostConfig,
+    grow_round: Callable[[np.ndarray, np.ndarray, np.ndarray], RegressionTree],
+) -> EnsembleModel:
+    """Both boosters' additive rounds from the mean of y: ``grow_round(X, y,
+    pred)`` grows each round's tree from the predictions so far."""
+    X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
+    _check_nonempty(y)
+    base = float(np.mean(y))
+    pred = np.full(y.size, base)
+    members: list[tuple[RegressionTree, float]] = []
+    for _ in range(cfg.n_rounds):
+        tree = grow_round(X, y, pred)
+        pred = pred + cfg.learning_rate * predict_tree(tree, X)
+        members.append((tree, cfg.learning_rate))
+    return EnsembleModel(members, CombineRule.ADDITIVE, base_score=base)
+
+
 def fit_gradient_boosting(X: np.ndarray, y: np.ndarray, cfg: BoostConfig) -> EnsembleModel:
     """Squared-loss boosting: each round fits CART to current residuals.
 
     ``subsample`` < 1 draws a without-replacement row fraction per round
     (the stochastic variant); 1.0 is plain gradient boosting.
     """
-    X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
-    _check_nonempty(y)
     rng = np.random.default_rng(cfg.seed)
-    n = y.size
-    base = float(np.mean(y))
-    pred = np.full(n, base)
-    members: list[tuple[RegressionTree, float]] = []
-    for _ in range(cfg.n_rounds):
-        residual = y - pred
+
+    def grow_round(X: np.ndarray, y: np.ndarray, pred: np.ndarray) -> RegressionTree:
+        n, idx = y.size, slice(None)
         if cfg.subsample < 1.0:
-            m = max(1, int(round(cfg.subsample * n)))
-            idx = rng.choice(n, size=m, replace=False)
-        else:
-            idx = np.arange(n)
-        tree = grow(X[idx], residual[idx], cfg.tree)
-        pred = pred + cfg.learning_rate * predict_tree(tree, X)
-        members.append((tree, cfg.learning_rate))
-    return EnsembleModel(members, CombineRule.ADDITIVE, base_score=base)
+            idx = rng.choice(n, size=max(1, int(round(cfg.subsample * n))), replace=False)
+        return grow(X[idx], (y - pred)[idx], cfg.tree)
+
+    return _boost(X, y, cfg, grow_round)
 
 
 # -- regularized second-order booster -----------------------------------------
@@ -254,66 +265,31 @@ def split_gain(
     ) - gamma
 
 
-def leaf_weight(g_sum: float, h_sum: float, lam: float) -> float:
-    return -g_sum / (h_sum + lam)
-
-
-def _best_regularized_split(
-    X: np.ndarray, g: np.ndarray, cfg: BoostConfig, gains: NodeGains
-) -> tuple[int, float, bool, np.ndarray, float] | None:
-    """(feature, threshold, default_left, left row mask, gain) of the node's split, or None.
-
-    The node's ``cart.split_shortlist`` gains choose the candidate and its
-    missing-value direction. It is taken when its penalized gain, over the
-    sums of its two sides, is positive. Under squared loss every hessian is
-    1, so each hessian sum is the side's row count.
-    """
-    if gains.choice is None:
-        return None
-    feature, threshold, _ = gains.choice
-    col = X[:, feature]
-    mask = col <= threshold
-    if gains.default_left:
-        mask |= np.isnan(col)
-    n_left = int(mask.sum())
-    gain = split_gain(float(g[mask].sum()), n_left, float(g[~mask].sum()), g.size - n_left,
-                      cfg.lam, cfg.gamma)
-    if not gain > 0:
-        return None
-    return feature, threshold, gains.default_left, mask, gain
-
-
 def fit_regularized_booster(X: np.ndarray, y: np.ndarray, cfg: BoostConfig) -> EnsembleModel:
     """Second-order boosting with leaf-weight shrinkage and missing support.
 
     Each round grows a tree on the gradients g = pred - y with
     ``cart.grow_trees``, a forest of one, scoring each depth level's
     approximate gains in batched ``split_shortlist`` calls; leaves hold
-    w* = -G/(n + lambda), n being the leaf's row count.
+    w* = -G/(n + lambda), n (every hessian being 1) the leaf's row count.
     """
-    X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
-    _check_nonempty(y)
-    n = y.size
-    base = float(np.mean(y))
-    pred = np.full(n, base)
 
     def leaf(g: np.ndarray) -> float:
-        return leaf_weight(float(g.sum()), float(g.size), cfg.lam)
+        # on g = pred - y, not on residuals: sum(y - pred) keeps +0.0 where this is -0.0
+        return -float(g.sum()) / (g.size + cfg.lam)
 
-    def find_split(X: np.ndarray, g: np.ndarray, gains: NodeGains) -> tuple | None:
-        split = _best_regularized_split(X, g, cfg, gains)
-        return None if split is None else split[:4]
+    def accept(g: np.ndarray, mask: np.ndarray) -> bool:
+        n_left = int(mask.sum())
+        return split_gain(float(g[mask].sum()), n_left, float(g[~mask].sum()), g.size - n_left,
+                          cfg.lam, cfg.gamma) > 0
 
     def score(nodes: list[tuple[np.ndarray, np.ndarray]]) -> list[NodeGains]:
         return split_shortlist(nodes, cfg.tree.min_samples_leaf, cfg.lam)
 
-    members: list[tuple[RegressionTree, float]] = []
-    for _ in range(cfg.n_rounds):
-        g = pred - y
-        tree = grow_trees([(X, g)], cfg.tree, leaf, find_split, score)[0]
-        pred = pred + cfg.learning_rate * predict_tree(tree, X)
-        members.append((tree, cfg.learning_rate))
-    return EnsembleModel(members, CombineRule.ADDITIVE, base_score=base)
+    def grow_round(X: np.ndarray, y: np.ndarray, pred: np.ndarray) -> RegressionTree:
+        return grow_trees([(X, pred - y)], cfg.tree, leaf, score, accept)[0]
+
+    return _boost(X, y, cfg, grow_round)
 
 
 # -- zoo wrapper ---------------------------------------------------------------

@@ -17,7 +17,7 @@ from .core import Predictor, TargetTransform
 from .data import Dataset, N_FEATURES
 from .errors import NonconvergenceError
 
-_ACTIVATIONS = ("tanh", "relu", "identity")
+_ACTIVATIONS = ("tanh", "relu")
 MOMENTUM = 0.9
 
 
@@ -77,8 +77,6 @@ def _activate(z: np.ndarray, activation: str) -> np.ndarray:
         return np.tanh(z, out=z)
     if activation == "relu":
         return np.maximum(0.0, z, out=z)
-    if activation == "identity":
-        return z
     raise ValueError(f"unknown activation {activation!r}; expected one of {_ACTIVATIONS}")
 
 
@@ -90,8 +88,6 @@ def _activate_deriv(a: np.ndarray, activation: str) -> np.ndarray | float:
         return 1.0 - a * a
     if activation == "relu":
         return a > 0
-    if activation == "identity":
-        return 1.0
     raise ValueError(f"unknown activation {activation!r}; expected one of {_ACTIVATIONS}")
 
 

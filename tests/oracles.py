@@ -4,10 +4,12 @@ Each is the straightforward one-value computation that the package replaced
 with an array form; the package itself never calls them. The fuzzy section
 also holds an inference that defuzzifies every row, fired or not, for the
 package's shortcut on rows that fire no rule. The split-search section also
-holds the exact scorers that the kernel's decision replaced, the scalar
-extra-trees cut scorer that its cut candidates replaced, random forest's
-decide-time feature draw and subset rule that its ``drawn`` mask replaced,
-and the exact-arithmetic checks of its tie rule. The network trainer with a
+holds the exact scorers that the kernel's decision replaced, the booster's
+split with its own left mask and acceptance test, which the grower's mask
+and ``accept`` replaced, the scalar extra-trees cut scorer that its cut
+candidates replaced, random forest's decide-time feature draw and subset
+rule that its ``drawn`` mask replaced, and the exact-arithmetic checks of
+its tie rule. The network trainer with a
 velocity and a momentum step per layer array is the reference for the
 package's one step over a flat parameter vector, and backpropagation with
 new arrays for every activation, derivative and gradient is the reference
@@ -26,10 +28,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from costlab.cart import LEAF, RegressionTree, _cart_bound, split_shortlist
+from costlab.cart import LEAF, NodeGains, RegressionTree, _cart_bound, split_shortlist
 from costlab.cbr import DEFAULT_WEIGHTS
 from costlab.data import FeatureVector
-from costlab.ensemble import CombineRule, split_gain
+from costlab.ensemble import BoostConfig, CombineRule, split_gain
 from costlab.errors import NegativeAttributeError, NoRuleFiresError, UnsupportedMissingError
 from costlab.fuzzy import MF_COUNT, FuzzyRule, InferenceResult, RuleBase
 from costlab.genetic_fuzzy import GENE_MAX, _PopulationEvaluator
@@ -172,12 +174,8 @@ def decode_and_fitness_per_candidate(evaluator, population):
 def gradients_out_of_place(w, X, targets, activation):
     """``neural.gradients`` with a new array for every pre-activation, activation,
     derivative and gradient, the gradients listed output layer first and reversed."""
-    nonlinear = {"tanh": np.tanh, "relu": lambda z: np.maximum(0.0, z), "identity": lambda z: z}
-    derivative = {
-        "tanh": lambda a: 1.0 - a * a,
-        "relu": lambda a: (a > 0).astype(float),
-        "identity": np.ones_like,
-    }
+    nonlinear = {"tanh": np.tanh, "relu": lambda z: np.maximum(0.0, z)}
+    derivative = {"tanh": lambda a: 1.0 - a * a, "relu": lambda a: (a > 0).astype(float)}
     activations = [np.atleast_2d(np.asarray(X, dtype=float))]
     for i, (W, b) in enumerate(zip(w.weights, w.biases)):
         z = activations[-1] @ W + b
@@ -363,14 +361,33 @@ def ensemble_predict_per_row(model, X):
     return model.base_score + np.array([np.dot(model._weights, row) for row in outputs])
 
 
-def grow_trees_one_node_at_a_time(samples, params, leaf_value, find_split, score=None):
+def grow_trees_one_node_at_a_time(samples, params, leaf_value, score, accept=None):
     """``cart.grow_trees`` as a plain level-order loop over nested nodes.
 
     A depth level is decided tree by tree, left child before right, and each
-    searched node is scored by ``score`` as a batch of one right before
-    ``find_split`` decides it, so nothing is batched. Each tree is then laid
-    out breadth first from a queue, a split's children numbered together.
+    searched node is scored by ``score`` as a batch of one right before its
+    kernel decision becomes its left mask, missing values left when its
+    ``default_left`` is true, and ``accept``, when given, may refuse it; so
+    nothing is batched. Each tree is then laid out breadth first from a
+    queue, a split's children numbered together.
     """
+    def find_split(X, t, gains):
+        if gains.choice is None:
+            return None
+        feature, threshold, _ = gains.choice
+        mask = left_mask(X, feature, threshold, bool(gains.default_left))
+        if accept is not None and not accept(t, mask):
+            return None
+        return feature, threshold, gains.default_left, mask
+
+    return _grow_one_node_at_a_time(samples, params, leaf_value, find_split, score)
+
+
+def _grow_one_node_at_a_time(samples, params, leaf_value, find_split, score=None):
+    """The plain level-order grower, each searched node decided by
+    ``find_split(X, t, gains)`` with its gains from ``score`` as a batch of
+    one (None without ``score``), which returns (feature, threshold,
+    default_left or None, left row mask) or None."""
     def node(X, t, depth):
         return dict(X=X, t=t, depth=depth, value=leaf_value(t), split=None, children=())
 
@@ -448,6 +465,31 @@ def _best_candidate(X, y, candidates, min_samples_leaf):
     return best
 
 
+def _best_regularized_split(
+    X: np.ndarray, g: np.ndarray, cfg: BoostConfig, gains: NodeGains
+) -> tuple[int, float, bool, np.ndarray, float] | None:
+    """(feature, threshold, default_left, left row mask, gain) of the node's split, or None.
+
+    The node's ``cart.split_shortlist`` gains choose the candidate and its
+    missing-value direction. It is taken when its penalized gain, over the
+    sums of its two sides, is positive. Under squared loss every hessian is
+    1, so each hessian sum is the side's row count.
+    """
+    if gains.choice is None:
+        return None
+    feature, threshold, _ = gains.choice
+    col = X[:, feature]
+    mask = col <= threshold
+    if gains.default_left:
+        mask |= np.isnan(col)
+    n_left = int(mask.sum())
+    gain = split_gain(float(g[mask].sum()), n_left, float(g[~mask].sum()), g.size - n_left,
+                      cfg.lam, cfg.gamma)
+    if not gain > 0:
+        return None
+    return feature, threshold, gains.default_left, mask, gain
+
+
 def regularized_mask_search(X, g, cfg, candidates):
     """The regularized booster's exact mask loop that the kernel's decision replaced.
 
@@ -523,8 +565,7 @@ def grow_extra_trees_one_node_at_a_time(samples, params, rng, n_feature_subset):
         feature, threshold, _ = split
         return feature, threshold, None, X[:, feature] <= threshold
 
-    return grow_trees_one_node_at_a_time(samples, params, lambda t: float(t.sum()) / t.size,
-                                         find_split)
+    return _grow_one_node_at_a_time(samples, params, lambda t: float(t.sum()) / t.size, find_split)
 
 
 def subset_choice(gains, features):
@@ -550,7 +591,7 @@ def grow_random_forest_one_node_at_a_time(samples, params, rng, n_feature_subset
         feature, threshold, _ = split
         return feature, threshold, None, X[:, feature] <= threshold
 
-    return grow_trees_one_node_at_a_time(
+    return _grow_one_node_at_a_time(
         samples, params, lambda t: float(t.sum()) / t.size, find_split,
         lambda nodes: split_shortlist(nodes, params.min_samples_leaf),
     )

@@ -26,10 +26,11 @@ import pytest
 from costlab import cart, ensemble
 from costlab.bench import BenchConfig, _train_test, derive_seed
 from costlab.cart import RegressionTree, TreeParams, best_split, split_shortlist
-from costlab.ensemble import RF_FEATURE_SUBSET, BoostConfig, _best_regularized_split
+from costlab.ensemble import RF_FEATURE_SUBSET, BoostConfig
 from costlab.zoo import build_model
 from conftest import make_dataset, node_sizes
 from oracles import (
+    _best_regularized_split,
     grow_extra_trees_one_node_at_a_time,
     grow_random_forest_one_node_at_a_time,
     grow_trees_one_node_at_a_time,
@@ -272,6 +273,32 @@ def test_regularized_tree_with_missing_values_equals_the_recursion(monkeypatch):
     for got, expected in zip(batched, reference):
         for field in fields(RegressionTree):
             assert getattr(got, field.name).tobytes() == getattr(expected, field.name).tobytes()
+
+
+@pytest.mark.parametrize("model_id", TREE_LEARNERS)
+def test_only_the_booster_learns_a_missing_value_direction(model_id, monkeypatch):
+    # the kernel gives CART nodes (every learner but the booster) no direction,
+    # and their trees store -1 at every node; the booster's nodes get a bool
+    X, y = _arrays(111, 5)
+    decided = []
+    kernel = cart.split_shortlist
+
+    def recording(nodes, *args, **kwargs):
+        decided.extend(kernel(nodes, *args, **kwargs))
+        return decided[-len(nodes):]
+
+    monkeypatch.setattr(cart, "split_shortlist", recording)
+    monkeypatch.setattr(ensemble, "split_shortlist", recording)
+    trees = _fit_trees(model_id, _params(model_id, 6), X, y)
+    directions = {type(gains.default_left) for gains in decided}
+    stored = np.concatenate([tree.default_left for tree in trees])
+    split = np.concatenate([tree.feature != cart.LEAF for tree in trees])
+    assert split.any()
+    if model_id == "regularized_boosting":
+        assert directions == {bool} and (stored[split] >= 0).all()
+        assert (stored[~split] == -1).all()
+    else:
+        assert directions == {type(None)} and (stored == -1).all()
 
 
 @pytest.mark.parametrize("model_id", TREE_LEARNERS)

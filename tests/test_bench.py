@@ -9,6 +9,7 @@ from costlab.bench import (
     BenchConfig,
     BenchResult,
     LeaderboardRow,
+    _train_test,
     build_rule_base,
     derive_seed,
     parse_config,
@@ -22,6 +23,7 @@ from costlab.cli import main as cli_main
 from costlab.core import EvalReport
 from costlab.data import FeatureVector
 from costlab.errors import ConfigError
+from costlab.fuzzy import derive_rule_base, save_rules
 from costlab.metrics import MapeCategory
 from costlab.zoo import build_model
 
@@ -238,6 +240,65 @@ class TestBadHyperparameters:
         err = capsys.readouterr().err
         assert "CONFIG_ERROR" in err
         assert "VALUE_ERROR" not in err
+
+
+def _bad_rule_file(tmp_path, kind):
+    """A rule file that exists but does not load, and the words its error names."""
+    if kind == "directory":
+        path = tmp_path / "rules_dir"
+        path.mkdir()
+        return str(path), "directory"
+    path = tmp_path / f"{kind}.txt"
+    path.write_text("garbage line\n" if kind == "malformed" else "universe p1_area_served 0 100\n")
+    return str(path), ("garbage line" if kind == "malformed" else "missing universe")
+
+
+class TestRuleFile:
+    """A ``[model.fuzzy] rule_file`` is loaded at config time, whether or not
+    ``fuzzy`` is enabled."""
+
+    KINDS = ["malformed", "incomplete", "directory"]
+
+    @pytest.mark.parametrize("enabled", ["cart", "fuzzy"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_parse_config(self, kind, enabled, tmp_path):
+        path, words = _bad_rule_file(tmp_path, kind)
+        name = os.path.basename(path)
+        text = f"[models]\nenabled = {enabled}\n\n[model.fuzzy]\nrule_file = {name}\n"
+        with pytest.raises(ConfigError, match=r"\[model\.fuzzy\] rule_file") as info:
+            parse_config(text, base_dir=str(tmp_path))
+        assert path in str(info.value) and words in str(info.value).lower()
+
+    @pytest.mark.parametrize("enabled", [("cart",), ("fuzzy",)])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_config_built_in_code(self, kind, enabled, tmp_path):
+        path, words = _bad_rule_file(tmp_path, kind)
+        with pytest.raises(ConfigError, match=r"\[model\.fuzzy\] rule_file") as info:
+            BenchConfig(enabled=enabled, model_params={"fuzzy": {"rule_file": path}})
+        assert path in str(info.value) and words in str(info.value).lower()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_cli(self, kind, tmp_path, capsys):
+        path, words = _bad_rule_file(tmp_path, kind)
+        config = tmp_path / "bad.ini"
+        config.write_text(f"[models]\nenabled = fuzzy\n\n[model.fuzzy]\nrule_file = {path}\n")
+        assert cli_main(["bench", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: CONFIG_ERROR") and path in err
+        assert not os.path.exists(tmp_path / "out")
+
+    def test_missing_file_message_is_unchanged(self, tmp_path):
+        path = str(tmp_path / "ghost.txt")
+        with pytest.raises(ConfigError) as info:
+            BenchConfig(model_params={"fuzzy": {"rule_file": path}})
+        assert str(info.value) == f"[model.fuzzy] rule_file does not exist: {path}"
+
+    def test_a_saved_rule_base_is_accepted(self, tmp_path):
+        path = str(tmp_path / "rules.txt")
+        train, _ = _train_test(BenchConfig(), 42)
+        save_rules(derive_rule_base(train), path)
+        cfg = BenchConfig(enabled=("fuzzy",), model_params={"fuzzy": {"rule_file": path}})
+        assert cfg.model_params["fuzzy"]["rule_file"] == path
 
 
 class TestDeriveSeed:

@@ -16,7 +16,6 @@ from costlab.ensemble import (
     fit_gradient_boosting,
     fit_random_forest,
     fit_regularized_booster,
-    leaf_weight,
     split_gain,
     weighted_median,
 )
@@ -187,12 +186,32 @@ class TestGradientBoosting:
 
 
 class TestRegularizedBooster:
-    def test_leaf_weight_hand_case(self):
-        assert leaf_weight(2.0 + 4.0, 2.0, lam=2.0) == -1.5
+    @pytest.mark.parametrize("lam", [2.0, 0.0])
+    def test_leaf_weight_of_a_root_only_booster(self, lam):
+        # max_depth 0: the root is the one leaf, over the first round's g = mean(y) - y
+        X, y = toy(25, seed=18, noise=3.0)
+        cfg = BoostConfig(n_rounds=1, learning_rate=1.0, lam=lam, tree=TreeParams(max_depth=0))
+        tree = fit_regularized_booster(X, y, cfg).members[0][0]
+        g = np.full(y.size, float(np.mean(y))) - y
+        assert tree.feature.tolist() == [LEAF]
+        assert tree.value[0].hex() == (-float(g.sum()) / (g.size + lam)).hex()
+        if lam == 0.0:
+            assert tree.value[0] == pytest.approx(-g.mean(), abs=1e-12)
 
-    def test_leaf_weight_reduces_to_mean_residual(self):
-        g = np.array([1.0, -3.0, 2.0])
-        assert leaf_weight(float(g.sum()), 3.0, lam=0.0) == pytest.approx(-g.mean())
+    @pytest.mark.parametrize("lam", [2.0, 0.0])
+    def test_leaf_weight_of_each_stump_leaf(self, lam):
+        # max_depth 1: each leaf's weight is -G/(n + lam) over its own rows, the
+        # mean residual when lam is 0
+        X, y = toy(25, seed=18, noise=3.0)
+        cfg = BoostConfig(n_rounds=1, learning_rate=1.0, lam=lam, tree=TreeParams(max_depth=1))
+        tree = fit_regularized_booster(X, y, cfg).members[0][0]
+        g = np.full(y.size, float(np.mean(y))) - y
+        go_left = X[:, tree.feature[0]] <= tree.threshold[0]
+        for leaf, rows in ((tree.right[0] - 1, go_left), (tree.right[0], ~go_left)):
+            expected = -float(g[rows].sum()) / (rows.sum() + lam)
+            assert tree.value[leaf] == expected and abs(expected) > 1.0
+            if lam == 0.0:
+                assert tree.value[leaf] == pytest.approx(-g[rows].mean())
 
     def test_round_one_equals_plain_gradient_boosting_tree(self):
         X, y = toy(30, seed=19, noise=8.0)
@@ -272,6 +291,38 @@ class TestRegularizedBooster:
         forced = dataclasses.replace(model, members=[(forced_tree, weight)])
         forced_sse = float(np.sum((forced.predict(X) - y) ** 2))
         assert learned_sse < forced_sse
+
+    def test_a_zero_gradient_sum_stores_negative_zero(self):
+        # rounded, tie-heavy targets whose mean is exact: the first root's
+        # gradients g = pred - y sum to exactly +0.0, so its weight -G/(n + lam)
+        # is -0.0; a booster grown on residuals y - pred would store +0.0
+        X = np.column_stack([
+            [3, 2, 2, 1, 1, 0, 0, 0, 0, 3, 2, 3, 2, 2, 3, 2, 2, 2, 2, 3, 1, 3, 2, 0],
+            [1, 2, 1, 0, 2, 2, 2, 0, 0, 2, 0, 1, 0, 0, 1, 1, 1, 0, 0, 0, 0, 2, 1, 1],
+        ]).astype(float)
+        y = np.array([0, 1, 2, 1, 1, 2, 2, 2, 1, 2, 2, 1, 2, 2, 2, 1, 2, 0, 1, 2, 2, 1, 1, 0.0])
+        cfg = BoostConfig(n_rounds=2, learning_rate=0.5, lam=1.0,
+                          tree=TreeParams(max_depth=2, min_samples_leaf=1, min_samples_split=2))
+        model = fit_regularized_booster(X, y, cfg)
+        shape = dict(feature=[1, 0, 1, -1, -1, -1, -1], right=[2, 4, 6, 3, 4, 5, 6],
+                     default_left=[1, 1, 1, -1, -1, -1, -1], depth=[0, 1, 1, 2, 2, 2, 2],
+                     threshold=["0x1.0000000000000p-1", "0x1.4000000000000p+1",
+                                "0x1.8000000000000p+0"] + ["nan"] * 4)
+        values = [
+            ["-0x0.0p+0", "0x1.d1745d1745d17p-4", "-0x1.5555555555555p-4",
+             "0x1.0000000000000p-4", "0x1.4000000000000p-2", "-0x1.c71c71c71c71cp-3",
+             "0x1.b6db6db6db6dbp-4"],
+            ["0x1.54aee487e2185p-8", "0x1.2e8ba2e8ba2e9p-4", "-0x1.74c1f6ca174c0p-5",
+             "0x1.199999999999ap-5", "0x1.e000000000000p-3", "-0x1.f9add3c0ca455p-4",
+             "0x1.f58d0fac687d2p-5"],
+        ]
+        assert model.base_score.hex() == "0x1.6000000000000p+0"
+        assert [w for _, w in model.members] == [0.5, 0.5]
+        for (tree, _), value in zip(model.members, values, strict=True):
+            assert [v.hex() for v in tree.value.tolist()] == value
+            assert [v.hex() for v in tree.threshold.tolist()] == shape["threshold"]
+            for name in ("feature", "right", "default_left", "depth"):
+                assert getattr(tree, name).tolist() == shape[name], name
 
     def test_additive_combination_and_determinism(self):
         X, y = toy(35, seed=24, noise=8.0)

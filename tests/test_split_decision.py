@@ -1,7 +1,9 @@
 """The kernel's split decisions against the exact scorers they replaced.
 
 Each tree learner of the default ``costlab bench`` run (seed 42) is fit with
-its split decision wrapped, and at every searched node the exact scorer of
+its split decision wrapped (``cart.best_split``, which reads every tree
+learner's decisions, and for the regularized booster ``ensemble.split_gain``,
+its acceptance test), and at every searched node the exact scorer of
 ``tests/oracles.py`` decides too: the row-mask SSE loop for CART, bagging,
 random forest (over the features it drew, the only ones with gains),
 AdaBoost.R2 and gradient boosting, the mask loop over both
@@ -53,15 +55,23 @@ def shortlist(gains, tol):
 
 
 class Recorder:
-    """Wraps the two split decisions and checks each against its exact scorer."""
+    """Wraps the split decision and the booster's acceptance test, and checks
+    every decision against its exact scorer."""
 
     def __init__(self, monkeypatch):
-        self.model = None
+        self.model = self.cfg = None
+        self.pending = None  # a booster node whose split waits for its acceptance test
         self.searched, self.differ, self.ties = Counter(), Counter(), Counter()
-        decide, regularized = cart.best_split, ensemble._best_regularized_split
+        decide, penalized = cart.best_split, ensemble.split_gain
 
         def best_split_checked(X, y, min_samples_leaf, gains):
+            assert self.pending is None  # the booster tested the previous node's split
             got = decide(X, y, min_samples_leaf, gains)
+            if gains.default_left is not None:  # a booster node: y is its gradients
+                self.pending = (X, y, gains, got)
+                if got is None:
+                    self.check_regularized(None)
+                return got
             n, scale, peak = y.size, float(((y - y.mean()) ** 2).sum()), float(np.abs(y).max())
             old_tol = 1e-7 * scale + 6 * n * (n + 1) ** 2 * (EPS * peak) ** 2
             expected = _best_candidate(X, y, shortlist(gains, old_tol), min_samples_leaf)
@@ -69,16 +79,22 @@ class Recorder:
                        lambda k: exact_gain(y, left_mask(X, *k)), gains.tol)
             return got
 
-        def regularized_checked(X, g, cfg, gains):
-            got = regularized(X, g, cfg, gains)
-            old_tol = 1e-7 * float(np.abs(g).sum()) ** 2
-            expected = regularized_mask_search(X, g, cfg, shortlist(gains, old_tol))
-            self.check(regularized_key(got), regularized_key(expected), lambda k: exact_gain(
-                g, left_mask(X, k[0], k[1], not k[2]), cfg.lam, cfg.gamma), gains.tol)
-            return got
+        def split_gain_checked(*args):
+            gain = penalized(*args)
+            self.check_regularized(gain)
+            return gain
 
         monkeypatch.setattr(cart, "best_split", best_split_checked)
-        monkeypatch.setattr(ensemble, "_best_regularized_split", regularized_checked)
+        monkeypatch.setattr(ensemble, "split_gain", split_gain_checked)
+
+    def check_regularized(self, gain):
+        """The pending booster node's split, kept when ``gain`` is positive."""
+        (X, g, gains, got), self.pending, cfg = self.pending, None, self.cfg
+        got = None if got is None or not gain > 0 else (*got[:2], gains.default_left)
+        old_tol = 1e-7 * float(np.abs(g).sum()) ** 2
+        expected = regularized_mask_search(X, g, cfg, shortlist(gains, old_tol))
+        self.check(regularized_key(got), regularized_key(expected), lambda k: exact_gain(
+            g, left_mask(X, k[0], k[1], not k[2]), cfg.lam, cfg.gamma), gains.tol)
 
     def check(self, got, expected, gain_of, tol):
         self.searched[self.model] += 1
@@ -91,9 +107,10 @@ def test_default_fits_decide_as_the_exact_scorers_up_to_exact_ties(monkeypatch, 
     train, _ = _train_test(BenchConfig(), SEED)
     recorder = Recorder(monkeypatch)
     for model_id in TREE_LEARNERS:
-        recorder.model = model_id
-        build_model(model_id, {}, derive_seed(SEED, model_id)).fit(train)
-    assert set(recorder.searched) == set(TREE_LEARNERS)
+        model = build_model(model_id, {}, derive_seed(SEED, model_id))
+        recorder.model, recorder.cfg = model_id, model.config
+        model.fit(train)
+    assert set(recorder.searched) == set(TREE_LEARNERS) and recorder.pending is None
     assert recorder.ties == recorder.differ  # every difference is a tie of two splits
     with capsys.disabled():
         counts = ", ".join(f"{m} {recorder.differ[m]} of {recorder.searched[m]}"

@@ -1,6 +1,7 @@
 """The prefix-sum split kernel's decisions against the exact searches it replaced.
 
-``best_split`` and ``ensemble._best_regularized_split`` take the split that
+``best_split`` and the booster's split (``_best_regularized_split``, the
+grower's mask and acceptance test as one function) take the split that
 ``cart.split_shortlist`` decides from its approximate gains, over random
 forest's drawn features when a ``drawn`` mask is given. The full exact
 searches, over every midpoint of every feature, are the oracles
@@ -19,9 +20,10 @@ import pytest
 
 from costlab import ensemble
 from costlab.cart import TreeParams, best_split, split_shortlist
-from costlab.ensemble import BoostConfig, _best_regularized_split, split_gain
+from costlab.ensemble import BoostConfig, fit_regularized_booster, split_gain
 from oracles import (
     _best_candidate,
+    _best_regularized_split,
     cart_key,
     check_tie_rule,
     exact_gain,
@@ -176,16 +178,24 @@ def test_regularized_shortlist_choice_equals_full_search(lam):
 
 
 def test_regularized_search_scores_fewer_candidates(monkeypatch):
-    calls = []
-    monkeypatch.setattr(ensemble, "split_gain", lambda *a: calls.append(a) or split_gain(*a))
+    # the booster's root split, fitted: one tree of depth 1 on g = mean(y) - y
+    gains = []
+
+    def recording(*args):
+        gains.append(split_gain(*args))
+        return gains[-1]
+
+    monkeypatch.setattr(ensemble, "split_gain", recording)
     rng = np.random.default_rng(3)
     X = rng.uniform(0, 10, (100, 4))
-    g = rng.normal(0, 1, 100)
-    cfg = BoostConfig(tree=TreeParams(min_samples_leaf=1))
-    got = regularized_split(X, g, cfg)
+    y = rng.normal(0, 1, 100)
+    cfg = BoostConfig(n_rounds=1, tree=TreeParams(max_depth=1, min_samples_leaf=1))
+    tree = fit_regularized_booster(X, y, cfg).members[0][0]
+    g = np.full(y.size, float(np.mean(y))) - y
+    got = (int(tree.feature[0]), float(tree.threshold[0]), bool(tree.default_left[0]), gains[-1])
     expected = full_regularized_search(X, g, cfg)
-    assert (got[0], got[1], got[2], got[4]) == (expected[0], expected[1], expected[2], expected[4])
-    assert len(calls) == 1  # the full search scores 4 * 99 * 2 candidates
+    assert got == (expected[0], expected[1], expected[2], expected[4])
+    assert len(gains) == 1  # the full search scores 4 * 99 * 2 candidates
 
 
 def test_lam_zero_midpoint_onto_the_largest_value():
