@@ -28,7 +28,7 @@ from .data import (
     split,
     synthesize,
 )
-from .errors import ConfigError, CostLabError, ParseError
+from .errors import ConfigError, CostLabError, ParseError, RuleConflictError
 from .fuzzy import FuzzyPredictor, RuleBase, derive_rule_base, load_rules
 from .genetic_fuzzy import GeneticFuzzyPredictor
 from .zoo import DEFAULT_MODEL_IDS, MODEL_REGISTRY, build_model
@@ -93,7 +93,7 @@ class BenchConfig:
                 raise ConfigError(f"[model.{model_id}] rule_file does not exist: {rule_file}")
             try:  # parsed at fit too; a bad file fails here, not as a leaderboard row
                 load_rules(rule_file)
-            except (ParseError, OSError, UnicodeDecodeError) as exc:
+            except (ParseError, RuleConflictError, OSError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"[model.{model_id}] rule_file {rule_file}: {exc}") from exc
 
 
@@ -277,15 +277,7 @@ _CSV_HEADER = (
     "R2",
     "R*2",
 )
-_MD_HEADER = (
-    "Notation",
-    "Algorithm / model",
-    "Algorithm type",
-    "MAPE %",
-    "MAPE % categorization",
-    "R²",
-    "R*²",
-)
+_MD_HEADER = (*_CSV_HEADER[:-2], "R²", "R*²")
 
 
 def _row_cells(row: LeaderboardRow) -> list[str]:

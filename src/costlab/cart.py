@@ -5,10 +5,12 @@ ensemble (``ensemble.fit_cart``). ``grow_trees`` is the one greedy grower
 behind every tree in the package. CART, AdaBoost.R2 and gradient boosting
 grow each tree through ``grow``, the three forests all their members in one
 ``grow_forest`` call, and the regularized booster calls it with its own leaf
-weight and gain test. A tree is stored as six flat node arrays in the
-order its nodes were grown, and one traversal kernel, ``walk_trees``, predicts
-for one tree or a whole ensemble. It steps to ``right - (x <= threshold)``,
-which growth order makes exact: a split's left child is ``right - 1``.
+weight and gain test, formulas over a node's (target sum, row count): only
+the grower partitions rows and sums targets. A tree is stored as six flat
+node arrays in the order its nodes were grown, and one traversal kernel,
+``walk_trees``, predicts for one tree or a whole ensemble. It steps to
+``right - (x <= threshold)``, which growth order makes exact: a split's left
+child is ``right - 1``.
 
 Split gain is SSE(parent) - SSE(left) - SSE(right). One decision stage,
 ``split_shortlist``, scores every midpoint between consecutive distinct
@@ -271,9 +273,9 @@ SCORE_CHUNK = 128  # nodes per ``score`` call; it bounds the padded grids of one
 def grow_trees(
     samples: Sequence[tuple[np.ndarray, np.ndarray]],
     params: TreeParams,
-    leaf_value: Callable[[np.ndarray], float],
+    leaf_value: Callable[[float, int], float],
     score: Callable[[list[tuple[np.ndarray, np.ndarray]]], list[NodeGains]],
-    accept: Callable[[np.ndarray, np.ndarray], bool] | None = None,
+    accept: Callable[[float, int, float, int], bool] | None = None,
 ) -> list[RegressionTree]:
     """One tree per (X, t) sample, all grown together a depth level at a time;
     ``t`` is targets or gradients.
@@ -283,24 +285,26 @@ def grow_trees(
     before any of them is decided. A level's nodes are then decided tree by
     tree, and within a tree in creation order (left child before right), so
     random draws in ``score`` follow that order. Each kernel decision becomes
-    children here: the left rows are ``col <= threshold``, plus the missing
-    ones when ``default_left`` is true (stored -1 when it is None), unless
-    ``accept(t, left mask)`` refuses the split. Each tree keeps its nodes in
-    the order they were created.
+    children here: the left rows, ``col <= threshold`` plus the missing ones
+    when ``default_left`` is true (stored -1 when it is None), go before the
+    right rows in one stable partition, and each node's targets are summed
+    once, in row order. A node's value is ``leaf_value(sum, count)``, and
+    ``accept(left sum, left count, right sum, right count)`` may refuse a
+    split. Each tree keeps its nodes in the order they were created.
     """
     trees: list[list[list]] = [[] for _ in samples]  # each tree's node fields, in creation order
     level: list[tuple[int, int, np.ndarray, np.ndarray]] = []  # (tree, node, X, t) to decide next
 
-    def add(tree: int, X: np.ndarray, t: np.ndarray, depth: int) -> int:
+    def add(tree: int, X: np.ndarray, t: np.ndarray, total: float, depth: int) -> int:
         nodes = trees[tree]
         i = len(nodes)
-        nodes.append([LEAF, np.nan, i, leaf_value(t), -1, depth])
+        nodes.append([LEAF, np.nan, i, leaf_value(total, t.size), -1, depth])
         if depth < params.max_depth and t.size >= params.min_samples_split:
             level.append((tree, i, X, t))
         return i
 
     for tree, (X, t) in enumerate(samples):
-        add(tree, X, t, 0)
+        add(tree, X, t, float(t.sum()), 0)
     while level:
         decide, level = level, []
         gains = []
@@ -316,10 +320,13 @@ def grow_trees(
             mask, default_left = X[:, feature] <= threshold, node_gains.default_left
             if default_left:
                 mask |= np.isnan(X[:, feature])
-            if accept is not None and not accept(t, mask):
+            order, n_left = np.argsort(~mask, kind="stable"), int(np.count_nonzero(mask))
+            t, sides = t[order], (slice(n_left), slice(n_left, None))
+            sums = [float(t[side].sum()) for side in sides]
+            if accept is not None and not accept(sums[0], n_left, sums[1], t.size - n_left):
                 continue
-            node = trees[tree][i]
-            _, right = (add(tree, X[rows], t[rows], node[5] + 1) for rows in (mask, ~mask))
+            X, node = X[order], trees[tree][i]
+            _, right = (add(tree, X[s], t[s], total, node[5] + 1) for s, total in zip(sides, sums))
             node[:3] = feature, threshold, right
             node[4] = -1 if default_left is None else int(default_left)
 
@@ -364,9 +371,9 @@ def grow_forest(
                 row[draw_features()] = True
         return split_shortlist(nodes, params.min_samples_leaf, cuts=cuts, drawn=drawn)
 
-    def leaf_value(t: np.ndarray) -> float:
+    def leaf_value(total: float, n: int) -> float:
         # np.mean of float64 is this same pairwise sum divided by the count
-        return float(t.sum()) / t.size
+        return total / n
 
     return grow_trees(samples, params, leaf_value, score)
 

@@ -19,7 +19,7 @@ order within the node's rounding bound, 4 * n * eps * (sum|g|)^2 for a node
 of n rows, of the best approximate gain, sending missing values left on a
 tie of the two directions (and always when nothing is missing). The grower
 keeps the pick when its penalized gain, one ``split_gain`` over its two
-sides' sums, is positive: the booster's one acceptance test.
+sides' (sum, count), is positive: the booster's one acceptance test.
 """
 
 from __future__ import annotations
@@ -83,8 +83,8 @@ class BoostConfig:
         # learning_rate 0 is allowed as the degenerate base-score model
         if not (0.0 <= self.learning_rate <= 1.0):
             raise ValueError("learning_rate must be in [0, 1]")
-        if not (self.lam >= 0 and self.gamma >= 0):
-            raise ValueError("lam and gamma must be >= 0")
+        if not (0 <= self.lam < math.inf and 0 <= self.gamma < math.inf):
+            raise ValueError("lam and gamma must be finite and >= 0")
         if not (0.0 < self.subsample <= 1.0):
             raise ValueError("subsample must be in (0, 1]")
 
@@ -271,17 +271,16 @@ def fit_regularized_booster(X: np.ndarray, y: np.ndarray, cfg: BoostConfig) -> E
     Each round grows a tree on the gradients g = pred - y with
     ``cart.grow_trees``, a forest of one, scoring each depth level's
     approximate gains in batched ``split_shortlist`` calls; leaves hold
-    w* = -G/(n + lambda), n (every hessian being 1) the leaf's row count.
+    w* = -G/(n + lambda), G the leaf's gradient sum and n (every hessian
+    being 1) its row count.
     """
 
-    def leaf(g: np.ndarray) -> float:
+    def leaf(g_total: float, n: int) -> float:
         # on g = pred - y, not on residuals: sum(y - pred) keeps +0.0 where this is -0.0
-        return -float(g.sum()) / (g.size + cfg.lam)
+        return -g_total / (n + cfg.lam)
 
-    def accept(g: np.ndarray, mask: np.ndarray) -> bool:
-        n_left = int(mask.sum())
-        return split_gain(float(g[mask].sum()), n_left, float(g[~mask].sum()), g.size - n_left,
-                          cfg.lam, cfg.gamma) > 0
+    def accept(g_left: float, n_left: int, g_right: float, n_right: int) -> bool:
+        return split_gain(g_left, n_left, g_right, n_right, cfg.lam, cfg.gamma) > 0
 
     def score(nodes: list[tuple[np.ndarray, np.ndarray]]) -> list[NodeGains]:
         return split_shortlist(nodes, cfg.tree.min_samples_leaf, cfg.lam)

@@ -36,8 +36,8 @@ class NetworkSpec:
             raise ValueError(f"unknown activation {self.activation!r}")
         if any(h < 1 for h in self.hidden):
             raise ValueError("hidden layer sizes must be >= 1")
-        if self.epochs < 0 or not self.learning_rate >= 0:
-            raise ValueError("epochs and learning_rate must be >= 0")
+        if self.epochs < 0 or not 0 <= self.learning_rate < math.inf:
+            raise ValueError("epochs must be >= 0 and learning_rate finite and >= 0")
 
     @property
     def layer_sizes(self) -> tuple[int, ...]:

@@ -5,11 +5,11 @@ with an array form; the package itself never calls them. The fuzzy section
 also holds an inference that defuzzifies every row, fired or not, for the
 package's shortcut on rows that fire no rule. The split-search section also
 holds the exact scorers that the kernel's decision replaced, the booster's
-split with its own left mask and acceptance test, which the grower's mask
-and ``accept`` replaced, the scalar extra-trees cut scorer that its cut
-candidates replaced, random forest's decide-time feature draw and subset
-rule that its ``drawn`` mask replaced, and the exact-arithmetic checks of
-its tie rule. The network trainer with a
+split with its own left mask and acceptance test, which the grower's
+partition and its (sum, count) ``accept`` replaced, the scalar extra-trees
+cut scorer that its cut candidates replaced, random forest's decide-time
+feature draw and subset rule that its ``drawn`` mask replaced, and the
+exact-arithmetic checks of its tie rule. The network trainer with a
 velocity and a momentum step per layer array is the reference for the
 package's one step over a flat parameter vector, and backpropagation with
 new arrays for every activation, derivative and gradient is the reference
@@ -367,8 +367,10 @@ def grow_trees_one_node_at_a_time(samples, params, leaf_value, score, accept=Non
     A depth level is decided tree by tree, left child before right, and each
     searched node is scored by ``score`` as a batch of one right before its
     kernel decision becomes its left mask, missing values left when its
-    ``default_left`` is true, and ``accept``, when given, may refuse it; so
-    nothing is batched. Each tree is then laid out breadth first from a
+    ``default_left`` is true, and ``accept``, when given, may refuse it from
+    the sums and counts of the two sides; so nothing is batched. Children
+    are built by mask, and every node's value is ``leaf_value`` of its own
+    sum and count. Each tree is then laid out breadth first from a
     queue, a split's children numbered together.
     """
     def find_split(X, t, gains):
@@ -376,7 +378,8 @@ def grow_trees_one_node_at_a_time(samples, params, leaf_value, score, accept=Non
             return None
         feature, threshold, _ = gains.choice
         mask = left_mask(X, feature, threshold, bool(gains.default_left))
-        if accept is not None and not accept(t, mask):
+        if accept is not None and not accept(float(t[mask].sum()), int(mask.sum()),
+                                             float(t[~mask].sum()), int((~mask).sum())):
             return None
         return feature, threshold, gains.default_left, mask
 
@@ -389,7 +392,8 @@ def _grow_one_node_at_a_time(samples, params, leaf_value, find_split, score=None
     one (None without ``score``), which returns (feature, threshold,
     default_left or None, left row mask) or None."""
     def node(X, t, depth):
-        return dict(X=X, t=t, depth=depth, value=leaf_value(t), split=None, children=())
+        value = leaf_value(float(t.sum()), t.size)
+        return dict(X=X, t=t, depth=depth, value=value, split=None, children=())
 
     roots = [node(X, t, 0) for X, t in samples]
     level = roots
@@ -565,7 +569,7 @@ def grow_extra_trees_one_node_at_a_time(samples, params, rng, n_feature_subset):
         feature, threshold, _ = split
         return feature, threshold, None, X[:, feature] <= threshold
 
-    return _grow_one_node_at_a_time(samples, params, lambda t: float(t.sum()) / t.size, find_split)
+    return _grow_one_node_at_a_time(samples, params, lambda total, n: total / n, find_split)
 
 
 def subset_choice(gains, features):
@@ -592,7 +596,7 @@ def grow_random_forest_one_node_at_a_time(samples, params, rng, n_feature_subset
         return feature, threshold, None, X[:, feature] <= threshold
 
     return _grow_one_node_at_a_time(
-        samples, params, lambda t: float(t.sum()) / t.size, find_split,
+        samples, params, lambda total, n: total / n, find_split,
         lambda nodes: split_shortlist(nodes, params.min_samples_leaf),
     )
 

@@ -21,9 +21,9 @@ from costlab.bench import (
 from costlab.cbr import CbrPredictor
 from costlab.cli import main as cli_main
 from costlab.core import EvalReport
-from costlab.data import FeatureVector
+from costlab.data import FEATURE_NAMES, FeatureVector
 from costlab.errors import ConfigError
-from costlab.fuzzy import derive_rule_base, save_rules
+from costlab.fuzzy import OUTPUT_NAME, derive_rule_base, save_rules
 from costlab.metrics import MapeCategory
 from costlab.zoo import build_model
 
@@ -178,6 +178,10 @@ BAD_HYPERPARAMETERS = [
     ("cbr", {"weights": "-1,1,1,1"}),
     ("svr", {"gamma_rbf": "inf"}),
     ("svr", {"epsilon": "inf"}),
+    ("plain_mlp", {"learning_rate": "inf"}),
+    ("dnn", {"learning_rate": "inf"}),
+    ("regularized_boosting", {"lam": "inf"}),
+    ("regularized_boosting", {"gamma": "inf"}),
     *UNKNOWN_KEYS,
     ("svr", {"c": "1e-9"}),
 ]
@@ -242,6 +246,13 @@ class TestBadHyperparameters:
         assert "VALUE_ERROR" not in err
 
 
+# a second rule for the antecedent (1, 1, 1, 1), and the words its error names
+RULE_CONFLICTS = {
+    "duplicate": ("1 1 1 1 -> 2", "duplicate rule"),
+    "conflicting": ("1 1 1 1 -> 3", "conflicting consequents 2 and 3"),
+}
+
+
 def _bad_rule_file(tmp_path, kind):
     """A rule file that exists but does not load, and the words its error names."""
     if kind == "directory":
@@ -249,6 +260,11 @@ def _bad_rule_file(tmp_path, kind):
         path.mkdir()
         return str(path), "directory"
     path = tmp_path / f"{kind}.txt"
+    if kind in RULE_CONFLICTS:  # every universe declared, then two rules on one antecedent
+        rule, words = RULE_CONFLICTS[kind]
+        universes = "".join(f"universe {name} 0 100\n" for name in (*FEATURE_NAMES, OUTPUT_NAME))
+        path.write_text(f"{universes}1 1 1 1 -> 2\n{rule}\n")
+        return str(path), words
     path.write_text("garbage line\n" if kind == "malformed" else "universe p1_area_served 0 100\n")
     return str(path), ("garbage line" if kind == "malformed" else "missing universe")
 
@@ -257,7 +273,7 @@ class TestRuleFile:
     """A ``[model.fuzzy] rule_file`` is loaded at config time, whether or not
     ``fuzzy`` is enabled."""
 
-    KINDS = ["malformed", "incomplete", "directory"]
+    KINDS = ["malformed", "incomplete", "directory", *RULE_CONFLICTS]
 
     @pytest.mark.parametrize("enabled", ["cart", "fuzzy"])
     @pytest.mark.parametrize("kind", KINDS)

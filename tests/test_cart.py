@@ -10,6 +10,7 @@ from costlab.cart import (
     predict_tree,
     split_shortlist,
 )
+from costlab.ensemble import BoostConfig, fit_regularized_booster
 from costlab.errors import EmptyTrainError, UnsupportedMissingError
 from costlab.metrics import mape
 from costlab.zoo import build_model
@@ -110,17 +111,31 @@ class TestGrow:
             grow(np.empty((0, 2)), np.array([]))
 
     def test_every_training_row_predicts_its_leaf_mean(self):
+        """Bit for bit: the pairwise sum of the leaf's rows in row order, over their count."""
         rng = np.random.default_rng(1)
         X = rng.uniform(0, 10, (40, 4))
         y = rng.uniform(0, 100, 40)
         tree = grow(X, y)
-        members: dict[int, list[float]] = {}
-        for i in range(40):
-            members.setdefault(_route(tree, X[i]), []).append(y[i])
-        for i in range(40):
-            leaf = _route(tree, X[i])
-            assert tree.value[leaf] == pytest.approx(np.mean(members[leaf]), rel=1e-12)
-            assert len(members[leaf]) >= TreeParams().min_samples_leaf
+        for leaf, rows in _leaf_rows(tree, X).items():
+            assert tree.value[leaf] == float(np.sum(y[rows])) / len(rows)
+            assert len(rows) >= TreeParams().min_samples_leaf
+
+    def test_every_booster_leaf_is_its_rows_weight_bit_for_bit(self):
+        """A one-round booster leaf is -G/(n + lam) over the gradients of the rows
+        routed to it in row order, a missing value taking each split's default."""
+        rng = np.random.default_rng(4)
+        X = rng.uniform(0, 10, (60, 4))
+        X[rng.random(X.shape) < 0.2] = np.nan
+        y = rng.uniform(0, 100, 60)
+        cfg = BoostConfig(n_rounds=1, lam=1.5)
+        model = fit_regularized_booster(X, y, cfg)
+        (tree, _), = model.members
+        g = model.base_score - y  # the first round's gradients, pred - y
+        directions = {int(tree.default_left[node]) for x in X for node in _path(tree, x)
+                      if tree.feature[node] != LEAF and np.isnan(x[tree.feature[node]])}
+        assert directions == {0, 1}  # missing rows went both ways
+        for leaf, rows in _leaf_rows(tree, X).items():
+            assert tree.value[leaf] == -float(np.sum(g[rows])) / (len(rows) + cfg.lam)
 
     def test_mass_conservation(self):
         rng = np.random.default_rng(2)
@@ -156,13 +171,30 @@ class TestGrow:
             previous = err
 
 
-def _route(tree, x):
-    """Index of the leaf that x reaches, by an independent scalar walk."""
+def _path(tree, x):
+    """Every node x passes through to its leaf, by an independent scalar walk;
+    a missing value takes the split's default direction."""
     node = 0
+    yield node
     while tree.feature[node] != LEAF:
-        go_left = x[tree.feature[node]] <= tree.threshold[node]
+        value = x[tree.feature[node]]
+        go_left = tree.default_left[node] == 1 if np.isnan(value) else value <= tree.threshold[node]
         node = tree.right[node] - 1 if go_left else tree.right[node]
-    return int(node)
+        yield node
+
+
+def _route(tree, x):
+    """Index of the leaf that x reaches."""
+    *_, leaf = _path(tree, x)
+    return int(leaf)
+
+
+def _leaf_rows(tree, X):
+    """Each reached leaf's training rows, in row order."""
+    rows: dict[int, list[int]] = {}
+    for i, x in enumerate(X):
+        rows.setdefault(_route(tree, x), []).append(i)
+    return rows
 
 
 class TestPredictTree:
