@@ -14,6 +14,7 @@ strength).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -31,7 +32,9 @@ from .errors import (
 
 MF_COUNT = 7
 SAMPLES = 1001  # points of the uniform output grid that centroids integrate over
-STRENGTH_CHUNK = 64  # rows per strengths pass in a batch, to bound its (rows, R, 4) gather
+# rows per strengths and centroids pass in a batch, to bound its (rows, R) strengths
+# and (rows, SAMPLES) grid; the batch's (n, 4, 7) memberships are taken in one pass
+STRENGTH_CHUNK = 64
 OUTPUT_NAME = "cost"
 
 
@@ -233,8 +236,14 @@ class FuzzyEngine:
         return triangular_memberships(x, self.left, self.peak, self.right)
 
     def strengths(self, memberships: np.ndarray, antecedents: np.ndarray) -> np.ndarray:
-        """(n, 4, 7) memberships and (R, 4) antecedents -> (n, R) firing strengths."""
-        return memberships[:, np.arange(N_FEATURES), antecedents - 1].min(axis=2)
+        """(n, 4, 7) memberships and (R, 4) antecedents -> (n, R) firing strengths:
+        the running minimum of each feature's (n, R) gather, which ``min`` does
+        not round, so it equals the minimum over one (n, R, 4) gather."""
+        columns = antecedents.T - 1
+        out = memberships[:, 0][:, columns[0]]
+        for d in range(1, N_FEATURES):
+            np.minimum(out, memberships[:, d][:, columns[d]], out=out)
+        return out
 
     def _trapezoid(self, values: np.ndarray) -> np.ndarray:
         # uniform-grid trapezoid rule along the last axis
@@ -298,7 +307,7 @@ def infer_detail(
     that fires no rule is decided from its strengths alone, by the test
     ``centroids`` uses for its fired mask, and is never defuzzified."""
     point = x.to_array() if isinstance(x, FeatureVector) else np.asarray(x, dtype=float)
-    if not np.isfinite(point).all():
+    if not all(map(math.isfinite, point.ravel().tolist())):
         raise UnsupportedMissingError("fuzzy inference requires complete feature vectors")
     engine = rule_base.engine
     if strengths is None:
@@ -308,7 +317,7 @@ def infer_detail(
         centroid = np.nan
         if strengths.max() > 0.0:
             centroid = engine.centroids(strengths[None, :], rule_base.consequents)[0][0]
-    if not np.isnan(centroid):
+    if centroid == centroid:  # not NaN
         return InferenceResult(float(centroid), False, strengths, rule_base.rules)
     if fallback is None:
         raise NoRuleFiresError("no rule fires for this input")
@@ -464,15 +473,19 @@ class FuzzyPredictor(Predictor):
         self.fallback = float(np.mean(train.targets))
 
     def _predict_batch(self, X: np.ndarray) -> np.ndarray:
-        """The strengths of ``STRENGTH_CHUNK`` rows at a time in one pass, and their
-        centroids in one ``centroids`` call when any of them fires, then one
-        ``infer_detail`` call per row with both, which decides the row."""
+        """The memberships of the whole batch in one pass; then, ``STRENGTH_CHUNK``
+        rows at a time, their strengths in one pass and their centroids in one
+        ``centroids`` call when any of them fires, then one ``infer_detail`` call
+        per row with both, which decides the row."""
         rule_base = self.rule_base
         engine = rule_base.engine
+        memberships = engine.input_memberships(X)
         values = np.empty(len(X))
         for start in range(0, len(X), STRENGTH_CHUNK):
             rows = X[start : start + STRENGTH_CHUNK]
-            strengths = engine.strengths(engine.input_memberships(rows), rule_base.antecedents)
+            strengths = engine.strengths(
+                memberships[start : start + STRENGTH_CHUNK], rule_base.antecedents
+            )
             centroids = np.full(len(rows), np.nan)
             if strengths.max() > 0.0:
                 centroids = engine.centroids(strengths, rule_base.consequents)[0]

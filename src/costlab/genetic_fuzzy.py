@@ -157,13 +157,6 @@ class _PopulationEvaluator:
         return [pairs[i] for i in winners], mape(self.targets, values)
 
 
-def _tournament(population: Sequence[Genes], rng: np.random.Generator) -> Genes:
-    # Chromosomes carry no individual credit in the collectively-scored
-    # population, so the tournament winner is a uniform pick of the entrants.
-    entrants = rng.integers(0, len(population), _TOURNAMENT_SIZE)
-    return population[int(entrants[int(rng.integers(0, _TOURNAMENT_SIZE))])]
-
-
 def evolve(cfg: GAConfig, train: Dataset) -> tuple[RuleBase, list[float]]:
     """Evolve a rule base minimizing training MAPE.
 
@@ -177,12 +170,18 @@ def evolve(cfg: GAConfig, train: Dataset) -> tuple[RuleBase, list[float]]:
     best_pairs, best_fit = evaluator.decode_and_fitness(population)
     best_population = list(population)
     history = [best_fit]
+    # One call draws both tournaments of a breeding step: each its k entrants'
+    # indices, then the uniform winner's place among them. An array of bounds
+    # draws element by element, so the stream is that of separate draws.
+    k = _TOURNAMENT_SIZE
+    highs = np.tile([cfg.population_size] * k + [k], 2)
 
     for _ in range(cfg.generations):
         next_population = list(best_population[: cfg.elitism_count])
         while len(next_population) < cfg.population_size:
-            parent_a = _tournament(population, rng)
-            parent_b = _tournament(population, rng)
+            draw = rng.integers(0, highs).tolist()
+            parent_a = population[draw[draw[k]]]
+            parent_b = population[draw[k + 1 + draw[2 * k + 1]]]
             child_a, child_b = crossover(parent_a, parent_b, rng, cfg.crossover_prob)
             next_population.append(mutate(child_a, rng, cfg.mutation_prob))
             if len(next_population) < cfg.population_size:

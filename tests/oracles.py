@@ -3,17 +3,20 @@
 Each is the straightforward one-value computation that the package replaced
 with an array form; the package itself never calls them. The fuzzy section
 also holds an inference that defuzzifies every row, fired or not, for the
-package's shortcut on rows that fire no rule. The split-search section also
-holds the exact scorers that the kernel's decision replaced, the booster's
-split with its own left mask and acceptance test, which the grower's
-partition and its (sum, count) ``accept`` replaced, the scalar extra-trees
-cut scorer that its cut candidates replaced, random forest's decide-time
-feature draw and subset rule that its ``drawn`` mask replaced, and the
-exact-arithmetic checks of its tie rule. The network trainer with a
-velocity and a momentum step per layer array is the reference for the
-package's one step over a flat parameter vector, and backpropagation with
-new arrays for every activation, derivative and gradient is the reference
-for the package's pass that writes them in place. The SVR pair loop that
+package's shortcut on rows that fire no rule, and the strengths as one
+(rows, rules, 4) gather and its ``min`` for the package's running minimum of
+per-feature gathers. The GA loop that draws each parent's tournament in its
+own calls is the reference for the package's one draw per breeding step. The
+split-search section also holds the exact scorers that the kernel's decision
+replaced, the booster's split with its own left mask and acceptance test,
+which the grower's partition and its (sum, count) ``accept`` replaced, the
+scalar extra-trees cut scorer that its cut candidates replaced, random
+forest's decide-time feature draw and subset rule that its ``drawn`` mask
+replaced, and the exact-arithmetic checks of its tie rule. The network
+trainer with a velocity and a momentum step per layer array is the reference
+for the package's one step over a flat parameter vector, and backpropagation
+with new arrays for every activation, derivative and gradient is the
+reference for the package's pass that writes them in place. The SVR pair loop that
 rescans every coefficient's bounds before each selection is the reference for
 the package's loop that keeps each coefficient's step offsets. The tree walk
 that gathers ``X[rows, feature]`` and steps with ``np.where``, the weighted
@@ -30,11 +33,18 @@ import numpy as np
 
 from costlab.cart import LEAF, NodeGains, RegressionTree, _cart_bound, split_shortlist
 from costlab.cbr import DEFAULT_WEIGHTS
-from costlab.data import FeatureVector
+from costlab.data import N_FEATURES, FeatureVector
 from costlab.ensemble import BoostConfig, CombineRule, split_gain
 from costlab.errors import NegativeAttributeError, NoRuleFiresError, UnsupportedMissingError
 from costlab.fuzzy import MF_COUNT, FuzzyRule, InferenceResult, RuleBase
-from costlab.genetic_fuzzy import GENE_MAX, _PopulationEvaluator
+from costlab.genetic_fuzzy import (
+    _TOURNAMENT_SIZE as TOURNAMENT_SIZE,
+    GENE_MAX,
+    _PopulationEvaluator,
+    crossover,
+    mutate,
+    random_chromosome,
+)
 from costlab.metrics import mape
 from costlab.neural import MOMENTUM, gradients, init_weights
 from costlab.svr import _FREE_TOL, SvrParams, _dual_objective, _solve_pair, kernel_matrix
@@ -83,6 +93,11 @@ def infer_detail_always_defuzzified(rule_base, x, fallback=None):
     if fallback is None:
         raise NoRuleFiresError("no rule fires for this input")
     return InferenceResult(float(fallback), True, strengths[0], rule_base.rules)
+
+
+def strengths_gather_min(memberships, antecedents):
+    """``FuzzyEngine.strengths`` as one (n, R, 4) gather and a ``min`` over its last axis."""
+    return memberships[:, np.arange(N_FEATURES), antecedents - 1].min(axis=2)
 
 
 def centroids_full_grid(engine, strengths, consequents):
@@ -166,6 +181,39 @@ def decode_and_fitness_per_candidate(evaluator, population):
     values, ok = engine.centroids(strengths[:, winners], np.array([pairs[i][1] for i in winners]))
     values = np.where(ok, values, evaluator.fallback)
     return [pairs[i] for i in winners], mape(targets, values)
+
+
+def tournament(population, rng):
+    """A tournament of three uniform entrants, won by a uniform pick among them."""
+    entrants = rng.integers(0, len(population), TOURNAMENT_SIZE)
+    return population[int(entrants[int(rng.integers(0, TOURNAMENT_SIZE))])]
+
+
+def evolve_separate_tournaments(cfg, train):
+    """``genetic_fuzzy.evolve`` drawing each parent with its own ``tournament``
+    calls: the entrants, then the winner's place, for parent a and then b."""
+    rng = np.random.default_rng(cfg.seed)
+    evaluator = _PopulationEvaluator(train)
+    population = [random_chromosome(rng) for _ in range(cfg.population_size)]
+    best_pairs, best_fit = evaluator.decode_and_fitness(population)
+    best_population = list(population)
+    history = [best_fit]
+    for _ in range(cfg.generations):
+        next_population = list(best_population[: cfg.elitism_count])
+        while len(next_population) < cfg.population_size:
+            parent_a = tournament(population, rng)
+            parent_b = tournament(population, rng)
+            child_a, child_b = crossover(parent_a, parent_b, rng, cfg.crossover_prob)
+            next_population.append(mutate(child_a, rng, cfg.mutation_prob))
+            if len(next_population) < cfg.population_size:
+                next_population.append(mutate(child_b, rng, cfg.mutation_prob))
+        population = next_population
+        pairs, fit = evaluator.decode_and_fitness(population)
+        if fit < best_fit:
+            best_pairs, best_fit = pairs, fit
+            best_population = list(population)
+        history.append(best_fit)
+    return best_pairs, history
 
 
 # -- networks -------------------------------------------------------------------

@@ -13,13 +13,20 @@ one-row quote where nothing fires. ``predict_many`` computes the strengths of
 a chunk in one pass and defuzzifies it in one ``centroids`` call, and hands
 each row's strengths and centroid to ``infer_detail``, which decides the row:
 every row must get what ``infer_detail`` computing both itself gives.
+``FuzzyEngine.strengths`` must give the bits of one (rows, R, 4) gather and
+its ``min``, and a non-finite feature anywhere in a batch must raise as
+a missing one does.
 """
 
 import numpy as np
 import pytest
 
 from conftest import random_dataset
-from oracles import PerGenerationEvaluator, decode_and_fitness_per_candidate
+from oracles import (
+    PerGenerationEvaluator,
+    decode_and_fitness_per_candidate,
+    strengths_gather_min,
+)
 from costlab import fuzzy, genetic_fuzzy
 from costlab.data import SplitSpec, split, synthesize
 from costlab.errors import NoRuleFiresError, UnsupportedMissingError
@@ -187,11 +194,19 @@ def test_infer_detail_reads_a_float_row_as_its_feature_vector(synthetic_144, mod
     for record, row in zip(test, test.features_matrix):
         want = fuzzy.infer_detail(model.rule_base, record.features, model.fallback)
         assert fuzzy.infer_detail(model.rule_base, row, model.fallback) == want
+    engine = model.rule_base.engine
+    x = test.features_matrix[:1]
+    batch = {
+        "strengths": engine.strengths(engine.input_memberships(x), model.rule_base.antecedents)[0],
+        "centroid": 1.0,
+    }
     for value in (np.nan, np.inf, -np.inf):
-        row = test.features_matrix[0].copy()
-        row[2] = value
-        with pytest.raises(UnsupportedMissingError):
-            fuzzy.infer_detail(model.rule_base, row, model.fallback)
+        for column in range(4):
+            row = x[0].copy()
+            row[column] = value
+            for kwargs in ({}, batch):  # computing the row's strengths, or handed them
+                with pytest.raises(UnsupportedMissingError, match="requires complete feature"):
+                    fuzzy.infer_detail(model.rule_base, row, model.fallback, **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -327,12 +342,75 @@ def test_a_fired_row_with_zero_area_gives_the_fallback_by_both_paths():
             fuzzy.infer_detail(rule_base, X[0], **kwargs)
 
 
+class _Rows:
+    """A batch of feature rows; ``FeatureVector`` rejects a non-finite value, so
+    such a row reaches ``predict_many`` only from an array."""
+
+    def __init__(self, X):
+        self.features_matrix = X
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
 @pytest.mark.parametrize("row", [0, 63, 64, 70, 399])
-def test_an_infinite_feature_mid_batch_raises_at_its_row(monkeypatch, fitted, portfolio, row):
+def test_an_infinite_feature_mid_batch_raises_at_its_row(
+    monkeypatch, fitted, portfolio, row, value
+):
     X = portfolio.features_matrix.copy()
-    X[row, 1] = np.inf
+    X[row, row % 4] = value
     results = _counting(monkeypatch, fuzzy, "infer_detail")
     with pytest.raises(UnsupportedMissingError) as caught:
-        fitted._predict_checked(X)
+        fitted.predict_many(_Rows(X))
     assert caught.value.code == "UNSUPPORTED_MISSING"
+    assert str(caught.value) == "fuzzy inference requires complete feature vectors"
     assert len(results) == row  # the rows before it were priced, one call each
+
+
+def _assert_strengths_match_the_oracle(engine, memberships, antecedents):
+    got = engine.strengths(memberships, antecedents)
+    want = strengths_gather_min(memberships, antecedents)
+    assert got.shape == want.shape == (len(memberships), len(antecedents))
+    assert np.array_equal(bits(got), bits(want))
+    return got
+
+
+def test_strengths_match_the_gather_min_on_both_models_memberships(
+    fitted, portfolio, synthetic_144
+):
+    rule_base = fitted.rule_base
+    engine = rule_base.engine
+    train, _ = _train_test(synthetic_144)
+    for X in (portfolio.features_matrix, train.features_matrix):
+        got = _assert_strengths_match_the_oracle(
+            engine, engine.input_memberships(X), rule_base.antecedents
+        )
+        assert 0.0 < (got > 0.0).mean() < 1.0
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("rows, rules", [(64, 108), (1, 108), (64, 1), (1, 1), (400, 30)])
+def test_strengths_match_the_gather_min_with_exact_ties(seed, rows, rules):
+    """Memberships of exactly 0.0 and 1.0, and repeated values, tie across
+    features; the minimum picks one of equal bits either way."""
+    rng = np.random.default_rng(seed)
+    engine = FuzzyEngine(
+        [default_variable(f"x{d}", 0.0, 6.0) for d in range(4)], default_variable("cost", 0.0, 1.0)
+    )
+    memberships = rng.choice([0.0, 0.5, 1.0], size=(rows, 4, 7), p=[0.3, 0.2, 0.5])
+    blend = rng.random((rows, 4, 7)) < 0.3
+    memberships[blend] = rng.random(int(blend.sum()))
+    antecedents = rng.integers(1, GENE_MAX + 1, (rules, 4))
+    got = _assert_strengths_match_the_oracle(engine, memberships, antecedents)
+    if rows * rules >= 1000:  # both exact ends win some row's minimum
+        assert (got == 0.0).any() and (got == 1.0).any()
+
+
+def test_strengths_match_the_gather_min_on_the_ga_training_memberships(synthetic_144):
+    train, _ = _train_test(synthetic_144)
+    evaluator = _PopulationEvaluator(train)
+    assert evaluator.memberships.shape == (111, 4, 7)
+    rng = np.random.default_rng(5)
+    fired_pool = _fired_antecedents(evaluator)
+    for _ in range(20):
+        population = _random_population(rng, fired_pool)
+        antecedents = np.array([genes[:4] for genes in population], dtype=int)
+        _assert_strengths_match_the_oracle(evaluator.engine, evaluator.memberships, antecedents)

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset, random_dataset
-from oracles import decode_and_fitness
-from costlab.data import synthesize
+from oracles import decode_and_fitness, evolve_separate_tournaments, tournament
+from costlab.data import SplitSpec, split, synthesize
 from costlab.errors import EmptyTrainError
 from costlab.fuzzy import FuzzyRule, RuleBase, infer_detail
 from costlab.genetic_fuzzy import (
+    _TOURNAMENT_SIZE,
     GAConfig,
     crossover,
     evolve,
@@ -239,3 +240,59 @@ class TestEvolve:
             GAConfig(crossover_prob=1.5)
         with pytest.raises(ValueError):
             GAConfig(elitism_count=63, population_size=63)
+
+
+class TestBreedingDraws:
+    """A breeding step draws both tournaments in one ``integers`` call over an
+    array of bounds; the GA must evolve what drawing each tournament's entrants
+    and winner in separate calls evolves."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("n", [2, 63, 64])
+    def test_one_draw_is_the_stream_of_two_tournaments(self, seed, n):
+        k = _TOURNAMENT_SIZE
+        highs = np.tile([n] * k + [k], 2)
+        population = list(range(n))
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for step in range(300):
+            draw = ours.integers(0, highs).tolist()
+            assert population[draw[draw[k]]] == tournament(population, theirs)
+            assert population[draw[k + 1 + draw[2 * k + 1]]] == tournament(population, theirs)
+            # the draws crossover and mutation interleave
+            for rng in (ours, theirs):
+                rng.random()
+                if step % 3 == 0:
+                    rng.integers(1, 8)
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "population_size, elitism_count, crossover_prob, mutation_prob",
+        [
+            (2, 1, 0.7, 0.01),
+            (2, 1, 1.0, 1.0),
+            (63, 1, 0.7, 0.01),
+            (63, 62, 0.7, 0.01),
+            (63, 2, 0.0, 0.0),
+            (63, 2, 1.0, 1.0),
+            (64, 1, 0.7, 0.01),
+            (64, 63, 0.7, 0.01),
+            (64, 2, 0.0, 1.0),
+            (64, 2, 1.0, 0.0),
+        ],
+    )
+    def test_evolve_matches_separate_tournaments(
+        self, synthetic_144, population_size, elitism_count, crossover_prob, mutation_prob
+    ):
+        train, _ = split(synthetic_144, SplitSpec(train_count=111, seed=42))
+        cfg = GAConfig(
+            population_size=population_size,
+            generations=12,
+            crossover_prob=crossover_prob,
+            mutation_prob=mutation_prob,
+            elitism_count=elitism_count,
+            seed=population_size + elitism_count,
+        )
+        rule_base, history = evolve(cfg, train)
+        want_pairs, want_history = evolve_separate_tournaments(cfg, train)
+        assert [h.hex() for h in history] == [h.hex() for h in want_history]
+        assert [(r.antecedent, r.consequent) for r in rule_base.rules] == want_pairs
