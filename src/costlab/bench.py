@@ -14,10 +14,11 @@ import hashlib
 import io
 import os
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from .core import DEFAULT_K_PREDICTORS, EvalReport, evaluate, score_predictions
-from .cbr import CbrPredictor
 from .data import (
     Dataset,
     FeatureVector,
@@ -29,8 +30,7 @@ from .data import (
     synthesize,
 )
 from .errors import ConfigError, CostLabError, ParseError, RuleConflictError
-from .fuzzy import FuzzyPredictor, RuleBase, derive_rule_base, load_rules
-from .genetic_fuzzy import GeneticFuzzyPredictor
+from .fuzzy import RuleBase, derive_rule_base, load_rules
 from .zoo import DEFAULT_MODEL_IDS, MODEL_REGISTRY, build_model
 
 @dataclass(frozen=True)
@@ -166,23 +166,27 @@ def derive_seed(global_seed: int, namespace: str) -> int:
 
 
 @dataclass(frozen=True)
-class LeaderboardRow:
+class ModelRun:
+    """One enabled model's run: a ranked row with its test predictions, or an
+    error row. It holds no predictor, so each fitted model is freed once its
+    record exists."""
+
     notation: str
     model_id: str
     display_name: str
     family: str
     report: EvalReport | None = None
     error: str | None = None
+    predicted: np.ndarray | None = None  # float64, one per test row; None for an error row
+    files: dict[str, list[tuple]] = field(default_factory=dict)  # Predictor.output_files
 
 
 @dataclass
 class BenchResult:
-    rows: list[LeaderboardRow]
-    predictions: dict[str, list[tuple[str, float, float]]]
-    ga_histories: dict[str, list[float]]
+    rows: list[ModelRun]  # ranked by MAPE, then the error rows by model id
     warnings: list[str]
     train_size: int
-    test_size: int
+    test: Dataset
 
 
 def _train_test(cfg: BenchConfig, seed: int) -> tuple[Dataset, Dataset]:
@@ -210,62 +214,35 @@ def run_bench(cfg: BenchConfig, seed: int) -> BenchResult:
             f"{green.minimum} for {N_FEATURES} predictors"
         )
 
-    # Construct every model first: hyperparameter typos abort the whole run.
-    predictors = {
-        model_id: build_model(model_id, cfg.model_params.get(model_id, {}), derive_seed(seed, model_id))
-        for model_id in cfg.enabled
-    }
-
-    scored: list[LeaderboardRow] = []
-    failed: list[LeaderboardRow] = []
-    predictions: dict[str, list[tuple[str, float, float]]] = {}
-    ga_histories: dict[str, list[float]] = {}
-    for model_id in cfg.enabled:
-        info = MODEL_REGISTRY[model_id]
-        predictor = predictors[model_id]
-        try:
-            predictor.fit(train)
-            predicted = predictor.predict_many(test)
-            report = score_predictions(
-                test,
-                predicted,
-                model_id,
-                k_predictors=cfg.k_predictors,
-                n_override=cfg.n_override,
-            )
-            predictions[model_id] = [
-                (rec.id, float(rec.cost_le), float(value)) for rec, value in zip(test, predicted)
-            ]
-            scored.append(
-                LeaderboardRow("", model_id, info.display_name, info.family, report=report)
-            )
-            if isinstance(predictor, GeneticFuzzyPredictor):
-                ga_histories[model_id] = list(predictor.history)
-        except Exception as exc:  # any one model's failure becomes its error row
-            code = exc.code if isinstance(exc, CostLabError) else type(exc).__name__
-            if not isinstance(exc, CostLabError):  # unexpected: keep where it was raised
-                warnings.append(f"{model_id} failed unexpectedly:\n{traceback.format_exc()}")
-            failed.append(
-                LeaderboardRow(
-                    "", model_id, info.display_name, info.family, error=f"{code}: {exc}"
-                )
-            )
-
-    scored.sort(key=lambda row: (row.report.mape_pct, row.model_id))
-    failed.sort(key=lambda row: row.model_id)
-    rows = [
-        LeaderboardRow(f"M{i + 1}", row.model_id, row.display_name, row.family,
-                       report=row.report, error=row.error)
-        for i, row in enumerate(scored + failed)
-    ]
-    return BenchResult(
-        rows=rows,
-        predictions=predictions,
-        ga_histories=ga_histories,
-        warnings=warnings,
-        train_size=len(train),
-        test_size=len(test),
+    runs = [_run_model(cfg, seed, model_id, train, test, warnings) for model_id in cfg.enabled]
+    scored = sorted(
+        (run for run in runs if run.report is not None),
+        key=lambda run: (run.report.mape_pct, run.model_id),
     )
+    failed = sorted((run for run in runs if run.report is None), key=lambda run: run.model_id)
+    rows = [replace(run, notation=f"M{i + 1}") for i, run in enumerate(scored + failed)]
+    return BenchResult(rows=rows, warnings=warnings, train_size=len(train), test=test)
+
+
+def _run_model(
+    cfg: BenchConfig, seed: int, model_id: str, train: Dataset, test: Dataset, warnings: list[str]
+) -> ModelRun:
+    """Build, fit, predict and score one model; its failure becomes its error row."""
+    info = MODEL_REGISTRY[model_id]
+    predictor = build_model(model_id, cfg.model_params.get(model_id, {}), derive_seed(seed, model_id))
+    try:
+        predictor.fit(train)
+        predicted = predictor.predict_many(test)
+        report = score_predictions(test, predicted, model_id, cfg.k_predictors, cfg.n_override)
+        return ModelRun(
+            "", model_id, info.display_name, info.family, report=report,
+            predicted=predicted, files=predictor.output_files(model_id),
+        )
+    except Exception as exc:  # any one model's failure becomes its error row
+        code = exc.code if isinstance(exc, CostLabError) else type(exc).__name__
+        if not isinstance(exc, CostLabError):  # unexpected: keep where it was raised
+            warnings.append(f"{model_id} failed unexpectedly:\n{traceback.format_exc()}")
+        return ModelRun("", model_id, info.display_name, info.family, error=f"{code}: {exc}")
 
 
 _CSV_HEADER = (
@@ -280,7 +257,7 @@ _CSV_HEADER = (
 _MD_HEADER = (*_CSV_HEADER[:-2], "R²", "R*²")
 
 
-def _row_cells(row: LeaderboardRow) -> list[str]:
+def _row_cells(row: ModelRun) -> list[str]:
     if row.report is None:
         return [row.notation, row.display_name, row.family, "-", f"error: {row.error}", "-", "-"]
     rep = row.report
@@ -315,8 +292,13 @@ def render(result: BenchResult, fmt: str = "markdown") -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_csv(path: str, rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
 def write_outputs(result: BenchResult, out_dir: str, fmt: str = "markdown") -> list[str]:
-    """Write leaderboard, per-model predictions, and GA fitness histories."""
+    """Write the leaderboard, each ranked model's predictions, then the models' extra files."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
     suffix = "csv" if fmt == "csv" else "md"
@@ -324,22 +306,20 @@ def write_outputs(result: BenchResult, out_dir: str, fmt: str = "markdown") -> l
     with open(leaderboard_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(render(result, fmt))
     written.append(leaderboard_path)
-    for model_id in sorted(result.predictions):
-        path = os.path.join(out_dir, f"predictions_{model_id}.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("id", "actual", "predicted"))
-            for rec_id, actual, predicted in result.predictions[model_id]:
-                writer.writerow((rec_id, repr(actual), repr(predicted)))
+    ranked = [run for run in result.rows if run.report is not None]
+    ranked.sort(key=lambda run: run.model_id)
+    ids = [rec.id for rec in result.test]
+    actual = [repr(cost) for cost in result.test.targets.tolist()]
+    for run in ranked:
+        path = os.path.join(out_dir, f"predictions_{run.model_id}.csv")
+        predicted = map(repr, run.predicted.tolist())
+        _write_csv(path, [("id", "actual", "predicted"), *zip(ids, actual, predicted)])
         written.append(path)
-    for model_id in sorted(result.ga_histories):
-        path = os.path.join(out_dir, f"ga_fitness_{model_id}.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("generation", "best_mape"))
-            for gen, best in enumerate(result.ga_histories[model_id]):
-                writer.writerow((gen, repr(best)))
-        written.append(path)
+    for run in ranked:  # an error row has no files
+        for name, rows in run.files.items():
+            path = os.path.join(out_dir, name)
+            _write_csv(path, rows)
+            written.append(path)
     return written
 
 
@@ -363,26 +343,7 @@ def predict_one(
         k_predictors=cfg.k_predictors, n_override=cfg.n_override,
     )
     cost = predictor.predict(features)
-    trace: list[str] = []
-    if isinstance(predictor, CbrPredictor):
-        _, retrieval = predictor.retrieve(features)
-        trace.append(
-            f"retrieved case {retrieval.best_case.id} "
-            f"(cost {retrieval.best_case.cost_le!r}) with similarity "
-            f"{retrieval.case_similarity:.4f}"
-        )
-        trace.append(
-            "per-attribute similarity: "
-            + ", ".join(f"{s:.4f}" for s in retrieval.per_attribute)
-        )
-    elif isinstance(predictor, FuzzyPredictor):
-        detail = predictor.infer_trace(features)
-        if detail.degraded:
-            trace.append("DEGRADED: no rule fired; training-mean fallback used")
-        for rule, strength in detail.fired[:10]:
-            ants = " ".join(str(a) for a in rule.antecedent)
-            trace.append(f"rule {ants} -> {rule.consequent} fired at {strength:.4f}")
-    return PredictOneResult(model_id=model_id, cost=cost, report=report, trace=trace)
+    return PredictOneResult(model_id, cost, report, predictor.explain(features))
 
 
 def build_rule_base(cfg: BenchConfig, seed: int, evolved: bool = False) -> RuleBase:

@@ -187,3 +187,12 @@ class CbrPredictor(Predictor):
     def retrieve(self, x: FeatureVector) -> tuple[float, RetrievalResult]:
         """Prediction plus the retrieval trace for reporting."""
         return retrieve_and_predict(self.case_base, x, self.k)
+
+    def explain(self, x: FeatureVector) -> list[str]:
+        _, retrieval = self.retrieve(x)
+        case = retrieval.best_case
+        return [
+            f"retrieved case {case.id} (cost {case.cost_le!r}) with similarity "
+            f"{retrieval.case_similarity:.4f}",
+            "per-attribute similarity: " + ", ".join(f"{s:.4f}" for s in retrieval.per_attribute),
+        ]

@@ -152,6 +152,14 @@ class Predictor(ABC):
             )
         return out
 
+    def output_files(self, model_id: str) -> dict[str, list[tuple]]:
+        """Extra csv files of a fitted model for ``bench --out``: name -> rows, header first."""
+        return {}
+
+    def explain(self, x: FeatureVector) -> list[str]:
+        """The trace lines ``costlab predict`` prints for one query."""
+        return []
+
     @abstractmethod
     def _fit(self, train: Dataset, y: np.ndarray) -> None: ...
 

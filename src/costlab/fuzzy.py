@@ -497,3 +497,12 @@ class FuzzyPredictor(Predictor):
     def infer_trace(self, x: FeatureVector | np.ndarray) -> InferenceResult:
         """Inference with fired rules and the degraded flag, for reporting."""
         return infer_detail(self.rule_base, x, fallback=self.fallback)
+
+    def explain(self, x: FeatureVector) -> list[str]:
+        """The degraded flag, then up to ten fired rules."""
+        detail = self.infer_trace(x)
+        lines = ["DEGRADED: no rule fired; training-mean fallback used"] if detail.degraded else []
+        for rule, strength in detail.fired[:10]:
+            ants = " ".join(str(a) for a in rule.antecedent)
+            lines.append(f"rule {ants} -> {rule.consequent} fired at {strength:.4f}")
+        return lines

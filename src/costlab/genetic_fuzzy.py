@@ -210,3 +210,7 @@ class GeneticFuzzyPredictor(FuzzyPredictor):
     def _fit(self, train: Dataset, y: np.ndarray) -> None:
         self.rule_base, self.history = evolve(self.config, train)
         self.fallback = float(np.mean(train.targets))
+
+    def output_files(self, model_id: str) -> dict[str, list[tuple]]:
+        rows = [(gen, repr(best)) for gen, best in enumerate(self.history)]
+        return {f"ga_fitness_{model_id}.csv": [("generation", "best_mape"), *rows]}

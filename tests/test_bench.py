@@ -8,7 +8,7 @@ import pytest
 from costlab.bench import (
     BenchConfig,
     BenchResult,
-    LeaderboardRow,
+    ModelRun,
     _train_test,
     build_rule_base,
     derive_seed,
@@ -21,7 +21,7 @@ from costlab.bench import (
 from costlab.cbr import CbrPredictor
 from costlab.cli import main as cli_main
 from costlab.core import EvalReport
-from costlab.data import FEATURE_NAMES, FeatureVector
+from costlab.data import FEATURE_NAMES, Dataset, FeatureVector
 from costlab.errors import ConfigError
 from costlab.fuzzy import OUTPUT_NAME, derive_rule_base, save_rules
 from costlab.metrics import MapeCategory
@@ -363,7 +363,8 @@ class TestRunBench:
         assert result.rows[-1].model_id == "cbr"
         for model_id in ("frozen_quadratic", "sqrt_regression", "cart"):
             assert by_id[model_id].report is not None
-        assert set(result.predictions) == {"frozen_quadratic", "sqrt_regression", "cart"}
+        ranked = {r.model_id for r in result.rows if r.predicted is not None}
+        assert ranked == {"frozen_quadratic", "sqrt_regression", "cart"}
         assert any("Traceback" in w and "RuntimeError: boom" in w for w in result.warnings)
 
     def test_model_isolation(self):
@@ -382,17 +383,17 @@ class TestRunBench:
     def test_predictions_recorded_per_model(self):
         cfg = BenchConfig(enabled=FAST_MODELS)
         result = run_bench(cfg, seed=9)
+        by_id = {r.model_id: r for r in result.rows}
         for model_id in FAST_MODELS:
-            rows = result.predictions[model_id]
-            assert len(rows) == result.test_size
-            for rec_id, actual, predicted in rows:
-                assert actual > 0 and np.isfinite(predicted)
+            predicted = by_id[model_id].predicted
+            assert predicted.dtype == np.float64 and len(predicted) == len(result.test)
+            assert (result.test.targets > 0).all() and np.isfinite(predicted).all()
 
 
 def _golden_result():
     report = EvalReport("demo", 9.091, MapeCategory.BELOW_10, 0.931, 0.929)
-    row = LeaderboardRow("M1", "demo", "Demo model", "ensemble", report=report)
-    return BenchResult([row], {}, {}, [], 111, 33)
+    row = ModelRun("M1", "demo", "Demo model", "ensemble", report=report)
+    return BenchResult([row], [], 111, Dataset([]))
 
 
 class TestRender:
@@ -412,7 +413,7 @@ class TestRender:
                     assert f"{value:.3f}" in md and f"{value:.3f}" in csv_text
 
     def test_header_only_for_empty(self):
-        empty = BenchResult([], {}, {}, [], 0, 0)
+        empty = BenchResult([], [], 0, Dataset([]))
         csv_text = render(empty, "csv").strip().splitlines()
         assert len(csv_text) == 1 and csv_text[0].startswith("Notation")
 
