@@ -29,8 +29,7 @@ from .data import (
     split,
     synthesize,
 )
-from .errors import ConfigError, CostLabError, ParseError, RuleConflictError
-from .fuzzy import RuleBase, derive_rule_base, load_rules
+from .errors import ConfigError, CostLabError
 from .zoo import DEFAULT_MODEL_IDS, MODEL_REGISTRY, build_model
 
 @dataclass(frozen=True)
@@ -61,6 +60,11 @@ class BenchConfig:
                 raise ConfigError("[data] source = csv requires a path")
             if not os.path.exists(self.csv_path):
                 raise ConfigError(f"[data] path does not exist: {self.csv_path}")
+            for key in ("n", "noise_pct"):  # a default written out is accepted
+                if getattr(self, key) != getattr(type(self), key):
+                    raise ConfigError(f"[data] {key} applies only to source = synthesize")
+        elif self.csv_path is not None:
+            raise ConfigError("[data] path applies only to source = csv")
         if self.train_fraction is not None and self.train_count is not None:
             raise ConfigError("[split]: give train_fraction or train_count, not both")
         if self.train_fraction is not None and not 0 < self.train_fraction < 1:
@@ -86,15 +90,6 @@ class BenchConfig:
             if model_id not in MODEL_REGISTRY:
                 raise ConfigError(f"config section [model.{model_id}]: unknown model id")
             build_model(model_id, params, 0)  # a disabled model's section is checked too
-            rule_file = params.get("rule_file")
-            if rule_file is None:
-                continue
-            if not os.path.exists(rule_file):
-                raise ConfigError(f"[model.{model_id}] rule_file does not exist: {rule_file}")
-            try:  # parsed at fit too; a bad file fails here, not as a leaderboard row
-                load_rules(rule_file)
-            except (ParseError, RuleConflictError, OSError, UnicodeDecodeError) as exc:
-                raise ConfigError(f"[model.{model_id}] rule_file {rule_file}: {exc}") from exc
 
 
 def _model_ids(raw: str) -> tuple[str, ...]:
@@ -229,8 +224,8 @@ def _run_model(
 ) -> ModelRun:
     """Build, fit, predict and score one model; its failure becomes its error row."""
     info = MODEL_REGISTRY[model_id]
-    predictor = build_model(model_id, cfg.model_params.get(model_id, {}), derive_seed(seed, model_id))
-    try:
+    try:  # a build can fail too, on a file its settings name
+        predictor = build_model(model_id, cfg.model_params.get(model_id, {}), derive_seed(seed, model_id))
         predictor.fit(train)
         predicted = predictor.predict_many(test)
         report = score_predictions(test, predicted, model_id, cfg.k_predictors, cfg.n_override)
@@ -346,12 +341,11 @@ def predict_one(
     return PredictOneResult(model_id, cost, report, predictor.explain(features))
 
 
-def build_rule_base(cfg: BenchConfig, seed: int, evolved: bool = False) -> RuleBase:
-    """Data-derived (or GA-evolved) rule base from the configured training split."""
+def build_rule_base(cfg: BenchConfig, seed: int, evolved: bool = False):
+    """The ``fuzzy.RuleBase`` derived from the configured training split (a
+    configured rule file is not read), or evolved by ``genetic_fuzzy``."""
     train, _ = _train_test(cfg, seed)
-    if not evolved:
-        return derive_rule_base(train)
-    params = cfg.model_params.get("genetic_fuzzy", {})
-    predictor = build_model("genetic_fuzzy", params, derive_seed(seed, "genetic_fuzzy"))
-    predictor.fit(train)
-    return predictor.rule_base
+    model_id = "genetic_fuzzy" if evolved else "fuzzy"
+    params = cfg.model_params.get("genetic_fuzzy", {}) if evolved else {}
+    predictor = build_model(model_id, params, derive_seed(seed, model_id))
+    return predictor.fit(train).rule_base

@@ -451,7 +451,8 @@ def load_rules(path: str) -> RuleBase:
 
 
 class FuzzyPredictor(Predictor):
-    """Zoo wrapper: expert rule file when supplied, data-derived rules otherwise.
+    """Zoo wrapper: an expert rule file, read and checked when the model is built,
+    or rules derived from the training data at fit.
 
     Inputs that fire no rule fall back to the training-mean cost and are
     flagged as degraded in the inference trace.
@@ -461,14 +462,16 @@ class FuzzyPredictor(Predictor):
 
     def __init__(self, rule_file: str | None = None):
         super().__init__()
-        self.rule_file = rule_file
-        self.rule_base: RuleBase | None = None
         self.fallback: float | None = None
+        try:
+            self.rule_base: RuleBase | None = None if rule_file is None else load_rules(rule_file)
+        except FileNotFoundError:
+            raise ValueError(f"rule_file does not exist: {rule_file}") from None
+        except (ParseError, RuleConflictError, OSError, UnicodeDecodeError) as exc:
+            raise ValueError(f"rule_file {rule_file}: {exc}") from exc
 
     def _fit(self, train: Dataset, y: np.ndarray) -> None:
-        if self.rule_file is not None:
-            self.rule_base = load_rules(self.rule_file)
-        else:
+        if self.rule_base is None:  # no rule file was read
             self.rule_base = derive_rule_base(train)
         self.fallback = float(np.mean(train.targets))
 

@@ -276,14 +276,14 @@ def build_model(model_id: str, params: Mapping[str, str], seed: int) -> Predicto
         raise ConfigError(f"unknown model id {model_id!r}")
     unknown = sorted(set(params) - set(info.param_keys))
     if unknown:
-        raise ConfigError(f"model {model_id!r}: unknown hyperparameters {unknown}")
+        raise ConfigError(f"[model.{model_id}] unknown hyperparameters {unknown}")
     typed = {}
     for key, raw in params.items():
         try:
             typed[key] = _PARAM_TYPES[key](raw)
         except ValueError:
-            raise ConfigError(f"model {model_id!r}: bad value {raw!r} for {key!r}")
+            raise ConfigError(f"[model.{model_id}] bad value {raw!r} for {key!r}")
     try:
         return info.build(typed, seed)
     except ValueError as exc:
-        raise ConfigError(f"model {model_id!r}: {exc}") from exc
+        raise ConfigError(f"[model.{model_id}] {exc}") from exc
