@@ -30,7 +30,7 @@ from .data import (
     synthesize,
 )
 from .errors import ConfigError, CostLabError
-from .zoo import DEFAULT_MODEL_IDS, MODEL_REGISTRY, build_model
+from .zoo import DEFAULT_MODEL_IDS, MODEL_REGISTRY, build_model, read_section
 
 @dataclass(frozen=True)
 class BenchConfig:
@@ -66,7 +66,7 @@ class BenchConfig:
         elif self.csv_path is not None:
             raise ConfigError("[data] path applies only to source = csv")
         if self.train_fraction is not None and self.train_count is not None:
-            raise ConfigError("[split]: give train_fraction or train_count, not both")
+            raise ConfigError("[split] give train_fraction or train_count, not both")
         if self.train_fraction is not None and not 0 < self.train_fraction < 1:
             raise ConfigError(
                 f"[split] train_fraction must be in (0, 1), got {self.train_fraction}"
@@ -88,7 +88,7 @@ class BenchConfig:
                 raise ConfigError(f"[models] enabled: duplicate model id {model_id!r}")
         for model_id, params in self.model_params.items():
             if model_id not in MODEL_REGISTRY:
-                raise ConfigError(f"config section [model.{model_id}]: unknown model id")
+                raise ConfigError(f"[model.{model_id}] unknown model id")
             build_model(model_id, params, 0)  # a disabled model's section is checked too
 
 
@@ -98,24 +98,23 @@ def _model_ids(raw: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in raw.split(",") if part.strip())
 
 
-# Every key of the non-model sections: (section, key) -> (BenchConfig field, cast).
-_KEYS = {
-    ("data", "source"): ("source", str),
-    ("data", "n"): ("n", int),
-    ("data", "noise_pct"): ("noise_pct", float),
-    ("data", "path"): ("csv_path", str),
-    ("split", "train_fraction"): ("train_fraction", float),
-    ("split", "train_count"): ("train_count", int),
-    ("metrics", "n_override"): ("n_override", int),
-    ("metrics", "k_predictors"): ("k_predictors", int),
-    ("models", "enabled"): ("enabled", _model_ids),
-    ("run", "seed"): ("seed", int),
+# Every key of the non-model sections and its type; each key is the BenchConfig
+# field of that name, except [data] path, which is csv_path.
+_SECTIONS = {
+    "data": {"source": str, "n": int, "noise_pct": float, "path": str},
+    "split": {"train_fraction": float, "train_count": int},
+    "metrics": {"n_override": int, "k_predictors": int},
+    "models": {"enabled": _model_ids},
+    "run": {"seed": int},
 }
 
 
 def parse_config(text: str, base_dir: str = ".") -> BenchConfig:
     """Parse the INI config into a checked BenchConfig; paths resolve against base_dir."""
-    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
+    # no header can name the empty section, so [DEFAULT] is a section like any other
+    parser = configparser.ConfigParser(
+        interpolation=None, inline_comment_prefixes=(";",), default_section=""
+    )
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -128,20 +127,12 @@ def parse_config(text: str, base_dir: str = ".") -> BenchConfig:
             if "rule_file" in params:
                 params["rule_file"] = os.path.join(base_dir, params["rule_file"])
             kwargs["model_params"][section[len("model."):]] = params
-            continue
-        if section not in {known for known, _ in _KEYS}:
-            raise ConfigError(f"unknown config section [{section}]")
-        unknown = sorted(key for key in parser[section] if (section, key) not in _KEYS)
-        if unknown:
-            raise ConfigError(f"[{section}]: unknown keys {unknown}")
-        for key, raw in parser[section].items():
-            name, cast = _KEYS[section, key]
-            try:
-                kwargs[name] = cast(raw)
-            except ValueError:
-                raise ConfigError(f"[{section}] {key}: bad value {raw!r}")
-    if "csv_path" in kwargs:
-        kwargs["csv_path"] = os.path.join(base_dir, kwargs["csv_path"])
+        elif section in _SECTIONS:
+            kwargs |= read_section(section, parser[section], _SECTIONS[section])
+        else:
+            raise ConfigError(f"[{section}] unknown section")
+    if "path" in kwargs:
+        kwargs["csv_path"] = os.path.join(base_dir, kwargs.pop("path"))
     return BenchConfig(**kwargs)
 
 

@@ -24,7 +24,6 @@ from .bench import (
 from .data import FeatureVector, save_csv, synthesize
 from .errors import ConfigError, CostLabError
 from .fuzzy import save_rules
-from .metrics import categorize
 
 
 def _resolve_seed(args_seed: int | None, cfg_seed: int | None) -> int:
@@ -77,7 +76,7 @@ def _cmd_predict(args) -> int:
     print(f"predicted cost: {result.cost:.2f}")
     print(
         f"test accuracy context: MAPE {result.report.mape_pct:.3f}% "
-        f"({categorize(result.report.mape_pct).label}), "
+        f"({result.report.mape_category.label}), "
         f"R2 {result.report.r2:.3f}, adjusted R2 {result.report.adj_r2:.3f}"
     )
     for line in result.trace:

@@ -1,15 +1,15 @@
 """Registry of the twenty model variants plus the frozen quadratic baseline.
 
-Each entry lists the hyperparameter keys it accepts and knows how to build a
-Predictor from them and a per-model seed. ``build_model`` types the string
-values of a config section; a key left out takes the default of the family's
-constructor or config dataclass. Unknown keys are hard errors so config typos
-never silently fall back to defaults.
+Each entry maps the hyperparameter keys it accepts to their types and knows how
+to build a Predictor from them and a per-model seed. ``read_section`` types the
+string values of any config section; a key left out takes the default of the
+family's constructor or config dataclass. Unknown keys are hard errors so
+config typos never silently fall back to defaults.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from .cart import TreeParams
@@ -25,40 +25,40 @@ from .regression import FrozenQuadraticPredictor, RegressionPredictor
 from .svr import SvrPredictor
 
 
+Types = Mapping[str, Callable[[str], object]]  # a section's keys, each with its type
+
+
 @dataclass(frozen=True)
 class ModelInfo:
     model_id: str
     display_name: str
     family: str
     build: Callable[[dict, int], Predictor]  # (typed hyperparameters, seed)
-    param_keys: tuple[str, ...] = ()  # the only [model.*] keys this model accepts
+    param_keys: Types = field(default_factory=dict)  # the only [model.*] keys this model accepts
+
+
+def read_section(section: str, raw: Mapping[str, str], types: Types) -> dict:
+    """The section's string values typed by ``types``, which names its only keys."""
+    unknown = sorted(set(raw) - set(types))
+    if unknown:
+        raise ConfigError(f"[{section}] unknown keys {unknown}")
+    typed = {}
+    for key, value in raw.items():
+        try:
+            typed[key] = types[key](value)
+        except ValueError:
+            raise ConfigError(f"[{section}] bad value {value!r} for {key!r}")
+    return typed
 
 
 def _floats(raw: str) -> tuple[float, ...]:
     return tuple(float(part) for part in raw.split(",") if part.strip())
 
 
-# The type of every [model.*] key. A key that is absent from a section is not
-# passed on, so its default is the one of the constructor or config dataclass.
-_PARAM_TYPES: dict[str, Callable[[str], object]] = {
-    **dict.fromkeys(
-        ("max_depth", "min_samples_leaf", "min_samples_split", "n_members", "n_rounds",
-         "epochs", "max_passes", "k", "population_size", "generations",
-         "elitism_count"),
-        int,
-    ),
-    **dict.fromkeys(
-        ("learning_rate", "subsample", "lam", "gamma", "c", "epsilon", "gamma_rbf",
-         "crossover_prob", "mutation_prob"),
-        float,
-    ),
-    "weights": _floats,
-    "rule_file": str,
-}
-
-_TREE_KEYS = ("max_depth", "min_samples_leaf", "min_samples_split")
-_BOOST_KEYS = ("n_rounds", "learning_rate", *_TREE_KEYS)
-_NET_KEYS = ("epochs", "learning_rate")
+_TREE_KEYS = dict.fromkeys(("max_depth", "min_samples_leaf", "min_samples_split"), int)
+_FOREST_KEYS = {"n_members": int, **_TREE_KEYS}
+_BOOST_KEYS = {"n_rounds": int, "learning_rate": float, **_TREE_KEYS}
+_NET_KEYS = {"epochs": int, "learning_rate": float}
 
 
 def _with_tree(typed: dict) -> dict:
@@ -145,7 +145,7 @@ MODEL_REGISTRY: dict[str, ModelInfo] = {
             "Regularized tree boosting (XGBoost-style)",
             "ensemble",
             _build_regularized_boosting,
-            (*_BOOST_KEYS, "lam", "gamma"),
+            {**_BOOST_KEYS, "lam": float, "gamma": float},
         ),
         ModelInfo(
             "sqrt_regression",
@@ -207,53 +207,55 @@ MODEL_REGISTRY: dict[str, ModelInfo] = {
             "Bagged trees",
             "ensemble",
             _forest_builder("bagging", "fit_bagging"),
-            ("n_members", *_TREE_KEYS),
+            _FOREST_KEYS,
         ),
         ModelInfo(
             "random_forest",
             "Random forest",
             "ensemble",
             _forest_builder("random_forest", "fit_random_forest"),
-            ("n_members", *_TREE_KEYS),
+            _FOREST_KEYS,
         ),
         ModelInfo(
             "extra_trees",
             "Extremely randomized trees",
             "ensemble",
             _forest_builder("extra_trees", "fit_extra_trees"),
-            ("n_members", *_TREE_KEYS),
+            _FOREST_KEYS,
         ),
         ModelInfo(
             "adaboost_r2",
             "AdaBoost.R2",
             "ensemble",
             _forest_builder("adaboost_r2", "fit_adaboost_r2"),
-            ("n_members", *_TREE_KEYS),
+            _FOREST_KEYS,
         ),
         ModelInfo(
             "sgb",
             "Stochastic gradient boosting",
             "ensemble",
             _build_sgb,
-            (*_BOOST_KEYS, "subsample"),
+            {**_BOOST_KEYS, "subsample": float},
         ),
         ModelInfo(
             "genetic_fuzzy",
             "GA-evolved fuzzy rules",
             "hybrid fuzzy",
             _build_genetic_fuzzy,
-            ("population_size", "generations", "crossover_prob", "mutation_prob",
-             "elitism_count"),
+            {"population_size": int, "generations": int, "crossover_prob": float,
+             "mutation_prob": float, "elitism_count": int},
         ),
-        ModelInfo("cbr", "Case-based reasoning", "case-based", _build_cbr, ("k", "weights")),
+        ModelInfo(
+            "cbr", "Case-based reasoning", "case-based", _build_cbr, {"k": int, "weights": _floats}
+        ),
         ModelInfo(
             "svr",
             "Support vector regression (RBF)",
             "kernel",
             _build_svr,
-            ("c", "epsilon", "gamma_rbf", "max_passes"),
+            {"c": float, "epsilon": float, "gamma_rbf": float, "max_passes": int},
         ),
-        ModelInfo("fuzzy", "Mamdani fuzzy inference", "fuzzy", _build_fuzzy, ("rule_file",)),
+        ModelInfo("fuzzy", "Mamdani fuzzy inference", "fuzzy", _build_fuzzy, {"rule_file": str}),
         ModelInfo(
             "frozen_quadratic",
             "Frozen quadratic baseline",
@@ -274,15 +276,7 @@ def build_model(model_id: str, params: Mapping[str, str], seed: int) -> Predicto
     info = MODEL_REGISTRY.get(model_id)
     if info is None:
         raise ConfigError(f"unknown model id {model_id!r}")
-    unknown = sorted(set(params) - set(info.param_keys))
-    if unknown:
-        raise ConfigError(f"[model.{model_id}] unknown hyperparameters {unknown}")
-    typed = {}
-    for key, raw in params.items():
-        try:
-            typed[key] = _PARAM_TYPES[key](raw)
-        except ValueError:
-            raise ConfigError(f"[model.{model_id}] bad value {raw!r} for {key!r}")
+    typed = read_section(f"model.{model_id}", params, info.param_keys)
     try:
         return info.build(typed, seed)
     except ValueError as exc:

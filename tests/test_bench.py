@@ -195,7 +195,7 @@ class TestBadHyperparameters:
 
     @pytest.mark.parametrize("model_id, params", UNKNOWN_KEYS)
     def test_unknown_key_is_named(self, model_id, params):
-        with pytest.raises(ConfigError, match=re.escape(f"unknown hyperparameters {list(params)}")):
+        with pytest.raises(ConfigError, match=re.escape(f"unknown keys {list(params)}")):
             build_model(model_id, params, 0)
 
     @pytest.mark.parametrize("model_id, params", BAD_HYPERPARAMETERS)

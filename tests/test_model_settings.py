@@ -1,6 +1,7 @@
 """One reader per setting: a model's constructor checks its settings and reads
-any file they name, every config error names its section, and ``[data]``
-values that the configured source would not read are errors."""
+any file they name, every declared key reaches its model, every config error
+names its section, and ``[data]`` values that the configured source would not
+read are errors."""
 
 import ast
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 from costlab.bench import BenchConfig, _train_test, parse_config, run_bench
 from costlab.cli import main as cli_main
 from costlab.errors import ConfigError
-from costlab.zoo import build_model
+from costlab.zoo import MODEL_REGISTRY, build_model
 
 BENCH_PY = Path(__file__).resolve().parents[1] / "src" / "costlab" / "bench.py"
 CSV_HEADER = "id,area_served,pipeline_length_m,irrigation_valves,construction_year,cost_le\n"
@@ -81,15 +82,29 @@ class TestDataValuesTheSourceWouldNotRead:
         assert BenchConfig(source="csv", csv_path=path, n=144, noise_pct=5).n == 144
 
 
-# One bad value per section, and the bracketed section its message starts with.
+# One bad value per section, and the bracketed section its message starts with
+# (or the whole message, for the forms that every section shares).
 BAD_SECTIONS = {
+    "unknown_section": ("[x]\na = 1\n", "[x] unknown section"),
+    "default_alone": ("[DEFAULT]\nseed = 5\n", "[DEFAULT] unknown section"),
+    "default_with_run": ("[DEFAULT]\nseed = 5\n\n[run]\n", "[DEFAULT] unknown section"),
+    "default_with_data": ("[DEFAULT]\nseed = 5\n\n[data]\n", "[DEFAULT] unknown section"),
+    "data_unknown_key": ("[data]\nsize = 5\n", "[data] unknown keys ['size']"),
+    "data_bad_value": ("[data]\nn = x\n", "[data] bad value 'x' for 'n'"),
+    "split_both": (
+        "[split]\ntrain_fraction = 0.5\ntrain_count = 10\n",
+        "[split] give train_fraction or train_count, not both",
+    ),
+    "unknown_model": ("[model.nope]\n", "[model.nope] unknown model id"),
     "data": ("[data]\nn = 0\n", "[data]"),
     "split": ("[split]\ntrain_fraction = 2\n", "[split]"),
     "metrics": ("[metrics]\nk_predictors = -1\n", "[metrics]"),
     "models": ("[models]\nenabled = nope\n", "[models]"),
     "svr_c": ("[model.svr]\nc = 0\n", "[model.svr]"),
-    "model_bad_value": ("[model.cart]\nmax_depth = deep\n", "[model.cart]"),
-    "model_unknown_key": ("[model.cart]\ndepth = 3\n", "[model.cart]"),
+    "model_bad_value": (
+        "[model.cart]\nmax_depth = deep\n", "[model.cart] bad value 'deep' for 'max_depth'"
+    ),
+    "model_unknown_key": ("[model.cart]\ndepth = 3\n", "[model.cart] unknown keys ['depth']"),
     "missing_rule_file": (
         "[model.fuzzy]\nrule_file = ghost.txt\n", "[model.fuzzy] rule_file does not exist: "
     ),
@@ -104,6 +119,49 @@ def test_every_config_error_names_its_section(case, tmp_path):
     with pytest.raises(ConfigError) as info:
         parse_config(text, base_dir=str(tmp_path))
     assert str(info.value).startswith(prefix)
+
+
+def test_predict_names_an_unknown_model_id(capsys):
+    args = ["predict", "--model", "nope", "--p1", "1", "--p2", "1", "--p3", "1", "--p4", "2013"]
+    assert cli_main(args) == 1
+    assert capsys.readouterr().err == "error: CONFIG_ERROR: unknown model id 'nope'\n"
+
+
+# One valid value for every [model.*] key, unlike the default of every model
+# that declares the key (``rule_file`` is a written rules file).
+NON_DEFAULT_VALUES = {
+    "max_depth": "3",
+    "min_samples_leaf": "3",
+    "min_samples_split": "5",
+    "n_members": "7",
+    "n_rounds": "7",
+    "learning_rate": "0.2",
+    "lam": "2",
+    "gamma": "0.5",
+    "subsample": "0.5",
+    "epochs": "7",
+    "population_size": "9",
+    "generations": "3",
+    "crossover_prob": "0.5",
+    "mutation_prob": "0.2",
+    "elitism_count": "1",
+    "k": "3",
+    "weights": "1,2,1,1",
+    "c": "2",
+    "epsilon": "0.2",
+    "gamma_rbf": "0.5",
+    "max_passes": "7",
+}
+
+
+@pytest.mark.parametrize(
+    "model_id, key",
+    [(model_id, key) for model_id, info in MODEL_REGISTRY.items() for key in info.param_keys],
+)
+def test_every_declared_key_reaches_its_model(model_id, key, tmp_path, capsys):
+    """A key that its model's build dropped would leave the model at its defaults."""
+    value = _seed_42_rules(tmp_path, capsys) if key == "rule_file" else NON_DEFAULT_VALUES[key]
+    assert vars(build_model(model_id, {key: value}, 0)) != vars(build_model(model_id, {}, 0))
 
 
 def test_bench_imports_no_model_family():
