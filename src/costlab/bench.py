@@ -117,6 +117,10 @@ def parse_config(text: str, base_dir: str = ".") -> BenchConfig:
     )
     try:
         parser.read_string(text)
+    except configparser.DuplicateOptionError as exc:
+        raise ConfigError(f"[{exc.section}] duplicate key {exc.option!r}")
+    except configparser.DuplicateSectionError as exc:
+        raise ConfigError(f"[{exc.section}] duplicate section")
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}")
 

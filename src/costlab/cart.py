@@ -424,6 +424,5 @@ def walk_trees(nodes: RegressionTree, X: np.ndarray) -> np.ndarray:
 
 
 def predict_tree(tree: RegressionTree, X: np.ndarray) -> np.ndarray:
-    """Leaf value of every row of X (one row per query)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    """(n,) leaf value of every (n, 4) row of X."""
     return walk_trees(tree, X)[:, 0]

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import Predictor
-from .data import Dataset, FeatureVector, N_FEATURES, ProjectRecord
+from .data import Dataset, FeatureVector, N_FEATURES
 from .errors import (
     KTooLargeError,
     NegativeAttributeError,
@@ -51,42 +51,36 @@ def check_weights(weights: Sequence[float]) -> tuple[float, ...]:
 
 
 def case_similarity(
-    new: FeatureVector | np.ndarray,
-    stored: np.ndarray,
-    weights: Sequence[float] = DEFAULT_WEIGHTS,
+    X: np.ndarray, stored: np.ndarray, weights: Sequence[float] = DEFAULT_WEIGHTS
 ) -> np.ndarray:
-    """Weighted average of the four attribute similarities to each of the (m, 4)
-    stored cases: (m,) for one ``FeatureVector``, (n, m) for an (n, 4) matrix
-    of queries, whose non-finite values count as missing. Each value is
-    bit-identical to the scalar oracle in ``tests/oracles.py``."""
-    one = isinstance(new, FeatureVector)
-    a = new.to_array()[None, :] if one else np.asarray(new, dtype=float)
-    b = np.asarray(stored, dtype=float)
+    """(n, m) weighted average of the four attribute similarities of each (n, 4)
+    query row to each (m, 4) stored case; a non-finite query value counts as
+    missing. Each value is bit-identical to the scalar oracle in ``tests/oracles.py``."""
     # NaN propagates through min and max, and an infinite query value is missing too
-    a_lo, a_hi, b_lo = a.min(initial=0.0), a.max(initial=0.0), b.min(initial=0.0)
+    a_lo, a_hi, b_lo = X.min(initial=0.0), X.max(initial=0.0), stored.min(initial=0.0)
     if not (math.isfinite(a_lo) and math.isfinite(a_hi)) or math.isnan(b_lo):
         raise UnsupportedMissingError("case similarity requires complete feature vectors")
     weights = check_weights(weights)
     if a_lo < 0 or b_lo < 0:
         raise NegativeAttributeError("attribute values must be nonnegative")
     # feature-major (4, rows, m), so each feature's pass runs along the cases
-    cases = b.T[:, None, :]
-    score = np.empty((len(a), len(b)))
-    for start in range(0, len(a), SIMILARITY_CHUNK):
+    cases = stored.T[:, None, :]
+    score = np.empty((len(X), len(stored)))
+    for start in range(0, len(X), SIMILARITY_CHUNK):
         rows = slice(start, start + SIMILARITY_CHUNK)
-        sims = _attribute_similarities(a[rows].T[:, :, None], cases)
+        sims = _attribute_similarities(X[rows].T[:, :, None], cases)
         total = 0.0
         for w, sim in zip(weights, sims):
             total = total + w * sim
         score[rows] = total / sum(weights)
-    return score[0] if one else score
+    return score
 
 
 @dataclass(frozen=True)
 class CaseBase:
-    """Stored cases plus the attribute weights used for retrieval."""
+    """The training set as the stored cases, plus the attribute weights used for retrieval."""
 
-    cases: tuple[ProjectRecord, ...]
+    cases: Dataset
     attribute_weights: tuple[float, float, float, float] = DEFAULT_WEIGHTS
 
     def __post_init__(self):
@@ -95,50 +89,27 @@ class CaseBase:
         check_weights(self.attribute_weights)
 
     @cached_property
-    def features(self) -> np.ndarray:
-        """(m, 4) feature matrix of the stored cases, in case order."""
-        return np.array([case.features.to_array() for case in self.cases])
-
-    @cached_property
-    def costs(self) -> np.ndarray:
-        """(m,) observed costs of the stored cases, in case order."""
-        return np.array([case.cost_le for case in self.cases])
-
-    @cached_property
     def id_order(self) -> np.ndarray:
         """Case indices sorted by id in lexical order; equal ids keep case order."""
         return np.array(sorted(range(len(self.cases)), key=lambda i: self.cases[i].id))
 
 
-@dataclass(frozen=True)
-class RetrievalResult:
-    best_case: ProjectRecord
-    case_similarity: float
-    query: FeatureVector
-
-    @cached_property
-    def per_attribute(self) -> tuple[float, float, float, float]:
-        """Attribute similarities of the query to the best case, computed when read."""
-        sims = _attribute_similarities(self.query.to_array(), self.best_case.features.to_array())
-        return tuple(float(s) for s in sims)
-
-
 def retrieve_and_predict(
-    case_base: CaseBase, x: FeatureVector | np.ndarray, k: int = 1
-) -> tuple[float, RetrievalResult] | tuple[np.ndarray, np.ndarray]:
+    case_base: CaseBase, X: np.ndarray, k: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
     """Rank cases by similarity, reuse the weighted mean of the top-k costs.
 
     Ties in similarity break toward the lexically smaller case id. If every
-    retained similarity is zero the top-k costs are averaged unweighted. One
-    ``FeatureVector`` gives its cost and retrieval trace; an (n, 4) matrix
-    gives each row's cost and best case index, the same bits as one row alone.
+    retained similarity is zero the top-k costs are averaged unweighted. An
+    (n, 4) query matrix gives each row's cost and best case index, the same
+    bits as one row alone.
     """
+    cases = case_base.cases
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if k > len(case_base.cases):
-        raise KTooLargeError(f"k={k} exceeds case base size {len(case_base.cases)}")
-    sims = case_similarity(x, case_base.features, case_base.attribute_weights)
-    sims = sims.reshape(-1, len(case_base.cases))
+    if k > len(cases):
+        raise KTooLargeError(f"k={k} exceeds case base size {len(cases)}")
+    sims = case_similarity(X, cases.features_matrix, case_base.attribute_weights)
     # the first maximum over columns in id order breaks ties toward the smaller id,
     # then the earlier case; each pick is masked out before the next
     rows = np.arange(len(sims))
@@ -149,7 +120,7 @@ def retrieve_and_predict(
         order[:, j] = case_base.id_order[picked]
         by_id[rows, picked] = -np.inf
     top_sims = sims[rows[:, None], order]
-    top_costs = case_base.costs[order]
+    top_costs = cases.targets[order]
     # the left-to-right sums of the scalar scan, a column at a time (0 + s is s)
     sim_sum, weighted, plain = top_sims[:, 0], top_sims[:, 0] * top_costs[:, 0], top_costs[:, 0]
     for j in range(1, k):
@@ -157,12 +128,7 @@ def retrieve_and_predict(
         weighted = weighted + top_sims[:, j] * top_costs[:, j]
         plain = plain + top_costs[:, j]
     costs = np.divide(weighted, sim_sum, out=plain / k, where=sim_sum > 0)
-    best = order[:, 0]
-    if isinstance(x, FeatureVector):
-        return float(costs[0]), RetrievalResult(
-            case_base.cases[best[0]], float(top_sims[0, 0]), x
-        )
-    return costs, best
+    return costs, order[:, 0]
 
 
 class CbrPredictor(Predictor):
@@ -179,20 +145,21 @@ class CbrPredictor(Predictor):
         self.case_base: CaseBase | None = None
 
     def _fit(self, train: Dataset, y: np.ndarray) -> None:
-        self.case_base = CaseBase(train.records, self.attribute_weights)
+        self.case_base = CaseBase(train, self.attribute_weights)
 
     def _predict_batch(self, X: np.ndarray) -> np.ndarray:
         return retrieve_and_predict(self.case_base, X, self.k)[0]
 
-    def retrieve(self, x: FeatureVector) -> tuple[float, RetrievalResult]:
-        """Prediction plus the retrieval trace for reporting."""
-        return retrieve_and_predict(self.case_base, x, self.k)
-
     def explain(self, x: FeatureVector) -> list[str]:
-        _, retrieval = self.retrieve(x)
-        case = retrieval.best_case
+        """The best case, its similarity and its per-attribute similarities, scored
+        again alone: an entry depends only on its (query, case) pair, so these are
+        the bits of the retrieval's matrix."""
+        row, cases = x.to_array()[None, :], self.case_base.cases
+        best = int(retrieve_and_predict(self.case_base, row, self.k)[1][0])
+        case, stored = cases[best], cases.features_matrix[best]
+        sim = case_similarity(row, stored[None, :], self.case_base.attribute_weights)[0, 0]
+        per_attribute = _attribute_similarities(row[0], stored)
         return [
-            f"retrieved case {case.id} (cost {case.cost_le!r}) with similarity "
-            f"{retrieval.case_similarity:.4f}",
-            "per-attribute similarity: " + ", ".join(f"{s:.4f}" for s in retrieval.per_attribute),
+            f"retrieved case {case.id} (cost {case.cost_le!r}) with similarity {sim:.4f}",
+            "per-attribute similarity: " + ", ".join(f"{s:.4f}" for s in per_attribute),
         ]

@@ -135,10 +135,6 @@ class Dataset(Sequence[ProjectRecord]):
         return self._records[index]
 
     @property
-    def records(self) -> tuple[ProjectRecord, ...]:
-        return self._records
-
-    @property
     def features_matrix(self) -> np.ndarray:
         """(n, 4) float matrix; missing slots are NaN."""
         return self._X

@@ -292,26 +292,25 @@ class FuzzyEngine:
 
 def infer_detail(
     rule_base: RuleBase,
-    x: FeatureVector | np.ndarray,
+    x: np.ndarray,
     fallback: float | None = None,
     strengths: np.ndarray | None = None,
     centroid: float | None = None,
 ) -> InferenceResult:
-    """Crisp cost of one ``FeatureVector`` or (4,) row, with the fired-rule trace
-    and the degraded-fallback flag; without a fallback, raises NO_RULE_FIRES
-    when nothing fires. A non-finite value in a row counts as missing.
+    """Crisp cost of one (4,) row, with the fired-rule trace and the
+    degraded-fallback flag; without a fallback, raises NO_RULE_FIRES when
+    nothing fires. A non-finite value in the row counts as missing.
 
     ``strengths`` are the row's (R,) firing strengths and ``centroid`` its
     value from ``centroids`` (NaN where that found no area), when the caller
     has them from a batch pass; without them they are computed here. A row
     that fires no rule is decided from its strengths alone, by the test
     ``centroids`` uses for its fired mask, and is never defuzzified."""
-    point = x.to_array() if isinstance(x, FeatureVector) else np.asarray(x, dtype=float)
-    if not all(map(math.isfinite, point.ravel().tolist())):
+    if not all(map(math.isfinite, x.tolist())):
         raise UnsupportedMissingError("fuzzy inference requires complete feature vectors")
     engine = rule_base.engine
     if strengths is None:
-        memberships = engine.input_memberships(point[None, :])
+        memberships = engine.input_memberships(x[None, :])
         strengths = engine.strengths(memberships, rule_base.antecedents)[0]
     if centroid is None:
         centroid = np.nan
@@ -497,13 +496,13 @@ class FuzzyPredictor(Predictor):
                 values[i] = result.value
         return values
 
-    def infer_trace(self, x: FeatureVector | np.ndarray) -> InferenceResult:
-        """Inference with fired rules and the degraded flag, for reporting."""
+    def infer_trace(self, x: np.ndarray) -> InferenceResult:
+        """Inference on one (4,) row with fired rules and the degraded flag, for reporting."""
         return infer_detail(self.rule_base, x, fallback=self.fallback)
 
     def explain(self, x: FeatureVector) -> list[str]:
         """The degraded flag, then up to ten fired rules."""
-        detail = self.infer_trace(x)
+        detail = self.infer_trace(x.to_array())
         lines = ["DEGRADED: no rule fired; training-mean fallback used"] if detail.degraded else []
         for rule, strength in detail.fired[:10]:
             ants = " ".join(str(a) for a in rule.antecedent)

@@ -32,8 +32,6 @@ def kernel_matrix(A: np.ndarray, B: np.ndarray, gamma_rbf: float) -> np.ndarray:
     The squared distances are summed feature by feature, elementwise, so each
     entry's bits depend only on its two rows, K(a, a) is exactly 1 and
     K(A, A) is exactly symmetric."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
     sq = np.zeros((len(A), len(B)))
     for f in range(A.shape[1]):
         d = A[:, f, None] - B[None, :, f]
@@ -168,8 +166,6 @@ def fit_svr(X: np.ndarray, y: np.ndarray, **params: float) -> SvrModel:
     A pass is n pair updates; the model is returned flagged unconverged when
     KKT violations still exceed ``tol`` after ``max_passes`` passes.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float)
     if y.size == 0:
         raise EmptyTrainError("SVR needs a nonempty training set")
     p = SvrParams(**params)
@@ -235,16 +231,14 @@ def fit_svr(X: np.ndarray, y: np.ndarray, **params: float) -> SvrModel:
     )
 
 
-def predict_svr(model: SvrModel, X: np.ndarray) -> np.ndarray | float:
-    """De-standardized kernel expansion at each (n, 4) query row; a float for a
-    single (4,) row. Each row's value is the same bits in a batch of any size."""
-    X = np.asarray(X, dtype=float)
-    xs = (np.atleast_2d(X) - model.x_mean) / model.x_scale
+def predict_svr(model: SvrModel, X: np.ndarray) -> np.ndarray:
+    """(n,) de-standardized kernel expansion at each (n, 4) query row, each
+    row's value the same bits in a batch of any size."""
+    xs = (X - model.x_mean) / model.x_scale
     K = kernel_matrix(xs, model.X_std, model.gamma_rbf)
     # a per-row sum along the contiguous last axis, unlike a BLAS K @ beta
     f = (K * model.beta).sum(axis=1) + model.bias
-    out = f * model.y_scale + model.y_mean
-    return float(out[0]) if X.ndim == 1 else out
+    return f * model.y_scale + model.y_mean
 
 
 class SvrPredictor(Predictor):

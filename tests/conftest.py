@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from costlab.cart import LEAF
+from costlab.cbr import _attribute_similarities, case_similarity, retrieve_and_predict
 from costlab.data import Dataset, FeatureVector, ProjectRecord, synthesize
 
 
@@ -40,6 +41,21 @@ def random_dataset(n, seed, target_fn=None, noise=0.0):
     if noise:
         y = y * (1.0 + rng.uniform(-noise, noise, n))
     return make_dataset(X, y)
+
+
+def retrieve_one(case_base, x, k=1):
+    """One ``FeatureVector`` query's cost, its best case, and that case's
+    similarity and per-attribute similarities, read as ``CbrPredictor.explain``
+    reads them: a batch of one, then the best case scored alone."""
+    row = x.to_array()[None, :]
+    costs, best = retrieve_and_predict(case_base, row, k)
+    stored = case_base.cases.features_matrix[best]
+    return (
+        float(costs[0]),
+        case_base.cases[int(best[0])],
+        float(case_similarity(row, stored, case_base.attribute_weights)[0, 0]),
+        tuple(_attribute_similarities(row[0], stored[0]).tolist()),
+    )
 
 
 def node_sizes(tree, X) -> np.ndarray:

@@ -80,12 +80,12 @@ def fire_rule(rule_base, rule, x):
 
 
 def infer_detail_always_defuzzified(rule_base, x, fallback=None):
-    """``fuzzy.infer_detail`` that sends every row through ``centroids``, the
+    """``fuzzy.infer_detail`` that sends every (4,) row through ``centroids``, the
     rows that fire no rule included, and reads the outcome from its mask."""
-    if None in x.as_tuple():
+    if not np.isfinite(x).all():
         raise UnsupportedMissingError("fuzzy inference requires complete feature vectors")
     engine = rule_base.engine
-    memberships = engine.input_memberships(x.to_array()[None, :])
+    memberships = engine.input_memberships(x[None, :])
     strengths = engine.strengths(memberships, rule_base.antecedents)
     values, ok = engine.centroids(strengths, rule_base.consequents)
     if ok[0]:

@@ -14,7 +14,7 @@ from conftest import random_dataset
 from oracles import fire_rule, membership, scalar_case_similarity
 from costlab.bench import BenchConfig, run_bench, write_outputs
 from costlab.cart import best_split
-from costlab.cbr import CaseBase, retrieve_and_predict
+from costlab.cbr import CaseBase, case_similarity, retrieve_and_predict
 from costlab.core import TargetTransform, evaluate
 from costlab.data import (
     Dataset,
@@ -230,7 +230,7 @@ def test_criterion_07_fuzzy_centroid_oracle():
             seen.add(ant)
             rules.append(FuzzyRule(ant, int(rng.integers(1, 8))))
         rb = RuleBase(tuple(rules), in_vars, out_var)
-        got = infer_detail(rb, x).value
+        got = infer_detail(rb, xa).value
         grid = np.linspace(lo, hi, 100001)
         agg = np.zeros_like(grid)
         for rule in rules:
@@ -247,7 +247,7 @@ def test_criterion_07_fuzzy_centroid_oracle():
     for consequent in (2, 3, 4, 5, 6):  # interior, symmetric MFs
         rb = RuleBase((FuzzyRule((2, 2, 2, 2), consequent),), in_vars, out_var)
         x = FeatureVector(*[10.0 / 6.0] * 4)
-        assert infer_detail(rb, x).value == pytest.approx(
+        assert infer_detail(rb, x.to_array()).value == pytest.approx(
             out_var.mfs[consequent - 1].peak, abs=step
         )
     elapsed = time.time() - started
@@ -294,11 +294,12 @@ def test_criterion_08_ga_contract():
 def test_criterion_09_cbr_exactness():
     started = time.time()
     train = random_dataset(100, seed=GLOBAL_SEED, noise=0.4)
-    base = CaseBase(train.records)
+    base = CaseBase(train)
     stored = train[17]
-    cost, retrieval = retrieve_and_predict(base, stored.features, k=1)
-    assert cost == stored.cost_le
-    assert retrieval.case_similarity == 1.0
+    row = stored.features.to_array()[None, :]
+    costs, best = retrieve_and_predict(base, row, k=1)
+    assert costs[0] == stored.cost_le
+    assert case_similarity(row, train.features_matrix)[0, best[0]] == 1.0
 
     rng = np.random.default_rng(GLOBAL_SEED + 1)
     for _ in range(30):
@@ -308,9 +309,11 @@ def test_criterion_09_cbr_exactness():
             float(rng.uniform(5, 60)),
             float(rng.uniform(2010, 2015)),
         )
-        _, result = retrieve_and_predict(base, query, k=1)
+        row = query.to_array()[None, :]
+        _, best = retrieve_and_predict(base, row, k=1)
         scan_best = max(scalar_case_similarity(query, c.features) for c in base.cases)
-        assert result.case_similarity == pytest.approx(scan_best, rel=1e-12)
+        similarity = case_similarity(row, train.features_matrix)[0, best[0]]
+        assert similarity == pytest.approx(scan_best, rel=1e-12)
     elapsed = time.time() - started
     assert elapsed < 1.0
     _report(9, f"CBR exact reuse and exhaustive-scan agreement ({elapsed:.2f}s)")
@@ -396,7 +399,7 @@ def test_criterion_11_svr_small_instance_oracle():
             ps = (probe - x_mean) / x_scale
             k = kernel_matrix(Xs, ps[None, :], gamma)[:, 0]
             oracle_pred = (float(beta @ k) + bias) * y_scale + y_mean
-            assert predict_svr(model, probe) == pytest.approx(oracle_pred, rel=1e-2)
+            assert predict_svr(model, probe[None, :])[0] == pytest.approx(oracle_pred, rel=1e-2)
 
     # kernel PSD check
     for _ in range(10):

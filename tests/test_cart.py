@@ -201,20 +201,21 @@ class TestPredictTree:
     def test_single_leaf_constant(self):
         tree = grow(np.array([[1.0], [2.0]]), np.array([4.0, 6.0]), TreeParams(max_depth=0))
         for v in (-100.0, 0.0, 55.0):
-            assert predict_tree(tree, [[v]]).tolist() == [5.0]
+            assert predict_tree(tree, np.array([[v]])).tolist() == [5.0]
 
     def test_threshold_boundary_goes_left(self):
         X = np.array([[1.0], [2.0], [3.0], [10.0], [11.0], [12.0]])
         y = np.array([5.0, 5.0, 5.0, 9.0, 9.0, 9.0])
         tree = grow(X, y)
-        assert predict_tree(tree, [[tree.threshold[0]]]).tolist() == [tree.value[tree.right[0] - 1]]
+        at_cut = np.array([[tree.threshold[0]]])
+        assert predict_tree(tree, at_cut).tolist() == [tree.value[tree.right[0] - 1]]
 
     def test_missing_rejected_without_default_directions(self):
         X = np.array([[1.0], [2.0], [3.0], [10.0], [11.0], [12.0]])
         y = np.array([5.0, 5.0, 5.0, 9.0, 9.0, 9.0])
         tree = grow(X, y)
         with pytest.raises(UnsupportedMissingError):
-            predict_tree(tree, [[np.nan]])
+            predict_tree(tree, np.array([[np.nan]]))
 
 
 class TestCartPredictor:

@@ -1,10 +1,9 @@
 """One similarity matrix and one retrieval call price a whole CBR batch.
 
 ``case_similarity`` and ``retrieve_and_predict`` take an (n, 4) matrix of
-queries as well as one ``FeatureVector``. Every row of a matrix call must
-carry the same float64 bits as that row's one-vector call and as the sorted
-scan ``brute_force_retrieval``, on case bases with exact ties and ids out of
-lexical order. ``CbrPredictor.predict_many`` prices a batch with one call to
+queries. Every row of a matrix call must carry the same float64 bits as that
+row's batch of one and as the sorted scan ``brute_force_retrieval``, on case
+bases with exact ties and ids out of lexical order. ``CbrPredictor.predict_many`` prices a batch with one call to
 each, and the benchmark's tracer counts both.
 """
 
@@ -21,23 +20,23 @@ from test_fuzzy_cbr_equivalence import (
 )
 from costlab import cbr
 from costlab.cbr import CaseBase, CbrPredictor, case_similarity, retrieve_and_predict
-from costlab.data import ProjectRecord, SplitSpec, split
+from costlab.data import Dataset, ProjectRecord, SplitSpec, split
 from costlab.errors import NegativeAttributeError, UnsupportedMissingError
 
 
 def _check_rows_against_one_row_calls(case_base, X, k):
-    weights = case_base.attribute_weights
-    sims = case_similarity(X, case_base.features, weights)
+    weights, stored = case_base.attribute_weights, case_base.cases.features_matrix
+    sims = case_similarity(X, stored, weights)
     costs, best = retrieve_and_predict(case_base, X, k)
     assert sims.shape == (len(X), len(case_base.cases))
     assert costs.shape == best.shape == (len(X),)
-    for i, row in enumerate(X):
-        x = feature_vector(row)
-        assert np.array_equal(bits(sims[i]), bits(case_similarity(x, case_base.features, weights)))
-        cost, result = retrieve_and_predict(case_base, x, k)
-        want_cost, top = brute_force_retrieval(case_base, x, k)
+    for i in range(len(X)):
+        one = X[i : i + 1]
+        assert np.array_equal(bits(sims[i]), bits(case_similarity(one, stored, weights)[0]))
+        (cost,), (one_best,) = retrieve_and_predict(case_base, one, k)
+        want_cost, top = brute_force_retrieval(case_base, feature_vector(X[i]), k)
         assert bits(costs[i]) == bits(cost) == bits(want_cost)
-        assert case_base.cases[best[i]] is result.best_case is top[0][1]
+        assert case_base.cases[best[i]] is case_base.cases[one_best] is top[0][1]
     return sims
 
 
@@ -64,7 +63,7 @@ def test_rows_with_zero_similarity_average_their_top_costs(k):
         ProjectRecord(case_id, feature_vector(row), float(rng.uniform(1e5, 1e6)))
         for case_id, row in zip(ids, rows)
     )
-    case_base = CaseBase(cases, (1.0, 0.0, 1.0, 0.0))
+    case_base = CaseBase(Dataset(cases), (1.0, 0.0, 1.0, 0.0))
     X = _feature_rows(rng, 7)
     X[::2, [0, 2]] = 0.0
     X[1::2, [0, 2]] += 1.0
@@ -83,13 +82,13 @@ def test_a_bad_value_raises_as_it_does_for_one_row(value, error):
     X = _feature_rows(rng, 7)
     X[3, 1] = value
     with pytest.raises(error):
-        case_similarity(X, case_base.features)
+        case_similarity(X, case_base.cases.features_matrix)
     with pytest.raises(error):
         retrieve_and_predict(case_base, X, 2)
     if value != np.inf:  # a stored value is checked for NaN and sign, as before
-        stored = case_base.features.copy()
+        stored = case_base.cases.features_matrix.copy()
         stored[5, 2] = value
-        for query in (feature_vector(X[0]), X[:3]):
+        for query in (X[:1], X[:3]):
             with pytest.raises(error):
                 case_similarity(query, stored)
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from costlab.data import (
-    Dataset,
     FeatureVector,
     GreenRuleCheck,
     ProjectRecord,
@@ -88,7 +87,7 @@ class TestLoadCsv:
         path = str(tmp_path / "round.csv")
         save_csv(ds, path)
         again = load_csv(path)
-        assert again.records == ds.records
+        assert tuple(again) == tuple(ds)
 
 
 class TestSplit:
@@ -125,7 +124,7 @@ class TestSplit:
         with pytest.raises(InvalidSplitError):
             split(ds, SplitSpec(train_count=5, seed=0))
         with pytest.raises(InvalidSplitError):
-            split(Dataset(ds.records[:1]), SplitSpec(seed=0))
+            split(ds[:1], SplitSpec(seed=0))
 
 
 class TestGreenRule:
@@ -166,7 +165,7 @@ class TestSynthesize:
     def test_seed_determinism(self):
         a = synthesize(20, seed=7, noise_pct=5.0)
         b = synthesize(20, seed=7, noise_pct=5.0)
-        assert a.records == b.records
+        assert tuple(a) == tuple(b)
 
     def test_noise_bounds(self):
         ds = synthesize(300, seed=13, noise_pct=10.0)

@@ -142,7 +142,7 @@ class TestInfer:
         x = FeatureVector(*[10.0 / 6.0] * 4)
         peak = rb.output_var.mfs[3].peak
         step = (rb.output_var.hi - rb.output_var.lo) / 1000
-        assert infer_detail(rb, x).value == pytest.approx(peak, abs=step)
+        assert infer_detail(rb, x.to_array()).value == pytest.approx(peak, abs=step)
 
     def test_symmetric_half_strength_returns_peak(self):
         # fire the rule at 0.5: clipped symmetric trapezoid keeps its center
@@ -152,7 +152,7 @@ class TestInfer:
         assert strength == pytest.approx(0.5, abs=1e-9)
         peak = rb.output_var.mfs[3].peak
         step = (rb.output_var.hi - rb.output_var.lo) / 1000
-        assert infer_detail(rb, x).value == pytest.approx(peak, abs=2 * step)
+        assert infer_detail(rb, x.to_array()).value == pytest.approx(peak, abs=2 * step)
 
     def test_two_rule_case_matches_fine_grid_oracle(self):
         rng = np.random.default_rng(1)
@@ -175,7 +175,7 @@ class TestInfer:
                 seen.add(ant)
                 rules.append(FuzzyRule(ant, int(rng.integers(1, 8))))
             rb = RuleBase(tuple(rules), in_vars, out_var)
-            got = infer_detail(rb, x).value
+            got = infer_detail(rb, x.to_array()).value
             grid = np.linspace(lo, hi, 100001)
             agg = np.zeros_like(grid)
             for r in rules:
@@ -194,7 +194,7 @@ class TestInfer:
         for _ in range(50):
             x = FeatureVector(*rng.uniform(0, 10, 4).tolist())
             try:
-                value = infer_detail(rb, x).value
+                value = infer_detail(rb, x.to_array()).value
             except NoRuleFiresError:
                 continue
             assert 100.0 <= value <= 900.0
@@ -210,23 +210,23 @@ class TestInfer:
         x2 = 10.0 / 6.0
         for p1 in np.linspace(0.3, x2, 8):
             # moving p1 toward MF2's peak strengthens the second rule
-            value = infer_detail(rb, FeatureVector(float(p1), 0.0, 0.0, 0.0001)).value
+            value = infer_detail(rb, np.array([p1, 0.0, 0.0, 0.0001])).value
             if previous is not None:
                 assert value >= previous - 1e-9
             previous = value
-        start = infer_detail(rb, FeatureVector(0.3, 0.0, 0.0, 0.0001)).value
+        start = infer_detail(rb, np.array([0.3, 0.0, 0.0, 0.0001])).value
         assert abs(previous - peak_high) < abs(start - peak_high)
 
     def test_no_rule_fires_raises_without_fallback(self):
         rb = simple_rule_base([FuzzyRule((7, 7, 7, 7), 4)])
         x = FeatureVector(0.0, 0.0, 0.0, 0.0001)
         with pytest.raises(NoRuleFiresError):
-            infer_detail(rb, x).value
+            infer_detail(rb, x.to_array()).value
 
     def test_fallback_flags_degraded(self):
         rb = simple_rule_base([FuzzyRule((7, 7, 7, 7), 4)])
         x = FeatureVector(0.0, 0.0, 0.0, 0.0001)
-        result = infer_detail(rb, x, fallback=123.0)
+        result = infer_detail(rb, x.to_array(), fallback=123.0)
         assert result.degraded and result.value == 123.0 and result.fired == ()
 
     def test_complete_rule_base_is_total(self):
@@ -243,7 +243,7 @@ class TestInfer:
         rng = np.random.default_rng(3)
         for _ in range(25):
             x = FeatureVector(*rng.uniform(0, 10, 4).tolist())
-            result = infer_detail(rb, x)  # must not raise
+            result = infer_detail(rb, x.to_array())  # must not raise
             assert not result.degraded
             assert 100.0 <= result.value <= 900.0
 
@@ -311,8 +311,8 @@ class TestDerivedRules:
         assert 1 <= len(rb.rules) <= 40
         # every training case fires at least one rule (its own vote)
         fallback_needed = 0
-        for rec in train:
-            result = infer_detail(rb, rec.features, fallback=0.0)
+        for x in train.features_matrix:
+            result = infer_detail(rb, x, fallback=0.0)
             if result.degraded:
                 fallback_needed += 1
         assert fallback_needed == 0
@@ -338,7 +338,7 @@ class TestDerivedRules:
         p = FuzzyPredictor().fit(train)
         value = p.predict(train[0].features)
         assert np.isfinite(value)
-        trace = p.infer_trace(train[0].features)
+        trace = p.infer_trace(train.features_matrix[0])
         assert not trace.degraded
         assert trace.fired
 

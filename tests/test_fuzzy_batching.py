@@ -185,15 +185,11 @@ def test_a_fitted_model_builds_one_engine_for_all_its_predictions(
 @pytest.mark.parametrize(
     "model", [FuzzyPredictor(), GeneticFuzzyPredictor(GAConfig(generations=5, seed=7))]
 )
-def test_infer_detail_reads_a_float_row_as_its_feature_vector(synthetic_144, model):
-    """``predict_many`` hands each ndarray row straight to ``infer_detail``. A row
-    gives the result its ``FeatureVector`` gives, and a non-finite value is
-    missing, as a ``None`` slot is."""
+def test_infer_detail_reads_a_non_finite_value_as_missing(synthetic_144, model):
+    """``predict_many`` hands each ndarray row straight to ``infer_detail``, where
+    a non-finite value is missing, as a ``None`` slot of a ``FeatureVector`` is."""
     train, test = _train_test(synthetic_144)
     model.fit(train)
-    for record, row in zip(test, test.features_matrix):
-        want = fuzzy.infer_detail(model.rule_base, record.features, model.fallback)
-        assert fuzzy.infer_detail(model.rule_base, row, model.fallback) == want
     engine = model.rule_base.engine
     x = test.features_matrix[:1]
     batch = {
@@ -271,7 +267,7 @@ def test_a_one_row_quote_that_fires_nothing_is_not_defuzzified(monkeypatch, fitt
     centroids = _counting(monkeypatch, FuzzyEngine, "centroids")
     assert fitted.predict(unfired) == fitted.fallback
     with pytest.raises(NoRuleFiresError, match="no rule fires for this input"):
-        fuzzy.infer_detail(fitted.rule_base, unfired)
+        fuzzy.infer_detail(fitted.rule_base, unfired.to_array())
     assert centroids == []
 
 

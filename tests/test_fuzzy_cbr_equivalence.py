@@ -14,6 +14,7 @@ row.
 import numpy as np
 import pytest
 
+from conftest import retrieve_one
 from oracles import (
     attribute_similarity,
     centroids_full_grid,
@@ -27,7 +28,7 @@ from costlab.cbr import (
     case_similarity,
     retrieve_and_predict,
 )
-from costlab.data import N_FEATURES, FeatureVector, ProjectRecord
+from costlab.data import N_FEATURES, Dataset, FeatureVector, ProjectRecord
 from costlab.errors import NoRuleFiresError
 from costlab.fuzzy import (
     MF_COUNT,
@@ -301,14 +302,13 @@ def test_fired_rules_are_sorted_strongest_first_with_ties_in_rule_order():
     )
     ties = 0
     for query in queries:
-        x = feature_vector(query)
         strengths = engine.strengths(engine.input_memberships(query[None, :]), rule_base.antecedents)
         want = [
             (rule, float(s))
             for rule, s in sorted(zip(rules, strengths[0]), key=lambda pair: -pair[1])
             if s > 0.0
         ]
-        fired = infer_detail(rule_base, x).fired
+        fired = infer_detail(rule_base, query).fired
         assert list(fired) == want
         ties += len({s for _, s in fired}) < len(fired)
     assert ties > 10
@@ -378,7 +378,7 @@ def test_infer_detail_matches_the_form_that_defuzzifies_every_row():
         rule_base = _random_rule_base(rng)
         for i in range(30):
             kind = kinds[i % len(kinds)]
-            x = feature_vector(_random_row(rng, rule_base, kind))
+            x = np.array(_random_row(rng, rule_base, kind))
             for fallback in (None, float(rng.uniform(0.0, 1000.0))):
                 want = _outcome(infer_detail_always_defuzzified, rule_base, x, fallback)
                 assert _outcome(infer_detail, rule_base, x, fallback) == want, (kind, x, fallback)
@@ -416,7 +416,7 @@ def test_case_similarity_matrix_matches_the_scalar_loop(weights):
     stored = _feature_rows(rng, 300)
     for query in _feature_rows(rng, 20):
         x = feature_vector(query)
-        sims = case_similarity(x, stored, weights)
+        sims = case_similarity(query[None, :], stored, weights)[0]
         want = [scalar_case_similarity(x, feature_vector(s), weights) for s in stored]
         assert np.array_equal(bits(sims), bits(want))
 
@@ -424,10 +424,11 @@ def test_case_similarity_matrix_matches_the_scalar_loop(weights):
 def test_case_similarity_of_two_vectors_is_a_float():
     a = FeatureVector(0.0, 10.0, 0.0, 2012.0)
     b = FeatureVector(0.0, 20.0, 3.0, 2012.0)
-    sim = float(case_similarity(a, [b.to_array()], (2.0, 1.0, 0.5, 1.0))[0])
+    row_a, row_b = a.to_array()[None, :], b.to_array()[None, :]
+    sim = float(case_similarity(row_a, row_b, (2.0, 1.0, 0.5, 1.0))[0, 0])
     assert type(sim) is float
     assert sim == scalar_case_similarity(a, b, (2.0, 1.0, 0.5, 1.0))
-    assert case_similarity(a, [a.to_array()])[0] == 1.0  # zero-zero attributes are identical
+    assert case_similarity(row_a, row_a)[0, 0] == 1.0  # zero-zero attributes are identical
 
 
 def brute_force_retrieval(case_base, x, k):
@@ -462,7 +463,7 @@ def _tied_case_base(rng, weights):
         ProjectRecord(case_id, feature_vector(row), float(rng.uniform(1e5, 1e6)))
         for case_id, row in zip(ids, rows)
     )
-    return CaseBase(cases, weights), base
+    return CaseBase(Dataset(cases), weights), base
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
@@ -473,14 +474,13 @@ def test_retrieval_matches_the_sorted_scan(k, weights):
     queries = [*base, *_feature_rows(rng, 10)]
     for query in queries:
         x = feature_vector(query)
-        cost, result = retrieve_and_predict(case_base, x, k)
+        cost, best, similarity, per_attribute = retrieve_one(case_base, x, k)
         want_cost, top = brute_force_retrieval(case_base, x, k)
         assert bits(cost) == bits(want_cost)
-        assert result.best_case is top[0][1]
-        assert bits(result.case_similarity) == bits(top[0][0])
-        assert result.per_attribute == tuple(
-            attribute_similarity(a, b)
-            for a, b in zip(x.as_tuple(), result.best_case.features.as_tuple())
+        assert best is top[0][1]
+        assert bits(similarity) == bits(top[0][0])
+        assert per_attribute == tuple(
+            attribute_similarity(a, b) for a, b in zip(x.as_tuple(), best.features.as_tuple())
         )
 
 
@@ -495,7 +495,7 @@ def test_retrieval_with_repeated_ids_matches_the_sorted_scan(k):
         ProjectRecord(f"c{i // 2}", case.features, case.cost_le)
         for i, case in enumerate(tied.cases)
     ]
-    case_base = CaseBase(tuple(records[int(i)] for i in rng.permutation(len(records))))
+    case_base = CaseBase(Dataset(records[int(i)] for i in rng.permutation(len(records))))
     queries = np.vstack([base, _feature_rows(rng, 10)])
     costs, best = retrieve_and_predict(case_base, queries, k)
     full_ties = 0
@@ -503,7 +503,7 @@ def test_retrieval_with_repeated_ids_matches_the_sorted_scan(k):
         want_cost, top = brute_force_retrieval(case_base, feature_vector(query), k)
         assert bits(cost) == bits(want_cost)
         assert case_base.cases[index] is top[0][1]
-        sims = case_similarity(query[None, :], case_base.features)[0]
+        sims = case_similarity(query[None, :], case_base.cases.features_matrix)[0]
         best_id = top[0][1].id
         full_ties += sum(
             sim == sims[index] and case.id == best_id for sim, case in zip(sims, case_base.cases)
@@ -517,8 +517,8 @@ def test_tied_retrieval_breaks_by_id():
     x = feature_vector(base[0])
     exact = sorted(c.id for c in case_base.cases if c.features == x)
     assert len(exact) == 2
-    _, result = retrieve_and_predict(case_base, x, 1)
-    assert result.best_case.id == exact[0]
+    _, best = retrieve_and_predict(case_base, base[:1], 1)
+    assert case_base.cases[best[0]].id == exact[0]
     # the two x*2 and the two x/2 copies all score (0.5 + 0.5 + 0.5 + 1) / 4
-    sims = case_similarity(x, case_base.features)
+    sims = case_similarity(base[:1], case_base.cases.features_matrix)
     assert np.count_nonzero(sims == 0.625) == 4

@@ -11,6 +11,7 @@ accumulation or tie-breaking changes at least one bit here.
 
 import pytest
 
+from conftest import retrieve_one
 from costlab.data import synthesize
 from costlab.zoo import build_model
 
@@ -43,7 +44,7 @@ def traces(model_id, params):
     model = _fit(model_id, params)
     out = []
     for x in _held_out_rows()[:10]:
-        result = model.infer_trace(x)
+        result = model.infer_trace(x.to_array())
         fired = " ".join(
             f"{''.join(map(str, rule.antecedent))}>{rule.consequent}:{s.hex()}"
             for rule, s in result.fired
@@ -54,13 +55,10 @@ def traces(model_id, params):
 
 def retrieval(params, row):
     model = _fit("cbr", params)
-    cost, result = model.retrieve(_held_out_rows()[row])
-    return (
-        cost.hex(),
-        result.best_case.id,
-        result.case_similarity.hex(),
-        tuple(s.hex() for s in result.per_attribute),
+    cost, best, similarity, per_attribute = retrieve_one(
+        model.case_base, _held_out_rows()[row], model.k
     )
+    return (cost.hex(), best.id, similarity.hex(), tuple(s.hex() for s in per_attribute))
 
 
 WEIGHTED = {"k": "3", "weights": "2,1,0.5,1"}

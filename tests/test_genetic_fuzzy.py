@@ -105,7 +105,7 @@ class TestFitness:
         rule_base, got = decode_and_fitness(population, train)
         fallback = float(np.mean(train.targets))
         predictions = [
-            infer_detail(rule_base, rec.features, fallback=fallback).value for rec in train
+            infer_detail(rule_base, x, fallback=fallback).value for x in train.features_matrix
         ]
         expected = mape(train.targets, predictions)
         assert got == pytest.approx(expected, rel=1e-12)

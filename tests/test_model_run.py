@@ -117,9 +117,11 @@ def test_written_files_keep_their_order(monkeypatch, tmp_path, capsys):
     assert lines[0] == "generation,best_mape" and len(lines) == 1 + 3 + 1  # initial + 2, then ""
 
 
-# Each model's full trace at seed 42, default config, as `costlab predict` prints it.
+# Each model's full trace at seed 42, as `costlab predict` prints it: the default
+# config, or the named case's model and [model.*] sections.
 YEAR_2090 = FeatureVector(100.0, 1000.0, 10.0, 2090.0)
 DEGRADED = "DEGRADED: no rule fired; training-mean fallback used"
+CONFIGS = {"cbr-weighted": ("cbr", {"cbr": {"k": "3", "weights": "2,1,0.5,1"}})}
 
 
 @pytest.mark.parametrize(
@@ -141,6 +143,16 @@ DEGRADED = "DEGRADED: no rule fired; training-mean fallback used"
             [
                 "retrieved case synth-123 (cost 767661.0618876852) with similarity 0.8509",
                 "per-attribute similarity: 0.6424, 0.9925, 0.8070, 0.9619",
+            ],
+        ),
+        (
+            # k > 1: the predicted cost is not the best case's cost
+            "cbr-weighted",
+            FeatureVector(100.0, 1000.0, 10.0, 2013.0),
+            919512.6912295411,
+            [
+                "retrieved case synth-058 (cost 881047.6604272466) with similarity 0.8946",
+                "per-attribute similarity: 0.9966, 0.9255, 0.2157, 0.9992",
             ],
         ),
         (
@@ -166,7 +178,8 @@ DEGRADED = "DEGRADED: no rule fired; training-mean fallback used"
     ],
 )
 def test_predict_trace_is_pinned(model_id, query, cost, trace):
-    cfg = BenchConfig()
+    model_id, params = CONFIGS.get(model_id, (model_id, {}))
+    cfg = BenchConfig(model_params=params)
     if isinstance(query, tuple):
         train, test = _train_test(cfg, 42)
         query = {"train": train, "test": test}[query[0]][query[1]].features

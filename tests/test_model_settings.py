@@ -91,6 +91,8 @@ BAD_SECTIONS = {
     "default_with_data": ("[DEFAULT]\nseed = 5\n\n[data]\n", "[DEFAULT] unknown section"),
     "data_unknown_key": ("[data]\nsize = 5\n", "[data] unknown keys ['size']"),
     "data_bad_value": ("[data]\nn = x\n", "[data] bad value 'x' for 'n'"),
+    "data_duplicate_key": ("[data]\nn = 1\nn = 2\n", "[data] duplicate key 'n'"),
+    "data_duplicate_section": ("[data]\nn = 10\n\n[data]\nnoise_pct = 5\n", "[data] duplicate section"),
     "split_both": (
         "[split]\ntrain_fraction = 0.5\ntrain_count = 10\n",
         "[split] give train_fraction or train_count, not both",
@@ -105,6 +107,9 @@ BAD_SECTIONS = {
         "[model.cart]\nmax_depth = deep\n", "[model.cart] bad value 'deep' for 'max_depth'"
     ),
     "model_unknown_key": ("[model.cart]\ndepth = 3\n", "[model.cart] unknown keys ['depth']"),
+    "model_duplicate_key": (
+        "[model.cart]\nmax_depth = 3\nmax_depth = 4\n", "[model.cart] duplicate key 'max_depth'"
+    ),
     "missing_rule_file": (
         "[model.fuzzy]\nrule_file = ghost.txt\n", "[model.fuzzy] rule_file does not exist: "
     ),

@@ -287,7 +287,7 @@ class TestNeuralPredictor:
         train = random_dataset(20, seed=22)
         a = NeuralPredictor(mlp_spec(epochs=0, seed=3), "mlp").fit(train)
         b = NeuralPredictor(mlp_spec(epochs=0, seed=3), "mlp").fit(train)
-        for rec in train.records[:5]:
+        for rec in train[:5]:
             va, vb = a.predict(rec.features), b.predict(rec.features)
             assert np.isfinite(va) and va == vb
 

@@ -8,6 +8,10 @@ import alias or a string constant that is an identifier (``zoo`` looks up
 ``ensemble.fit_*`` by name). A member is only reached as ``x.name``, so for a
 member only an attribute reference counts: a local variable of the same name
 is not a reader.
+
+Below ``core.Predictor`` there is one query shape: a function takes float
+arrays, and no function picks a second contract from its argument's type or
+rank.
 """
 
 import ast
@@ -73,6 +77,22 @@ def unreferenced_members(src: Path = SRC) -> list[str]:
     ]
 
 
+def shape_forks(src: Path = SRC) -> list[str]:
+    """``module:line`` of each ``isinstance(..., FeatureVector)`` and each
+    ``atleast_2d`` call: a function that reads its query's shape from its argument."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name == "atleast_2d" or (
+                name == "isinstance" and "FeatureVector" in _referenced_names(node.args[-1])
+            ):
+                found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
 def test_every_module_level_function_has_a_caller_in_src():
     assert unreferenced_functions() == []
 
@@ -101,3 +121,20 @@ def test_the_member_check_counts_attribute_reads_only(tmp_path):
         "def use(a):\n    shadowed = a.called()\n    return shadowed\n"
     )
     assert unreferenced_members(tmp_path) == ["a.A.shadowed"]
+
+
+def test_no_function_forks_on_its_query_shape():
+    """A ``FeatureVector`` becomes a row only in ``core.Predictor`` and the
+    ``explain`` hooks; every family function takes (n, 4) rows."""
+    assert shape_forks() == []
+
+
+def test_the_shape_check_sees_both_forks(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import numpy as np\nfrom numpy import atleast_2d\n\n"
+        "def f(x):\n"
+        "    if isinstance(x, (FeatureVector, list)):\n        x = x.to_array()\n"
+        "    if isinstance(x, float):\n        pass\n"
+        "    return np.atleast_2d(x), atleast_2d(x)\n"
+    )
+    assert shape_forks(tmp_path) == ["a:5", "a:9", "a:9"]

@@ -105,7 +105,7 @@ class TestFitSvr:
         X = np.array([[1.0, 2.0, 3.0, 4.0]])
         y = np.array([500.0])
         model = fit_svr(X, y)
-        assert predict_svr(model, X[0]) == pytest.approx(500.0, abs=1e-6)
+        assert predict_svr(model, X)[0] == pytest.approx(500.0, abs=1e-6)
 
     def test_box_constraints_after_every_pass(self):
         rng = np.random.default_rng(4)
@@ -155,7 +155,7 @@ class TestFitSvr:
         y = rng.uniform(100, 1000, 40)
         model = fit_svr(X, y, max_passes=1, tol=1e-12)
         assert not model.converged
-        assert math.isfinite(predict_svr(model, X[0]))
+        assert math.isfinite(predict_svr(model, X[:1])[0])
 
     def test_empty_train_rejected(self):
         with pytest.raises(EmptyTrainError):
@@ -185,7 +185,7 @@ class TestFitSvr:
             oracle = qp_oracle(X, y, 1.0, 0.1, 0.25)
             for _ in range(4):
                 q = rng.uniform(0, 10, 4)
-                mine, theirs = predict_svr(model, q), oracle(q)
+                mine, theirs = predict_svr(model, q[None, :])[0], oracle(q)
                 assert mine == pytest.approx(theirs, rel=1e-2)
 
     def test_duality_gap_vanishes_on_small_instances(self):
@@ -226,7 +226,8 @@ class TestFitSvr:
         y = np.array([500.0])
         model = fit_svr(X, y)
         assert np.all(model.beta == 0.0)
-        values = {predict_svr(model, q) for q in np.random.default_rng(10).uniform(0, 9, (5, 4))}
+        queries = np.random.default_rng(10).uniform(0, 9, (5, 4))
+        values = {predict_svr(model, q[None, :])[0] for q in queries}
         assert len(values) == 1  # constant everywhere
 
     def test_isolated_support_vector_pulls_prediction(self):
@@ -235,7 +236,7 @@ class TestFitSvr:
                        np.full((1, 4), 50.0)])
         y = np.concatenate([np.full(10, 100.0), [900.0]])
         model = fit_svr(X, y, C=10.0, epsilon=0.01, max_passes=2000, tol=1e-5)
-        far_pred = predict_svr(model, X[-1])
+        far_pred = predict_svr(model, X[-1:])[0]
         baseline = model.bias * model.y_scale + model.y_mean
         assert abs(far_pred - 900.0) < abs(baseline - 900.0)
 
