@@ -63,8 +63,9 @@ def case_similarity(
     weights = check_weights(weights)
     if a_lo < 0 or b_lo < 0:
         raise NegativeAttributeError("attribute values must be nonnegative")
-    # feature-major (4, rows, m), so each feature's pass runs along the cases
-    cases = stored.T[:, None, :]
+    # feature-major (4, rows, m), each feature's cases contiguous, so each
+    # feature's pass runs along them
+    cases = np.ascontiguousarray(stored.T)[:, None, :]
     score = np.empty((len(X), len(stored)))
     for start in range(0, len(X), SIMILARITY_CHUNK):
         rows = slice(start, start + SIMILARITY_CHUNK)
@@ -154,7 +155,7 @@ class CbrPredictor(Predictor):
         """The best case, its similarity and its per-attribute similarities, scored
         again alone: an entry depends only on its (query, case) pair, so these are
         the bits of the retrieval's matrix."""
-        row, cases = x.to_array()[None, :], self.case_base.cases
+        row, cases = x.row, self.case_base.cases
         best = int(retrieve_and_predict(self.case_base, row, self.k)[1][0])
         case, stored = cases[best], cases.features_matrix[best]
         sim = case_similarity(row, stored[None, :], self.case_base.attribute_weights)[0, 0]

@@ -77,8 +77,11 @@ class TargetTransform(Enum):
         if self is TargetTransform.RECIPROCAL:
             with np.errstate(divide="ignore"):  # 1/0 is left to the finite check
                 return 1.0 / z
-        with np.errstate(invalid="ignore"):
-            out = z * z if self is TargetTransform.SQRT else np.sqrt(z)
+        if self is TargetTransform.SQRT:
+            out = z * z  # cannot raise the invalid flag
+        else:
+            with np.errstate(invalid="ignore"):
+                out = np.sqrt(z)
         negative = z < 0
         if negative.any():
             r = int(negative.argmax())
@@ -129,7 +132,7 @@ class Predictor(ABC):
 
     def predict(self, x: FeatureVector) -> float:
         """A batch of one."""
-        return float(self._predict_checked(x.to_array()[None, :])[0])
+        return float(self._predict_checked(x.row)[0])
 
     def predict_many(self, dataset: Dataset) -> np.ndarray:
         return self._predict_checked(dataset.features_matrix)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -91,6 +92,14 @@ class FeatureVector:
         return np.array(
             [np.nan if v is None else float(v) for v in self.as_tuple()], dtype=float
         )
+
+    @cached_property
+    def row(self) -> np.ndarray:
+        """The vector as one read-only (1, 4) query row, built on first read; it is
+        not a field, so equality, hashing and the repr ignore it."""
+        row = self.to_array()[None, :]
+        row.setflags(write=False)
+        return row
 
 
 @dataclass(frozen=True)

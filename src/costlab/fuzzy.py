@@ -54,15 +54,18 @@ class TriangularMF:
 
 
 def triangular_memberships(
-    x: np.ndarray, left: np.ndarray, peak: np.ndarray, right: np.ndarray
+    x: np.ndarray, left: np.ndarray, peak: np.ndarray, right: np.ndarray, sides: tuple | None = None
 ) -> np.ndarray:
     """Membership degree in [0, 1] of the points ``x`` in the triangles with these
     breakpoints, all four broadcast together; bit-identical to the scalar oracle
     ``membership`` in ``tests/oracles.py`` for non-NaN ``x``. A NaN ``x`` gives
-    0.0 where the oracle gives NaN; every caller rejects missing values first."""
+    0.0 where the oracle gives NaN; every caller rejects missing values first.
+    ``sides`` are the side widths ``(peak - left, right - peak)`` when the caller
+    keeps them."""
+    rise, fall = (peak - left, right - peak) if sides is None else sides
     with np.errstate(divide="ignore", invalid="ignore"):  # flat sides: +-inf, NaN at the peak
-        rising = (x - left) / (peak - left)
-        falling = (right - x) / (right - peak)
+        rising = (x - left) / rise
+        falling = (right - x) / fall
     # On [left, right] the smaller side is the membership: left of the peak
     # rising <= 1 <= falling, right of it falling <= 1 <= rising.
     inside = (x >= left) & (x <= right)
@@ -136,6 +139,18 @@ class FuzzyRule:
             raise ValueError(f"rule indices must be in 1..{MF_COUNT}: {self}")
 
 
+Groups = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def group_consequents(consequents: np.ndarray) -> Groups:
+    """The rules grouped by consequent, for ``FuzzyEngine.centroids``: the order that
+    sorts them by consequent, each group's start in that order, and each group's
+    0-based output set."""
+    order = consequents.argsort()
+    named, starts = np.unique(consequents[order], return_index=True)
+    return order, starts, named - 1
+
+
 @dataclass(frozen=True)
 class RuleBase:
     """Conflict-free, duplicate-free rule set over five fuzzy variables, and the
@@ -170,9 +185,9 @@ class RuleBase:
         return np.array([r.antecedent for r in self.rules], dtype=int)
 
     @cached_property
-    def consequents(self) -> np.ndarray:
-        """(R,) consequent MF indices."""
-        return np.array([r.consequent for r in self.rules], dtype=int)
+    def groups(self) -> Groups:
+        """The rules grouped by consequent, for ``FuzzyEngine.centroids``."""
+        return group_consequents(np.array([r.consequent for r in self.rules], dtype=int))
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,15 +240,16 @@ class FuzzyEngine:
             (int(idx[0]), int(idx[-1]) + 1) if idx.size else (0, 0)
             for idx in map(np.flatnonzero, self.consequent_grid > 0.0)
         ]
-        # (4, 7) left, peak and right breakpoints of every input MF
+        # (4, 7) left, peak and right breakpoints of every input MF, and its side widths
         self.left, self.peak, self.right = np.stack(
             [var.breakpoints for var in self.input_vars], axis=1
         )
+        self.sides = (self.peak - self.left, self.right - self.peak)
 
     def input_memberships(self, X: np.ndarray) -> np.ndarray:
         """(n, 4) inputs -> (n, 4, 7) membership degrees."""
         x = np.asarray(X, dtype=float)[:, :, None]
-        return triangular_memberships(x, self.left, self.peak, self.right)
+        return triangular_memberships(x, self.left, self.peak, self.right, self.sides)
 
     def strengths(self, memberships: np.ndarray, antecedents: np.ndarray) -> np.ndarray:
         """(n, 4, 7) memberships and (R, 4) antecedents -> (n, R) firing strengths:
@@ -249,10 +265,9 @@ class FuzzyEngine:
         # uniform-grid trapezoid rule along the last axis
         return self.step * (values.sum(axis=-1) - 0.5 * (values[..., 0] + values[..., -1]))
 
-    def centroids(
-        self, strengths: np.ndarray, consequents: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Clip, aggregate, and defuzzify; returns (values, fired mask).
+    def centroids(self, strengths: np.ndarray, groups: Groups) -> tuple[np.ndarray, np.ndarray]:
+        """Clip, aggregate, and defuzzify the (n, R) strengths of rules grouped by
+        ``group_consequents``; returns (values, fired mask).
 
         Rules sharing a consequent are merged before clipping, which is exact:
         max_r min(s_r, mu_c(r)) = max_c min(max_{r: c(r) = c} s_r, mu_c), a max
@@ -271,10 +286,9 @@ class FuzzyEngine:
         one-row call gives it.
         """
         fired = strengths.max(axis=1) > 0.0
-        order = consequents.argsort()
-        named, starts = np.unique(consequents[order], return_index=True)
+        order, starts, sets = groups
         grouped = np.full((int(fired.sum()), MF_COUNT), -np.inf)  # (f, 7)
-        grouped[:, named - 1] = np.maximum.reduceat(strengths[fired][:, order], starts, axis=1)
+        grouped[:, sets] = np.maximum.reduceat(strengths[fired][:, order], starts, axis=1)
         aggregated = np.zeros((grouped.shape[0], self.grid.size))
         for c in np.flatnonzero((grouped > 0.0).any(axis=0)):
             a, b = self.supports[c]
@@ -315,7 +329,7 @@ def infer_detail(
     if centroid is None:
         centroid = np.nan
         if strengths.max() > 0.0:
-            centroid = engine.centroids(strengths[None, :], rule_base.consequents)[0][0]
+            centroid = engine.centroids(strengths[None, :], rule_base.groups)[0][0]
     if centroid == centroid:  # not NaN
         return InferenceResult(float(centroid), False, strengths, rule_base.rules)
     if fallback is None:
@@ -490,7 +504,7 @@ class FuzzyPredictor(Predictor):
             )
             centroids = np.full(len(rows), np.nan)
             if strengths.max() > 0.0:
-                centroids = engine.centroids(strengths, rule_base.consequents)[0]
+                centroids = engine.centroids(strengths, rule_base.groups)[0]
             for i, (x, row, centroid) in enumerate(zip(rows, strengths, centroids), start):
                 result = infer_detail(rule_base, x, self.fallback, strengths=row, centroid=centroid)
                 values[i] = result.value
@@ -502,7 +516,7 @@ class FuzzyPredictor(Predictor):
 
     def explain(self, x: FeatureVector) -> list[str]:
         """The degraded flag, then up to ten fired rules."""
-        detail = self.infer_trace(x.to_array())
+        detail = self.infer_trace(x.row[0])
         lines = ["DEGRADED: no rule fired; training-mean fallback used"] if detail.degraded else []
         for rule, strength in detail.fired[:10]:
             ants = " ".join(str(a) for a in rule.antecedent)

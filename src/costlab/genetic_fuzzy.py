@@ -26,7 +26,8 @@ import numpy as np
 
 from .data import Dataset
 from .errors import EmptyTrainError
-from .fuzzy import FuzzyEngine, FuzzyPredictor, FuzzyRule, RuleBase, variables_from_dataset
+from .fuzzy import FuzzyEngine, FuzzyPredictor, FuzzyRule, RuleBase, group_consequents
+from .fuzzy import variables_from_dataset
 from .metrics import mape
 
 GENE_COUNT = 5
@@ -124,7 +125,8 @@ class _PopulationEvaluator:
             column = np.repeat(np.arange(len(scored)), sizes)
             block = np.zeros((fired.size, len(scored)))
             block[np.arange(fired.size), column] = strengths[fired, np.array(scored)[column]]
-            values, _ = self.engine.centroids(block, np.array([pairs[i][1] for i in scored]))
+            consequents = np.array([pairs[i][1] for i in scored])
+            values, _ = self.engine.centroids(block, group_consequents(consequents))
             for idx, chunk in zip(scored, np.split(values, np.cumsum(sizes)[:-1])):
                 self._solo[pairs[idx]] = mape(self.targets[rows[idx]], chunk)
         return {idx: self._solo[pairs[idx]] for idx in conflicting}
@@ -152,7 +154,7 @@ class _PopulationEvaluator:
             winners.append(best_idx)
 
         consequents = np.array([pairs[i][1] for i in winners], dtype=int)
-        values, ok = self.engine.centroids(strengths[:, winners], consequents)
+        values, ok = self.engine.centroids(strengths[:, winners], group_consequents(consequents))
         values[~ok] = self.fallback
         return [pairs[i] for i in winners], mape(self.targets, values)
 

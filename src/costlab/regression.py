@@ -30,11 +30,12 @@ class LinearModel:
     condition_number: float = float("nan")
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """intercept + sum of c_j * X[:, j], added in coefficient order."""
-        total = np.full(X.shape[0], self.intercept)
-        for j, coef in enumerate(self.coefficients):
-            total += coef * X[:, j]
-        return total
+        """intercept + sum of c_j * X[:, j], added left to right in coefficient order:
+        the running sum of the rows of [intercept | X * coefficients]."""
+        terms = np.empty((X.shape[0], 1 + len(self.coefficients)))
+        terms[:, 0] = self.intercept
+        np.multiply(X, self.coefficients, out=terms[:, 1:])
+        return np.cumsum(terms, axis=1)[:, -1]
 
 
 def fit_ols(train: Dataset, z: np.ndarray) -> LinearModel:

@@ -22,7 +22,12 @@ the package's loop that keeps each coefficient's step offsets. The tree walk
 that gathers ``X[rows, feature]`` and steps with ``np.where``, the weighted
 median read through ``np.take_along_axis`` and the boosters' per-row
 ``np.dot`` are the references for the package's flat walk, direct-index
-median and ``np.vecdot`` combine.
+median and ``np.vecdot`` combine. The quote path's per-call forms are the
+references for its constants built once: the regression's ``+=`` loop over
+the coefficients for its one running sum, case similarity over a strided
+view of the cases for the contiguous case columns, and the memberships and
+centroids that take the triangle widths and the consequent grouping afresh
+on every call for the engine's kept widths and a rule base's kept grouping.
 """
 
 import math
@@ -32,11 +37,18 @@ from fractions import Fraction
 import numpy as np
 
 from costlab.cart import LEAF, NodeGains, RegressionTree, _cart_bound, split_shortlist
-from costlab.cbr import DEFAULT_WEIGHTS
+from costlab.cbr import DEFAULT_WEIGHTS, SIMILARITY_CHUNK, _attribute_similarities
 from costlab.data import N_FEATURES, FeatureVector
 from costlab.ensemble import BoostConfig, CombineRule, split_gain
 from costlab.errors import NegativeAttributeError, NoRuleFiresError, UnsupportedMissingError
-from costlab.fuzzy import MF_COUNT, FuzzyRule, InferenceResult, RuleBase
+from costlab.fuzzy import (
+    MF_COUNT,
+    FuzzyRule,
+    InferenceResult,
+    RuleBase,
+    group_consequents,
+    triangular_memberships,
+)
 from costlab.genetic_fuzzy import (
     _TOURNAMENT_SIZE as TOURNAMENT_SIZE,
     GENE_MAX,
@@ -87,7 +99,7 @@ def infer_detail_always_defuzzified(rule_base, x, fallback=None):
     engine = rule_base.engine
     memberships = engine.input_memberships(x[None, :])
     strengths = engine.strengths(memberships, rule_base.antecedents)
-    values, ok = engine.centroids(strengths, rule_base.consequents)
+    values, ok = engine.centroids(strengths, rule_base.groups)
     if ok[0]:
         return InferenceResult(float(values[0]), False, strengths[0], rule_base.rules)
     if fallback is None:
@@ -108,6 +120,34 @@ def centroids_full_grid(engine, strengths, consequents):
     grouped = np.where(members, strengths[fired][:, :, None], -np.inf).max(axis=1)  # (f, 7)
     aggregated = np.minimum(grouped[:, :, None], engine.consequent_grid).max(axis=1)
     area, moment = engine._trapezoid(np.stack((aggregated, aggregated * engine.grid)))
+    has_area = area > 0.0
+    ok = fired.copy()
+    ok[fired] = has_area
+    values = np.full(strengths.shape[0], np.nan)
+    values[ok] = moment[has_area] / area[has_area]
+    return values, ok
+
+
+def input_memberships_per_call_widths(engine, X):
+    """``FuzzyEngine.input_memberships`` taking the triangles' side widths on every call."""
+    x = np.asarray(X, dtype=float)[:, :, None]
+    return triangular_memberships(x, engine.left, engine.peak, engine.right)
+
+
+def centroids_per_call_grouping(engine, strengths, consequents):
+    """``FuzzyEngine.centroids`` grouping the (R,) consequents on every call."""
+    fired = strengths.max(axis=1) > 0.0
+    order = consequents.argsort()
+    named, starts = np.unique(consequents[order], return_index=True)
+    grouped = np.full((int(fired.sum()), MF_COUNT), -np.inf)  # (f, 7)
+    grouped[:, named - 1] = np.maximum.reduceat(strengths[fired][:, order], starts, axis=1)
+    aggregated = np.zeros((grouped.shape[0], engine.grid.size))
+    for c in np.flatnonzero((grouped > 0.0).any(axis=0)):
+        a, b = engine.supports[c]
+        part = aggregated[:, a:b]
+        np.maximum(part, np.minimum(grouped[:, c, None], engine.consequent_grid[c, a:b]), out=part)
+    area = engine._trapezoid(aggregated)
+    moment = engine._trapezoid(np.multiply(aggregated, engine.grid, out=aggregated))
     has_area = area > 0.0
     ok = fired.copy()
     ok[fired] = has_area
@@ -141,7 +181,8 @@ class PerGenerationEvaluator(_PopulationEvaluator):
         column = np.repeat(np.arange(len(scored)), sizes)
         block = np.zeros((fired.size, len(scored)))
         block[np.arange(fired.size), column] = strengths[fired, np.array(scored)[column]]
-        values, _ = self.engine.centroids(block, np.array([pairs[i][1] for i in scored]))
+        groups = group_consequents(np.array([pairs[i][1] for i in scored]))
+        values, _ = self.engine.centroids(block, groups)
         return {
             idx: mape(self.targets[rows[idx]], chunk)
             for idx, chunk in zip(scored, np.split(values, np.cumsum(sizes)[:-1]))
@@ -170,7 +211,8 @@ def decode_and_fitness_per_candidate(evaluator, population):
         for idx in candidates:
             cons = pairs[idx][1]
             if fired.any():
-                values, _ = engine.centroids(col[fired][:, None], np.array([cons], dtype=int))
+                groups = group_consequents(np.array([cons]))
+                values, _ = engine.centroids(col[fired][:, None], groups)
                 solo = mape(targets[fired], values)
             else:
                 solo = math.inf
@@ -178,7 +220,9 @@ def decode_and_fitness_per_candidate(evaluator, population):
                 best_idx, best_score = idx, (solo, cons)
         winners.append(best_idx)
 
-    values, ok = engine.centroids(strengths[:, winners], np.array([pairs[i][1] for i in winners]))
+    values, ok = engine.centroids(
+        strengths[:, winners], group_consequents(np.array([pairs[i][1] for i in winners]))
+    )
     values = np.where(ok, values, evaluator.fallback)
     return [pairs[i] for i in winners], mape(targets, values)
 
@@ -360,6 +404,33 @@ def scalar_case_similarity(new, stored, weights=DEFAULT_WEIGHTS):
     for w, a, b in zip(weights, new.as_tuple(), stored.as_tuple()):
         score += w * attribute_similarity(a, b)
     return score / float(sum(weights))
+
+
+def case_similarity_strided(X, stored, weights=DEFAULT_WEIGHTS):
+    """The scoring of ``cbr.case_similarity`` over a strided feature-major view
+    of the (m, 4) cases, for complete, nonnegative inputs and valid weights."""
+    cases = stored.T[:, None, :]
+    score = np.empty((len(X), len(stored)))
+    for start in range(0, len(X), SIMILARITY_CHUNK):
+        rows = slice(start, start + SIMILARITY_CHUNK)
+        sims = _attribute_similarities(X[rows].T[:, :, None], cases)
+        total = 0.0
+        for w, sim in zip(weights, sims):
+            total = total + w * sim
+        score[rows] = total / sum(weights)
+    return score
+
+
+# -- regression -------------------------------------------------------------------
+
+
+def linear_predict_loop(model, X):
+    """``LinearModel.predict`` as the intercept plus each coefficient's column,
+    added in place in coefficient order."""
+    total = np.full(X.shape[0], model.intercept)
+    for j, coef in enumerate(model.coefficients):
+        total += coef * X[:, j]
+    return total
 
 
 # -- trees ------------------------------------------------------------------------

@@ -283,7 +283,7 @@ def test_infer_detail_of_a_batch_centroid_matches_its_own(monkeypatch, fitted, p
     engine = rule_base.engine
     X = portfolio.features_matrix
     strengths = engine.strengths(engine.input_memberships(X), rule_base.antecedents)
-    values, ok = engine.centroids(strengths, rule_base.consequents)
+    values, ok = engine.centroids(strengths, rule_base.groups)
     assert 0 < ok.sum() < len(X)
     want = [_outcome(fuzzy.infer_detail(rule_base, x, fallback)) for x in X]
     centroids = _counting(monkeypatch, FuzzyEngine, "centroids")
@@ -325,7 +325,7 @@ def test_a_fired_row_with_zero_area_gives_the_fallback_by_both_paths():
     assert engine.supports[3] == (0, 0)
     X = np.array([[3.0, 3.0, 3.0, 3.0], [1.0, 1.0, 1.0, 1.0], [6.0, 6.0, 6.0, 6.0]])
     strengths = engine.strengths(engine.input_memberships(X), rule_base.antecedents)
-    values, ok = engine.centroids(strengths, rule_base.consequents)
+    values, ok = engine.centroids(strengths, rule_base.groups)
     assert ok.tolist() == [False, True, False]
     results = []
     for x, row, value in zip(X, strengths, values):

@@ -38,6 +38,7 @@ from costlab.fuzzy import (
     RuleBase,
     TriangularMF,
     default_variable,
+    group_consequents,
     infer_detail,
     triangular_memberships,
 )
@@ -89,7 +90,7 @@ def test_grouped_centroids_match_the_per_rule_form_bit_for_bit():
     seen = {"tie": 0, "zero_row": 0, "single_rule": 0, "unused_consequent": 0}
     for _ in range(1500):
         strengths, consequents = _random_case(rng)
-        values, ok = engine.centroids(strengths, consequents)
+        values, ok = engine.centroids(strengths, group_consequents(consequents))
         want_values, want_ok = ungrouped_centroids(engine, strengths, consequents)
         assert np.array_equal(ok, want_ok)
         assert np.array_equal(bits(values), bits(want_values))
@@ -104,7 +105,7 @@ def test_grouped_centroids_of_tied_rules_on_one_consequent():
     engine = _engine()
     strengths = np.array([[0.5, 0.5, 0.25, 0.0], [0.0, 0.0, 0.0, 0.0], [1.0, 0.5, 1.0, 0.5]])
     consequents = np.array([3, 3, 5, 3])
-    values, ok = engine.centroids(strengths, consequents)
+    values, ok = engine.centroids(strengths, group_consequents(consequents))
     want_values, want_ok = ungrouped_centroids(engine, strengths, consequents)
     assert ok.tolist() == want_ok.tolist() == [True, False, True]
     assert np.array_equal(bits(values), bits(want_values))
@@ -115,7 +116,7 @@ def test_centroids_of_a_batch_where_no_rule_fires(n):
     engine = _engine()
     strengths = np.zeros((n, 3))
     consequents = np.array([2, 4, 4])
-    values, ok = engine.centroids(strengths, consequents)
+    values, ok = engine.centroids(strengths, group_consequents(consequents))
     want_values, want_ok = ungrouped_centroids(engine, strengths, consequents)
     assert values.shape == ok.shape == (n,)
     assert values.dtype == float and ok.dtype == bool
@@ -131,13 +132,13 @@ def test_centroids_of_one_fired_row_among_many_unfired():
     for row in (0, 57, 199):
         strengths = np.zeros((200, consequents.size))
         strengths[row] = rng.random(consequents.size)
-        values, ok = engine.centroids(strengths, consequents)
+        values, ok = engine.centroids(strengths, group_consequents(consequents))
         want_values, want_ok = ungrouped_centroids(engine, strengths, consequents)
         assert np.flatnonzero(ok).tolist() == [row]
         assert np.array_equal(ok, want_ok)
         assert np.array_equal(bits(values), bits(want_values))
         # the fired row's value does not depend on the unfired rows around it
-        alone, _ = engine.centroids(strengths[row : row + 1], consequents)
+        alone, _ = engine.centroids(strengths[row : row + 1], group_consequents(consequents))
         assert bits(values[row]) == bits(alone[0])
 
 
@@ -148,7 +149,7 @@ def test_centroids_of_a_single_rule_batch(consequent):
     strengths = rng.random((30, 1))
     strengths[rng.random(30) < 0.4] = 0.0
     consequents = np.array([consequent])
-    values, ok = engine.centroids(strengths, consequents)
+    values, ok = engine.centroids(strengths, group_consequents(consequents))
     want_values, want_ok = ungrouped_centroids(engine, strengths, consequents)
     assert 0 < np.count_nonzero(ok) < 30
     assert np.array_equal(ok, want_ok)
@@ -185,7 +186,7 @@ def test_support_aggregation_matches_the_full_grid_form():
             strengths, consequents = _random_case(rng)
             if rng.random() < 0.5:  # one output set's rules never fire
                 strengths[:, consequents == rng.choice(consequents)] = 0.0
-            values, ok = engine.centroids(strengths, consequents)
+            values, ok = engine.centroids(strengths, group_consequents(consequents))
             want_values, want_ok = centroids_full_grid(engine, strengths, consequents)
             assert np.array_equal(ok, want_ok)
             assert np.array_equal(bits(values), bits(want_values))
