@@ -14,11 +14,11 @@ import hashlib
 import io
 import os
 import traceback
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DEFAULT_K_PREDICTORS, EvalReport, evaluate, score_predictions
+from .core import DEFAULT_K_PREDICTORS, EvalReport, Predictor, score_predictions
 from .data import (
     Dataset,
     FeatureVector,
@@ -161,10 +161,7 @@ class ModelRun:
     error row. It holds no predictor, so each fitted model is freed once its
     record exists."""
 
-    notation: str
     model_id: str
-    display_name: str
-    family: str
     report: EvalReport | None = None
     error: str | None = None
     predicted: np.ndarray | None = None  # float64, one per test row; None for an error row
@@ -175,7 +172,6 @@ class ModelRun:
 class BenchResult:
     rows: list[ModelRun]  # ranked by MAPE, then the error rows by model id
     warnings: list[str]
-    train_size: int
     test: Dataset
 
 
@@ -210,29 +206,33 @@ def run_bench(cfg: BenchConfig, seed: int) -> BenchResult:
         key=lambda run: (run.report.mape_pct, run.model_id),
     )
     failed = sorted((run for run in runs if run.report is None), key=lambda run: run.model_id)
-    rows = [replace(run, notation=f"M{i + 1}") for i, run in enumerate(scored + failed)]
-    return BenchResult(rows=rows, warnings=warnings, train_size=len(train), test=test)
+    return BenchResult(rows=scored + failed, warnings=warnings, test=test)
+
+
+def _fit_and_score(
+    cfg: BenchConfig, seed: int, model_id: str, train: Dataset, test: Dataset
+) -> tuple[Predictor, np.ndarray, EvalReport]:
+    """Build one configured model on its own seed, fit it on train, and score
+    its predictions on test: the one step behind every leaderboard row and quote."""
+    predictor = build_model(model_id, cfg.model_params.get(model_id, {}), derive_seed(seed, model_id))
+    predictor.fit(train)
+    predicted = predictor.predict_many(test)
+    report = score_predictions(test, predicted, model_id, cfg.k_predictors, cfg.n_override)
+    return predictor, predicted, report
 
 
 def _run_model(
     cfg: BenchConfig, seed: int, model_id: str, train: Dataset, test: Dataset, warnings: list[str]
 ) -> ModelRun:
-    """Build, fit, predict and score one model; its failure becomes its error row."""
-    info = MODEL_REGISTRY[model_id]
+    """One model's leaderboard record; its failure becomes its error row."""
     try:  # a build can fail too, on a file its settings name
-        predictor = build_model(model_id, cfg.model_params.get(model_id, {}), derive_seed(seed, model_id))
-        predictor.fit(train)
-        predicted = predictor.predict_many(test)
-        report = score_predictions(test, predicted, model_id, cfg.k_predictors, cfg.n_override)
-        return ModelRun(
-            "", model_id, info.display_name, info.family, report=report,
-            predicted=predicted, files=predictor.output_files(model_id),
-        )
+        predictor, predicted, report = _fit_and_score(cfg, seed, model_id, train, test)
+        return ModelRun(model_id, report, predicted=predicted, files=predictor.output_files(model_id))
     except Exception as exc:  # any one model's failure becomes its error row
         code = exc.code if isinstance(exc, CostLabError) else type(exc).__name__
         if not isinstance(exc, CostLabError):  # unexpected: keep where it was raised
             warnings.append(f"{model_id} failed unexpectedly:\n{traceback.format_exc()}")
-        return ModelRun("", model_id, info.display_name, info.family, error=f"{code}: {exc}")
+        return ModelRun(model_id, error=f"{code}: {exc}")
 
 
 _CSV_HEADER = (
@@ -247,39 +247,28 @@ _CSV_HEADER = (
 _MD_HEADER = (*_CSV_HEADER[:-2], "R²", "R*²")
 
 
-def _row_cells(row: ModelRun) -> list[str]:
-    if row.report is None:
-        return [row.notation, row.display_name, row.family, "-", f"error: {row.error}", "-", "-"]
+def _row_cells(notation: str, row: ModelRun) -> list[str]:
+    info = MODEL_REGISTRY[row.model_id]
     rep = row.report
-    return [
-        row.notation,
-        row.display_name,
-        row.family,
-        f"{rep.mape_pct:.3f}",
-        rep.mape_category.label,
-        f"{rep.r2:.3f}",
-        f"{rep.adj_r2:.3f}",
-    ]
+    if rep is None:
+        scores = ["-", f"error: {row.error}", "-", "-"]
+    else:
+        scores = [f"{rep.mape_pct:.3f}", rep.mape_category.label, f"{rep.r2:.3f}", f"{rep.adj_r2:.3f}"]
+    return [notation, info.display_name, info.family, *scores]
 
 
 def render(result: BenchResult, fmt: str = "markdown") -> str:
-    """Leaderboard text in csv or markdown; numbers printed to 3 decimals."""
+    """Leaderboard text in csv or markdown, rows numbered M1, M2, ... in rank
+    order; numbers printed to 3 decimals."""
+    rows = [_row_cells(f"M{i + 1}", run) for i, run in enumerate(result.rows)]
     if fmt == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_CSV_HEADER)
-        for row in result.rows:
-            writer.writerow(_row_cells(row))
+        csv.writer(buf, lineterminator="\n").writerows([_CSV_HEADER, *rows])
         return buf.getvalue()
     if fmt != "markdown":
         raise ConfigError(f"unknown leaderboard format {fmt!r}")
-    lines = [
-        "| " + " | ".join(_MD_HEADER) + " |",
-        "| " + " | ".join("---" for _ in _MD_HEADER) + " |",
-    ]
-    for row in result.rows:
-        lines.append("| " + " | ".join(_row_cells(row)) + " |")
-    return "\n".join(lines) + "\n"
+    lines = [_MD_HEADER, ["---"] * len(_MD_HEADER), *rows]
+    return "".join("| " + " | ".join(cells) + " |\n" for cells in lines)
 
 
 def _write_csv(path: str, rows) -> None:
@@ -315,25 +304,18 @@ def write_outputs(result: BenchResult, out_dir: str, fmt: str = "markdown") -> l
 
 @dataclass
 class PredictOneResult:
-    model_id: str
     cost: float
-    report: EvalReport
+    report: EvalReport  # the model's leaderboard row
     trace: list[str]
 
 
 def predict_one(
     cfg: BenchConfig, seed: int, model_id: str, features: FeatureVector
 ) -> PredictOneResult:
-    """Refit one model from the config and predict a single project's cost."""
-    predictor = build_model(model_id, cfg.model_params.get(model_id, {}), derive_seed(seed, model_id))
+    """Refit one model as the leaderboard does and price a single project."""
     train, test = _train_test(cfg, seed)
-    predictor.fit(train)
-    report = evaluate(
-        predictor, test, model_id=model_id,
-        k_predictors=cfg.k_predictors, n_override=cfg.n_override,
-    )
-    cost = predictor.predict(features)
-    return PredictOneResult(model_id, cost, report, predictor.explain(features))
+    predictor, _, report = _fit_and_score(cfg, seed, model_id, train, test)
+    return PredictOneResult(predictor.predict(features), report, predictor.explain(features))
 
 
 def build_rule_base(cfg: BenchConfig, seed: int, evolved: bool = False):

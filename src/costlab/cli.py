@@ -40,10 +40,10 @@ def _resolve_seed(args_seed: int | None, cfg_seed: int | None) -> int:
     return 0
 
 
-def _load(args) -> BenchConfig:
-    if args.config is None:
-        return BenchConfig()
-    return load_config(args.config)
+def _load(args) -> tuple[BenchConfig, int]:
+    """The config that --config names, or the defaults, and the resolved seed."""
+    cfg = BenchConfig() if args.config is None else load_config(args.config)
+    return cfg, _resolve_seed(args.seed, cfg.seed)
 
 
 def _cmd_generate(args) -> int:
@@ -55,8 +55,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    cfg = _load(args)
-    seed = _resolve_seed(args.seed, cfg.seed)
+    cfg, seed = _load(args)
     result = run_bench(cfg, seed)
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -68,8 +67,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    cfg = _load(args)
-    seed = _resolve_seed(args.seed, cfg.seed)
+    cfg, seed = _load(args)
     features = FeatureVector(args.p1, args.p2, args.p3, args.p4)
     result = predict_one(cfg, seed, args.model, features)
     print(f"model: {args.model}")
@@ -85,8 +83,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_rules(args) -> int:
-    cfg = _load(args)
-    seed = _resolve_seed(args.seed, cfg.seed)
+    cfg, seed = _load(args)
     rule_base = build_rule_base(cfg, seed, evolved=args.evolved)
     save_rules(rule_base, args.out)
     print(f"wrote {len(rule_base.rules)} rules to {args.out}")

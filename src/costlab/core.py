@@ -75,10 +75,11 @@ class TargetTransform(Enum):
             # math.exp per element: np.exp can differ from it in the last bit
             return np.fromiter(map(_exp, z.ravel().tolist()), float, z.size).reshape(z.shape)
         if self is TargetTransform.RECIPROCAL:
-            with np.errstate(divide="ignore"):  # 1/0 is left to the finite check
+            with np.errstate(divide="ignore", over="ignore"):  # inf is left to the finite check
                 return 1.0 / z
         if self is TargetTransform.SQRT:
-            out = z * z  # cannot raise the invalid flag
+            with np.errstate(over="ignore"):  # inf is left to the finite check
+                out = z * z
         else:
             with np.errstate(invalid="ignore"):
                 out = np.sqrt(z)

@@ -33,9 +33,10 @@ def kernel_matrix(A: np.ndarray, B: np.ndarray, gamma_rbf: float) -> np.ndarray:
     entry's bits depend only on its two rows, K(a, a) is exactly 1 and
     K(A, A) is exactly symmetric."""
     sq = np.zeros((len(A), len(B)))
-    for f in range(A.shape[1]):
-        d = A[:, f, None] - B[None, :, f]
-        sq += d * d
+    with np.errstate(over="ignore"):  # an infinite distance gives the kernel's limit, 0
+        for f in range(A.shape[1]):
+            d = A[:, f, None] - B[None, :, f]
+            sq += d * d
     return np.exp(-gamma_rbf * sq)
 
 

@@ -1,3 +1,4 @@
+import csv
 import os
 import re
 from pathlib import Path
@@ -22,10 +23,11 @@ from costlab.cbr import CbrPredictor
 from costlab.cli import main as cli_main
 from costlab.core import EvalReport
 from costlab.data import FEATURE_NAMES, Dataset, FeatureVector
-from costlab.errors import ConfigError
+from costlab.errors import ConfigError, CostLabError
 from costlab.fuzzy import OUTPUT_NAME, derive_rule_base, save_rules
 from costlab.metrics import MapeCategory
 from costlab.zoo import build_model
+from test_model_run import TENTH_SCALE
 
 FAST_MODELS = ("frozen_quadratic", "sqrt_regression", "cart", "cbr")
 
@@ -325,12 +327,17 @@ class TestDeriveSeed:
         assert derive_seed(42, "cart") >= 0
 
 
+def _notations(result):
+    """The first column of each leaderboard row."""
+    return [cells[0] for cells in csv.reader(render(result, "csv").splitlines()[1:])]
+
+
 class TestRunBench:
     def test_frozen_reference_on_noise_free_data_is_exact(self):
         cfg = BenchConfig(noise_pct=0.0, enabled=("frozen_quadratic",))
         result = run_bench(cfg, seed=3)
         row = result.rows[0]
-        assert row.notation == "M1"
+        assert _notations(result) == ["M1"]
         assert row.report.mape_pct == 0.0
         assert row.report.mape_category is MapeCategory.BELOW_10
         assert row.report.r2 == 1.0
@@ -340,7 +347,7 @@ class TestRunBench:
         result = run_bench(cfg, seed=5)
         scores = [r.report.mape_pct for r in result.rows if r.report]
         assert scores == sorted(scores)
-        assert [r.notation for r in result.rows] == [f"M{i+1}" for i in range(len(result.rows))]
+        assert _notations(result) == [f"M{i+1}" for i in range(len(result.rows))]
 
     def test_failed_model_gets_error_marker_row(self):
         cfg = BenchConfig(enabled=("sqrt_regression", "square_regression"))
@@ -391,9 +398,8 @@ class TestRunBench:
 
 
 def _golden_result():
-    report = EvalReport("demo", 9.091, MapeCategory.BELOW_10, 0.931, 0.929)
-    row = ModelRun("M1", "demo", "Demo model", "ensemble", report=report)
-    return BenchResult([row], [], 111, Dataset([]))
+    report = EvalReport("cart", 9.091, MapeCategory.BELOW_10, 0.931, 0.929)
+    return BenchResult([ModelRun("cart", report=report)], [], Dataset([]))
 
 
 class TestRender:
@@ -413,7 +419,7 @@ class TestRender:
                     assert f"{value:.3f}" in md and f"{value:.3f}" in csv_text
 
     def test_header_only_for_empty(self):
-        empty = BenchResult([], [], 0, Dataset([]))
+        empty = BenchResult([], [], Dataset([]))
         csv_text = render(empty, "csv").strip().splitlines()
         assert len(csv_text) == 1 and csv_text[0].startswith("Notation")
 
@@ -441,6 +447,22 @@ class TestDeterminism:
 
 
 class TestPredictOne:
+    def test_quote_reports_its_leaderboard_row(self):
+        cfg = BenchConfig(model_params=TENTH_SCALE)
+        rows = {run.model_id: run for run in run_bench(cfg, 42).rows}
+        query = FeatureVector(100.0, 1000.0, 10.0, 2013.0)
+        failed = []
+        for model_id in cfg.enabled:
+            try:
+                report = predict_one(cfg, 42, model_id, query).report
+            except CostLabError as exc:
+                assert f"{exc.code}: {exc}" == rows[model_id].error
+                failed.append(model_id)
+            else:
+                assert report == rows[model_id].report, model_id
+        assert failed == ["square_regression"]
+        assert rows["square_regression"].error.startswith("NEGATIVE_SQRT_DOMAIN: ")
+
     def test_cbr_trace_for_stored_case(self):
         cfg = BenchConfig(enabled=("cbr",), noise_pct=0.0)
         seed = 17
