@@ -73,6 +73,12 @@ class BenchConfig:
             )
         if self.train_count is not None and self.train_count < 1:
             raise ConfigError(f"[split] train_count must be >= 1, got {self.train_count}")
+        if self.source == "synthesize":  # a csv source's n is known only once it is read
+            count = SplitSpec(self.train_fraction, self.train_count).resolve_train_count(self.n)
+            if not 1 <= count <= self.n - 1:
+                raise ConfigError(
+                    f"[split] train count {count} leaves an empty side for {self.n} records"
+                )
         if self.k_predictors < 0:
             raise ConfigError(f"[metrics] k_predictors must be >= 0, got {self.k_predictors}")
         if self.n_override is not None and self.n_override < self.k_predictors + 2:

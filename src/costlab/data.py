@@ -89,9 +89,7 @@ class FeatureVector:
 
     def to_array(self) -> np.ndarray:
         """Dense float view with NaN standing in for missing slots."""
-        return np.array(
-            [np.nan if v is None else float(v) for v in self.as_tuple()], dtype=float
-        )
+        return np.array(self.as_tuple(), dtype=float)
 
     @cached_property
     def row(self) -> np.ndarray:
@@ -123,12 +121,11 @@ class Dataset(Sequence[ProjectRecord]):
 
     def __init__(self, records: Iterable[ProjectRecord]):
         self._records = tuple(records)
-        n = len(self._records)
-        self._X = np.empty((n, N_FEATURES), dtype=float)
-        self._y = np.empty(n, dtype=float)
-        for i, rec in enumerate(self._records):
-            self._X[i] = rec.features.to_array()
-            self._y[i] = rec.cost_le
+        # numpy reads a missing slot's None as NaN
+        self._X = np.array(
+            [rec.features.as_tuple() for rec in self._records], dtype=float
+        ).reshape(-1, N_FEATURES)
+        self._y = np.array([rec.cost_le for rec in self._records], dtype=float)
         self._X.setflags(write=False)
         self._y.setflags(write=False)
 
@@ -305,6 +302,8 @@ def synthesize(
         raise ValueError(f"n must be >= 1, got {n}")
     if not 0 <= noise_pct < np.inf:  # the negated form also rejects a nan
         raise ValueError(f"noise_pct must be finite and >= 0, got {noise_pct}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     lows = np.array([lo for lo, _ in ranges], dtype=float)
     highs = np.array([hi for _, hi in ranges], dtype=float)

@@ -36,6 +36,7 @@ SAMPLES = 1001  # points of the uniform output grid that centroids integrate ove
 # and (rows, SAMPLES) grid; the batch's (n, 4, 7) memberships are taken in one pass
 STRENGTH_CHUNK = 64
 OUTPUT_NAME = "cost"
+_VARIABLE_ORDER = (*FEATURE_NAMES, OUTPUT_NAME)
 
 
 @dataclass(frozen=True)
@@ -211,11 +212,6 @@ class InferenceResult:
             for r in np.argsort(-row, kind="stable")[: np.count_nonzero(row > 0.0)]
         )
 
-    def __eq__(self, other):
-        if not isinstance(other, InferenceResult):
-            return NotImplemented
-        return (self.value, self.degraded, self.fired) == (other.value, other.degraded, other.fired)
-
 
 class FuzzyEngine:
     """Vectorized inference for a fixed variable set and output grid.
@@ -304,6 +300,18 @@ class FuzzyEngine:
         return values, ok
 
 
+def fire(rule_base: RuleBase, memberships: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(n, 4, 7) memberships -> the rows' (n, R) firing strengths and their (n,)
+    centroids, NaN where no rule fires or ``centroids`` finds no area; the rows are
+    defuzzified in one ``centroids`` call, made only when some rule fires."""
+    engine = rule_base.engine
+    strengths = engine.strengths(memberships, rule_base.antecedents)
+    centroids = np.full(len(strengths), np.nan)
+    if strengths.max() > 0.0:
+        centroids = engine.centroids(strengths, rule_base.groups)[0]
+    return strengths, centroids
+
+
 def infer_detail(
     rule_base: RuleBase,
     x: np.ndarray,
@@ -316,20 +324,12 @@ def infer_detail(
     nothing fires. A non-finite value in the row counts as missing.
 
     ``strengths`` are the row's (R,) firing strengths and ``centroid`` its
-    value from ``centroids`` (NaN where that found no area), when the caller
-    has them from a batch pass; without them they are computed here. A row
-    that fires no rule is decided from its strengths alone, by the test
-    ``centroids`` uses for its fired mask, and is never defuzzified."""
+    centroid, both from ``fire`` when the caller has them from a batch pass;
+    without them, ``fire`` runs here on the one row."""
     if not all(map(math.isfinite, x.tolist())):
         raise UnsupportedMissingError("fuzzy inference requires complete feature vectors")
-    engine = rule_base.engine
     if strengths is None:
-        memberships = engine.input_memberships(x[None, :])
-        strengths = engine.strengths(memberships, rule_base.antecedents)[0]
-    if centroid is None:
-        centroid = np.nan
-        if strengths.max() > 0.0:
-            centroid = engine.centroids(strengths[None, :], rule_base.groups)[0][0]
+        (strengths,), (centroid,) = fire(rule_base, rule_base.engine.input_memberships(x[None, :]))
     if centroid == centroid:  # not NaN
         return InferenceResult(float(centroid), False, strengths, rule_base.rules)
     if fallback is None:
@@ -341,21 +341,18 @@ def infer_detail(
 
 
 def variables_from_dataset(train: Dataset) -> tuple[tuple[FuzzyVariable, ...], FuzzyVariable]:
-    """Default variables spanning the observed data ranges."""
+    """Default variables spanning the observed data ranges; a constant one spans
+    a unit universe centred on its value."""
     X = train.features_matrix
     if np.isnan(X).any():
         raise UnsupportedMissingError("fuzzy variables need complete feature values")
-    inputs = []
-    for d, name in enumerate(FEATURE_NAMES):
-        lo, hi = float(X[:, d].min()), float(X[:, d].max())
+    variables = []
+    for name, values in zip(_VARIABLE_ORDER, (*X.T, train.targets)):
+        lo, hi = float(values.min()), float(values.max())
         if lo == hi:
             lo, hi = lo - 0.5, hi + 0.5
-        inputs.append(default_variable(name, lo, hi))
-    y = train.targets
-    lo, hi = float(y.min()), float(y.max())
-    if lo == hi:
-        lo, hi = lo - 0.5, hi + 0.5
-    return tuple(inputs), default_variable(OUTPUT_NAME, lo, hi)
+        variables.append(default_variable(name, lo, hi))
+    return tuple(variables[:N_FEATURES]), variables[N_FEATURES]
 
 
 def derive_rule_base(train: Dataset) -> RuleBase:
@@ -372,10 +369,8 @@ def derive_rule_base(train: Dataset) -> RuleBase:
     ant_indices = memberships.argmax(axis=2) + 1
     out_memberships = triangular_memberships(train.targets[:, None], *output_var.breakpoints)
     cons_indices = out_memberships.argmax(axis=1) + 1
-    strengths = np.min(
-        np.take_along_axis(memberships, (ant_indices - 1)[:, :, None], axis=2)[:, :, 0],
-        axis=1,
-    )
+    # each case's own rule: the membership at the argmax is the maximum
+    strengths = memberships.max(axis=2).min(axis=1)
     votes: dict[tuple[int, ...], dict[int, float]] = {}
     for i in range(len(train)):
         ant = tuple(int(a) for a in ant_indices[i])
@@ -392,8 +387,6 @@ def derive_rule_base(train: Dataset) -> RuleBase:
 
 
 # -- rule file format ----------------------------------------------------------
-
-_VARIABLE_ORDER = (*FEATURE_NAMES, OUTPUT_NAME)
 
 
 def rules_to_text(rule_base: RuleBase) -> str:
@@ -489,34 +482,23 @@ class FuzzyPredictor(Predictor):
         self.fallback = float(np.mean(train.targets))
 
     def _predict_batch(self, X: np.ndarray) -> np.ndarray:
-        """The memberships of the whole batch in one pass; then, ``STRENGTH_CHUNK``
-        rows at a time, their strengths in one pass and their centroids in one
-        ``centroids`` call when any of them fires, then one ``infer_detail`` call
-        per row with both, which decides the row."""
+        """The memberships of the whole batch in one pass; then ``fire`` on
+        ``STRENGTH_CHUNK`` rows at a time, and one ``infer_detail`` call per row
+        with its strengths and centroid, which decides the row."""
         rule_base = self.rule_base
-        engine = rule_base.engine
-        memberships = engine.input_memberships(X)
+        memberships = rule_base.engine.input_memberships(X)
         values = np.empty(len(X))
         for start in range(0, len(X), STRENGTH_CHUNK):
-            rows = X[start : start + STRENGTH_CHUNK]
-            strengths = engine.strengths(
-                memberships[start : start + STRENGTH_CHUNK], rule_base.antecedents
-            )
-            centroids = np.full(len(rows), np.nan)
-            if strengths.max() > 0.0:
-                centroids = engine.centroids(strengths, rule_base.groups)[0]
-            for i, (x, row, centroid) in enumerate(zip(rows, strengths, centroids), start):
+            chunk = slice(start, start + STRENGTH_CHUNK)
+            strengths, centroids = fire(rule_base, memberships[chunk])
+            for i, (x, row, centroid) in enumerate(zip(X[chunk], strengths, centroids), start):
                 result = infer_detail(rule_base, x, self.fallback, strengths=row, centroid=centroid)
                 values[i] = result.value
         return values
 
-    def infer_trace(self, x: np.ndarray) -> InferenceResult:
-        """Inference on one (4,) row with fired rules and the degraded flag, for reporting."""
-        return infer_detail(self.rule_base, x, fallback=self.fallback)
-
     def explain(self, x: FeatureVector) -> list[str]:
         """The degraded flag, then up to ten fired rules."""
-        detail = self.infer_trace(x.row[0])
+        detail = infer_detail(self.rule_base, x.row[0], self.fallback)
         lines = ["DEGRADED: no rule fired; training-mean fallback used"] if detail.degraded else []
         for rule, strength in detail.fired[:10]:
             ants = " ".join(str(a) for a in rule.antecedent)

@@ -90,8 +90,7 @@ class _PopulationEvaluator:
     def __init__(self, train: Dataset):
         if len(train) == 0:
             raise EmptyTrainError("genetic-fuzzy evaluation needs a nonempty training set")
-        self.input_vars, self.output_var = variables_from_dataset(train)
-        self.engine = FuzzyEngine(self.input_vars, self.output_var)
+        self.engine = FuzzyEngine(*variables_from_dataset(train))
         self.memberships = self.engine.input_memberships(train.features_matrix)
         self.targets = train.targets
         self.fallback = float(np.mean(train.targets))
@@ -196,7 +195,8 @@ def evolve(cfg: GAConfig, train: Dataset) -> tuple[RuleBase, list[float]]:
         history.append(best_fit)
 
     rules = tuple(FuzzyRule(ant, cons) for ant, cons in best_pairs)
-    return RuleBase(rules, evaluator.input_vars, evaluator.output_var, evaluator.engine), history
+    engine = evaluator.engine
+    return RuleBase(rules, engine.input_vars, engine.output_var, engine), history
 
 
 class GeneticFuzzyPredictor(FuzzyPredictor):
@@ -211,7 +211,7 @@ class GeneticFuzzyPredictor(FuzzyPredictor):
 
     def _fit(self, train: Dataset, y: np.ndarray) -> None:
         self.rule_base, self.history = evolve(self.config, train)
-        self.fallback = float(np.mean(train.targets))
+        super()._fit(train, y)  # the rules are set, so this sets only the fallback
 
     def output_files(self, model_id: str) -> dict[str, list[tuple]]:
         rows = [(gen, repr(best)) for gen, best in enumerate(self.history)]

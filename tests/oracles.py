@@ -161,7 +161,7 @@ def decode_and_fitness(population, train):
     evaluator = _PopulationEvaluator(train)
     pairs, fitness = evaluator.decode_and_fitness(population)
     rules = tuple(FuzzyRule(ant, cons) for ant, cons in pairs)
-    return RuleBase(rules, evaluator.input_vars, evaluator.output_var), fitness
+    return RuleBase(rules, evaluator.engine.input_vars, evaluator.engine.output_var), fitness
 
 
 class PerGenerationEvaluator(_PopulationEvaluator):

@@ -117,6 +117,8 @@ seed = 99
             {"source": "csv"},
             {"train_fraction": 0.5, "train_count": 10},
             {"train_fraction": 1.0},
+            {"train_fraction": 0.999},
+            {"n": 2},
             {"k_predictors": -3},
             {"n_override": 5},
             {"enabled": ()},
@@ -564,6 +566,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: OS_ERROR: ") and "MISSING_DIR" in err
         assert not os.path.exists(tmp_path / "MISSING_DIR")
+
+    @pytest.mark.parametrize("flag, env", [(["--seed", "-3"], None), ([], "-3")])
+    def test_generate_names_a_negative_seed(self, flag, env, tmp_path, capsys, monkeypatch):
+        if env is not None:
+            monkeypatch.setenv("COSTLAB_SEED", env)
+        data = tmp_path / "a.csv"
+        assert cli_main(["generate", "--n", "5", *flag, "--out", str(data)]) == 1
+        assert capsys.readouterr().err == "error: VALUE_ERROR: seed must be >= 0, got -3\n"
+        assert not data.exists()
 
     def test_env_seed_fallback(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("COSTLAB_SEED", "31")

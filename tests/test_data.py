@@ -179,6 +179,10 @@ class TestSynthesize:
         with pytest.raises(ValueError, match="noise_pct"):
             synthesize(5, seed=0, noise_pct=noise_pct)
 
+    def test_seed_must_be_nonnegative(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
+            synthesize(5, seed=-3, noise_pct=0.0)
+
     def test_range_exhaustion(self):
         # years far in the past keep the sqrt-domain value negative
         bad_ranges = ((20.0, 300.0), (200.0, 3000.0), (5.0, 60.0), (1900.0, 1901.0))

@@ -338,7 +338,7 @@ class TestDerivedRules:
         p = FuzzyPredictor().fit(train)
         value = p.predict(train[0].features)
         assert np.isfinite(value)
-        trace = p.infer_trace(train.features_matrix[0])
+        trace = infer_detail(p.rule_base, train.features_matrix[0], p.fallback)
         assert not trace.degraded
         assert trace.fired
 
@@ -352,6 +352,13 @@ class TestVariablesFromDataset:
             assert var.lo == X[:, d].min() and var.hi == X[:, d].max()
         assert output.lo == train.targets.min()
         assert output.hi == train.targets.max()
+
+    def test_constant_universes_span_one_unit_around_the_value(self):
+        X = np.array([[5.0, 2.0, 3.0, 2013.0], [5.0, 4.0, 9.0, 2014.0]])
+        inputs, output = variables_from_dataset(make_dataset(X, [250.0, 250.0]))
+        assert (inputs[0].lo, inputs[0].hi) == (4.5, 5.5)
+        assert (output.lo, output.hi) == (249.5, 250.5)
+        assert (inputs[1].lo, inputs[1].hi) == (2.0, 4.0)  # a varying driver is not widened
 
     def test_degenerate_range_padded(self):
         X = np.array([[5.0, 2.0, 3.0, 2013.0], [5.0, 4.0, 9.0, 2014.0]])

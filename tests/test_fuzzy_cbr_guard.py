@@ -13,6 +13,7 @@ import pytest
 
 from conftest import retrieve_one
 from costlab.data import synthesize
+from costlab.fuzzy import infer_detail
 from costlab.zoo import build_model
 
 SEED = 20240611
@@ -44,7 +45,7 @@ def traces(model_id, params):
     model = _fit(model_id, params)
     out = []
     for x in _held_out_rows()[:10]:
-        result = model.infer_trace(x.to_array())
+        result = infer_detail(model.rule_base, x.to_array(), model.fallback)
         fired = " ".join(
             f"{''.join(map(str, rule.antecedent))}>{rule.consequent}:{s.hex()}"
             for rule, s in result.fired

@@ -97,6 +97,10 @@ BAD_SECTIONS = {
         "[split]\ntrain_fraction = 0.5\ntrain_count = 10\n",
         "[split] give train_fraction or train_count, not both",
     ),
+    "split_empty_side": (
+        "[split]\ntrain_count = 200\n",
+        "[split] train count 200 leaves an empty side for 144 records",
+    ),
     "unknown_model": ("[model.nope]\n", "[model.nope] unknown model id"),
     "data": ("[data]\nn = 0\n", "[data]"),
     "split": ("[split]\ntrain_fraction = 2\n", "[split]"),
