@@ -85,6 +85,14 @@ class BenchConfig:
             raise ConfigError(
                 f"[metrics] n_override must be >= k_predictors + 2, got {self.n_override}"
             )
+        if self.source == "synthesize":  # R2 needs two test rows, and adjusted R2 K + 2
+            test = self.n - count
+            need = 2 if self.n_override is not None else self.k_predictors + 2
+            if test < need:
+                raise ConfigError(
+                    f"[split] test count {test} of {self.n} records is below {need}, "
+                    "the fewest the test scores need"
+                )
         if not self.enabled:
             raise ConfigError("[models] enabled: at least one model required")
         for i, model_id in enumerate(self.enabled):

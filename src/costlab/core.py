@@ -22,7 +22,6 @@ from .errors import (
     EmptyTrainError,
     NegativeSqrtDomainError,
     NonconvergenceError,
-    NonpositiveTargetError,
     TransformDomainError,
     UnfittedError,
     UnsupportedMissingError,
@@ -211,8 +210,6 @@ def score_predictions(
     if len(test) == 0:
         raise EmptyTestError("empty test set")
     actual = test.targets
-    if np.any(actual <= 0):
-        raise NonpositiveTargetError("evaluation requires strictly positive targets")
     mape_pct = mape(actual, predicted)
     r2 = r_squared(actual, predicted)
     n = len(test) if n_override is None else int(n_override)

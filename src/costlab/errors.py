@@ -79,10 +79,6 @@ class EmptyTestError(CostLabError):
     code = "EMPTY_TEST"
 
 
-class NonpositiveTargetError(CostLabError):
-    code = "NONPOSITIVE_TARGET"
-
-
 class UnfittedError(CostLabError):
     code = "UNFITTED"
 

@@ -17,8 +17,14 @@ from .core import Predictor, TargetTransform
 from .data import Dataset, N_FEATURES
 from .errors import NonconvergenceError
 
-_ACTIVATIONS = ("tanh", "relu")
 MOMENTUM = 0.9
+# Each activation, written over the fresh pre-activation, and its derivative from
+# its output as a factor of the backpropagated delta: ReLU's is the ``a > 0``
+# mask, which multiplies a float to the same bits as the mask cast to 0.0 and 1.0.
+_ACTIVATIONS = {
+    "tanh": (lambda z: np.tanh(z, out=z), lambda a: 1.0 - a * a),
+    "relu": (lambda z: np.maximum(0.0, z, out=z), lambda a: a > 0),
+}
 
 
 @dataclass(frozen=True)
@@ -32,8 +38,7 @@ class NetworkSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
+        _activation(self.activation)
         if any(h < 1 for h in self.hidden):
             raise ValueError("hidden layer sizes must be >= 1")
         if self.epochs < 0 or not 0 <= self.learning_rate < math.inf:
@@ -71,24 +76,11 @@ def init_weights(layer_sizes: tuple[int, ...], rng: np.random.Generator) -> Netw
     return NetworkWeights(weights, biases)
 
 
-def _activate(z: np.ndarray, activation: str) -> np.ndarray:
-    """The activation of the fresh pre-activation ``z``, written over it."""
-    if activation == "tanh":
-        return np.tanh(z, out=z)
-    if activation == "relu":
-        return np.maximum(0.0, z, out=z)
-    raise ValueError(f"unknown activation {activation!r}; expected one of {_ACTIVATIONS}")
-
-
-def _activate_deriv(a: np.ndarray, activation: str) -> np.ndarray | float:
-    """The activation's derivative, from its output ``a``, as a factor of the
-    backpropagated delta: ReLU's is the ``a > 0`` mask, which multiplies a float
-    to the same bits as the mask cast to 0.0 and 1.0."""
-    if activation == "tanh":
-        return 1.0 - a * a
-    if activation == "relu":
-        return a > 0
-    raise ValueError(f"unknown activation {activation!r}; expected one of {_ACTIVATIONS}")
+def _activation(name: str):
+    """The (activation, derivative) pair of ``_ACTIVATIONS`` named ``name``."""
+    if name not in _ACTIVATIONS:
+        raise ValueError(f"unknown activation {name!r}; expected one of {tuple(_ACTIVATIONS)}")
+    return _ACTIVATIONS[name]
 
 
 def _rowwise_matmul(a: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -101,16 +93,17 @@ def _rowwise_matmul(a: np.ndarray, W: np.ndarray) -> np.ndarray:
 def _layers(w: NetworkWeights, X: np.ndarray, activation: str, matmul) -> list[np.ndarray]:
     """The activations of every layer, the (n, 4) float input first; the output
     layer is the identity. ``matmul`` contracts one layer."""
+    activate = _activation(activation)[0]
     activations = [X]
     last = len(w.weights) - 1
     for i, (W, b) in enumerate(zip(w.weights, w.biases)):
         z = matmul(activations[-1], W)
         z += b
-        activations.append(z if i == last else _activate(z, activation))
+        activations.append(z if i == last else activate(z))
     return activations
 
 
-def forward(w: NetworkWeights, X: np.ndarray, activation: str = "tanh") -> np.ndarray:
+def forward(w: NetworkWeights, X: np.ndarray, activation: str) -> np.ndarray:
     """Batch forward pass over an (n, 4) float array; returns the identity-output
     column as a vector.
 
@@ -120,12 +113,13 @@ def forward(w: NetworkWeights, X: np.ndarray, activation: str = "tanh") -> np.nd
 
 
 def gradients(
-    w: NetworkWeights, X: np.ndarray, targets: np.ndarray, activation: str = "tanh",
+    w: NetworkWeights, X: np.ndarray, targets: np.ndarray, activation: str,
     out: NetworkWeights | None = None,
 ) -> tuple[list[np.ndarray], list[np.ndarray], float]:
     """Exact gradients of 0.5 * mean((output - target)^2) over an (n, 4) float
     array and its (n,) targets by backpropagation, written into the arrays of
     ``out`` (shaped as ``w``'s) or into new ones."""
+    derivative = _activation(activation)[1]
     activations = _layers(w, X, activation, np.matmul)
     err = activations[-1][:, 0] - targets
     loss = 0.5 * float((err * err).sum() / len(err))
@@ -139,7 +133,7 @@ def gradients(
         delta.sum(axis=0, out=out.biases[i])
         if i > 0:
             delta = delta @ w.weights[i].T
-            delta *= _activate_deriv(activations[i], activation)
+            delta *= derivative(activations[i])
     return out.weights, out.biases, loss
 
 

@@ -27,7 +27,6 @@ class LinearModel:
 
     intercept: float
     coefficients: tuple[float, float, float, float]
-    condition_number: float = float("nan")
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """intercept + sum of c_j * X[:, j], added left to right in coefficient order:
@@ -64,7 +63,6 @@ def fit_ols(train: Dataset, z: np.ndarray) -> LinearModel:
     return LinearModel(
         intercept=float(beta[0]),
         coefficients=tuple(float(b) for b in beta[1:]),
-        condition_number=cond,
     )
 
 
@@ -73,7 +71,6 @@ def reference_model() -> LinearModel:
     return LinearModel(
         intercept=GENERATOR_INTERCEPT,
         coefficients=GENERATOR_COEFFS,
-        condition_number=1.0,
     )
 
 

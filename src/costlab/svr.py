@@ -14,7 +14,7 @@ units.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,9 +44,7 @@ def kernel_matrix(A: np.ndarray, B: np.ndarray, gamma_rbf: float) -> np.ndarray:
 class SvrModel:
     beta: np.ndarray
     bias: float
-    gamma_rbf: float
-    C: float
-    epsilon: float
+    params: SvrParams
     X_std: np.ndarray
     x_mean: np.ndarray
     x_scale: np.ndarray
@@ -161,16 +159,15 @@ def _recover_bias(
     return 0.5 * (low + high)
 
 
-def fit_svr(X: np.ndarray, y: np.ndarray, **params: float) -> SvrModel:
-    """Train by maximal-violating-pair updates; ``params`` are ``SvrParams`` fields.
+def fit_svr(X: np.ndarray, y: np.ndarray, params: SvrParams = SvrParams()) -> SvrModel:
+    """Train by maximal-violating-pair updates.
 
     A pass is n pair updates; the model is returned flagged unconverged when
     KKT violations still exceed ``tol`` after ``max_passes`` passes.
     """
     if y.size == 0:
         raise EmptyTrainError("SVR needs a nonempty training set")
-    p = SvrParams(**params)
-    C, epsilon, gamma_rbf = p.C, p.epsilon, p.gamma_rbf
+    C, epsilon = params.C, params.epsilon
     n = y.size
     x_mean = X.mean(axis=0)
     x_scale = X.std(axis=0)
@@ -180,7 +177,7 @@ def fit_svr(X: np.ndarray, y: np.ndarray, **params: float) -> SvrModel:
     y_scale = float(y.std()) or 1.0
     ys = (y - y_mean) / y_scale
 
-    K = kernel_matrix(Xs, Xs, gamma_rbf)
+    K = kernel_matrix(Xs, Xs, params.gamma_rbf)
     beta = np.zeros(n)
     F = np.zeros(n)
     # each coefficient's gradient for a step up is resid + up, for one down resid + dn
@@ -188,13 +185,13 @@ def fit_svr(X: np.ndarray, y: np.ndarray, **params: float) -> SvrModel:
     converged = False
     n_updates = 0
     history = [_dual_objective(beta, F, ys, epsilon)]
-    for _ in range(p.max_passes):
+    for _ in range(params.max_passes):
         stalled = False
         for _ in range(n):
             resid = ys - F
             g_up, g_dn = resid + up, resid + dn
             i, j = int(g_up.argmax()), int(g_dn.argmin())
-            if g_up[i] == -math.inf or g_dn[j] == math.inf or g_up[i] - g_dn[j] <= p.tol:
+            if g_up[i] == -math.inf or g_dn[j] == math.inf or g_up[i] - g_dn[j] <= params.tol:
                 converged = True
                 break
             delta = _solve_pair(
@@ -218,9 +215,7 @@ def fit_svr(X: np.ndarray, y: np.ndarray, **params: float) -> SvrModel:
     return SvrModel(
         beta=beta,
         bias=bias,
-        gamma_rbf=gamma_rbf,
-        C=C,
-        epsilon=epsilon,
+        params=params,
         X_std=Xs,
         x_mean=x_mean,
         x_scale=x_scale,
@@ -236,7 +231,7 @@ def predict_svr(model: SvrModel, X: np.ndarray) -> np.ndarray:
     """(n,) de-standardized kernel expansion at each (n, 4) query row, each
     row's value the same bits in a batch of any size."""
     xs = (X - model.x_mean) / model.x_scale
-    K = kernel_matrix(xs, model.X_std, model.gamma_rbf)
+    K = kernel_matrix(xs, model.X_std, model.params.gamma_rbf)
     # a per-row sum along the contiguous last axis, unlike a BLAS K @ beta
     f = (K * model.beta).sum(axis=1) + model.bias
     return f * model.y_scale + model.y_mean
@@ -253,7 +248,7 @@ class SvrPredictor(Predictor):
         self.model: SvrModel | None = None
 
     def _fit(self, train: Dataset, y: np.ndarray) -> None:
-        self.model = fit_svr(train.features_matrix, y, **asdict(self.params))
+        self.model = fit_svr(train.features_matrix, y, self.params)
 
     def _predict_batch(self, X: np.ndarray) -> np.ndarray:
         return predict_svr(self.model, X)

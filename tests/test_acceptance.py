@@ -37,7 +37,7 @@ from costlab.genetic_fuzzy import GAConfig, crossover, evolve, mutate
 from costlab.metrics import MapeCategory, adjusted_r_squared, mape, r_squared
 from costlab.neural import forward, gradients, init_weights
 from costlab.regression import fit_ols
-from costlab.svr import fit_svr, kernel_matrix, predict_svr
+from costlab.svr import SvrParams, fit_svr, kernel_matrix, predict_svr
 from costlab.zoo import DEFAULT_MODEL_IDS, build_model
 
 GLOBAL_SEED = 42  # recorded seed for the benchmark-level criteria
@@ -365,7 +365,8 @@ def test_criterion_11_svr_small_instance_oracle():
         X = rng.uniform(0, 10, (n, 4))
         y = 1000 + 100 * X[:, 0] + 30 * np.sin(X[:, 1]) + rng.normal(0, 20, n)
         C, epsilon, gamma = 1.0, 0.1, 0.25
-        model = fit_svr(X, y, C=C, epsilon=epsilon, gamma_rbf=gamma, max_passes=2000, tol=1e-6)
+        params = SvrParams(C=C, epsilon=epsilon, gamma_rbf=gamma, max_passes=2000, tol=1e-6)
+        model = fit_svr(X, y, params)
 
         x_mean, x_scale = X.mean(0), X.std(0)
         x_scale[x_scale == 0] = 1.0

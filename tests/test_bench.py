@@ -119,7 +119,10 @@ seed = 99
             {"train_fraction": 1.0},
             {"train_fraction": 0.999},
             {"n": 2},
+            {"n": 20},
+            {"train_count": 143},
             {"k_predictors": -3},
+            {"k_predictors": 40},
             {"n_override": 5},
             {"enabled": ()},
             {"enabled": ("cart", "cart")},
@@ -131,6 +134,11 @@ seed = 99
     def test_config_built_in_code_is_checked(self, kwargs):
         with pytest.raises(ConfigError):
             BenchConfig(**kwargs)
+
+    def test_n_override_needs_only_the_two_test_rows_r2_needs(self):
+        # 5 test rows of 20 records: too few for adjusted R2 over them, not over n_override
+        result = run_bench(BenchConfig(n=20, n_override=20, enabled=("cart",)), seed=1)
+        assert result.rows[0].report is not None, result.rows[0].error
 
     def test_readme_example_config_is_the_defaults(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")

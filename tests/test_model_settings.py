@@ -101,6 +101,10 @@ BAD_SECTIONS = {
         "[split]\ntrain_count = 200\n",
         "[split] train count 200 leaves an empty side for 144 records",
     ),
+    "split_test_side_too_small": (
+        "[data]\nn = 20\n",
+        "[split] test count 5 of 20 records is below 6, the fewest the test scores need",
+    ),
     "unknown_model": ("[model.nope]\n", "[model.nope] unknown model id"),
     "data": ("[data]\nn = 0\n", "[data]"),
     "split": ("[split]\ntrain_fraction = 2\n", "[split]"),

@@ -11,7 +11,7 @@ from costlab.neural import (
     NetworkSpec,
     NetworkWeights,
     NeuralPredictor,
-    _activate_deriv,
+    _activation,
     _layers,
     dnn_spec,
     forward,
@@ -101,7 +101,9 @@ class TestForward:
         with pytest.raises(ValueError, match=match):
             gradients(w, X, t, name)
         with pytest.raises(ValueError, match=match):
-            _activate_deriv(X, name)
+            _activation(name)
+        with pytest.raises(ValueError, match=match):
+            NetworkSpec(hidden=(5,), activation=name)
 
     @pytest.mark.parametrize(
         "layer_sizes, activation",

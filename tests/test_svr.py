@@ -112,14 +112,14 @@ class TestFitSvr:
         X = rng.uniform(0, 10, (20, 4))
         y = 100 + 10 * X[:, 0] + rng.normal(0, 5, 20)
         for passes in (1, 2, 5, 50):
-            model = fit_svr(X, y, C=1.0, max_passes=passes)
+            model = fit_svr(X, y, SvrParams(C=1.0, max_passes=passes))
             assert np.all(np.abs(model.beta) <= 1.0 + 1e-12)
 
     def test_dual_objective_non_decreasing(self):
         rng = np.random.default_rng(5)
         X = rng.uniform(0, 10, (30, 4))
         y = 100 + 10 * X[:, 0] + 5 * np.sin(X[:, 1]) + rng.normal(0, 3, 30)
-        model = fit_svr(X, y, max_passes=100)
+        model = fit_svr(X, y, SvrParams(max_passes=100))
         history = model.objective_history
         assert all(b >= a - 1e-9 for a, b in zip(history, history[1:]))
 
@@ -127,14 +127,14 @@ class TestFitSvr:
         rng = np.random.default_rng(6)
         X = rng.uniform(0, 10, (25, 4))
         y = 100 + 10 * X[:, 0] + rng.normal(0, 2, 25)
-        model = fit_svr(X, y, C=10.0, epsilon=0.2, max_passes=2000, tol=1e-5)
+        model = fit_svr(X, y, SvrParams(C=10.0, epsilon=0.2, max_passes=2000, tol=1e-5))
         assert model.converged
         # rows strictly inside the tube (by a margin beyond the KKT
         # tolerance) must carry zero coefficients
-        K = kernel_matrix(model.X_std, model.X_std, model.gamma_rbf)
+        K = kernel_matrix(model.X_std, model.X_std, model.params.gamma_rbf)
         f = K @ model.beta + model.bias
         ys = (y - model.y_mean) / model.y_scale
-        inside = np.abs(f - ys) < model.epsilon - 1e-3
+        inside = np.abs(f - ys) < model.params.epsilon - 1e-3
         assert inside.any()
         assert np.all(np.abs(model.beta[inside]) <= 1e-6)
 
@@ -142,18 +142,18 @@ class TestFitSvr:
         rng = np.random.default_rng(7)
         X = rng.uniform(0, 10, (15, 4))
         y = 100 + 10 * X[:, 0]
-        model = fit_svr(X, y, C=100.0, epsilon=0.05, max_passes=3000, tol=1e-5)
+        model = fit_svr(X, y, SvrParams(C=100.0, epsilon=0.05, max_passes=3000, tol=1e-5))
         ys = (y - model.y_mean) / model.y_scale
-        K = kernel_matrix(model.X_std, model.X_std, model.gamma_rbf)
+        K = kernel_matrix(model.X_std, model.X_std, model.params.gamma_rbf)
         f = K @ model.beta + model.bias
-        at_bound = np.abs(model.beta) >= model.C - 1e-8
-        assert np.all(np.abs(f - ys)[~at_bound] <= model.epsilon + 1e-3)
+        at_bound = np.abs(model.beta) >= model.params.C - 1e-8
+        assert np.all(np.abs(f - ys)[~at_bound] <= model.params.epsilon + 1e-3)
 
     def test_unconverged_run_is_flagged(self):
         rng = np.random.default_rng(8)
         X = rng.uniform(0, 10, (40, 4))
         y = rng.uniform(100, 1000, 40)
-        model = fit_svr(X, y, max_passes=1, tol=1e-12)
+        model = fit_svr(X, y, SvrParams(max_passes=1, tol=1e-12))
         assert not model.converged
         assert math.isfinite(predict_svr(model, X[:1])[0])
 
@@ -167,11 +167,11 @@ class TestFitSvr:
         with pytest.raises(ValueError, match="need C > 1e-08"):
             SvrParams(C=C)
         with pytest.raises(ValueError, match="need C > 1e-08"):
-            fit_svr(np.eye(4), np.arange(4.0), C=C)
+            SvrPredictor(C=C)
 
     def test_the_smallest_c_above_the_free_tolerance_predicts(self):
         X = np.random.default_rng(9).uniform(0, 10, (12, 4))
-        model = fit_svr(X, 100 + 10 * X[:, 0], C=math.nextafter(1e-8, 1.0))
+        model = fit_svr(X, 100 + 10 * X[:, 0], SvrParams(C=math.nextafter(1e-8, 1.0)))
         assert np.isfinite(predict_svr(model, X)).all()
 
     def test_matches_qp_oracle_on_small_instances(self):
@@ -180,8 +180,8 @@ class TestFitSvr:
             n = int(rng.integers(3, 9))
             X = rng.uniform(0, 10, (n, 4))
             y = 1000 + 100 * X[:, 0] + 30 * np.sin(X[:, 1]) + rng.normal(0, 20, n)
-            model = fit_svr(X, y, C=1.0, epsilon=0.1, gamma_rbf=0.25,
-                            max_passes=2000, tol=1e-6)
+            model = fit_svr(X, y, SvrParams(C=1.0, epsilon=0.1, gamma_rbf=0.25,
+                                          max_passes=2000, tol=1e-6))
             oracle = qp_oracle(X, y, 1.0, 0.1, 0.25)
             for _ in range(4):
                 q = rng.uniform(0, 10, 4)
@@ -204,11 +204,11 @@ class TestFitSvr:
             epsilon = float(rng.choice([0.0, 0.05, 0.3, 0.8]))
             X = rng.uniform(0, 10, (n, 4))
             y = 1000 + 100 * X[:, 0] + 30 * np.sin(X[:, 1]) + rng.normal(0, 50, n)
-            model = fit_svr(X, y, C=C, epsilon=epsilon, gamma_rbf=0.25,
-                            max_passes=5000, tol=tol)
+            model = fit_svr(X, y, SvrParams(C=C, epsilon=epsilon, gamma_rbf=0.25,
+                                          max_passes=5000, tol=tol))
             assert model.converged
             beta = model.beta
-            K = kernel_matrix(model.X_std, model.X_std, model.gamma_rbf)
+            K = kernel_matrix(model.X_std, model.X_std, model.params.gamma_rbf)
             ys = (y - model.y_mean) / model.y_scale
             Kb = K @ beta
             resid = ys - Kb - model.bias
@@ -235,7 +235,7 @@ class TestFitSvr:
         X = np.vstack([np.random.default_rng(11).uniform(0, 1, (10, 4)),
                        np.full((1, 4), 50.0)])
         y = np.concatenate([np.full(10, 100.0), [900.0]])
-        model = fit_svr(X, y, C=10.0, epsilon=0.01, max_passes=2000, tol=1e-5)
+        model = fit_svr(X, y, SvrParams(C=10.0, epsilon=0.01, max_passes=2000, tol=1e-5))
         far_pred = predict_svr(model, X[-1:])[0]
         baseline = model.bias * model.y_scale + model.y_mean
         assert abs(far_pred - 900.0) < abs(baseline - 900.0)
@@ -246,6 +246,10 @@ class TestSvrPredictor:
         train = random_dataset(30, seed=30, noise=0.05)
         p = SvrPredictor(max_passes=500).fit(train)
         assert math.isfinite(p.predict(train[0].features))
+
+    def test_fits_with_its_own_checked_record(self):
+        p = SvrPredictor(C=2.0, max_passes=50).fit(random_dataset(20, seed=33))
+        assert p.model.params is p.params
 
     def test_unbounded_c_is_allowed(self):
         # C = inf is the hard-margin bound; epsilon and gamma_rbf must be finite
@@ -307,7 +311,7 @@ def test_the_pair_loop_matches_the_one_that_rescans_every_coefficient(monkeypatc
     seen = {"C=inf": 0, "epsilon=0": 0, "one_pass": 0, "converged": 0, "unconverged": 0}
     for _ in range(150):
         X, y, params = _random_svr_problem(rng)
-        model = fit_svr(X, y, **params)
+        model = fit_svr(X, y, SvrParams(**params))
         beta, F, bias, n_updates, converged, history = fit_svr_full_scan(X, y, **params)
         assert np.array_equal(model.beta.view(np.uint64), beta.view(np.uint64))
         assert np.array_equal(spied.pop().view(np.uint64), F.view(np.uint64))
