@@ -85,14 +85,8 @@ class BenchConfig:
             raise ConfigError(
                 f"[metrics] n_override must be >= k_predictors + 2, got {self.n_override}"
             )
-        if self.source == "synthesize":  # R2 needs two test rows, and adjusted R2 K + 2
-            test = self.n - count
-            need = 2 if self.n_override is not None else self.k_predictors + 2
-            if test < need:
-                raise ConfigError(
-                    f"[split] test count {test} of {self.n} records is below {need}, "
-                    "the fewest the test scores need"
-                )
+        if self.source == "synthesize":
+            self.check_test_count(self.n, self.n - count)
         if not self.enabled:
             raise ConfigError("[models] enabled: at least one model required")
         for i, model_id in enumerate(self.enabled):
@@ -104,6 +98,17 @@ class BenchConfig:
             if model_id not in MODEL_REGISTRY:
                 raise ConfigError(f"[model.{model_id}] unknown model id")
             build_model(model_id, params, 0)  # a disabled model's section is checked too
+
+    def check_test_count(self, n: int, test: int) -> None:
+        """Raise a ConfigError when a split of ``n`` records leaves ``test`` rows,
+        fewer than the test scores need: two for R2, and ``k_predictors + 2``
+        for adjusted R2 unless ``n_override`` replaces the test count."""
+        need = 2 if self.n_override is not None else self.k_predictors + 2
+        if test < need:
+            raise ConfigError(
+                f"[split] test count {test} of {n} records is below {need}, "
+                "the fewest the test scores need"
+            )
 
 
 def _model_ids(raw: str) -> tuple[str, ...]:
@@ -190,7 +195,8 @@ class BenchResult:
 
 
 def _train_test(cfg: BenchConfig, seed: int) -> tuple[Dataset, Dataset]:
-    """The configured dataset, split into its train and test sides."""
+    """The configured dataset, split into its train and test sides whose test
+    count is checked (a csv source's size is known only here)."""
     if cfg.source == "csv":
         dataset = load_csv(cfg.csv_path)
     else:
@@ -200,7 +206,9 @@ def _train_test(cfg: BenchConfig, seed: int) -> tuple[Dataset, Dataset]:
         train_count=cfg.train_count,
         seed=derive_seed(seed, "split"),
     )
-    return split(dataset, spec)
+    train, test = split(dataset, spec)
+    cfg.check_test_count(len(dataset), len(test))
+    return train, test
 
 
 def run_bench(cfg: BenchConfig, seed: int) -> BenchResult:

@@ -149,9 +149,9 @@ class Dataset(Sequence[ProjectRecord]):
     def targets(self) -> np.ndarray:
         return self._y
 
-    @property
+    @cached_property
     def has_missing_features(self) -> bool:
-        return bool(np.isnan(self._X).any())
+        return bool(np.isnan(self._X).any())  # _X is read-only, so one look serves
 
     def subset(self, indices: Sequence[int]) -> "Dataset":
         return Dataset(self._records[int(i)] for i in indices)
@@ -277,11 +277,14 @@ def check_green_rule(train_size: int, n_features: int) -> GreenRuleCheck:
     return GreenRuleCheck(adequate=train_size >= minimum, minimum=minimum)
 
 
-def generator_sqrt_value(features: Sequence[float]) -> float:
-    """Affine sqrt-domain value of the synthetic cost generator."""
+def generator_sqrt_value(features: Sequence[float] | np.ndarray) -> float | np.ndarray:
+    """Affine sqrt-domain value of the synthetic cost generator, of one (4,)
+    row or of each row of an (n, 4) array: the intercept, then each
+    coefficient term added left to right."""
+    values = np.asarray(features, dtype=float)
     total = GENERATOR_INTERCEPT
-    for coef, value in zip(GENERATOR_COEFFS, features):
-        total += coef * float(value)
+    for j, coef in enumerate(GENERATOR_COEFFS):
+        total = total + coef * values[..., j]
     return total
 
 
@@ -297,6 +300,12 @@ def synthesize(
     uniform factor in [1 - noise_pct/100, 1 + noise_pct/100]. Draws whose
     sqrt-domain value is nonpositive (or whose noise factor would flip the
     cost sign) are rejected and redrawn.
+
+    Each draw is five uniforms of the seed's stream, the four drivers then the
+    noise, each computed from its double as ``Generator.uniform`` computes it.
+    Draws come in blocks of one per record still needed; the records are the
+    first ``n`` accepted draws in stream order, and a run of rejections counts
+    toward ``_REJECTION_LIMIT`` across blocks.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -305,26 +314,31 @@ def synthesize(
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
-    lows = np.array([lo for lo, _ in ranges], dtype=float)
-    highs = np.array([hi for _, hi in ranges], dtype=float)
+    lows = np.array([*(lo for lo, _ in ranges), -noise_pct], dtype=float)
+    widths = np.array([*(hi for _, hi in ranges), noise_pct], dtype=float) - lows
+    if not np.isfinite(widths).all():
+        raise OverflowError("Range exceeds valid bounds")  # as Generator.uniform does
+    drivers, costs = [], []
+    accepted = rejected_run = 0
+    while accepted < n:
+        draws = lows + widths * rng.random((n - accepted, 5))
+        base = generator_sqrt_value(draws[:, :4])
+        factor = 1.0 + draws[:, 4] / 100.0
+        keep = np.flatnonzero((base > 0) & (factor > 0))
+        # rejection runs: before the first kept draw (with the carried run),
+        # between kept draws, and after the last, which carries on
+        runs = np.diff(np.concatenate(([-1 - rejected_run], keep, [len(draws)]))) - 1
+        if runs.max() >= _REJECTION_LIMIT:
+            raise RangeExhaustedError(
+                f"rejected {_REJECTION_LIMIT} consecutive draws; ranges produce no "
+                "positive sqrt-domain value"
+            )
+        rejected_run = int(runs[-1])
+        drivers += draws[keep, :4].tolist()
+        costs += ((base[keep] * base[keep]) * factor[keep]).tolist()
+        accepted += len(keep)
     width = len(str(n))
-    records = []
-    for i in range(n):
-        failures = 0
-        while True:
-            draw = rng.uniform(lows, highs)
-            base = generator_sqrt_value(draw)
-            factor = 1.0 + rng.uniform(-noise_pct, noise_pct) / 100.0
-            if base > 0 and factor > 0:
-                break
-            failures += 1
-            if failures >= _REJECTION_LIMIT:
-                raise RangeExhaustedError(
-                    f"rejected {failures} consecutive draws; ranges produce no "
-                    "positive sqrt-domain value"
-                )
-        cost = (base * base) * factor
-        records.append(
-            ProjectRecord(f"synth-{i:0{width}d}", FeatureVector(*draw.tolist()), cost)
-        )
-    return Dataset(records)
+    return Dataset(
+        ProjectRecord(f"synth-{i:0{width}d}", FeatureVector(*row), cost)
+        for i, (row, cost) in enumerate(zip(drivers, costs))
+    )

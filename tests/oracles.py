@@ -28,6 +28,9 @@ the coefficients for its one running sum, case similarity over a strided
 view of the cases for the contiguous case columns, and the memberships and
 centroids that take the triangle widths and the consequent grouping afresh
 on every call for the engine's kept widths and a rule base's kept grouping.
+The synthetic generator that draws one record's drivers and noise at a time,
+with its sqrt-domain value summed over Python floats, is the reference for
+the generator's block draws.
 """
 
 import math
@@ -38,9 +41,23 @@ import numpy as np
 
 from costlab.cart import LEAF, NodeGains, RegressionTree, _cart_bound, split_shortlist
 from costlab.cbr import DEFAULT_WEIGHTS, SIMILARITY_CHUNK, _attribute_similarities
-from costlab.data import N_FEATURES, FeatureVector
+from costlab.data import (
+    _REJECTION_LIMIT,
+    GENERATOR_COEFFS,
+    GENERATOR_INTERCEPT,
+    N_FEATURES,
+    SYNTH_RANGES,
+    Dataset,
+    FeatureVector,
+    ProjectRecord,
+)
 from costlab.ensemble import BoostConfig, CombineRule, split_gain
-from costlab.errors import NegativeAttributeError, NoRuleFiresError, UnsupportedMissingError
+from costlab.errors import (
+    NegativeAttributeError,
+    NoRuleFiresError,
+    RangeExhaustedError,
+    UnsupportedMissingError,
+)
 from costlab.fuzzy import (
     MF_COUNT,
     FuzzyRule,
@@ -65,6 +82,46 @@ from costlab.svr import _FREE_TOL, SvrParams, _dual_objective, _solve_pair, kern
 def feature_vector(row):
     """The ``FeatureVector`` of four numbers, a non-finite value read as missing."""
     return FeatureVector(*(float(v) if math.isfinite(v) else None for v in row))
+
+
+# -- synthetic data -------------------------------------------------------------
+
+
+def generator_sqrt_value_scalar(features):
+    """The generator's sqrt-domain value summed over Python floats, left to right."""
+    total = GENERATOR_INTERCEPT
+    for coef, value in zip(GENERATOR_COEFFS, features):
+        total += coef * float(value)
+    return total
+
+
+def synthesize_one_draw_at_a_time(n, seed, noise_pct, ranges=SYNTH_RANGES):
+    """``synthesize`` drawing each record's drivers, then its noise, until one is
+    accepted, and counting each record's rejections afresh (arguments unchecked)."""
+    rng = np.random.default_rng(seed)
+    lows = np.array([lo for lo, _ in ranges], dtype=float)
+    highs = np.array([hi for _, hi in ranges], dtype=float)
+    width = len(str(n))
+    records = []
+    for i in range(n):
+        failures = 0
+        while True:
+            draw = rng.uniform(lows, highs)
+            base = generator_sqrt_value_scalar(draw)
+            factor = 1.0 + rng.uniform(-noise_pct, noise_pct) / 100.0
+            if base > 0 and factor > 0:
+                break
+            failures += 1
+            if failures >= _REJECTION_LIMIT:
+                raise RangeExhaustedError(
+                    f"rejected {failures} consecutive draws; ranges produce no "
+                    "positive sqrt-domain value"
+                )
+        cost = (base * base) * factor
+        records.append(
+            ProjectRecord(f"synth-{i:0{width}d}", FeatureVector(*draw.tolist()), cost)
+        )
+    return Dataset(records)
 
 
 # -- fuzzy ----------------------------------------------------------------------

@@ -21,7 +21,7 @@ from costlab.bench import (
 )
 from costlab.cbr import CbrPredictor
 from costlab.cli import main as cli_main
-from costlab.core import EvalReport
+from costlab.core import EvalReport, Predictor
 from costlab.data import FEATURE_NAMES, Dataset, FeatureVector
 from costlab.errors import ConfigError, CostLabError
 from costlab.fuzzy import OUTPUT_NAME, derive_rule_base, save_rules
@@ -546,6 +546,24 @@ class TestCli:
         rules_path = str(tmp_path / "rules.txt")
         assert cli_main(["rules", "--config", str(config), "--out", rules_path]) == 0
         assert os.path.exists(rules_path)
+
+    def test_csv_with_too_few_test_rows_fails_before_any_fit(self, tmp_path, capsys, monkeypatch):
+        data = str(tmp_path / "d.csv")
+        assert cli_main(["generate", "--n", "20", "--seed", "1", "--out", data]) == 0
+        config = tmp_path / "bench.ini"
+        config.write_text(
+            "[data]\nsource = csv\npath = d.csv\n\n[models]\nenabled = cart, svr, plain_regression\n"
+        )
+        fits = []
+        monkeypatch.setattr(Predictor, "fit", lambda self, train: fits.append(self))
+        capsys.readouterr()
+        assert cli_main(["bench", "--config", str(config), "--seed", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: CONFIG_ERROR: [split] test count 5 of 20 records is below 6, "
+            "the fewest the test scores need\n"
+        )
+        assert captured.out == "" and fits == []
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         config = tmp_path / "bad.ini"
