@@ -25,6 +25,7 @@ from .data import (
     N_FEATURES,
     SplitSpec,
     check_green_rule,
+    check_noise_pct,
     load_csv,
     split,
     synthesize,
@@ -53,8 +54,10 @@ class BenchConfig:
             raise ConfigError(f"[data] source must be 'synthesize' or 'csv', got {self.source!r}")
         if self.n < 1:
             raise ConfigError(f"[data] n must be >= 1, got {self.n}")
-        if not 0 <= self.noise_pct < float("inf"):  # the negated form also rejects a nan
-            raise ConfigError(f"[data] noise_pct must be finite and >= 0, got {self.noise_pct}")
+        try:
+            check_noise_pct(self.noise_pct)
+        except ValueError as exc:
+            raise ConfigError(f"[data] {exc}") from None
         if self.source == "csv":
             if self.csv_path is None:
                 raise ConfigError("[data] source = csv requires a path")

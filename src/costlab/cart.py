@@ -42,8 +42,6 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import EmptyTrainError, UnsupportedMissingError
-
 
 @dataclass(frozen=True)
 class TreeParams:
@@ -345,8 +343,6 @@ def grow_forest(
     ``random_thresholds``, extra trees' cuts are drawn from ``rng`` as the
     node is scored."""
     samples = [(np.asarray(X, dtype=float), np.asarray(y, dtype=float)) for X, y in samples]
-    if any(y.size == 0 for _, y in samples):
-        raise EmptyTrainError("cannot grow a tree on an empty training set")
     k = samples[0][0].shape[1]
 
     def draw_features() -> Sequence[int]:
@@ -399,8 +395,9 @@ def walk_trees(nodes: RegressionTree, X: np.ndarray) -> np.ndarray:
     one level together, as many times as the deepest node is deep: x, read
     from ``X.ravel()`` at row * k + feature, steps to ``right - (x <=
     threshold)``, since a split's left child is ``right - 1``; a leaf is its
-    own child with a NaN threshold, so it stays put. A missing value takes the
-    default direction.
+    own child with a NaN threshold, so it stays put. A missing value goes left
+    only where ``default_left`` is 1: a leaf and a CART node store -1, so at a
+    CART node it goes right, as it did in growth.
     """
     n, k = X.shape
     at = np.tile(nodes.roots, n)
@@ -408,17 +405,10 @@ def walk_trees(nodes: RegressionTree, X: np.ndarray) -> np.ndarray:
     values = X.ravel()
     has_missing = bool(np.isnan(values).any())
     for _ in range(nodes.max_depth):
-        feature = nodes.feature[at]
-        x = values[offset + feature]
+        x = values[offset + nodes.feature[at]]
         go_left = x <= nodes.threshold[at]
         if has_missing:
-            default = nodes.default_left[at]
-            missing = np.isnan(x) & (feature != LEAF)
-            if (missing & (default < 0)).any():
-                raise UnsupportedMissingError(
-                    "tree was grown without missing-value default directions"
-                )
-            go_left = np.where(missing, default == 1, go_left)
+            go_left = np.where(np.isnan(x), nodes.default_left[at] == 1, go_left)
         at = nodes.right[at] - go_left
     return nodes.value[at].reshape(n, nodes.roots.size)
 

@@ -19,12 +19,7 @@ import numpy as np
 
 from .core import Predictor
 from .data import Dataset, FeatureVector, N_FEATURES
-from .errors import (
-    KTooLargeError,
-    NegativeAttributeError,
-    UnsupportedMissingError,
-    ZeroWeightSumError,
-)
+from .errors import KTooLargeError, NegativeAttributeError, ZeroWeightSumError
 
 DEFAULT_WEIGHTS = (1.0, 1.0, 1.0, 1.0)
 SIMILARITY_CHUNK = 64  # query rows scored together: bounds a batch's (4, rows, m) temporaries
@@ -54,14 +49,10 @@ def case_similarity(
     X: np.ndarray, stored: np.ndarray, weights: Sequence[float] = DEFAULT_WEIGHTS
 ) -> np.ndarray:
     """(n, m) weighted average of the four attribute similarities of each (n, 4)
-    query row to each (m, 4) stored case; a non-finite query value counts as
-    missing. Each value is bit-identical to the scalar oracle in ``tests/oracles.py``."""
-    # NaN propagates through min and max, and an infinite query value is missing too
-    a_lo, a_hi, b_lo = X.min(initial=0.0), X.max(initial=0.0), stored.min(initial=0.0)
-    if not (math.isfinite(a_lo) and math.isfinite(a_hi)) or math.isnan(b_lo):
-        raise UnsupportedMissingError("case similarity requires complete feature vectors")
-    weights = check_weights(weights)
-    if a_lo < 0 or b_lo < 0:
+    query row to each (m, 4) stored case, under weights ``check_weights`` passed.
+    Both sides are finite: ``Predictor`` rejects a missing value first. Each value
+    is bit-identical to the scalar oracle in ``tests/oracles.py``."""
+    if X.min(initial=0.0) < 0 or stored.min(initial=0.0) < 0:
         raise NegativeAttributeError("attribute values must be nonnegative")
     # feature-major (4, rows, m), each feature's cases contiguous, so each
     # feature's pass runs along them
@@ -84,11 +75,6 @@ class CaseBase:
     cases: Dataset
     attribute_weights: tuple[float, float, float, float] = DEFAULT_WEIGHTS
 
-    def __post_init__(self):
-        if not self.cases:
-            raise ValueError("case base must be nonempty")
-        check_weights(self.attribute_weights)
-
     @cached_property
     def id_order(self) -> np.ndarray:
         """Case indices sorted by id in lexical order; equal ids keep case order."""
@@ -106,8 +92,6 @@ def retrieve_and_predict(
     bits as one row alone.
     """
     cases = case_base.cases
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     if k > len(cases):
         raise KTooLargeError(f"k={k} exceeds case base size {len(cases)}")
     sims = case_similarity(X, cases.features_matrix, case_base.attribute_weights)

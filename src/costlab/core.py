@@ -101,12 +101,16 @@ def _exp(v: float) -> float:
 
 
 class Predictor(ABC):
-    """Base fit/predict contract.
+    """Base fit/predict contract, and the one gate on data.
 
-    Subclasses implement ``_fit`` (receiving the training set plus the
-    transformed target vector) and ``_predict_batch`` (returning one value
-    per feature row in the transformed space); ``predict`` is a batch of one.
-    Families that can route missing feature values set ``supports_missing``.
+    ``fit`` rejects an empty training set, and one with a missing feature value
+    unless the family sets ``supports_missing``; a query row with a non-finite
+    value counts as missing and is rejected the same way, after the rows before
+    it are priced. Below the gate a family assumes what it checked: ``_fit``
+    receives the nonempty training set plus the transformed target vector, and
+    ``_predict_batch`` receives (n, 4) rows, finite unless the family routes
+    missing values, and returns one value per row in the transformed space;
+    ``predict`` is a batch of one.
     """
 
     model_kind: str = "predictor"
@@ -139,12 +143,13 @@ class Predictor(ABC):
 
     def _predict_checked(self, X: np.ndarray) -> np.ndarray:
         """Inverse-transformed predictions; an error is the first failing row's,
-        so rows before the first unsupported missing value are predicted first."""
+        so rows before the first unsupported missing (non-finite) value are
+        predicted first."""
         if not self._fitted:
             raise UnfittedError(f"{self.model_kind}: predict before fit")
         n_ok = len(X)
-        if not self.supports_missing and np.isnan(X).any():
-            n_ok = int(np.isnan(X).any(axis=1).argmax())
+        if not self.supports_missing and not np.isfinite(X).all():
+            n_ok = int(np.isfinite(X).all(axis=1).argmin())
         out = self.target_transform.inverse(self._predict_batch(X[:n_ok]))
         if not np.isfinite(out).all():
             bad = float(out[~np.isfinite(out)][0])

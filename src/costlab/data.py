@@ -56,6 +56,7 @@ SYNTH_RANGES = (
 )
 
 _REJECTION_LIMIT = 1000
+_MAX_NOISE_PCT = float(np.finfo(float).max / 2)  # the largest whose double is finite
 
 
 @dataclass(frozen=True)
@@ -288,6 +289,18 @@ def generator_sqrt_value(features: Sequence[float] | np.ndarray) -> float | np.n
     return total
 
 
+def check_noise_pct(noise_pct: float) -> None:
+    """Raise a ValueError unless ``noise_pct`` is >= 0 and the noise's doubled
+    width, ``2 * noise_pct``, is finite, as a uniform draw over it needs."""
+    if not 0 <= noise_pct < np.inf:  # the negated form also rejects a nan
+        raise ValueError(f"noise_pct must be finite and >= 0, got {noise_pct}")
+    if noise_pct > _MAX_NOISE_PCT:
+        raise ValueError(
+            f"noise_pct must be at most {_MAX_NOISE_PCT} so the noise's doubled "
+            f"width is finite, got {noise_pct}"
+        )
+
+
 def synthesize(
     n: int,
     seed: int,
@@ -309,8 +322,7 @@ def synthesize(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if not 0 <= noise_pct < np.inf:  # the negated form also rejects a nan
-        raise ValueError(f"noise_pct must be finite and >= 0, got {noise_pct}")
+    check_noise_pct(noise_pct)
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)

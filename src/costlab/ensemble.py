@@ -45,7 +45,6 @@ from .cart import (
 )
 from .core import Predictor
 from .data import Dataset
-from .errors import EmptyTrainError
 
 RF_FEATURE_SUBSET = 2  # ceil(sqrt(4)) of the four drivers
 
@@ -128,11 +127,6 @@ def bootstrap_indices(n: int, rng: np.random.Generator) -> np.ndarray:
     return rng.integers(0, n, size=n)
 
 
-def _check_nonempty(y: np.ndarray) -> None:
-    if y.size == 0:
-        raise EmptyTrainError("empty training set")
-
-
 def fit_cart(X: np.ndarray, y: np.ndarray, params: TreeParams) -> EnsembleModel:
     """One CART tree; the mean over one member is its leaf value exactly."""
     return EnsembleModel([(grow(X, y, params), 1.0)], CombineRule.MEAN)
@@ -148,7 +142,6 @@ def _fit_forest(
 ) -> EnsembleModel:
     """Members grown together, every bootstrap drawn first, combined by mean: the three forests."""
     X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
-    _check_nonempty(y)
     rng = np.random.default_rng(cfg.seed)
     n = y.size
     rows = [bootstrap_indices(n, rng) if bootstrap else slice(None) for _ in range(cfg.n_members)]
@@ -181,7 +174,6 @@ def fit_adaboost_r2(X: np.ndarray, y: np.ndarray, cfg: ForestConfig) -> Ensemble
     average loss reaches 0.5, and stops immediately after a perfect round.
     """
     X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
-    _check_nonempty(y)
     rng = np.random.default_rng(cfg.seed)
     n = y.size
     w = np.full(n, 1.0 / n)
@@ -216,7 +208,6 @@ def _boost(
     """Both boosters' additive rounds from the mean of y: ``grow_round(X, y,
     pred)`` grows each round's tree from the predictions so far."""
     X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
-    _check_nonempty(y)
     base = float(np.mean(y))
     pred = np.full(y.size, base)
     members: list[tuple[RegressionTree, float]] = []

@@ -14,7 +14,6 @@ strength).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -23,12 +22,7 @@ import numpy as np
 
 from .core import Predictor
 from .data import Dataset, FEATURE_NAMES, FeatureVector, N_FEATURES
-from .errors import (
-    NoRuleFiresError,
-    ParseError,
-    RuleConflictError,
-    UnsupportedMissingError,
-)
+from .errors import NoRuleFiresError, ParseError, RuleConflictError
 
 MF_COUNT = 7
 SAMPLES = 1001  # points of the uniform output grid that centroids integrate over
@@ -60,7 +54,7 @@ def triangular_memberships(
     """Membership degree in [0, 1] of the points ``x`` in the triangles with these
     breakpoints, all four broadcast together; bit-identical to the scalar oracle
     ``membership`` in ``tests/oracles.py`` for non-NaN ``x``. A NaN ``x`` gives
-    0.0 where the oracle gives NaN; every caller rejects missing values first.
+    0.0 where the oracle gives NaN; ``Predictor`` rejects missing values first.
     ``sides`` are the side widths ``(peak - left, right - peak)`` when the caller
     keeps them."""
     rise, fall = (peak - left, right - peak) if sides is None else sides
@@ -321,13 +315,11 @@ def infer_detail(
 ) -> InferenceResult:
     """Crisp cost of one (4,) row, with the fired-rule trace and the
     degraded-fallback flag; without a fallback, raises NO_RULE_FIRES when
-    nothing fires. A non-finite value in the row counts as missing.
+    nothing fires. The row is finite: ``Predictor`` rejects a missing value first.
 
     ``strengths`` are the row's (R,) firing strengths and ``centroid`` its
     centroid, both from ``fire`` when the caller has them from a batch pass;
     without them, ``fire`` runs here on the one row."""
-    if not all(map(math.isfinite, x.tolist())):
-        raise UnsupportedMissingError("fuzzy inference requires complete feature vectors")
     if strengths is None:
         (strengths,), (centroid,) = fire(rule_base, rule_base.engine.input_memberships(x[None, :]))
     if centroid == centroid:  # not NaN
@@ -343,11 +335,8 @@ def infer_detail(
 def variables_from_dataset(train: Dataset) -> tuple[tuple[FuzzyVariable, ...], FuzzyVariable]:
     """Default variables spanning the observed data ranges; a constant one spans
     a unit universe centred on its value."""
-    X = train.features_matrix
-    if np.isnan(X).any():
-        raise UnsupportedMissingError("fuzzy variables need complete feature values")
     variables = []
-    for name, values in zip(_VARIABLE_ORDER, (*X.T, train.targets)):
+    for name, values in zip(_VARIABLE_ORDER, (*train.features_matrix.T, train.targets)):
         lo, hi = float(values.min()), float(values.max())
         if lo == hi:
             lo, hi = lo - 0.5, hi + 0.5
@@ -361,8 +350,6 @@ def derive_rule_base(train: Dataset) -> RuleBase:
     Identical antecedents with different consequents keep the consequent with
     the highest cumulative firing strength (ties to the lower MF index).
     """
-    if len(train) == 0:
-        raise ValueError("cannot derive rules from an empty dataset")
     input_vars, output_var = variables_from_dataset(train)
     engine = FuzzyEngine(input_vars, output_var)
     memberships = engine.input_memberships(train.features_matrix)

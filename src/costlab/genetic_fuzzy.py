@@ -25,7 +25,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .data import Dataset
-from .errors import EmptyTrainError
 from .fuzzy import FuzzyEngine, FuzzyPredictor, FuzzyRule, RuleBase, group_consequents
 from .fuzzy import variables_from_dataset
 from .metrics import mape
@@ -88,8 +87,6 @@ class _PopulationEvaluator:
     """Precomputed training-side state for scoring whole populations."""
 
     def __init__(self, train: Dataset):
-        if len(train) == 0:
-            raise EmptyTrainError("genetic-fuzzy evaluation needs a nonempty training set")
         self.engine = FuzzyEngine(*variables_from_dataset(train))
         self.memberships = self.engine.input_memberships(train.features_matrix)
         self.targets = train.targets

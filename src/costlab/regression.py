@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import Predictor, TargetTransform
 from .data import Dataset, GENERATOR_COEFFS, GENERATOR_INTERCEPT
-from .errors import RankDeficientError, UnsupportedMissingError
+from .errors import RankDeficientError
 
 _CONDITION_LIMIT = 1e10
 
@@ -43,8 +43,6 @@ def fit_ols(train: Dataset, z: np.ndarray) -> LinearModel:
     Solved via SVD (rank-revealing); fewer rows than the design's columns, or
     a condition number above 1e10, is rejected as rank deficient.
     """
-    if train.has_missing_features:
-        raise UnsupportedMissingError("OLS cannot train on missing feature values")
     X = train.features_matrix
     design = np.hstack([np.ones((len(train), 1)), X])
     if design.shape[0] < design.shape[1]:

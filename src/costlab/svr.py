@@ -20,7 +20,6 @@ import numpy as np
 
 from .core import Predictor
 from .data import Dataset, N_FEATURES
-from .errors import EmptyTrainError
 
 DEFAULT_GAMMA = 1.0 / N_FEATURES
 _FREE_TOL = 1e-8
@@ -165,8 +164,6 @@ def fit_svr(X: np.ndarray, y: np.ndarray, params: SvrParams = SvrParams()) -> Sv
     A pass is n pair updates; the model is returned flagged unconverged when
     KKT violations still exceed ``tol`` after ``max_passes`` passes.
     """
-    if y.size == 0:
-        raise EmptyTrainError("SVR needs a nonempty training set")
     C, epsilon = params.C, params.epsilon
     n = y.size
     x_mean = X.mean(axis=0)

@@ -151,8 +151,6 @@ def fire_rule(rule_base, rule, x):
 def infer_detail_always_defuzzified(rule_base, x, fallback=None):
     """``fuzzy.infer_detail`` that sends every (4,) row through ``centroids``, the
     rows that fire no rule included, and reads the outcome from its mask."""
-    if not np.isfinite(x).all():
-        raise UnsupportedMissingError("fuzzy inference requires complete feature vectors")
     engine = rule_base.engine
     memberships = engine.input_memberships(x[None, :])
     strengths = engine.strengths(memberships, rule_base.antecedents)
@@ -503,14 +501,9 @@ def walk_trees_2d(nodes, X):
         feature = nodes.feature[at]
         x = X[rows, feature]
         go_left = x <= nodes.threshold[at]
-        if has_missing:
-            default = nodes.default_left[at]
+        if has_missing:  # only a default direction of 1 sends a missing value left
             missing = np.isnan(x) & (feature != LEAF)
-            if (missing & (default < 0)).any():
-                raise UnsupportedMissingError(
-                    "tree was grown without missing-value default directions"
-                )
-            go_left = np.where(missing, default == 1, go_left)
+            go_left = np.where(missing, nodes.default_left[at] == 1, go_left)
         at = np.where(go_left, nodes.right[at] - 1, nodes.right[at])
     return nodes.value[at]
 

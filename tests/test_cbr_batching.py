@@ -21,7 +21,7 @@ from test_fuzzy_cbr_equivalence import (
 from costlab import cbr
 from costlab.cbr import CaseBase, CbrPredictor, case_similarity, retrieve_and_predict
 from costlab.data import Dataset, ProjectRecord, SplitSpec, split
-from costlab.errors import NegativeAttributeError, UnsupportedMissingError
+from costlab.errors import NegativeAttributeError
 
 
 def _check_rows_against_one_row_calls(case_base, X, k):
@@ -71,26 +71,21 @@ def test_rows_with_zero_similarity_average_their_top_costs(k):
     assert not sims[::2].any() and sims[1::2].all()
 
 
-@pytest.mark.parametrize(
-    "value, error",
-    [(np.nan, UnsupportedMissingError), (np.inf, UnsupportedMissingError),
-     (-1.0, NegativeAttributeError)],
-)
-def test_a_bad_value_raises_as_it_does_for_one_row(value, error):
+def test_a_negative_value_raises_as_it_does_for_one_row():
+    """A missing value never reaches here: ``Predictor`` rejects it first."""
     rng = np.random.default_rng(0)
     case_base, _ = _tied_case_base(rng, WEIGHTS[0])
     X = _feature_rows(rng, 7)
-    X[3, 1] = value
-    with pytest.raises(error):
+    X[3, 1] = -1.0
+    with pytest.raises(NegativeAttributeError):
         case_similarity(X, case_base.cases.features_matrix)
-    with pytest.raises(error):
+    with pytest.raises(NegativeAttributeError):
         retrieve_and_predict(case_base, X, 2)
-    if value != np.inf:  # a stored value is checked for NaN and sign, as before
-        stored = case_base.cases.features_matrix.copy()
-        stored[5, 2] = value
-        for query in (X[:1], X[:3]):
-            with pytest.raises(error):
-                case_similarity(query, stored)
+    stored = case_base.cases.features_matrix.copy()
+    stored[5, 2] = -1.0
+    for query in (X[:1], X[:3]):
+        with pytest.raises(NegativeAttributeError):
+            case_similarity(query, stored)
 
 
 def test_predict_many_makes_one_retrieval_and_one_similarity_call(monkeypatch, synthetic_144):

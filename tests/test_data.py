@@ -7,6 +7,7 @@ from costlab.data import (
     ProjectRecord,
     SplitSpec,
     check_green_rule,
+    check_noise_pct,
     generator_sqrt_value,
     load_csv,
     save_csv,
@@ -178,6 +179,14 @@ class TestSynthesize:
     def test_noise_must_be_finite_and_nonnegative(self, noise_pct):
         with pytest.raises(ValueError, match="noise_pct"):
             synthesize(5, seed=0, noise_pct=noise_pct)
+
+    def test_noise_width_must_be_finite(self):
+        # the noise is drawn over [-noise_pct, noise_pct], whose width is 2 * noise_pct
+        largest = np.finfo(float).max / 2
+        check_noise_pct(largest)
+        for noise_pct in (np.nextafter(largest, np.inf), 1e308):
+            with pytest.raises(ValueError, match=r"at most 8\.988465674311579e\+307 so the noise"):
+                synthesize(5, seed=0, noise_pct=noise_pct)
 
     def test_seed_must_be_nonnegative(self):
         with pytest.raises(ValueError, match="seed must be >= 0, got -3"):

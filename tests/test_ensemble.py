@@ -19,7 +19,6 @@ from costlab.ensemble import (
     split_gain,
     weighted_median,
 )
-from costlab.errors import EmptyTrainError
 
 DEEP = TreeParams(max_depth=12, min_samples_leaf=1, min_samples_split=2)
 
@@ -96,10 +95,6 @@ class TestMeanFamilies:
             a = fit(X, y, ForestConfig(n_members=10, seed=4)).predict(q[None, :])[0]
             b = fit(X, y, ForestConfig(n_members=10, seed=4)).predict(q[None, :])[0]
             assert a == b
-
-    def test_empty_train_rejected(self):
-        with pytest.raises(EmptyTrainError):
-            fit_bagging(np.empty((0, 4)), np.array([]), ForestConfig())
 
 
 class TestAdaBoostR2:

@@ -182,29 +182,6 @@ def test_a_fitted_model_builds_one_engine_for_all_its_predictions(
     assert len(built) == 1
 
 
-@pytest.mark.parametrize(
-    "model", [FuzzyPredictor(), GeneticFuzzyPredictor(GAConfig(generations=5, seed=7))]
-)
-def test_infer_detail_reads_a_non_finite_value_as_missing(synthetic_144, model):
-    """``predict_many`` hands each ndarray row straight to ``infer_detail``, where
-    a non-finite value is missing, as a ``None`` slot of a ``FeatureVector`` is."""
-    train, test = _train_test(synthetic_144)
-    model.fit(train)
-    engine = model.rule_base.engine
-    x = test.features_matrix[:1]
-    batch = {
-        "strengths": engine.strengths(engine.input_memberships(x), model.rule_base.antecedents)[0],
-        "centroid": 1.0,
-    }
-    for value in (np.nan, np.inf, -np.inf):
-        for column in range(4):
-            row = x[0].copy()
-            row[column] = value
-            for kwargs in ({}, batch):  # computing the row's strengths, or handed them
-                with pytest.raises(UnsupportedMissingError, match="requires complete feature"):
-                    fuzzy.infer_detail(model.rule_base, row, model.fallback, **kwargs)
-
-
 @pytest.fixture(scope="module")
 def portfolio():
     return synthesize(400, seed=7, noise_pct=5.0)
@@ -357,7 +334,7 @@ def test_an_infinite_feature_mid_batch_raises_at_its_row(
     with pytest.raises(UnsupportedMissingError) as caught:
         fitted.predict_many(_Rows(X))
     assert caught.value.code == "UNSUPPORTED_MISSING"
-    assert str(caught.value) == "fuzzy inference requires complete feature vectors"
+    assert str(caught.value) == f"{fitted.model_kind} cannot predict with missing feature values"
     assert len(results) == row  # the rows before it were priced, one call each
 
 

@@ -4,7 +4,6 @@ import pytest
 from conftest import make_dataset, random_dataset
 from oracles import decode_and_fitness, evolve_separate_tournaments, tournament
 from costlab.data import SplitSpec, split, synthesize
-from costlab.errors import EmptyTrainError
 from costlab.fuzzy import FuzzyRule, RuleBase, infer_detail
 from costlab.genetic_fuzzy import (
     _TOURNAMENT_SIZE,
@@ -116,12 +115,6 @@ class TestFitness:
         pop_b = [(1, 2, 3, 4, 5)]
         assert decode_and_fitness(pop_a, train)[1] == decode_and_fitness(pop_b, train)[1]
 
-    def test_empty_train_rejected(self):
-        from costlab.data import Dataset
-
-        with pytest.raises(EmptyTrainError):
-            decode_and_fitness([(1, 2, 3, 4, 5)], Dataset([]))
-
 
 class TestDecode:
     def test_no_duplicate_pairs(self):
@@ -186,12 +179,6 @@ class TestEvolve:
         _, hist = evolve(GAConfig(seed=3), train)
         assert hist[-1] <= 25.0
         assert hist[-1] == pytest.approx(19.23, abs=0.5)
-
-    def test_empty_train_rejected(self):
-        from costlab.data import Dataset
-
-        with pytest.raises(EmptyTrainError):
-            evolve(GAConfig(), Dataset([]))
 
     def test_a_fit_validates_only_the_returned_rules(self, monkeypatch):
         # the GA breeds and scores plain gene tuples; the one rule base it

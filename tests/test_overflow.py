@@ -2,7 +2,8 @@
 
 A transform inverse that overflows leaves inf to the finite check, which
 names the non-finite cost; an RBF distance that overflows gives the kernel's
-limit, 0. Every test here turns warnings into errors, so a numpy
+limit, 0; a noise percentage whose doubled width overflows is one error
+line. Every test here turns warnings into errors, so a numpy
 ``RuntimeWarning`` fails it.
 """
 
@@ -50,3 +51,24 @@ def test_overflowing_svr_distance_quotes_silently(capsys):
     code, captured = _predict("svr", capsys)
     assert code == 0 and captured.err == ""
     assert "predicted cost: 1237719.41\n" in captured.out
+
+
+NOISE_RULE = (
+    "noise_pct must be at most 8.988465674311579e+307 so the noise's doubled width is finite, "
+    "got 1e+308"
+)
+
+
+@pytest.mark.parametrize("command", ["generate", "bench"])
+def test_a_noise_whose_doubled_width_overflows_is_one_error_line(command, tmp_path, capsys):
+    out = tmp_path / "projects.csv"
+    config = tmp_path / "noise.ini"
+    config.write_text("[data]\nnoise_pct = 1e308\n")
+    if command == "generate":
+        args, err = ["generate", "--n", "5", "--noise-pct", "1e308", "--out", str(out)], "VALUE_ERROR:"
+    else:
+        args, err = ["bench", "--config", str(config)], "CONFIG_ERROR: [data]"
+    assert cli_main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {err} {NOISE_RULE}\n"
+    assert not out.exists()

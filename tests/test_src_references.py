@@ -11,7 +11,8 @@ is not a reader.
 
 Below ``core.Predictor`` there is one query shape: a function takes float
 arrays, and no function picks a second contract from its argument's type or
-rank.
+rank. ``core`` is the one gate on data, so only it raises EMPTY_TRAIN or
+UNSUPPORTED_MISSING, and the CBR constructor is the one check of its weights.
 """
 
 import ast
@@ -93,6 +94,34 @@ def shape_forks(src: Path = SRC) -> list[str]:
     return found
 
 
+GATE_ERRORS = ("EmptyTrainError", "UnsupportedMissingError")
+
+
+def gate_breaches(src: Path = SRC) -> list[str]:
+    """``module:line`` of each raise of a gate error outside ``core`` and of each
+    ``check_weights`` call outside ``CbrPredictor.__init__``."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = {
+            id(node)
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and cls.name == "CbrPredictor"
+            for init in cls.body
+            if isinstance(init, ast.FunctionDef) and init.name == "__init__"
+            for node in ast.walk(init)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and path.stem != "core":
+                raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if _referenced_names(raised) & set(GATE_ERRORS):
+                    found.append(f"{path.stem}:{node.lineno}")
+            elif isinstance(node, ast.Call) and id(node) not in allowed:
+                if getattr(node.func, "attr", getattr(node.func, "id", None)) == "check_weights":
+                    found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
 def test_every_module_level_function_has_a_caller_in_src():
     assert unreferenced_functions() == []
 
@@ -127,6 +156,26 @@ def test_no_function_forks_on_its_query_shape():
     """A ``FeatureVector`` becomes a row only in ``core.Predictor`` and the
     ``explain`` hooks; every family function takes (n, 4) rows."""
     assert shape_forks() == []
+
+
+def test_only_the_gates_check_data_and_cbr_weights():
+    """Below ``core.Predictor`` a family assumes what the gate checked, and
+    below ``CbrPredictor.__init__`` the weights it checked."""
+    assert gate_breaches() == []
+
+
+def test_the_gate_check_sees_every_breach(tmp_path):
+    (tmp_path / "core.py").write_text("def fit(train):\n    raise EmptyTrainError('empty')\n")
+    (tmp_path / "cbr.py").write_text(
+        "from . import errors\n\n"
+        "def similarity(X, w):\n"
+        "    if X is None:\n        raise errors.UnsupportedMissingError('missing')\n"
+        "    return check_weights(w)\n\n"
+        "class CbrPredictor:\n"
+        "    def __init__(self, w):\n        self.w = check_weights(w)\n\n"
+        "    def fit(self, train):\n        raise EmptyTrainError\n"
+    )
+    assert gate_breaches(tmp_path) == ["cbr:5", "cbr:6", "cbr:13"]
 
 
 def test_the_shape_check_sees_both_forks(tmp_path):

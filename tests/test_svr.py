@@ -6,7 +6,6 @@ import pytest
 from conftest import random_dataset
 from oracles import fit_svr_full_scan, rbf_kernel
 from costlab import svr
-from costlab.errors import EmptyTrainError
 from costlab.svr import (
     SvrParams,
     SvrPredictor,
@@ -156,10 +155,6 @@ class TestFitSvr:
         model = fit_svr(X, y, SvrParams(max_passes=1, tol=1e-12))
         assert not model.converged
         assert math.isfinite(predict_svr(model, X[:1])[0])
-
-    def test_empty_train_rejected(self):
-        with pytest.raises(EmptyTrainError):
-            fit_svr(np.empty((0, 4)), np.array([]))
 
     @pytest.mark.parametrize("C", [1e-9, 1e-8, 0.0, -1.0])
     def test_a_c_within_the_free_tolerance_of_zero_is_rejected(self, C):

@@ -22,7 +22,6 @@ from costlab.ensemble import (
     fit_regularized_booster,
     weighted_median,
 )
-from costlab.errors import UnsupportedMissingError
 from costlab.zoo import build_model
 from oracles import ensemble_predict_per_row, walk_trees_2d, weighted_median_take_along_axis
 
@@ -119,14 +118,17 @@ def test_regularized_booster_routes_missing_values_by_default_direction():
     assert np.array_equal(bits(model.predict(Q)), bits(ensemble_predict_per_row(model, Q)))
 
 
-def test_tree_without_default_directions_rejects_missing_value():
+def test_tree_without_default_directions_sends_a_missing_value_right():
+    """A CART node stores no default direction, so a missing value goes right, as
+    ``+inf`` does; ``Predictor`` keeps it from a CART model, whose growth sent it right."""
     data = synthesize(60, seed=5, noise_pct=5.0)
     tree = grow(data.features_matrix, data.targets, TreeParams(max_depth=3))
     X = data.features_matrix[:5].copy()
     X[2, tree.feature[0]] = np.nan  # the root's feature: every walk reads it
+    right = X.copy()
+    right[2, tree.feature[0]] = np.inf
     for walk in (walk_trees, walk_trees_2d):
-        with pytest.raises(UnsupportedMissingError, match="without missing-value default"):
-            walk(tree, X)
+        assert np.array_equal(bits(walk(tree, X)), bits(walk_trees(tree, right)))
     X[2] = data.features_matrix[2]
     X[3, [f for f in range(4) if f not in tree.feature]] = np.nan  # a feature no split reads
     assert np.array_equal(bits(walk_trees(tree, X)), bits(walk_trees_2d(tree, X)))
